@@ -95,9 +95,6 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-_mix64 = mix64
-
-
 class RandomStream:
     """Counter-based 64-bit generator, split from a global seed by label.
 
@@ -117,7 +114,7 @@ class RandomStream:
 
     def uniform64(self) -> int:
         self._state = (self._state + self.GOLDEN) & MASK64
-        return _mix64(self._state)
+        return mix64(self._state)
 
     def uniform_range(self, lo: int, hi: int) -> int:
         """Integer in [lo, hi], inclusive."""

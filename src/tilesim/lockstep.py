@@ -29,9 +29,6 @@ class CheckpointCost:
     def sync_duration(self, specs) -> int:
         return sum(s.sync_cost + self.context_switch for s in specs)
 
-    def update_duration(self, specs) -> int:
-        return sum(s.update_cost + self.context_switch for s in specs)
-
 
 @dataclass
 class CheckpointReport:

@@ -1025,12 +1025,9 @@ class Simulation:
     # ------------------------------------------------------------------
     # Stage 2: repair
 
-    def repair_tile(self, tile_id: str):
+    def _start_repair(self, tile_id: str):
         """Stage 2 entry point: iterate configuration variants over the
         tile's partition, then try relocating, then escalate."""
-        self._start_repair(tile_id)
-
-    def _start_repair(self, tile_id: str):
         now = self.queue.now
         if tile_id in self.repair_jobs:
             return

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, TextIO
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -36,11 +36,6 @@ class Trace:
 
     def of_kind(self, *kinds: str) -> list[TraceRecord]:
         return [r for r in self.records if r.kind in kinds]
-
-    def write_jsonl(self, fh: TextIO):
-        for rec in self.records:
-            fh.write(rec.to_json())
-            fh.write("\n")
 
     def to_jsonl(self) -> str:
         return "".join(rec.to_json() + "\n" for rec in self.records)

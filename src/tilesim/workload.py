@@ -1,14 +1,30 @@
 """Synthetic replicated application threads.
 
-A thread's observable state is a small vector of 64-bit words evolved by a
-deterministic multiply-xor-rotate mix, so replicas stay bit-identical until
-something corrupts one of them, and any single-bit corruption avalanches
-instead of cancelling out. The four per-thread hooks (init, checksum, sync,
-update) operate on this state.
+A thread's observable state is a small vector of 64-bit words. One work
+cycle applies to word i the affine step
+
+    f_i(w) = MIX_MULT * w + c_i  (mod 2**64),  c_i = (2i + 1) * MIX_TAG
+
+so replicas stay bit-identical until something corrupts one of them:
+
+- MIX_MULT is odd, so each f_i is a bijection and two words that differ
+  never converge again;
+- MIX_MULT = 1 (mod 4) and every c_i is odd, so by the Hull-Dobell theorem
+  each word runs through the full period 2**64.
+
+Because the step is affine, k cycles compose into one affine map
+w -> A_k * w + S_k * c_i, found in O(log k) by square-and-multiply (the LCG
+skip-ahead), and split advances are exact: f^a after f^b is f^(a+b).
+
+The step itself does not avalanche: a flip at bit b changes only bits >= b.
+The avalanche that makes any corruption visible comes from
+`checksum_callback`, which folds every word through `mix64`. The four
+per-thread hooks (init, checksum, sync, update) operate on this state.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, replace
 
@@ -17,7 +33,7 @@ from .engine import MASK64, mix64
 # checksum fold seed
 CHECKSUM_SEED = 0xC0F5E11DC0DEF00D
 
-# state mix parameters
+# affine step parameters (see the module docstring)
 MIX_MULT = 0x2545F4914F6CDD1D
 MIX_TAG = 0x9E3779B97F4A7C15
 
@@ -65,16 +81,23 @@ class StateSnapshot:
     state: tuple[int, ...]
 
 
-def _rotl(x: int, r: int) -> int:
-    return ((x << r) | (x >> (64 - r))) & MASK64
+# A run advances by only a few distinct cycle counts, so a small bounded
+# cache skips most of the square-and-multiply.
+@functools.lru_cache(maxsize=256)
+def _jump(cycles: int) -> tuple[int, int]:
+    """(A, S) with f_i^cycles(w) = A * w + S * c_i (mod 2**64), for every i.
 
-
-def _mix_word(w: int, cycle: int) -> int:
-    # Composition of bijections: a differing word can never re-converge.
-    w ^= (cycle * MIX_TAG) & MASK64
-    w = (w * MIX_MULT) & MASK64
-    w ^= w >> 29
-    return _rotl(w, 17)
+    Square-and-multiply over affine pairs, where applying (A, S) and then
+    (a, s) gives (A * a, S * a + s).
+    """
+    mult, inc = 1, 0
+    step_mult, step_inc = MIX_MULT, 1
+    while cycles:
+        if cycles & 1:
+            mult, inc = (mult * step_mult) & MASK64, (inc * step_mult + step_inc) & MASK64
+        step_mult, step_inc = (step_mult * step_mult) & MASK64, (step_inc * (step_mult + 1)) & MASK64
+        cycles >>= 1
+    return mult, inc
 
 
 def init_thread(spec: ThreadSpec, tile_id: str) -> ThreadState:
@@ -85,22 +108,22 @@ def init_thread(spec: ThreadSpec, tile_id: str) -> ThreadState:
     """
     digest = hashlib.blake2b(spec.thread_id.encode(), digest_size=8).digest()
     base = int.from_bytes(digest, "little")
-    words = [_mix_word((base + k) & MASK64, k) for k in range(spec.state_words)]
+    words = [mix64((base + k) & MASK64) for k in range(spec.state_words)]
     return ThreadState(spec=spec, state=words, cycle_counter=0)
 
 
 def execute_slice(ts: ThreadState, ticks: int) -> ThreadState:
-    """Advance the thread by floor(ticks / work_per_tick) work cycles."""
+    """Advance the thread by floor(ticks / work_per_tick) work cycles.
+
+    Costs O(state_words + log cycles): the cycles are applied as one jump.
+    """
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
     cycles = ticks // ts.spec.work_per_tick
-    words = list(ts.state)
-    counter = ts.cycle_counter
-    for _ in range(cycles):
-        counter += 1
-        for i, w in enumerate(words):
-            words[i] = _mix_word(w, counter + i)
-    return replace(ts, state=words, cycle_counter=counter)
+    mult, inc = _jump(cycles)
+    inc = inc * MIX_TAG
+    words = [(mult * w + inc * (2 * i + 1)) & MASK64 for i, w in enumerate(ts.state)]
+    return replace(ts, state=words, cycle_counter=ts.cycle_counter + cycles)
 
 
 def checksum_callback(ts: ThreadState) -> int:

@@ -1,7 +1,8 @@
 import pytest
 
+from tilesim.engine import MASK64
 from tilesim.workload import (
-    OutputRecord, ThreadIdMismatch, ThreadSpec, ThreadState,
+    MIX_MULT, MIX_TAG, OutputRecord, ThreadIdMismatch, ThreadSpec, ThreadState,
     checksum_callback, emit_output, execute_slice, init_thread, sync_callback,
     update_callback,
 )
@@ -55,6 +56,58 @@ def test_single_bit_flip_stays_diverged():
         healthy = execute_slice(healthy, 10)
         flipped = execute_slice(flipped, 10)
         assert healthy.state != flipped.state
+
+
+def naive_slice(state, cycles):
+    # the documented step, one cycle at a time: w_i <- MIX_MULT*w_i + c_i
+    words = list(state)
+    for _ in range(cycles):
+        words = [(MIX_MULT * w + (2 * i + 1) * MIX_TAG) & MASK64
+                 for i, w in enumerate(words)]
+    return words
+
+
+def test_jump_matches_per_cycle_step():
+    ts = init_thread(spec(words=5), "C0")
+    for cycles in range(65):
+        assert execute_slice(ts, cycles).state == naive_slice(ts.state, cycles)
+
+
+@pytest.mark.parametrize("wpt", [1, 7])
+@pytest.mark.parametrize("first,second", [(0, 13), (5, 64), (100, 37),
+                                          (2**40 + 3, 2**33 + 1)])
+def test_split_advance_equals_one_advance(wpt, first, second):
+    # ticks are whole cycles here, so the split loses no remainder; the
+    # 2**40-cycle cases also show the cost does not grow with cycles
+    ts = init_thread(spec(words=6, wpt=wpt), "C0")
+    whole = execute_slice(ts, (first + second) * wpt)
+    split = execute_slice(execute_slice(ts, first * wpt), second * wpt)
+    assert whole == split
+    assert whole.cycle_counter == first + second
+
+
+def test_input_state_is_not_changed():
+    ts = init_thread(spec(), "C0")
+    before = list(ts.state)
+    execute_slice(ts, 50)
+    assert ts.state == before and ts.cycle_counter == 0
+
+
+def test_negative_ticks_rejected():
+    with pytest.raises(ValueError):
+        execute_slice(init_thread(spec(), "C0"), -1)
+
+
+def test_top_bit_flip_stays_diverged():
+    # an odd multiplier keeps a difference at bit b only in bits >= b, so a
+    # flip of bit 63 is the case that could most easily be lost
+    healthy = init_thread(spec(words=4), "C0")
+    flipped = init_thread(spec(words=4), "C1")
+    flipped.state = [w ^ (1 << 63) for w in flipped.state]
+    for ticks in (1, 2, 63, 1000, 2**40 + 3):
+        healthy = execute_slice(healthy, ticks)
+        flipped = execute_slice(flipped, ticks)
+        assert all(h != f for h, f in zip(healthy.state, flipped.state))
 
 
 def test_cycle_count_follows_work_per_tick():
