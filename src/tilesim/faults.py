@@ -1,5 +1,6 @@
 """Radiation fault model: transient upsets, permanent cell damage, and
-functional interrupts, generated from Poisson rates or explicit scripts.
+functional interrupts, generated from Poisson rates or explicit scripts,
+and the ledger that carries each fault from arrival to its outcome.
 
 Rates are events per simulated microsecond. Time-windowed multipliers allow
 storm phases with elevated flux. Generation is fully deterministic given
@@ -12,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .engine import RandomStream
+from .engine import EventQueue, RandomStream
+from .trace import Trace
 from . import fabric as fab
 
 TRANSIENT_STATE = "transient-state"
@@ -47,6 +49,77 @@ class FaultEvent:
         if self.kind == SEFI_TILE:
             return str(self.tile)
         return "shared"
+
+
+# FaultLedger location kinds; a location is (kind, tile id or partition name)
+TILE = "tile"
+PARTITION = "partition"     # the shared region is partition fab.SHARED
+PENDING = "pending"         # the state update a tile is waiting for
+
+
+class FaultLedger:
+    """Owner of every fault's lifecycle from arrival to outcome.
+
+    An applied fault is open at one or more locations, in arrival order. Ids
+    leave a location only through `move`, `settle` or `absorb`, so the only
+    way for a fault to end a run without an outcome is to be still open.
+    The ledger emits the `fault-detected` and `fault-outcome` trace records.
+    """
+
+    def __init__(self, trace: Trace, queue: EventQueue):
+        self.trace = trace
+        self.queue = queue
+        self.events: dict[int, FaultEvent] = {}
+        self.detected_at: dict[int, int] = {}
+        self.outcome: dict[int, str] = {}
+        self.held: dict[tuple[str, str], list[int]] = {}
+
+    def open(self, fault_id: int, *locations: tuple[str, str]):
+        for loc in locations:
+            self.held.setdefault(loc, []).append(fault_id)
+
+    def move(self, src: tuple[str, str], dst: tuple[str, str]):
+        self.held.setdefault(dst, []).extend(self.held.pop(src, ()))
+
+    def detect(self, location: tuple[str, str], tile: str, group: str, index: int):
+        """Mark every fault open at `location` detected; they stay open."""
+        for fid in self.held.get(location, ()):
+            self._detect(fid, tile, group, index)
+
+    def settle(self, location: tuple[str, str], outcome: str,
+               detected_by: Optional[tuple[str, str, int]] = None):
+        """Close every fault open at `location` with `outcome`, first marking
+        each one detected by (tile, group, index) if that is given."""
+        for fid in self.held.pop(location, ()):
+            if detected_by is not None:
+                self._detect(fid, *detected_by)
+            self._settle(fid, outcome)
+
+    def absorb(self, fault_id: int):
+        """A fault that ended before anything observed it was absorbed."""
+        if fault_id in self.detected_at:
+            return
+        for ids in self.held.values():
+            if fault_id in ids:
+                ids.remove(fault_id)
+        self._settle(fault_id, "absorbed")
+
+    def open_ids(self) -> set[int]:
+        return {fid for ids in self.held.values() for fid in ids}
+
+    def _detect(self, fault_id: int, tile: str, group: str, index: int):
+        if fault_id in self.detected_at:
+            return
+        now = self.queue.now
+        self.detected_at[fault_id] = now
+        self.trace.emit(now, "supervisor", "fault-detected",
+                        id=fault_id, tile=tile, group=group, index=index,
+                        latency=now - self.events[fault_id].at)
+
+    def _settle(self, fault_id: int, outcome: str):
+        self.outcome[fault_id] = outcome
+        self.trace.emit(self.queue.now, "supervisor", "fault-outcome",
+                        id=fault_id, outcome=outcome)
 
 
 @dataclass

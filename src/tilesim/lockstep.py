@@ -144,9 +144,6 @@ def vote_outputs(
         best = winners[0]
         result.voted = records[buckets[best][0]]
         result.divergent = [t for t in tiles if records[t].digest != best]
-        if not voting_enabled:
-            # divergent records escape; they are merely counted
-            pass
     else:
         result.no_majority = True
         result.divergent = list(tiles)

@@ -55,8 +55,6 @@ class PendingUpdate:
     group_id: str
     donor: Optional[str]
     reason: str              # "state-update" | "activation"
-    since: int
-    fault_ids: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -65,14 +63,6 @@ class RepairJob:
     partition: str
     variants: list[int]
     tried_relocation: bool = False
-
-
-@dataclass
-class FaultRecord:
-    event: flt.FaultEvent
-    applied: bool = False
-    detected_at: Optional[int] = None
-    outcome: Optional[str] = None
 
 
 class Simulation:
@@ -139,10 +129,7 @@ class Simulation:
         self.loss_of_mission = False
         self.finished = False
         self.tg_active: dict[str, bool] = {}
-        self.fault_records: dict[int, FaultRecord] = {}
-        self.open_tile_faults: dict[str, list[int]] = {}
-        self.open_partition_faults: dict[str, list[int]] = {}
-        self.open_shared_faults: list[int] = []
+        self.ledger = flt.FaultLedger(self.trace, self.queue)
         self.oracle_divergences = 0
         self._stage3_seq = 0
 
@@ -245,7 +232,7 @@ class Simulation:
         events = flt.generate(self.scenario.profile, self.horizon,
                               self.streams.get("faults"), space)
         for ev in events:
-            self.fault_records[ev.fault_id] = FaultRecord(event=ev)
+            self.ledger.events[ev.fault_id] = ev
             self.queue.schedule(ev.at, "fault-arrival", {"fault_id": ev.fault_id})
 
     # ------------------------------------------------------------------
@@ -258,8 +245,7 @@ class Simulation:
             self.trace.emit(now, tile.tile_id, "boot-failed",
                             tile=tile.tile_id, evidence=sorted(evidence))
             tile.set_status(DEFUNCT)
-            faults_here = self.open_tile_faults.pop(tile.tile_id, [])
-            self.open_partition_faults.setdefault(tile.partition, []).extend(faults_here)
+            self.ledger.move((flt.TILE, tile.tile_id), (flt.PARTITION, tile.partition))
             self._start_repair(tile.tile_id)
             return
         tile.persist_corrupt = False
@@ -289,8 +275,7 @@ class Simulation:
             self.supervisor.return_spare(tile.tile_id)
             self.trace.emit(now, tile.tile_id, "spare-pool-enter", tile=tile.tile_id)
             if not initial:
-                for fid in self.open_tile_faults.pop(tile.tile_id, []):
-                    self._set_outcome(fid, "corrected")
+                self.ledger.settle((flt.TILE, tile.tile_id), "corrected")
                 self._restore_groups()
 
     def _maybe_start_boot_checkpoint(self, group: TileGroup):
@@ -311,7 +296,9 @@ class Simulation:
             tile.sefi_blocked = False
             tile.sefi_epoch += 1
             self.trace.emit(now, tile.tile_id, "sefi-cleared", target=tile.tile_id)
+        # the reboot resets the state a pending update was going to repair
         self.pending_updates.pop(tile.tile_id, None)
+        self.ledger.settle((flt.PENDING, tile.tile_id), "corrected")
         if schedule:
             self.queue.schedule(now + self.scenario.costs.boot_time,
                                 "tile-reboot-done", {"tile_id": tile.tile_id})
@@ -652,9 +639,8 @@ class Simulation:
             self.trace.emit(now, "supervisor", "detection-only",
                             group=group.group_id, index=ctx.index, faulty=verdict.faulty)
             for f in verdict.faulty:
-                for fid in self.open_tile_faults.pop(f, []):
-                    self._mark_detected(fid, f, group, ctx)
-                    self._set_outcome(fid, "degraded")
+                self.ledger.settle((flt.TILE, f), "degraded",
+                                   detected_by=(f, group.group_id, ctx.index))
             self._finish_checkpoint(group, ctx, "detect-only")
             return
 
@@ -676,27 +662,26 @@ class Simulation:
                             faulty_id: str, donor: str):
         now = self.queue.now
         tile = self.tiles[faulty_id]
+        if tile.status == REBOOTING:
+            # a reboot in the same instant wiped its checksums; that reboot
+            # already resets the tile and settles its faults
+            return
         action = self.supervisor.handle_fault(faulty_id, now, group.period)
-        open_faults = self.open_tile_faults.pop(faulty_id, [])
-        for fid in open_faults:
-            self._mark_detected(fid, faulty_id, group, ctx)
+        here = (flt.TILE, faulty_id)
+        self.ledger.detect(here, faulty_id, group.group_id, ctx.index)
 
-        outcome = None
         if action.kind == sup.STATE_UPDATE:
             self.command_tile(faulty_id, "state-update", donor=donor, group=group)
-            pending = self.pending_updates.get(faulty_id)
-            if pending is not None:
-                # outcome settles when the update actually lands
-                pending.fault_ids.extend(open_faults)
-            else:  # command lost on a blocked interface: the fault stays open
-                self.open_tile_faults.setdefault(faulty_id, []).extend(open_faults)
-            open_faults = []
+            if faulty_id in self.pending_updates:
+                # outcome settles when the update actually lands; a command
+                # lost on a blocked interface leaves the faults open here
+                self.ledger.move(here, (flt.PENDING, faulty_id))
         elif action.kind == sup.REPLACE:
             self._replace_member(group, faulty_id, action.spare)
             self._detach_everywhere(faulty_id)
             self._activate_spare(action.spare, group, donor)
             self.command_tile(faulty_id, "reboot")
-            outcome = "replaced"
+            self.ledger.settle(here, "replaced")
         elif action.kind == sup.DEFUNCT_STAGE2:
             if action.spare:
                 self._replace_member(group, faulty_id, action.spare)
@@ -706,20 +691,14 @@ class Simulation:
             self._detach_everywhere(faulty_id)
             self.trace.emit(now, "supervisor", "command", tile=faulty_id, command="halt")
             tile.set_status(DEFUNCT)
-            self.open_partition_faults.setdefault(tile.partition, []).extend(open_faults)
-            open_faults = []
+            self.ledger.move(here, (flt.PARTITION, tile.partition))
             self._start_repair(faulty_id)
         else:  # STAGE2_NO_SPARE
             self.trace.emit(now, "supervisor", "stage2-escalation",
                             tile=faulty_id, reason="no-spare")
             self._drop_member(group, faulty_id)
             self._detach_everywhere(faulty_id)
-            self.open_tile_faults.setdefault(faulty_id, []).extend(open_faults)
-            open_faults = []
             self.command_tile(faulty_id, "reboot")
-
-        for fid in open_faults:
-            self._set_outcome(fid, outcome)
 
     def _detach_everywhere(self, tile_id: str):
         """A rebooted or halted tile takes all of its replicas with it: pull
@@ -745,7 +724,7 @@ class Simulation:
             self.trace.emit(now, "supervisor", "command",
                             tile=tile_id, command=command, donor=donor)
             self.pending_updates[tile_id] = PendingUpdate(
-                group_id=group.group_id, donor=donor, reason="state-update", since=now)
+                group_id=group.group_id, donor=donor, reason="state-update")
         elif command in ("reboot", "repair-reboot"):
             self.trace.emit(now, "supervisor", "command", tile=tile_id, command="reboot")
             self._reboot_tile(tile)
@@ -764,7 +743,7 @@ class Simulation:
         for tg_id in group.thread_groups:
             spare.windows[tg_id] = RunWindow()
         self.pending_updates[spare_id] = PendingUpdate(
-            group_id=group.group_id, donor=donor, reason="activation", since=now)
+            group_id=group.group_id, donor=donor, reason="activation")
 
     def _replace_member(self, group: TileGroup, old: str, new: str):
         group.members[group.members.index(old)] = new
@@ -781,9 +760,8 @@ class Simulation:
                             group=group.group_id, index=ctx.index,
                             faulty=[], unresolvable=True)
             for m in ctx.participants:
-                for fid in self.open_tile_faults.pop(m, []):
-                    self._mark_detected(fid, m, group, ctx)
-                    self._set_outcome(fid, "degraded")
+                self.ledger.settle((flt.TILE, m), "degraded",
+                                   detected_by=(m, group.group_id, ctx.index))
             self._finish_checkpoint(group, ctx, "detect-only")
             return
         if verdict.all_miss and ctx.reports and len(ctx.reports) == len(ctx.participants):
@@ -791,8 +769,8 @@ class Simulation:
             # shared interconnect itself is suspect
             self.trace.emit(now, "supervisor", "shared-fault-suspected",
                             group=group.group_id, index=ctx.index)
-            for fid in self.open_shared_faults:
-                self._mark_detected(fid, "shared", group, ctx)
+            self.ledger.detect((flt.PARTITION, fab.SHARED), "shared",
+                               group.group_id, ctx.index)
             self.full_reconfigure()
             return
         self.trace.emit(now, "supervisor", "group-reboot",
@@ -805,9 +783,8 @@ class Simulation:
         self._set_tg_active(group, False, now)
         for m in list(group.members):
             tile = self.tiles[m]
-            for fid in self.open_tile_faults.pop(m, []):
-                self._mark_detected(fid, m, group, ctx)
-                self._set_outcome(fid, "corrected")
+            self.ledger.settle((flt.TILE, m), "corrected",
+                               detected_by=(m, group.group_id, ctx.index))
             if tile.is_member:
                 self.command_tile(m, "reboot")
 
@@ -856,13 +833,12 @@ class Simulation:
                 self.trace.emit(now, m, "update-success",
                                 tile=m, group=group.group_id, donor=donor_id,
                                 threads=len(threads))
-                for fid in pending.fault_ids:
-                    self._set_outcome(fid, "corrected")
+                self.ledger.settle((flt.PENDING, m), "corrected")
             else:
                 reason = "no-donor" if donor is None else "donor-snapshots-missing"
                 self.trace.emit(now, m, "update-failed",
                                 tile=m, group=group.group_id, reason=reason)
-                self.open_tile_faults.setdefault(m, []).extend(pending.fault_ids)
+                self.ledger.move((flt.PENDING, m), (flt.TILE, m))
                 if pending.reason == "activation":
                     # a joining spare that cannot sync goes back through reboot
                     self._drop_member(group, m)
@@ -874,10 +850,9 @@ class Simulation:
     # faults
 
     def _on_fault_arrival(self, fault_id: int):
-        self.apply_fault(self.fault_records[fault_id])
+        self.apply_fault(self.ledger.events[fault_id])
 
-    def apply_fault(self, record: FaultRecord):
-        ev = record.event
+    def apply_fault(self, ev: flt.FaultEvent):
         now = self.queue.now
         kind = ev.kind
 
@@ -887,7 +862,6 @@ class Simulation:
                             disposition="absorbed", reason=reason)
 
         def applied(**extra):
-            record.applied = True
             self.trace.emit(now, "injector", "fault",
                             id=ev.fault_id, fault_kind=kind, target=ev.target_label(),
                             disposition="applied", **extra)
@@ -915,7 +889,7 @@ class Simulation:
                 ts.state[(ev.word + k) % len(ts.state)] ^= mask & MASK64
             ts.corrupted = True
             applied(words=len(ev.masks))
-            self.open_tile_faults.setdefault(ev.tile, []).append(ev.fault_id)
+            self.ledger.open(ev.fault_id, (flt.TILE, ev.tile))
         elif kind == flt.TRANSIENT_VMEM:
             tile = self.tiles.get(ev.tile or "")
             if tile is None or not tile.is_member:
@@ -933,12 +907,12 @@ class Simulation:
                 return
             tile.vmem.entries[(ev.thread, open_idx)].checksum ^= ev.masks[0] or 1
             applied(index=open_idx)
-            self.open_tile_faults.setdefault(ev.tile, []).append(ev.fault_id)
+            self.ledger.open(ev.fault_id, (flt.TILE, ev.tile))
         elif kind == flt.PERMANENT_CELL:
             self.fabric.add_damage(ev.partition, ev.cell, ev.flavor)
             if ev.partition == fab.SHARED:
                 applied(flavor=ev.flavor)
-                self.open_shared_faults.append(ev.fault_id)
+                self.ledger.open(ev.fault_id, (flt.PARTITION, fab.SHARED))
                 return
             part = self.fabric.partitions[ev.partition]
             tile = self.tiles.get(part.hosted_tile or "")
@@ -946,8 +920,8 @@ class Simulation:
             if tile is not None and tile.is_member and ev.cell in variant.footprint:
                 tile.persist_corrupt = True
                 applied(flavor=ev.flavor, corrupting=True)
-                self.open_tile_faults.setdefault(tile.tile_id, []).append(ev.fault_id)
-                self.open_partition_faults.setdefault(ev.partition, []).append(ev.fault_id)
+                self.ledger.open(ev.fault_id, (flt.TILE, tile.tile_id),
+                                 (flt.PARTITION, ev.partition))
             else:
                 absorbed("latent-cell")
         elif kind == flt.SEFI_TILE:
@@ -958,7 +932,7 @@ class Simulation:
             tile.sefi_blocked = True
             tile.sefi_epoch += 1
             applied(duration=ev.duration)
-            self.open_tile_faults.setdefault(ev.tile, []).append(ev.fault_id)
+            self.ledger.open(ev.fault_id, (flt.TILE, ev.tile))
             self.queue.schedule(now + ev.duration, "sefi-expiry",
                                 {"target": ev.tile, "epoch": tile.sefi_epoch,
                                  "fault_id": ev.fault_id})
@@ -966,7 +940,7 @@ class Simulation:
             self.shared_blocked = True
             self.shared_epoch += 1
             applied(duration=ev.duration)
-            self.open_shared_faults.append(ev.fault_id)
+            self.ledger.open(ev.fault_id, (flt.PARTITION, fab.SHARED))
             self.queue.schedule(now + ev.duration, "sefi-expiry",
                                 {"target": fab.SHARED, "epoch": self.shared_epoch,
                                  "fault_id": ev.fault_id})
@@ -987,40 +961,7 @@ class Simulation:
             tile.sefi_blocked = False
             tile.sefi_epoch += 1
         self.trace.emit(now, "injector", "sefi-cleared", target=target)
-        record = self.fault_records.get(fault_id)
-        if record and record.detected_at is None:
-            # the block expired without ever being observed
-            if target == fab.SHARED:
-                if fault_id in self.open_shared_faults:
-                    self.open_shared_faults.remove(fault_id)
-            else:
-                lst = self.open_tile_faults.get(target, [])
-                if fault_id in lst:
-                    lst.remove(fault_id)
-            self._set_outcome(fault_id, "absorbed")
-
-    # -- fault bookkeeping -----------------------------------------------------
-
-    def _mark_detected(self, fault_id: int, tile_id: str, group: TileGroup,
-                       ctx: GroupCheckpoint):
-        record = self.fault_records.get(fault_id)
-        if record is None or record.detected_at is not None:
-            return
-        now = self.queue.now
-        record.detected_at = now
-        self.trace.emit(now, "supervisor", "fault-detected",
-                        id=fault_id, tile=tile_id, group=group.group_id,
-                        index=ctx.index, latency=now - record.event.at)
-
-    def _set_outcome(self, fault_id: int, outcome: Optional[str]):
-        if outcome is None:
-            return
-        record = self.fault_records.get(fault_id)
-        if record is None:
-            return
-        record.outcome = outcome
-        self.trace.emit(self.queue.now, "supervisor", "fault-outcome",
-                        id=fault_id, outcome=outcome)
+        self.ledger.absorb(fault_id)
 
     # ------------------------------------------------------------------
     # Stage 2: repair
@@ -1058,11 +999,9 @@ class Simulation:
                 if viable:
                     self.trace.emit(now, "supervisor", "repair-relocate",
                                     tile=job.tile_id, source=job.partition, target=free)
-                    old = job.partition
                     self.fabric.rebind(job.tile_id, free)
                     self.tiles[job.tile_id].partition = free
-                    self.open_partition_faults.setdefault(free, []).extend(
-                        self.open_partition_faults.pop(old, []))
+                    self.ledger.move((flt.PARTITION, job.partition), (flt.PARTITION, free))
                     job.partition = free
                     job.variants = viable
                     self._repair_step(job)
@@ -1071,8 +1010,7 @@ class Simulation:
         self.trace.emit(now, "supervisor", "repair-exhausted",
                         tile=job.tile_id, partition=job.partition, evidence=evidence)
         del self.repair_jobs[job.tile_id]
-        for fid in self.open_partition_faults.pop(job.partition, []):
-            self._set_outcome(fid, "degraded")
+        self.ledger.settle((flt.PARTITION, job.partition), "degraded")
         self.stage3_reallocate(reason=f"repair-exhausted:{job.tile_id}")
 
     def _on_reconfiguration_done(self, tile_id: str, partition: str, variant: int):
@@ -1094,8 +1032,7 @@ class Simulation:
         del self.repair_jobs[tile_id]
         tile = self.tiles[tile_id]
         tile.persist_corrupt = False
-        for fid in self.open_partition_faults.pop(partition, []):
-            self._set_outcome(fid, "repaired")
+        self.ledger.settle((flt.PARTITION, partition), "repaired")
         self.supervisor.reset_counter(tile_id)
         self.command_tile(tile_id, "repair-reboot")
 
@@ -1123,8 +1060,7 @@ class Simulation:
         for tile in self.tiles.values():
             if tile.status in (DEFUNCT, REBOOTING):
                 continue
-            for fid in self.open_tile_faults.pop(tile.tile_id, []):
-                self._set_outcome(fid, "corrected")
+            self.ledger.settle((flt.TILE, tile.tile_id), "corrected")
             self._reboot_tile(tile, schedule=False)
 
     def _on_full_reconfig_done(self):
@@ -1134,9 +1070,7 @@ class Simulation:
         if not viable:
             self.trace.emit(now, "supervisor", "unrecoverable-system",
                             evidence=sorted(self.fabric.damaged_cells(fab.SHARED)))
-            for fid in self.open_shared_faults:
-                self._set_outcome(fid, "degraded")
-            self.open_shared_faults.clear()
+            self.ledger.settle((flt.PARTITION, fab.SHARED), "degraded")
             self.loss_of_mission = True
             self.finished = True
             return
@@ -1148,9 +1082,7 @@ class Simulation:
             self.shared_blocked = False
             self.shared_epoch += 1
             self.trace.emit(now, "injector", "sefi-cleared", target=fab.SHARED)
-        for fid in self.open_shared_faults:
-            self._set_outcome(fid, "repaired")
-        self.open_shared_faults.clear()
+        self.ledger.settle((flt.PARTITION, fab.SHARED), "repaired")
         for tile in self.tiles.values():
             if tile.status == REBOOTING:
                 self.queue.schedule(now + self.scenario.costs.boot_time,
@@ -1267,21 +1199,26 @@ class Simulation:
         tg = self.thread_groups[entry.tg_id]
         tg.deactivated = True
         if host:
-            host.thread_groups.remove(entry.tg_id)
-            for m in host.members:
-                tile = self.tiles[m]
-                self._advance_window(tile, entry.tg_id, now)
-                tile.hosted_groups.discard(entry.tg_id)
-                tile.windows.pop(entry.tg_id, None)
-            if not host.thread_groups:
-                self._dissolve_group(host)
-            else:
-                self._rebase_group(host)
+            self._detach_tg(host, entry.tg_id, now)
         if self.tg_active.get(entry.tg_id, True):
             self.tg_active[entry.tg_id] = False
             self.trace.emit(now, "sim", "tg-active", tg=entry.tg_id, active=False)
         self.trace.emit(now, "supervisor", "tg-deactivated",
                         tg=entry.tg_id, loss_of_capability=entry.loss_of_capability)
+
+    def _detach_tg(self, host: TileGroup, tg_id: str, now: int):
+        """Take a thread group off its host group's tiles; a host left with
+        no thread group dissolves, any other is rebased."""
+        host.thread_groups.remove(tg_id)
+        for m in host.members:
+            tile = self.tiles[m]
+            self._advance_window(tile, tg_id, now)
+            tile.hosted_groups.discard(tg_id)
+            tile.windows.pop(tg_id, None)
+        if not host.thread_groups:
+            self._dissolve_group(host)
+        else:
+            self._rebase_group(host)
 
     def _dissolve_group(self, group: TileGroup):
         self._cancel_timer(group.group_id)
@@ -1303,16 +1240,7 @@ class Simulation:
                          if self.tiles[m].status in (ACTIVE, SUSPECT)), None)
 
         if host is not None:
-            host.thread_groups.remove(entry.tg_id)
-            for m in host.members:
-                tile = self.tiles[m]
-                self._advance_window(tile, entry.tg_id, now)
-                tile.hosted_groups.discard(entry.tg_id)
-                tile.windows.pop(entry.tg_id, None)
-            if not host.thread_groups:
-                self._dissolve_group(host)
-            else:
-                self._rebase_group(host)
+            self._detach_tg(host, entry.tg_id, now)
 
         self._stage3_seq += 1
         gid = f"{entry.tg_id}-m{self._stage3_seq}"
@@ -1344,7 +1272,10 @@ class Simulation:
                 tile.set_status(UPDATING)
                 tile.set_status(ACTIVE)
             elif tile.status in (SUSPECT, UPDATING):
+                # the migration cancels a pending update, which never landed:
+                # its faults stay open at the tile, as after a failed update
                 self.pending_updates.pop(m, None)
+                self.ledger.move((flt.PENDING, m), (flt.TILE, m))
                 tile.set_status(ACTIVE)
             tile.groups.append(gid)
             tile.hosted_groups.add(entry.tg_id)

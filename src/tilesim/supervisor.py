@@ -9,7 +9,7 @@ state update, spare replacement, and permanent-defect classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
@@ -30,7 +30,6 @@ class Verdict:
     clique: list[str]
     unresolvable: bool = False
     all_miss: bool = False      # every recorded verdict was a deadline miss
-    silent: list[str] = field(default_factory=list)
 
     @property
     def all_agree(self) -> bool:
@@ -53,7 +52,6 @@ def arbitrate(
     pick, so the whole group must be rebooted. A lone member is trivially
     a clique of one.
     """
-    silent = [t for t in expected if t not in reports]
     edges = set()
     for i, j in combinations(expected, 2):
         ri, rj = reports.get(i), reports.get(j)
@@ -82,13 +80,13 @@ def arbitrate(
     if len(best) != 1:
         return Verdict(
             group_id, checkpoint_index, faulty=[], clique=[],
-            unresolvable=True, all_miss=all_miss, silent=silent,
+            unresolvable=True, all_miss=all_miss,
         )
     clique = list(best[0])
     faulty = [t for t in expected if t not in clique]
     return Verdict(
         group_id, checkpoint_index, faulty=faulty, clique=clique,
-        all_miss=all_miss, silent=silent,
+        all_miss=all_miss,
     )
 
 

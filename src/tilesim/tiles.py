@@ -200,9 +200,9 @@ PERFORM_UPDATE = "perform-update"
 SLEEP = "sleep-until-checkpoint"
 
 
-def scheduler_step(tile: Tile, pending_update_donor: Optional[str] = None) -> str:
+def scheduler_step(tile: Tile) -> str:
     """The three conditions a tile checks when control returns to its scheduler."""
-    if pending_update_donor is not None or tile.status == UPDATING:
+    if tile.status == UPDATING:
         return PERFORM_UPDATE
     if tile.status == ACTIVE and tile.hosted_groups:
         return RUN_THREADS

@@ -206,8 +206,7 @@ def test_criterion_4_masking_monte_carlo():
         sim = Simulation(scenario)
         sim.run()
         divergences += sim.oracle_divergences
-        detected += any(r.outcome or r.detected_at is not None
-                        for r in sim.fault_records.values())
+        detected += bool(sim.ledger.outcome or sim.ledger.detected_at)
     elapsed = time.perf_counter() - start
     assert divergences == 0, f"{divergences} undetected divergences"
     assert detected == trials  # every injected fault was caught

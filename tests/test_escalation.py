@@ -178,7 +178,7 @@ def test_every_generated_fault_is_traced():
     sim = Simulation(parse_scenario(doc))
     trace = sim.run()
     traced = {r.payload["id"] for r in trace.records if r.kind == "fault"}
-    assert traced == set(sim.fault_records)
+    assert traced == set(sim.ledger.events)
     assert len(traced) > 0
 
 

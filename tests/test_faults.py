@@ -2,11 +2,12 @@ import math
 
 import pytest
 
-from tilesim.engine import RandomStream
+from tilesim.engine import EventQueue, RandomStream
 from tilesim.faults import (
-    PERMANENT_CELL, SEFI_SHARED, SEFI_TILE, TRANSIENT_STATE,
-    FaultEvent, FaultProfile, RateWindow, TargetSpace, generate,
+    PARTITION, PENDING, PERMANENT_CELL, SEFI_SHARED, SEFI_TILE, TILE, TRANSIENT_STATE,
+    FaultEvent, FaultLedger, FaultProfile, RateWindow, TargetSpace, generate,
 )
+from tilesim.trace import Trace
 
 
 def space():
@@ -107,3 +108,42 @@ def test_negative_rate_rejected():
 def test_horizon_must_be_positive():
     with pytest.raises(ValueError):
         generate(FaultProfile(), 0, RandomStream(1, "faults"), space())
+
+
+def test_ledger_lifecycle():
+    trace, queue = Trace(), EventQueue()
+    ledger = FaultLedger(trace, queue)
+    kinds = (PERMANENT_CELL, TRANSIENT_STATE, SEFI_TILE, TRANSIENT_STATE)
+    for fid, kind in enumerate(kinds):
+        ledger.events[fid] = FaultEvent(at=fid, kind=kind, fault_id=fid)
+    tile, part, pending = (TILE, "C0"), (PARTITION, "p0"), (PENDING, "C0")
+
+    ledger.open(0, tile, part)          # a damaged cell under a live tile
+    ledger.open(1, tile)
+    queue.now = 10
+    ledger.detect(tile, "C0", "G1", 4)  # detected, still open at the tile
+    assert ledger.open_ids() == {0, 1}
+    ledger.move(tile, pending)
+    ledger.open(2, tile)
+    ledger.absorb(2)                    # never observed: absorbed
+    ledger.absorb(1)                    # detected: an expiry does not absorb it
+    queue.now = 12
+    ledger.settle(pending, "corrected")
+    assert ledger.open_ids() == {0}     # still open at its partition
+    ledger.settle(part, "repaired")
+    ledger.open(3, tile)
+    ledger.settle(tile, "degraded", detected_by=("C0", "G1", 5))
+
+    assert ledger.open_ids() == set()
+    assert ledger.outcome == {0: "repaired", 1: "corrected", 2: "absorbed", 3: "degraded"}
+    assert ledger.detected_at == {0: 10, 1: 10, 3: 12}
+    assert [(r.at, r.kind, r.payload) for r in trace.records] == [
+        (10, "fault-detected", {"id": 0, "tile": "C0", "group": "G1", "index": 4, "latency": 10}),
+        (10, "fault-detected", {"id": 1, "tile": "C0", "group": "G1", "index": 4, "latency": 9}),
+        (10, "fault-outcome", {"id": 2, "outcome": "absorbed"}),
+        (12, "fault-outcome", {"id": 0, "outcome": "corrected"}),
+        (12, "fault-outcome", {"id": 1, "outcome": "corrected"}),
+        (12, "fault-outcome", {"id": 0, "outcome": "repaired"}),
+        (12, "fault-detected", {"id": 3, "tile": "C0", "group": "G1", "index": 5, "latency": 9}),
+        (12, "fault-outcome", {"id": 3, "outcome": "degraded"}),
+    ]

@@ -1,6 +1,8 @@
 """Chaos soak: hostile fault mixes over many seeds with global invariants
 checked after every dispatched event."""
 
+import pytest
+
 from tilesim.metrics import compute_metrics
 from tilesim.scenario import parse_scenario
 from tilesim.simulation import Simulation
@@ -76,6 +78,15 @@ class Checked(Simulation):
     _last_dd: set = set()
 
 
+def lost_faults(sim, trace) -> set:
+    """Applied faults with no outcome in the trace that the ledger no longer
+    holds open: a detected-but-open fault is legitimate, a dropped one not."""
+    applied = {r.payload["id"] for r in trace.records
+               if r.kind == "fault" and r.payload["disposition"] == "applied"}
+    settled = {r.payload["id"] for r in trace.records if r.kind == "fault-outcome"}
+    return applied - settled - sim.ledger.open_ids()
+
+
 def test_chaos_soak_over_seeds():
     for seed in range(80):
         sim = Checked(parse_scenario(chaos_doc(seed)))
@@ -84,6 +95,34 @@ def test_chaos_soak_over_seeds():
         summary = compute_metrics(trace.records)
         assert summary.identity_holds(), f"seed {seed}: accounting broken"
         assert sim.oracle_divergences == 0, f"seed {seed}: masked divergence"
+        assert not lost_faults(sim, trace), f"seed {seed}: fault left without outcome"
         # trace is replayable: a second run is byte-identical
         again = Simulation(parse_scenario(chaos_doc(seed))).run()
         assert trace.to_jsonl() == again.to_jsonl(), f"seed {seed}: not deterministic"
+
+
+def shared_tile_doc(seed, transient_threshold):
+    doc = chaos_doc(seed)
+    doc["tile_groups"] = [
+        {"id": "G1", "members": ["C0", "C1", "C2"], "thread_groups": ["TG-ab"]},
+        {"id": "G2", "members": ["C2", "C3", "C4"], "thread_groups": ["TG-c"]},
+    ]
+    doc["supervisor"] = {"transient_threshold": transient_threshold, "defunct_threshold": 5}
+    return doc
+
+
+# C2 serves both groups. At (3, 63) G1's group-reboot reboots C2 while a
+# state update that G2 ordered for it still holds a detected fault; in the
+# other cases G2 blames C2 in the same instant as G1's reboot wiped its
+# checksums, and must not command the rebooting tile.
+@pytest.mark.parametrize("threshold,seed",
+                         [(3, 63), (3, 22), (3, 107), (3, 152), (2, 221), (2, 322)])
+def test_shared_tile_reboot(threshold, seed):
+    sim = Checked(parse_scenario(shared_tile_doc(seed, threshold)))
+    sim._last_dd = set()
+    trace = sim.run()
+    end = trace.records[-1]
+    assert (end.kind, end.at, end.payload["reason"]) == ("run-end", sim.horizon, "horizon")
+    assert compute_metrics(trace.records).identity_holds()
+    assert sim.oracle_divergences == 0
+    assert not lost_faults(sim, trace)

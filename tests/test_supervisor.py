@@ -46,7 +46,6 @@ def test_silent_tile_is_faulty():
     }
     v = arbitrate("G1", 3, members, reports)
     assert v.faulty == ["C2"]
-    assert v.silent == ["C2"]
 
 
 def test_pair_split_unresolvable():

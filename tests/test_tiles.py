@@ -87,7 +87,6 @@ def test_scheduler_step_conditions():
     tile.set_status(ACTIVE)
     tile.hosted_groups.add("TG1")
     assert scheduler_step(tile) == RUN_THREADS
-    assert scheduler_step(tile, pending_update_donor="C1") == PERFORM_UPDATE
     tile.hosted_groups.clear()
     assert scheduler_step(tile) == SLEEP
     spare = Tile("C1", "p1")
