@@ -1,8 +1,12 @@
 """Deterministic discrete-event kernel: virtual clock, ordered event queue,
 seeded per-subsystem random streams.
 
-Time is an integer count of simulated microseconds. Simultaneous events
-dispatch in insertion order, which makes replays bit-exact.
+Time is an integer count of simulated microseconds. An event is a plain
+heap entry ``[fire_at, seq, handler, args]``: the queue calls nothing, it
+only orders entries by time and then by ``seq``, the insertion count, so
+simultaneous events dispatch in insertion order and replays are bit-exact.
+The caller that pops an entry runs its handler. Cancelling an entry blanks
+its handler, and the queue drops it when it reaches the top of the heap.
 """
 
 from __future__ import annotations
@@ -10,8 +14,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 MASK64 = (1 << 64) - 1
 
@@ -20,72 +23,50 @@ class PastTimeError(ValueError):
     """Raised when an event is scheduled before the current clock."""
 
 
-@dataclass
-class Event:
-    fire_at: int
-    seq: int
-    kind: str
-    payload: dict = field(default_factory=dict)
-    cancelled: bool = False
-
-
-class EventHandle:
-    """Returned by schedule(); lets the caller cancel the event later."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: Event):
-        self._event = event
-
-    def cancel(self) -> None:
-        self._event.cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def fire_at(self) -> int:
-        return self._event.fire_at
-
-
 class EventQueue:
-    """Min-heap of events ordered by (fire_at, insertion seq)."""
+    """Min-heap of entries ``[fire_at, seq, handler, args]``."""
 
     def __init__(self):
         self.now = 0
-        self._heap: list[tuple[int, int, Event]] = []
+        self._heap: list[list] = []
         self._seq = 0
 
-    def schedule(self, fire_at: int, kind: str, payload: Optional[dict] = None) -> EventHandle:
-        if fire_at < self.now:
-            raise PastTimeError(f"cannot schedule {kind!r} at t={fire_at} (clock is {self.now})")
-        ev = Event(fire_at=fire_at, seq=self._seq, kind=kind, payload=payload or {})
-        self._seq += 1
-        heapq.heappush(self._heap, (ev.fire_at, ev.seq, ev))
-        return EventHandle(ev)
+    def schedule(self, fire_at: int, handler: Callable, *args) -> list:
+        """Queue ``handler`` and its ``args`` to fire at ``fire_at``.
 
-    def advance(self) -> Optional[Event]:
-        """Pop the next live event and move the clock to it.
+        Returns the heap entry, which is what `cancel` takes."""
+        if fire_at < self.now:
+            raise PastTimeError(f"cannot schedule {handler.__qualname__} at t={fire_at} "
+                                f"(clock is {self.now})")
+        entry = [fire_at, self._seq, handler, args]
+        self._seq += 1
+        heapq.heappush(self._heap, entry)
+        return entry
+
+    def cancel(self, entry: Optional[list]) -> None:
+        """Make a scheduled entry a no-op; `None` is ignored."""
+        if entry is not None:
+            entry[2] = None
+
+    def advance(self) -> Optional[list]:
+        """Pop the next live entry and move the clock to it.
 
         Returns None at end of simulation (empty queue); the clock is left
-        unchanged in that case. Cancelled events are skipped silently.
+        unchanged in that case. Cancelled entries are skipped silently.
         """
-        while self._heap:
-            _, _, ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            self.now = ev.fire_at
-            return ev
+        heap = self._heap
+        while heap:
+            entry = heapq.heappop(heap)
+            if entry[2] is not None:
+                self.now = entry[0]
+                return entry
         return None
 
     def peek_time(self) -> Optional[int]:
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
-        return self._heap[0][0] if self._heap else None
-
-    def __len__(self) -> int:
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
+        heap = self._heap
+        while heap and heap[0][2] is None:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
 
 def mix64(z: int) -> int:

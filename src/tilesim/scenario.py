@@ -189,6 +189,17 @@ def _check_unknown(problems, path, doc, allowed):
             problems.append(f"{path}.{key}: unknown key")
 
 
+def _duration(problems, path, doc, key, default):
+    """``doc[key]`` as a non-negative integer; a problem naming the field
+    and the default otherwise, since a negative delay schedules into the
+    past."""
+    value = doc.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        problems.append(f"{path}.{key}: must be a non-negative integer")
+        return default
+    return value
+
+
 def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     problems: list[str] = []
     _check_unknown(problems, name, doc, {
@@ -339,10 +350,11 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         "context_switch", "boot_time", "reconfig_duration", "full_reconfig_duration",
     })
     costs = CostConfig(
-        context_switch=int(cost_doc.get("context_switch", 2)),
-        boot_time=int(cost_doc.get("boot_time", 500)),
-        reconfig_duration=int(cost_doc.get("reconfig_duration", 1000)),
-        full_reconfig_duration=int(cost_doc.get("full_reconfig_duration", 5000)),
+        context_switch=_duration(problems, "costs", cost_doc, "context_switch", 2),
+        boot_time=_duration(problems, "costs", cost_doc, "boot_time", 500),
+        reconfig_duration=_duration(problems, "costs", cost_doc, "reconfig_duration", 1000),
+        full_reconfig_duration=_duration(problems, "costs", cost_doc,
+                                         "full_reconfig_duration", 5000),
     )
 
     sup_doc = doc.get("supervisor", {})
@@ -353,7 +365,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         transient_threshold=int(sup_doc.get("transient_threshold", 3)),
         defunct_threshold=int(sup_doc.get("defunct_threshold", 10)),
         window_checkpoints=int(sup_doc.get("window_checkpoints", 100)),
-        watchdog_period=int(sup_doc.get("watchdog_period", 0)),
+        watchdog_period=_duration(problems, "supervisor", sup_doc, "watchdog_period", 0),
     )
     if sup.transient_threshold >= sup.defunct_threshold:
         problems.append("supervisor: transient_threshold must be below defunct_threshold")
@@ -433,6 +445,7 @@ def _parse_faults(doc, problems, tiles, threads, fabric_cfg, horizon) -> faults.
     _check_unknown(problems, "faults", doc, {
         "rates", "explicit", "windows", "multi_word_prob", "sefi_duration",
     })
+    sefi_duration = _duration(problems, "faults", doc, "sefi_duration", 1000)
     rates = dict(doc.get("rates", {}))
     for kind, rate in rates.items():
         if kind not in faults.KINDS:
@@ -488,13 +501,13 @@ def _parse_faults(doc, problems, tiles, threads, fabric_cfg, horizon) -> faults.
                 problems.append(f"{path}: cell index out of range")
         elif kind == faults.SEFI_TILE:
             fault.tile = ev.get("tile")
-            fault.duration = int(ev.get("duration", doc.get("sefi_duration", 1000)))
+            fault.duration = int(ev.get("duration", sefi_duration))
             if fault.tile not in tile_ids:
                 problems.append(f"{path}: unknown tile {fault.tile!r}")
             if fault.duration <= 0:
                 problems.append(f"{path}: duration must be positive")
         elif kind == faults.SEFI_SHARED:
-            fault.duration = int(ev.get("duration", doc.get("sefi_duration", 1000)))
+            fault.duration = int(ev.get("duration", sefi_duration))
             if fault.duration <= 0:
                 problems.append(f"{path}: duration must be positive")
         explicit.append(fault)
@@ -521,7 +534,7 @@ def _parse_faults(doc, problems, tiles, threads, fabric_cfg, horizon) -> faults.
             explicit=explicit,
             windows=windows,
             multi_word_prob=multi,
-            sefi_duration=int(doc.get("sefi_duration", 1000)),
+            sefi_duration=sefi_duration,
         )
     except ValueError as exc:
         problems.append(f"faults: {exc}")

@@ -45,8 +45,8 @@ class GroupCheckpoint:
     clique: list[str] = field(default_factory=list)
     outputs: dict[str, dict[str, workload.OutputRecord]] = field(default_factory=dict)
     boundary: dict[str, dict[str, tuple]] = field(default_factory=dict)
-    deadline_handle: object = None
-    resolve_handle: object = None
+    deadline_entry: Optional[list] = None    # queue entries, for cancelling
+    resolve_entry: Optional[list] = None
     grace: bool = False
 
 
@@ -118,14 +118,14 @@ class Simulation:
             spare_pool=[t.tile_id for t in scenario.tiles if t.spare],
         )
 
-        self.timers: dict[str, object] = {}
+        self.timers: dict[str, list] = {}
         self.ctxs: dict[str, GroupCheckpoint] = {}
         self.pending_updates: dict[str, PendingUpdate] = {}
         self.repair_jobs: dict[str, RepairJob] = {}
         self.shared_blocked = False
         self.shared_epoch = 0
         self.full_reconfig = False
-        self.watchdog_handle = None
+        self.watchdog_entry = None
         self.loss_of_mission = False
         self.finished = False
         self.tg_active: dict[str, bool] = {}
@@ -147,13 +147,18 @@ class Simulation:
             comparison_deadline=scenario.comparison_deadline(gc),
             grace_period=scenario.grace_period(gc),
         )
-        for tg_id in gc.thread_groups:
-            tg = self.thread_groups[tg_id]
-            for spec in tg.threads:
-                tg.check_divisor[spec.thread_id] = max(1, spec.checkpoint_period // base)
+        self._set_divisors(group)
         self.groups[gc.group_id] = group
         self.group_order.append(gc.group_id)
         return group
+
+    def _set_divisors(self, group: TileGroup):
+        """Check each thread every period // base checkpoints of its group."""
+        for tg_id in group.thread_groups:
+            tg = self.thread_groups[tg_id]
+            for spec in tg.threads:
+                tg.check_divisor[spec.thread_id] = max(
+                    1, spec.checkpoint_period // group.base_period)
 
     def group_thread_ids(self, group: TileGroup) -> list[str]:
         return [
@@ -199,16 +204,20 @@ class Simulation:
         self.trace.emit(end, "sim", "run-end", reason=reason)
         return self.trace
 
-    def dispatch(self, ev):
-        handler = getattr(self, "_on_" + ev.kind.replace("-", "_"))
-        handler(**ev.payload)
+    def dispatch(self, ev: list):
+        """Run one popped queue entry ``[fire_at, seq, handler, args]``.
+
+        Handlers are plain functions of the class, never bound methods: a
+        queue entry that held ``self`` would put every run in a reference
+        cycle that only the cyclic collector frees."""
+        ev[2](self, *ev[3])
 
     def _initial_boot(self):
         for tile in self.tiles.values():
             self._boot_tile(tile, initial=True)
         for gid in self.group_order:
             self._set_tg_active(self.groups[gid], True, 0)
-            self.timers[gid] = self.queue.schedule(0, "timer-checkpoint", {"group_id": gid})
+            self.timers[gid] = self.queue.schedule(0, Simulation._on_timer_checkpoint, gid)
 
     def _schedule_faults(self):
         space = flt.TargetSpace(
@@ -233,7 +242,7 @@ class Simulation:
                               self.streams.get("faults"), space)
         for ev in events:
             self.ledger.events[ev.fault_id] = ev
-            self.queue.schedule(ev.at, "fault-arrival", {"fault_id": ev.fault_id})
+            self.queue.schedule(ev.at, Simulation.apply_fault, ev)
 
     # ------------------------------------------------------------------
     # boot and reboot
@@ -301,7 +310,7 @@ class Simulation:
         self.ledger.settle((flt.PENDING, tile.tile_id), "corrected")
         if schedule:
             self.queue.schedule(now + self.scenario.costs.boot_time,
-                                "tile-reboot-done", {"tile_id": tile.tile_id})
+                                Simulation._on_tile_reboot_done, tile.tile_id)
 
     def _on_tile_reboot_done(self, tile_id: str):
         tile = self.tiles[tile_id]
@@ -356,11 +365,11 @@ class Simulation:
             delay = max((specs[tid].viable_delay for tid in thread_ids), default=0)
             delay = min(delay, group.comparison_deadline)
             duration = delay + self.costs.checksum_duration(specs[tid] for tid in checked)
-            self.queue.schedule(now + duration, "checksums-ready",
-                                {"group_id": group.group_id, "index": index, "tile_id": m})
-        ctx.deadline_handle = self.queue.schedule(
-            now + group.comparison_deadline, "compare-deadline",
-            {"group_id": group.group_id, "index": index})
+            self.queue.schedule(now + duration, Simulation._on_checksums_ready,
+                                group.group_id, index, m)
+        ctx.deadline_entry = self.queue.schedule(
+            now + group.comparison_deadline, Simulation._resolve_checkpoint,
+            group.group_id, index)
 
     def _pause_tile_groups(self, tile: Tile, group: TileGroup, now: int):
         for tg_id in group.thread_groups:
@@ -422,29 +431,21 @@ class Simulation:
         for tid in ctx.checked:
             checksum = workload.checksum_callback(tile.threads[tid])
             tile.vmem.write_checksum(tile.tile_id, tid, ctx.index, checksum)
-        tile.vmem.mark_ready(tile.tile_id, group.group_id, ctx.index)
         ctx.written[tile.tile_id] = now
         self.trace.emit(now, tile.tile_id, "validation-write",
                         tile=tile.tile_id, group=group.group_id, index=ctx.index,
                         threads=len(ctx.checked))
-        if all(m in ctx.written for m in ctx.participants) and ctx.resolve_handle is None:
-            ctx.resolve_handle = self.queue.schedule(
-                now, "compare-resolve", {"group_id": group.group_id, "index": ctx.index})
-
-    def _on_compare_resolve(self, group_id: str, index: int):
-        self._resolve_checkpoint(group_id, index)
-
-    def _on_compare_deadline(self, group_id: str, index: int):
-        self._resolve_checkpoint(group_id, index)
+        if all(m in ctx.written for m in ctx.participants) and ctx.resolve_entry is None:
+            ctx.resolve_entry = self.queue.schedule(
+                now, Simulation._resolve_checkpoint, group.group_id, ctx.index)
 
     def _resolve_checkpoint(self, group_id: str, index: int):
         ctx = self._current_ctx(group_id, index)
         if ctx is None:
             return
         ctx.resolved = True
-        for handle in (ctx.deadline_handle, ctx.resolve_handle):
-            if handle is not None:
-                handle.cancel()
+        self.queue.cancel(ctx.deadline_entry)
+        self.queue.cancel(ctx.resolve_entry)
         group = self.groups[group_id]
         now = self.queue.now
         deadline_at = ctx.t0 + group.comparison_deadline
@@ -596,8 +597,8 @@ class Simulation:
         if ctx.grace:
             return
         ctx.grace = True
-        self.queue.schedule(self.queue.now + group.grace_period, "grace-expiry",
-                            {"group_id": group.group_id, "index": ctx.index})
+        self.queue.schedule(self.queue.now + group.grace_period,
+                            Simulation._on_grace_expiry, group.group_id, ctx.index)
 
     def propagate_state(self, group: TileGroup, ctx: GroupCheckpoint, writers: list[str]):
         """Schedule the synchronization callbacks of every healthy writer
@@ -610,9 +611,8 @@ class Simulation:
             if not missing:
                 continue  # state already in validation memory; callback omitted
             duration = self.costs.sync_duration(missing)
-            self.queue.schedule(self.queue.now + duration, "sync-written",
-                                {"group_id": group.group_id, "index": ctx.index,
-                                 "tile_id": w})
+            self.queue.schedule(self.queue.now + duration, Simulation._on_sync_written,
+                                group.group_id, ctx.index, w)
 
     def _on_sync_written(self, group_id: str, index: int, tile_id: str):
         group = self.groups.get(group_id)
@@ -849,9 +849,6 @@ class Simulation:
     # ------------------------------------------------------------------
     # faults
 
-    def _on_fault_arrival(self, fault_id: int):
-        self.apply_fault(self.ledger.events[fault_id])
-
     def apply_fault(self, ev: flt.FaultEvent):
         now = self.queue.now
         kind = ev.kind
@@ -933,17 +930,15 @@ class Simulation:
             tile.sefi_epoch += 1
             applied(duration=ev.duration)
             self.ledger.open(ev.fault_id, (flt.TILE, ev.tile))
-            self.queue.schedule(now + ev.duration, "sefi-expiry",
-                                {"target": ev.tile, "epoch": tile.sefi_epoch,
-                                 "fault_id": ev.fault_id})
+            self.queue.schedule(now + ev.duration, Simulation._on_sefi_expiry,
+                                ev.tile, tile.sefi_epoch, ev.fault_id)
         elif kind == flt.SEFI_SHARED:
             self.shared_blocked = True
             self.shared_epoch += 1
             applied(duration=ev.duration)
             self.ledger.open(ev.fault_id, (flt.PARTITION, fab.SHARED))
-            self.queue.schedule(now + ev.duration, "sefi-expiry",
-                                {"target": fab.SHARED, "epoch": self.shared_epoch,
-                                 "fault_id": ev.fault_id})
+            self.queue.schedule(now + ev.duration, Simulation._on_sefi_expiry,
+                                fab.SHARED, self.shared_epoch, ev.fault_id)
         else:
             raise ValueError(f"unhandled fault kind {kind!r}")
 
@@ -988,9 +983,8 @@ class Simulation:
         if job.variants:
             variant = job.variants.pop(0)
             self.queue.schedule(now + self.scenario.costs.reconfig_duration,
-                                "reconfiguration-done",
-                                {"tile_id": job.tile_id, "partition": job.partition,
-                                 "variant": variant})
+                                Simulation._on_reconfiguration_done,
+                                job.tile_id, job.partition, variant)
             return
         if not job.tried_relocation:
             job.tried_relocation = True
@@ -1046,7 +1040,7 @@ class Simulation:
         self.trace.emit(now, "supervisor", "full-reconfig-start")
         self._halt_all_tiles(now)
         self.queue.schedule(now + self.scenario.costs.full_reconfig_duration,
-                            "full-reconfig-done", {})
+                            Simulation._on_full_reconfig_done)
 
     def _halt_all_tiles(self, now: int):
         for gid in self.group_order:
@@ -1083,10 +1077,15 @@ class Simulation:
             self.shared_epoch += 1
             self.trace.emit(now, "injector", "sefi-cleared", target=fab.SHARED)
         self.ledger.settle((flt.PARTITION, fab.SHARED), "repaired")
+        self._restart_after_halt(now)
+
+    def _restart_after_halt(self, now: int):
+        """Boot every tile a system-wide halt left rebooting, and restart
+        the watchdog."""
         for tile in self.tiles.values():
             if tile.status == REBOOTING:
                 self.queue.schedule(now + self.scenario.costs.boot_time,
-                                    "tile-reboot-done", {"tile_id": tile.tile_id})
+                                    Simulation._on_tile_reboot_done, tile.tile_id)
         self.supervisor.kick(now)
         self._arm_watchdog(now)
 
@@ -1094,10 +1093,9 @@ class Simulation:
     # watchdog
 
     def _arm_watchdog(self, now: int):
-        if self.watchdog_handle is not None:
-            self.watchdog_handle.cancel()
-        self.watchdog_handle = self.queue.schedule(
-            now + self.supervisor.watchdog_period, "watchdog-expiry", {})
+        self.queue.cancel(self.watchdog_entry)
+        self.watchdog_entry = self.queue.schedule(
+            now + self.supervisor.watchdog_period, Simulation._on_watchdog_expiry)
 
     def _on_watchdog_expiry(self):
         now = self.queue.now
@@ -1115,12 +1113,7 @@ class Simulation:
         now = self.queue.now
         self.trace.emit(now, "supervisor", "watchdog-reset")
         self._halt_all_tiles(now)
-        for tile in self.tiles.values():
-            if tile.status == REBOOTING:
-                self.queue.schedule(now + self.scenario.costs.boot_time,
-                                    "tile-reboot-done", {"tile_id": tile.tile_id})
-        self.supervisor.kick(now)
-        self._arm_watchdog(now)
+        self._restart_after_halt(now)
 
     # ------------------------------------------------------------------
     # Stage 3: mixed criticality
@@ -1255,8 +1248,7 @@ class Simulation:
             period_factor=entry.period_factor,
             correction_enabled=len(entry.tiles) >= 3,
         )
-        for spec in tg.threads:
-            tg.check_divisor[spec.thread_id] = max(1, spec.checkpoint_period // base)
+        self._set_divisors(group)
         self.groups[gid] = group
         self.group_order.append(gid)
 
@@ -1301,7 +1293,7 @@ class Simulation:
         if not tg.deactivated and not self.tg_active.get(entry.tg_id, False):
             self.tg_active[entry.tg_id] = True
             self.trace.emit(now, "sim", "tg-active", tg=entry.tg_id, active=True)
-        self.timers[gid] = self.queue.schedule(now, "timer-checkpoint", {"group_id": gid})
+        self.timers[gid] = self.queue.schedule(now, Simulation._on_timer_checkpoint, gid)
 
     def _rebase_group(self, group: TileGroup):
         """Recompute a group's period after its thread set changed."""
@@ -1315,10 +1307,7 @@ class Simulation:
             return
         group.base_period = new_base
         group.comparison_deadline = max(1, new_base // 10)
-        for tg_id in group.thread_groups:
-            tg = self.thread_groups[tg_id]
-            for spec in tg.threads:
-                tg.check_divisor[spec.thread_id] = max(1, spec.checkpoint_period // new_base)
+        self._set_divisors(group)
         for m in group.members:
             self.trace.emit(self.queue.now, m, "timer-adjusted",
                             tile=m, group=group.group_id, period=group.period)
@@ -1361,9 +1350,7 @@ class Simulation:
     def _arm_timer(self, group: TileGroup, at: int):
         self._cancel_timer(group.group_id)
         self.timers[group.group_id] = self.queue.schedule(
-            at, "timer-checkpoint", {"group_id": group.group_id})
+            at, Simulation._on_timer_checkpoint, group.group_id)
 
     def _cancel_timer(self, group_id: str):
-        handle = self.timers.pop(group_id, None)
-        if handle is not None:
-            handle.cancel()
+        self.queue.cancel(self.timers.pop(group_id, None))

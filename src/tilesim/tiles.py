@@ -57,7 +57,6 @@ class ValidationMemory:
     def __init__(self, owner: str):
         self.owner = owner
         self.entries: dict[tuple[str, int], ValidationEntry] = {}
-        self.ready: set[tuple[str, int]] = set()
 
     def write_checksum(self, actor: str, thread_id: str, checkpoint_index: int, checksum: int):
         if actor != self.owner:
@@ -74,14 +73,6 @@ class ValidationMemory:
             self.entries[key] = entry
         entry.snapshot = snapshot
 
-    def mark_ready(self, actor: str, group_id: str, checkpoint_index: int):
-        if actor != self.owner:
-            raise NotOwner(f"{actor} set ready flag of {self.owner}")
-        self.ready.add((group_id, checkpoint_index))
-
-    def is_ready(self, group_id: str, checkpoint_index: int) -> bool:
-        return (group_id, checkpoint_index) in self.ready
-
     def checksum_of(self, thread_id: str, checkpoint_index: int) -> Optional[int]:
         entry = self.entries.get((thread_id, checkpoint_index))
         return entry.checksum if entry else None
@@ -92,7 +83,6 @@ class ValidationMemory:
 
     def clear(self):
         self.entries.clear()
-        self.ready.clear()
 
 
 @dataclass

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .engine import MASK64, mix64
 
@@ -123,7 +123,7 @@ def execute_slice(ts: ThreadState, ticks: int) -> ThreadState:
     mult, inc = _jump(cycles)
     inc = inc * MIX_TAG
     words = [(mult * w + inc * (2 * i + 1)) & MASK64 for i, w in enumerate(ts.state)]
-    return replace(ts, state=words, cycle_counter=ts.cycle_counter + cycles)
+    return ThreadState(ts.spec, words, ts.cycle_counter + cycles, ts.corrupted)
 
 
 def checksum_callback(ts: ThreadState) -> int:
@@ -151,7 +151,7 @@ def update_callback(target: ThreadState, snap: StateSnapshot) -> ThreadState:
         raise ThreadIdMismatch(
             f"snapshot of {snap.thread_id!r} applied to {target.spec.thread_id!r}"
         )
-    return replace(target, state=list(snap.state), cycle_counter=snap.cycle_counter)
+    return ThreadState(target.spec, list(snap.state), snap.cycle_counter, target.corrupted)
 
 
 @dataclass(frozen=True)

@@ -88,6 +88,14 @@ def test_fail_on_loss_exit_code(tmp_path):
     assert main(["run", "--scenario", str(path), "--quiet", "--fail-on-loss"]) == 2
 
 
+def test_bad_override_exits_1_without_traceback(capsys):
+    assert main(["run", "--scenario", "fig3", "--set", "costs.boot_time=abc",
+                 "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "costs.boot_time" in err
+    assert "Traceback" not in err
+
+
 def test_sweep_csv_and_rows(tmp_path):
     csv_out = tmp_path / "rows.csv"
     rc = main(["sweep", "--scenario", "fig3",

@@ -3,34 +3,41 @@ import pytest
 from tilesim.engine import EventQueue, PastTimeError, RandomStream, StreamPool
 
 
+def timer():
+    pass
+
+
+def late():
+    pass
+
+
 def test_single_event_dispatch():
     q = EventQueue()
-    q.schedule(5, "timer")
-    ev = q.advance()
-    assert ev.kind == "timer"
-    assert ev.fire_at == 5
+    q.schedule(5, timer, "G1", 3)
+    fire_at, _, handler, args = q.advance()
+    assert (fire_at, handler, args) == (5, timer, ("G1", 3))
     assert q.now == 5
 
 
 def test_tie_break_is_insertion_order():
     q = EventQueue()
-    q.schedule(7, "first")
-    q.schedule(7, "second")
-    assert q.advance().kind == "first"
-    assert q.advance().kind == "second"
+    q.schedule(7, timer, "first")
+    q.schedule(7, timer, "second")
+    assert q.advance()[3] == ("first",)
+    assert q.advance()[3] == ("second",)
 
 
 def test_schedule_in_past_rejected():
     q = EventQueue()
-    q.schedule(3, "a")
+    q.schedule(3, timer)
     q.advance()
-    with pytest.raises(PastTimeError):
-        q.schedule(2, "late")
+    with pytest.raises(PastTimeError, match="late"):
+        q.schedule(2, late)
 
 
 def test_empty_queue_end_of_simulation():
     q = EventQueue()
-    q.schedule(4, "a")
+    q.schedule(4, timer)
     q.advance()
     assert q.advance() is None
     assert q.now == 4  # clock unchanged on end
@@ -38,19 +45,20 @@ def test_empty_queue_end_of_simulation():
 
 def test_earliest_first():
     q = EventQueue()
-    q.schedule(9, "late")
-    q.schedule(4, "early")
-    assert q.advance().fire_at == 4
+    q.schedule(9, late)
+    q.schedule(4, timer)
+    assert q.advance()[:3] == [4, 1, timer]
     assert q.now == 4
 
 
-def test_cancelled_handle_skipped():
+def test_cancelled_entry_skipped():
     q = EventQueue()
-    h = q.schedule(4, "cancelled")
-    q.schedule(9, "live")
-    h.cancel()
-    ev = q.advance()
-    assert ev.kind == "live"
+    entry = q.schedule(4, timer, "cancelled")
+    q.schedule(9, timer, "live")
+    q.cancel(entry)
+    q.cancel(None)
+    assert q.peek_time() == 9
+    assert q.advance()[3] == ("live",)
     assert q.now == 9
 
 
@@ -58,11 +66,11 @@ def test_clock_monotone_over_many_events():
     q = EventQueue()
     rng = RandomStream(3, "t")
     for _ in range(500):
-        q.schedule(rng.uniform_range(0, 10_000), "e")
+        q.schedule(rng.uniform_range(0, 10_000), timer)
     last = 0
     while (ev := q.advance()) is not None:
-        assert ev.fire_at >= last
-        last = ev.fire_at
+        assert ev[0] >= last
+        last = ev[0]
 
 
 def test_same_seed_same_sequence():

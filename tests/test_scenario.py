@@ -162,6 +162,19 @@ def test_override_creates_defaulted_section():
         parse_scenario(bad)
 
 
+@pytest.mark.parametrize("name, override, field", [
+    ("fig3", "supervisor.watchdog_period=-5", "supervisor.watchdog_period"),
+    ("fig3", "costs.boot_time=-1", "costs.boot_time"),
+    ("fig3", 'costs.boot_time="abc"', "costs.boot_time"),
+    ("storm", "faults.sefi_duration=-10", "faults.sefi_duration"),
+])
+def test_bad_durations_rejected(name, override, field):
+    # each of these used to validate and then crash the run
+    with pytest.raises(ScenarioError) as err:
+        load_scenario(name, [override])
+    assert [p for p in err.value.problems if p.startswith(field + ":")]
+
+
 def test_canonical_json_is_stable():
     a = parse_scenario(minimal_doc())
     b = parse_scenario(minimal_doc())

@@ -1,7 +1,12 @@
 """End-to-end protocol behavior on small scripted systems."""
 
+import gc
+import weakref
+
+import pytest
+
 from tilesim.runner import run_simulation
-from tilesim.scenario import parse_scenario
+from tilesim.scenario import BUNDLED, load_scenario, parse_scenario
 from tilesim.simulation import Simulation
 from tilesim.tiles import ACTIVE, DEFUNCT, IDLE_SPARE, REBOOTING
 
@@ -228,7 +233,6 @@ def test_group_reboot_on_pair_split():
 def test_commanding_defunct_tile_rejected():
     scenario = parse_scenario(make_doc())
     sim = Simulation(scenario)
-    sim.queue.schedule(0, "noop")  # prime the clock
     tile = sim.tiles["C3"]
     tile.set_status(DEFUNCT)
     sim.command_tile("C3", "state-update", donor="C0", group=sim.groups["G1"])
@@ -329,3 +333,24 @@ def test_different_seeds_differ_under_random_faults():
     a, _ = run_doc(dict(doc, seed=1))
     b, _ = run_doc(dict(doc, seed=2))
     assert a.to_jsonl() != b.to_jsonl()
+
+
+# -- memory -----------------------------------------------------------------------
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_finished_run_freed_without_cyclic_gc(name):
+    # a run in a reference cycle (say, a queue entry or a table holding a
+    # bound method) lives on until a full collection, which raises the peak
+    # memory of every sweep
+    scenario = load_scenario(name)
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulation(scenario)
+        sim.run()
+        alive = weakref.ref(sim)
+        del sim
+        assert alive() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -13,17 +13,17 @@ def test_single_writer_enforced():
     vmem.write_checksum("C0", "Ta", 1, 123)
     with pytest.raises(NotOwner):
         vmem.write_checksum("C1", "Ta", 1, 999)
+    snap = StateSnapshot(thread_id="Ta", cycle_counter=4, state=(1, 2))
     with pytest.raises(NotOwner):
-        vmem.mark_ready("C1", "G1", 1)
+        vmem.write_snapshot("C1", 1, snap)
+    assert vmem.checksum_of("Ta", 1) == 123
+    assert vmem.snapshot_of("Ta", 1) is None
 
 
-def test_ready_flag_after_entries():
+def test_checksums_readable_after_entries():
     vmem = ValidationMemory("C0")
     vmem.write_checksum("C0", "Ta", 2, 1)
-    assert not vmem.is_ready("G1", 2)
     vmem.write_checksum("C0", "Tb", 2, 2)
-    vmem.mark_ready("C0", "G1", 2)
-    assert vmem.is_ready("G1", 2)
     assert vmem.checksum_of("Ta", 2) == 1
     assert vmem.checksum_of("Tb", 2) == 2
 
