@@ -31,7 +31,7 @@ KINDS = (TRANSIENT_STATE, TRANSIENT_VMEM, PERMANENT_CELL, SEFI_TILE, SEFI_SHARED
 class FaultEvent:
     at: int
     kind: str
-    fault_id: int = -1
+    fault_id: int = field(default=-1, metadata={"key": None})   # generate() sets it, not a file
     tile: Optional[str] = None
     thread: Optional[str] = None
     word: int = 0
@@ -126,7 +126,7 @@ class FaultLedger:
 class RateWindow:
     start: int
     end: int
-    factor: float
+    factor: float = 1.0
 
 
 @dataclass

@@ -8,8 +8,11 @@ reports every problem at once, with a JSON path for each.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import re
+import typing
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Any, Optional
@@ -21,15 +24,31 @@ from .workload import ThreadSpec
 BUNDLED = ("fig3", "fig6", "exhaustion", "storm")
 
 
+def default_comparison_deadline(base_period: int) -> int:
+    """A group's comparison deadline unless its config sets one: 10% of its
+    base period."""
+    return max(1, base_period // 10)
+
+
+def default_grace_period(specs) -> int:
+    """A group's grace period unless its config sets one: twice the summed
+    update cost of its threads `specs`."""
+    return 2 * sum(s.update_cost for s in specs)
+
+
 class ScenarioError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = problems
         super().__init__("invalid scenario:\n" + "\n".join(f"  - {p}" for p in problems))
 
 
+# documents spell a config's id field "id" (see `_fields`)
+_ID = {"key": "id"}
+
+
 @dataclass
 class TileConfig:
-    tile_id: str
+    tile_id: str = field(metadata=_ID)
     capacity: float = 1_000_000.0
     spare: bool = False
     partition: str = ""
@@ -37,17 +56,17 @@ class TileConfig:
 
 @dataclass
 class TileGroupConfig:
-    group_id: str
-    members: list[str]
-    thread_groups: list[str]
+    group_id: str = field(metadata=_ID)
+    members: list[str] = field(default_factory=list)
+    thread_groups: list[str] = field(default_factory=list)
     comparison_deadline: int = 0   # 0 = default (10% of base period)
     grace_period: int = 0          # 0 = default (2x summed update cost)
 
 
 @dataclass
 class ThreadGroupConfig:
-    tg_id: str
-    threads: list[str]
+    tg_id: str = field(metadata=_ID)
+    threads: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -97,8 +116,9 @@ class Scenario:
     supervisor: SupervisorConfig = field(default_factory=SupervisorConfig)
     policy: CriticalityPolicy = field(default_factory=CriticalityPolicy)
     features: FeatureConfig = field(default_factory=FeatureConfig)
-    profile: faults.FaultProfile = field(default_factory=faults.FaultProfile)
-    raw: dict = field(default_factory=dict)
+    profile: faults.FaultProfile = field(default_factory=faults.FaultProfile,
+                                         metadata={"key": "faults"})
+    raw: dict = field(default_factory=dict, metadata={"key": None})
 
     def canonical_json(self) -> str:
         return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -119,14 +139,11 @@ class Scenario:
         ]
 
     def comparison_deadline(self, group: TileGroupConfig) -> int:
-        if group.comparison_deadline:
-            return group.comparison_deadline
-        return max(1, self.base_period(group) // 10)
+        return group.comparison_deadline or default_comparison_deadline(self.base_period(group))
 
     def grace_period(self, group: TileGroupConfig) -> int:
-        if group.grace_period:
-            return group.grace_period
-        return 2 * sum(self.threads[t].update_cost for t in self.group_threads(group))
+        return group.grace_period or default_grace_period(
+            self.threads[t] for t in self.group_threads(group))
 
     def watchdog_period(self) -> int:
         if self.supervisor.watchdog_period:
@@ -167,10 +184,10 @@ def apply_override(doc: Any, assignment: str):
                 assign(item, rest)
             return
         key: Any = int(tok) if tok.isdigit() and isinstance(node, list) else tok
-        if not rest:
-            node[key] = value
-            return
         try:
+            if not rest:
+                node[key] = value
+                return
             child = node[key]
         except KeyError:
             # defaulted sections may be absent; typos are still caught by
@@ -183,52 +200,144 @@ def apply_override(doc: Any, assignment: str):
     assign(doc, tokens)
 
 
-def _check_unknown(problems, path, doc, allowed):
-    for key in doc:
-        if key not in allowed:
-            problems.append(f"{path}.{key}: unknown key")
+def _scalar(what, whats, *types):
+    """The rule for a scalar field whose values are of one of `types`, and
+    not negative if they are numbers."""
+    number, cast = int in types, float if float in types else None
+
+    def convert(v):
+        if type(v) in types and (not number or v >= 0):
+            return v if cast is None else cast(v)
+        raise ValueError
+    return convert, what, whats
 
 
-def _duration(problems, path, doc, key, default):
-    """``doc[key]`` as a non-negative integer; a problem naming the field
-    and the default otherwise, since a negative delay schedules into the
-    past."""
-    value = doc.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        problems.append(f"{path}.{key}: must be a non-negative integer")
-        return default
-    return value
+# field type -> (converter, what one value must be, what many values must be)
+_SCALARS = {
+    int: _scalar("a non-negative integer", "non-negative integers", int),
+    float: _scalar("a non-negative number", "non-negative numbers", int, float),
+    bool: _scalar("true or false", "flags", bool),
+    str: _scalar("a string", "strings", str),
+}
+
+
+def _rule(hint):
+    """``(converter, what one value must be, what many must be)`` for a field
+    typed `hint`; a converter raises ValueError on a bad value. None for a
+    section: a type that holds a dataclass, which the caller reads itself."""
+    if hint in _SCALARS:
+        return _SCALARS[hint]
+    if dataclasses.is_dataclass(hint):
+        return None
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    item = _rule(args[1] if origin is dict else args[0])
+    if item is None:
+        return None
+    convert, what, whats = item
+    if origin is typing.Union:                  # Optional[...]
+        return (lambda v: None if v is None else convert(v)), what + " or null", whats
+    if origin is dict:
+        def convert_object(v):
+            if type(v) is not dict:
+                raise ValueError
+            return {k: convert(x) for k, x in v.items()}
+        return convert_object, "an object of " + whats, "objects of " + whats
+
+    def convert_list(v):                        # a list, or a tuple from a JSON list
+        if type(v) is not list:
+            raise ValueError
+        return origin(convert(x) for x in v)
+    return convert_list, "a list of " + whats, "lists of " + whats
+
+
+@functools.cache
+def _fields(cls):
+    """The document keys of dataclass `cls`: ``{key: (field name, converter,
+    what the value must be)}``, with converter None for a section, and the
+    ``(key, field name, zero)`` of each non-section field without a default.
+
+    A key is the field's name unless its metadata names another key, or
+    None for a field that documents do not set."""
+    hints = typing.get_type_hints(cls)
+    table, required = {}, []
+    for f in dataclasses.fields(cls):
+        key = f.metadata.get("key", f.name)
+        if key is None:
+            continue
+        rule = _rule(hints[f.name]) or (None, None, None)
+        table[key] = (f.name, *rule[:2])
+        if rule[0] and f.default is f.default_factory is dataclasses.MISSING:
+            required.append((key, f.name, hints[f.name]()))
+    return table, required
+
+
+def _read(problems, path, doc, cls, **given) -> dict:
+    """Keyword arguments for dataclass `cls` from its JSON object `doc`.
+
+    Every key must name a field, and a value must be of the field's type:
+    numbers are non-negative, an int field takes no float, a flag is true or
+    false, and a list or tuple field takes a JSON list. Each bad value is one
+    problem naming the field. A missing or bad field keeps its default: the
+    value in `given`, else the dataclass default, else zero, with a problem
+    if a field without a default is missing. Sections are left to the
+    caller."""
+    if type(doc) is not dict:
+        problems.append(f"{path}: must be an object")
+        doc = {}
+    prefix = f"{path}." if path else ""
+    table, required = _fields(cls)
+    for key, value in doc.items():
+        if key not in table:
+            problems.append(f"{prefix}{key}: unknown key")
+            continue
+        name, convert, what = table[key]
+        if convert is not None:
+            try:
+                given[name] = convert(value)
+            except ValueError:
+                problems.append(f"{prefix}{key}: must be {what}")
+    for key, name, zero in required:
+        if name not in given:
+            if key not in doc:
+                problems.append(f"{prefix}{key}: required")
+            given[name] = zero
+    return given
+
+
+def _entries(problems, path, value):
+    """``(index, entry)`` for each JSON object in the list section at `path`;
+    any other entry, or a section that is not a list, is a problem."""
+    if type(value) is not list:
+        problems.append(f"{path}: must be a list")
+        return
+    for i, entry in enumerate(value):
+        if type(entry) is dict:
+            yield i, entry
+        else:
+            problems.append(f"{path}[{i}]: must be an object")
 
 
 def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
+    if type(doc) is not dict:
+        raise ScenarioError([f"{name}: must be an object"])
     problems: list[str] = []
-    _check_unknown(problems, name, doc, {
-        "name", "seed", "horizon", "features", "costs", "supervisor", "policy",
-        "fabric", "tiles", "threads", "thread_groups", "tile_groups", "faults",
-    })
+    top = _read(problems, "", doc, Scenario, name=name, seed=0)
+    if doc.get("horizon") == 0:     # a missing or bad horizon is a problem already
+        problems.append("horizon: must be positive")
 
-    seed = doc.get("seed", 0)
-    horizon = doc.get("horizon", 0)
-    if not isinstance(seed, int) or seed < 0:
-        problems.append("seed: must be a non-negative integer")
-    if not isinstance(horizon, int) or horizon <= 0:
-        problems.append("horizon: must be a positive integer")
+    def section(key, cls):
+        return cls(**_read(problems, key, doc.get(key, {}), cls))
 
     tiles: list[TileConfig] = []
     tile_ids: set[str] = set()
-    for i, t in enumerate(doc.get("tiles", [])):
+    for i, t in _entries(problems, "tiles", doc.get("tiles", [])):
         path = f"tiles[{i}]"
-        _check_unknown(problems, path, t, {"id", "capacity", "spare", "partition"})
-        tid = t.get("id", f"tile{i}")
-        if tid in tile_ids:
-            problems.append(f"{path}: duplicate tile id {tid!r}")
-        tile_ids.add(tid)
-        tiles.append(TileConfig(
-            tile_id=tid,
-            capacity=t.get("capacity", 1_000_000.0),
-            spare=bool(t.get("spare", False)),
-            partition=t.get("partition", f"p{i}"),
-        ))
+        tile = TileConfig(**_read(problems, path, t, TileConfig,
+                                  tile_id=f"tile{i}", partition=f"p{i}"))
+        if tile.tile_id in tile_ids:
+            problems.append(f"{path}: duplicate tile id {tile.tile_id!r}")
+        tile_ids.add(tile.tile_id)
+        tiles.append(tile)
     if not tiles:
         problems.append("tiles: at least one tile required")
     partitions = [t.partition for t in tiles]
@@ -236,62 +345,43 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         problems.append("tiles: partitions must be distinct")
 
     threads: dict[str, ThreadSpec] = {}
-    for i, th in enumerate(doc.get("threads", [])):
+    for i, th in _entries(problems, "threads", doc.get("threads", [])):
         path = f"threads[{i}]"
-        _check_unknown(problems, path, th, {
-            "id", "criticality", "checkpoint_period", "state_words", "work_per_tick",
-            "emits_output", "viable_delay", "checksum_cost", "sync_cost", "update_cost",
-        })
-        tid = th.get("id", f"thread{i}")
+        kwargs = _read(problems, path, th, ThreadSpec, thread_id=f"thread{i}", criticality=0)
+        tid = kwargs["thread_id"]
         if tid in threads:
             problems.append(f"{path}: duplicate thread id {tid!r}")
             continue
         try:
-            threads[tid] = ThreadSpec(
-                thread_id=tid,
-                criticality=int(th.get("criticality", 0)),
-                checkpoint_period=int(th.get("checkpoint_period", 0)),
-                state_words=int(th.get("state_words", 4)),
-                work_per_tick=int(th.get("work_per_tick", 1)),
-                emits_output=bool(th.get("emits_output", False)),
-                viable_delay=int(th.get("viable_delay", 0)),
-                checksum_cost=int(th.get("checksum_cost", 10)),
-                sync_cost=int(th.get("sync_cost", 10)),
-                update_cost=int(th.get("update_cost", 10)),
-            )
+            threads[tid] = ThreadSpec(**kwargs)
         except ValueError as exc:
             problems.append(f"{path}: {exc}")
 
     thread_groups: list[ThreadGroupConfig] = []
     tg_ids: set[str] = set()
-    for i, tg in enumerate(doc.get("thread_groups", [])):
+    for i, tg in _entries(problems, "thread_groups", doc.get("thread_groups", [])):
         path = f"thread_groups[{i}]"
-        _check_unknown(problems, path, tg, {"id", "threads"})
-        tgid = tg.get("id", f"TG{i}")
-        if tgid in tg_ids:
-            problems.append(f"{path}: duplicate thread group id {tgid!r}")
-        tg_ids.add(tgid)
-        members = list(tg.get("threads", []))
-        if not members:
+        tgc = ThreadGroupConfig(**_read(problems, path, tg, ThreadGroupConfig, tg_id=f"TG{i}"))
+        if tgc.tg_id in tg_ids:
+            problems.append(f"{path}: duplicate thread group id {tgc.tg_id!r}")
+        tg_ids.add(tgc.tg_id)
+        if not tgc.threads:
             problems.append(f"{path}: thread group is empty")
-        for tid in members:
+        for tid in tgc.threads:
             if tid not in threads:
                 problems.append(f"{path}: unknown thread {tid!r}")
-        thread_groups.append(ThreadGroupConfig(tg_id=tgid, threads=members))
+        thread_groups.append(tgc)
 
     tile_groups: list[TileGroupConfig] = []
     group_ids: set[str] = set()
     assigned_tgs: set[str] = set()
-    for i, g in enumerate(doc.get("tile_groups", [])):
+    for i, g in _entries(problems, "tile_groups", doc.get("tile_groups", [])):
         path = f"tile_groups[{i}]"
-        _check_unknown(problems, path, g, {
-            "id", "members", "thread_groups", "comparison_deadline", "grace_period",
-        })
-        gid = g.get("id", f"G{i}")
-        if gid in group_ids:
-            problems.append(f"{path}: duplicate tile group id {gid!r}")
-        group_ids.add(gid)
-        members = list(g.get("members", []))
+        group = TileGroupConfig(**_read(problems, path, g, TileGroupConfig, group_id=f"G{i}"))
+        if group.group_id in group_ids:
+            problems.append(f"{path}: duplicate tile group id {group.group_id!r}")
+        group_ids.add(group.group_id)
+        members = group.members
         if len(members) < 2:
             problems.append(f"{path}: tile groups need at least 2 members")
         if len(set(members)) != len(members):
@@ -299,20 +389,15 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         for m in members:
             if m not in tile_ids:
                 problems.append(f"{path}: unknown tile {m!r}")
-        tgs = list(g.get("thread_groups", []))
-        if not tgs:
+        if not group.thread_groups:
             problems.append(f"{path}: no thread groups assigned")
-        for tgid in tgs:
+        for tgid in group.thread_groups:
             if tgid not in tg_ids:
                 problems.append(f"{path}: unknown thread group {tgid!r}")
             elif tgid in assigned_tgs:
                 problems.append(f"{path}: thread group {tgid!r} assigned twice")
             assigned_tgs.add(tgid)
-        tile_groups.append(TileGroupConfig(
-            group_id=gid, members=members, thread_groups=tgs,
-            comparison_deadline=int(g.get("comparison_deadline", 0)),
-            grace_period=int(g.get("grace_period", 0)),
-        ))
+        tile_groups.append(group)
     if not tile_groups:
         problems.append("tile_groups: at least one tile group required")
 
@@ -322,93 +407,40 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             if m in spare_ids:
                 problems.append(f"tile_groups[{g.group_id}]: spare tile {m!r} cannot be a member")
 
-    fab_doc = doc.get("fabric", {})
-    _check_unknown(problems, "fabric", fab_doc, {
-        "cells_per_partition", "shared_cells", "anchor_cells", "extra_partitions",
-        "variants", "shared_variants",
-    })
-    fabric_cfg = FabricConfig(
-        cells_per_partition=int(fab_doc.get("cells_per_partition", 64)),
-        shared_cells=int(fab_doc.get("shared_cells", 64)),
-        anchor_cells=tuple(fab_doc.get("anchor_cells", [0])),
-        extra_partitions=int(fab_doc.get("extra_partitions", 0)),
-        variants=fab_doc.get("variants"),
-        shared_variants=fab_doc.get("shared_variants"),
-    )
-    for label, var_list in (("variants", fabric_cfg.variants),
-                            ("shared_variants", fabric_cfg.shared_variants)):
-        cells = fabric_cfg.cells_per_partition if label == "variants" else fabric_cfg.shared_cells
+    fabric_cfg = section("fabric", FabricConfig)
+    for cells_key, variants_key in (("cells_per_partition", "variants"),
+                                    ("shared_cells", "shared_variants")):
+        cells, var_list = getattr(fabric_cfg, cells_key), getattr(fabric_cfg, variants_key)
+        if cells < 1:
+            problems.append(f"fabric.{cells_key}: must be at least 1")
         if var_list is not None:
             if not var_list:
-                problems.append(f"fabric.{label}: must not be empty")
+                problems.append(f"fabric.{variants_key}: must not be empty")
             for vi, fp in enumerate(var_list):
-                if any(not (0 <= c < cells) for c in fp):
-                    problems.append(f"fabric.{label}[{vi}]: cell index out of range")
+                if any(c >= cells for c in fp):
+                    problems.append(f"fabric.{variants_key}[{vi}]: cell index out of range")
 
-    cost_doc = doc.get("costs", {})
-    _check_unknown(problems, "costs", cost_doc, {
-        "context_switch", "boot_time", "reconfig_duration", "full_reconfig_duration",
-    })
-    costs = CostConfig(
-        context_switch=_duration(problems, "costs", cost_doc, "context_switch", 2),
-        boot_time=_duration(problems, "costs", cost_doc, "boot_time", 500),
-        reconfig_duration=_duration(problems, "costs", cost_doc, "reconfig_duration", 1000),
-        full_reconfig_duration=_duration(problems, "costs", cost_doc,
-                                         "full_reconfig_duration", 5000),
-    )
+    costs = section("costs", CostConfig)
 
-    sup_doc = doc.get("supervisor", {})
-    _check_unknown(problems, "supervisor", sup_doc, {
-        "transient_threshold", "defunct_threshold", "window_checkpoints", "watchdog_period",
-    })
-    sup = SupervisorConfig(
-        transient_threshold=int(sup_doc.get("transient_threshold", 3)),
-        defunct_threshold=int(sup_doc.get("defunct_threshold", 10)),
-        window_checkpoints=int(sup_doc.get("window_checkpoints", 100)),
-        watchdog_period=_duration(problems, "supervisor", sup_doc, "watchdog_period", 0),
-    )
+    sup = section("supervisor", SupervisorConfig)
     if sup.transient_threshold >= sup.defunct_threshold:
         problems.append("supervisor: transient_threshold must be below defunct_threshold")
 
-    pol_doc = doc.get("policy", {})
-    _check_unknown(problems, "policy", pol_doc, {
-        "min_replicas_high", "min_replicas_low", "high_threshold",
-        "degradation_order", "frequency_factor", "max_period_factor",
-    })
     try:
-        policy = CriticalityPolicy(
-            min_replicas_high=int(pol_doc.get("min_replicas_high", 3)),
-            min_replicas_low=int(pol_doc.get("min_replicas_low", 2)),
-            high_threshold=int(pol_doc.get("high_threshold", 5)),
-            degradation_order=tuple(pol_doc.get(
-                "degradation_order",
-                ["reduce-replicas", "reduce-checkpoint-frequency", "deactivate"],
-            )),
-            frequency_factor=int(pol_doc.get("frequency_factor", 2)),
-            max_period_factor=int(pol_doc.get("max_period_factor", 8)),
-        )
+        policy = section("policy", CriticalityPolicy)
     except ValueError as exc:
         problems.append(f"policy: {exc}")
         policy = CriticalityPolicy()
 
-    feat_doc = doc.get("features", {})
-    _check_unknown(problems, "features", feat_doc,
-                   {"output_voting", "ecc", "signal_loss_prob"})
-    features = FeatureConfig(
-        output_voting=bool(feat_doc.get("output_voting", False)),
-        ecc=bool(feat_doc.get("ecc", True)),
-        signal_loss_prob=float(feat_doc.get("signal_loss_prob", 0.0)),
-    )
-    if not 0.0 <= features.signal_loss_prob <= 1.0:
+    features = section("features", FeatureConfig)
+    if features.signal_loss_prob > 1.0:
         problems.append("features.signal_loss_prob: must be within [0, 1]")
 
     profile = _parse_faults(doc.get("faults", {}), problems, tiles, threads, fabric_cfg,
-                            horizon if isinstance(horizon, int) else 0)
+                            top["horizon"])
 
     scenario = Scenario(
-        name=doc.get("name", name),
-        seed=seed if isinstance(seed, int) else 0,
-        horizon=horizon if isinstance(horizon, int) and horizon > 0 else 1,
+        **top,
         tiles=tiles,
         threads=threads,
         thread_groups=thread_groups,
@@ -442,103 +474,63 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
 
 
 def _parse_faults(doc, problems, tiles, threads, fabric_cfg, horizon) -> faults.FaultProfile:
-    _check_unknown(problems, "faults", doc, {
-        "rates", "explicit", "windows", "multi_word_prob", "sefi_duration",
-    })
-    sefi_duration = _duration(problems, "faults", doc, "sefi_duration", 1000)
-    rates = dict(doc.get("rates", {}))
-    for kind, rate in rates.items():
-        if kind not in faults.KINDS:
-            problems.append(f"faults.rates: unknown fault kind {kind!r}")
-        elif not isinstance(rate, (int, float)) or rate < 0:
-            problems.append(f"faults.rates.{kind}: must be a non-negative number")
+    kwargs = _read(problems, "faults", doc, faults.FaultProfile)
+    for kind in [k for k in kwargs.get("rates", ()) if k not in faults.KINDS]:
+        problems.append(f"faults.rates: unknown fault kind {kind!r}")
+        del kwargs["rates"][kind]
+    profile = faults.FaultProfile(**kwargs)
+    if profile.multi_word_prob > 1.0:
+        problems.append("faults.multi_word_prob: must be within [0, 1]")
+    if type(doc) is not dict:
+        return profile
 
     tile_ids = {t.tile_id for t in tiles}
     partition_ids = {t.partition for t in tiles} | {faults.fab.SHARED}
-    explicit: list[faults.FaultEvent] = []
-    for i, ev in enumerate(doc.get("explicit", [])):
+    for i, ev in _entries(problems, "faults.explicit", doc.get("explicit", [])):
         path = f"faults.explicit[{i}]"
-        _check_unknown(problems, path, ev, {
-            "at", "kind", "tile", "thread", "word", "mask", "masks",
-            "partition", "cell", "flavor", "duration",
-        })
-        kind = ev.get("kind", "")
+        if "mask" in ev:     # "mask": m is short for "masks": [m]
+            ev = dict(ev)
+            ev.setdefault("masks", [ev.pop("mask")])
+        fault = faults.FaultEvent(**_read(problems, path, ev, faults.FaultEvent,
+                                          masks=(1,), duration=profile.sefi_duration))
+        kind = fault.kind
         if kind not in faults.KINDS:
             problems.append(f"{path}: unknown kind {kind!r}")
             continue
-        at = ev.get("at", -1)
-        if not isinstance(at, int) or at < 0:
-            problems.append(f"{path}: 'at' must be a non-negative integer")
-            continue
-        if horizon and at >= horizon:
-            problems.append(f"{path}: fault at t={at} is beyond the horizon")
-        fault = faults.FaultEvent(at=at, kind=kind)
+        if horizon and fault.at >= horizon:
+            problems.append(f"{path}: fault at t={fault.at} is beyond the horizon")
         if kind in (faults.TRANSIENT_STATE, faults.TRANSIENT_VMEM, faults.MEMORY_WORD):
-            fault.tile = ev.get("tile")
-            fault.thread = ev.get("thread")
-            fault.word = int(ev.get("word", 0))
-            masks = ev.get("masks", [ev.get("mask", 1)])
-            fault.masks = tuple(int(m) for m in masks)
             if fault.tile not in tile_ids:
                 problems.append(f"{path}: unknown tile {fault.tile!r}")
             if fault.thread not in threads:
                 problems.append(f"{path}: unknown thread {fault.thread!r}")
-            elif not (0 <= fault.word < threads[fault.thread].state_words):
+            elif fault.word >= threads[fault.thread].state_words:
                 problems.append(f"{path}: word index out of range")
             if any(m == 0 for m in fault.masks):
                 problems.append(f"{path}: masks must be non-zero")
         elif kind == faults.PERMANENT_CELL:
-            fault.partition = ev.get("partition")
-            fault.cell = int(ev.get("cell", 0))
-            fault.flavor = ev.get("flavor", faults.fab.DD)
             if fault.partition not in partition_ids:
                 problems.append(f"{path}: unknown partition {fault.partition!r}")
             if fault.flavor not in (faults.fab.DD, faults.fab.CONFIG):
                 problems.append(f"{path}: flavor must be 'dd' or 'config'")
             cells = (fabric_cfg.shared_cells if fault.partition == faults.fab.SHARED
                      else fabric_cfg.cells_per_partition)
-            if not (0 <= fault.cell < cells):
+            if fault.cell >= cells:
                 problems.append(f"{path}: cell index out of range")
-        elif kind == faults.SEFI_TILE:
-            fault.tile = ev.get("tile")
-            fault.duration = int(ev.get("duration", sefi_duration))
-            if fault.tile not in tile_ids:
+        else:                           # a functional interrupt
+            if kind == faults.SEFI_TILE and fault.tile not in tile_ids:
                 problems.append(f"{path}: unknown tile {fault.tile!r}")
-            if fault.duration <= 0:
+            if fault.duration == 0:
                 problems.append(f"{path}: duration must be positive")
-        elif kind == faults.SEFI_SHARED:
-            fault.duration = int(ev.get("duration", sefi_duration))
-            if fault.duration <= 0:
-                problems.append(f"{path}: duration must be positive")
-        explicit.append(fault)
+        profile.explicit.append(fault)
 
-    windows = []
-    for i, w in enumerate(doc.get("windows", [])):
+    for i, w in _entries(problems, "faults.windows", doc.get("windows", [])):
         path = f"faults.windows[{i}]"
-        _check_unknown(problems, path, w, {"start", "end", "factor"})
-        start, end = int(w.get("start", 0)), int(w.get("end", 0))
-        factor = float(w.get("factor", 1.0))
-        if end <= start:
+        window = faults.RateWindow(**_read(problems, path, w, faults.RateWindow))
+        if window.end <= window.start:
             problems.append(f"{path}: end must be after start")
-        if factor < 0:
-            problems.append(f"{path}: factor must be >= 0")
-        windows.append(faults.RateWindow(start=start, end=end, factor=factor))
-
-    multi = float(doc.get("multi_word_prob", 0.0))
-    if not 0.0 <= multi <= 1.0:
-        problems.append("faults.multi_word_prob: must be within [0, 1]")
-
-    try:
-        return faults.FaultProfile(
-            rates={k: float(v) for k, v in rates.items() if k in faults.KINDS},
-            explicit=explicit,
-            windows=windows,
-            multi_word_prob=multi,
-            sefi_duration=sefi_duration,
-        )
-    except ValueError as exc:
-        problems.append(f"faults: {exc}")
-        return faults.FaultProfile()
+        profile.windows.append(window)
+    return profile
 
 
 def load_scenario(path_or_name: str, overrides: Optional[list[str]] = None) -> Scenario:

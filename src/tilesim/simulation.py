@@ -21,7 +21,9 @@ from . import lockstep
 from . import supervisor as sup
 from . import workload
 from .engine import MASK64, EventQueue, StreamPool, mix64
-from .scenario import Scenario, TileGroupConfig
+from .scenario import (
+    Scenario, TileGroupConfig, default_comparison_deadline, default_grace_period,
+)
 from .tiles import (
     ACTIVE, BOOTING, DEFUNCT, IDLE_SPARE, REBOOTING, SUSPECT, UPDATING,
     RUN_THREADS, RunWindow, Tile, TileGroup, ThreadGroup, scheduler_step,
@@ -1243,8 +1245,8 @@ class Simulation:
             members=list(entry.tiles),
             thread_groups=[entry.tg_id],
             base_period=base,
-            comparison_deadline=max(1, base // 10),
-            grace_period=2 * sum(s.update_cost for s in tg.threads),
+            comparison_deadline=default_comparison_deadline(base),
+            grace_period=default_grace_period(tg.threads),
             period_factor=entry.period_factor,
             correction_enabled=len(entry.tiles) >= 3,
         )
@@ -1306,7 +1308,7 @@ class Simulation:
         if new_base == group.base_period:
             return
         group.base_period = new_base
-        group.comparison_deadline = max(1, new_base // 10)
+        group.comparison_deadline = default_comparison_deadline(new_base)
         self._set_divisors(group)
         for m in group.members:
             self.trace.emit(self.queue.now, m, "timer-adjusted",

@@ -95,8 +95,6 @@ class FaultAction:
     kind: str
     tile_id: str
     spare: Optional[str] = None
-    window_count: int = 0
-    lifetime_count: int = 0
 
 
 class Supervisor:
@@ -141,10 +139,7 @@ class Supervisor:
             kind = REPLACE if spare else STAGE2_NO_SPARE
         else:
             kind, spare = STATE_UPDATE, None
-        return FaultAction(
-            kind=kind, tile_id=tile_id, spare=spare,
-            window_count=windowed, lifetime_count=lifetime,
-        )
+        return FaultAction(kind=kind, tile_id=tile_id, spare=spare)
 
     def reset_counter(self, tile_id: str):
         """Explicit reset after a successful Stage 2 repair."""

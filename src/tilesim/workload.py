@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .engine import MASK64, mix64
 
@@ -44,7 +44,7 @@ class ThreadIdMismatch(ValueError):
 
 @dataclass(frozen=True)
 class ThreadSpec:
-    thread_id: str
+    thread_id: str = field(metadata={"key": "id"})     # "id" in scenario files
     criticality: int
     checkpoint_period: int
     state_words: int = 4

@@ -89,11 +89,21 @@ def test_fail_on_loss_exit_code(tmp_path):
 
 
 def test_bad_override_exits_1_without_traceback(capsys):
-    assert main(["run", "--scenario", "fig3", "--set", "costs.boot_time=abc",
-                 "--quiet"]) == 1
-    err = capsys.readouterr().err
-    assert "costs.boot_time" in err
-    assert "Traceback" not in err
+    for overrides, field in [
+        (["costs.boot_time=abc"], "costs.boot_time"),
+        (["tile_groups[0].grace_period=-1"], "tile_groups[0].grace_period"),
+        (["threads[0].checksum_cost=-100"], "threads[0].checksum_cost"),
+        (["supervisor.transient_threshold=abc"], "supervisor.transient_threshold"),
+        (["costs=3"], "costs"),
+        (["fabric.shared_cells=0", "faults.rates.permanent-cell=0.001"],
+         "fabric.shared_cells"),
+        (['fabric.variants=[["a"]]'], "fabric.variants"),
+    ]:
+        sets = [arg for o in overrides for arg in ("--set", o)]
+        assert main(["run", "--scenario", "fig3", *sets, "--quiet"]) == 1, overrides
+        err = capsys.readouterr().err
+        assert field + ":" in err
+        assert "Traceback" not in err
 
 
 def test_sweep_csv_and_rows(tmp_path):

@@ -1,10 +1,17 @@
+import dataclasses
 import json
+import typing
 
 import pytest
 
+from tilesim.criticality import CriticalityPolicy
+from tilesim.faults import FaultEvent, FaultProfile, RateWindow
 from tilesim.scenario import (
-    BUNDLED, ScenarioError, apply_override, load_scenario, parse_scenario,
+    BUNDLED, CostConfig, FabricConfig, FeatureConfig, Scenario, ScenarioError,
+    SupervisorConfig, TileConfig, TileGroupConfig, apply_override, load_scenario,
+    parse_scenario,
 )
+from tilesim.workload import ThreadSpec
 
 
 def minimal_doc(**over):
@@ -145,8 +152,9 @@ def test_override_wildcard():
 
 
 def test_override_bad_path():
-    with pytest.raises(ScenarioError):
-        apply_override(minimal_doc(), "threads[5].nope=1")
+    for assignment in ("threads[5].nope=1", "threads[5]=1", "seed.nope=1"):
+        with pytest.raises(ScenarioError):
+            apply_override(minimal_doc(), assignment)
 
 
 def test_override_creates_defaulted_section():
@@ -162,14 +170,49 @@ def test_override_creates_defaulted_section():
         parse_scenario(bad)
 
 
-@pytest.mark.parametrize("name, override, field", [
+BAD_VALUE_CASES = [
     ("fig3", "supervisor.watchdog_period=-5", "supervisor.watchdog_period"),
     ("fig3", "costs.boot_time=-1", "costs.boot_time"),
     ("fig3", 'costs.boot_time="abc"', "costs.boot_time"),
     ("storm", "faults.sefi_duration=-10", "faults.sefi_duration"),
-])
+    ("fig3", "fabric.shared_cells=0", "fabric.shared_cells"),
+    ("fig3", 'fabric.variants=[["a"]]', "fabric.variants"),
+    ("fig3", "costs=3", "costs"),
+    ("fig3", "threads[0]=5", "threads[0]"),
+]
+
+# every section and the first entry of each list, by the dataclass it configures
+SECTIONS = {
+    "": Scenario, "tiles[0]": TileConfig, "threads[0]": ThreadSpec,
+    "tile_groups[0]": TileGroupConfig, "fabric": FabricConfig, "costs": CostConfig,
+    "supervisor": SupervisorConfig, "policy": CriticalityPolicy,
+    "features": FeatureConfig, "faults": FaultProfile,
+    "faults.explicit[0]": FaultEvent, "faults.windows[0]": RateWindow,
+}
+
+
+def field_cases():
+    """Every int, float and bool field of each section, set to a string, to
+    -1 and, if it is an int, to 2.5."""
+    for path, cls in SECTIONS.items():
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            kind = hints[f.name]
+            if kind not in (int, float, bool) or f.metadata.get("key", f.name) is None:
+                continue
+            field = f"{path}.{f.name}" if path else f.name
+            name = "storm" if path == "faults.windows[0]" else "fig3"
+            for value in ("abc", "-1") + (("2.5",) if kind is int else ()):
+                yield name, f"{field}={value}", field
+
+
+BAD_VALUE_CASES += [c for c in field_cases() if c not in BAD_VALUE_CASES]
+
+
+@pytest.mark.parametrize("name, override, field", BAD_VALUE_CASES)
 def test_bad_durations_rejected(name, override, field):
-    # each of these used to validate and then crash the run
+    # a bad value is a problem naming its field; many of these used to crash
+    # the run or the parser, or to run with a truncated value
     with pytest.raises(ScenarioError) as err:
         load_scenario(name, [override])
     assert [p for p in err.value.problems if p.startswith(field + ":")]
