@@ -2,14 +2,16 @@
 
 The trace is the simulator's behavioural contract. A change that keeps
 these digests keeps the behaviour of every bundled scenario and of the
-first chaos-soak seeds, whatever it does to the code underneath.
+first chaos-soak seeds, whatever it does to the code underneath. The
+shared-tile pins cover a tile serving two groups: a command to a rebooting
+tile, a reboot that settles a pending update, and a stale participant.
 """
 
 import hashlib
 
 import pytest
 
-from test_soak import chaos_doc
+from test_soak import chaos_doc, shared_tile_doc
 from tilesim.scenario import load_scenario, parse_scenario
 from tilesim.simulation import Simulation
 
@@ -28,6 +30,16 @@ CHAOS_DIGESTS = {
     4: "4628184203fc2f5126941ed9a8fa607f8fd0502e168b2ac9b4ce249d8ae5de63",
 }
 
+# (transient threshold, seed) -> digest, for test_soak.shared_tile_doc
+SHARED_TILE_DIGESTS = {
+    (3, 63): "4e8c6b5cc5ea888a4e2721005d9d273d4c123406cb2826ed14993853510a9717",
+    (3, 22): "79462b2b602b6665dbfba184f3e34e42f4219929de010d6957dc994757c84ecb",
+    (3, 107): "28348048327f9873c6ded0a54ea8ced47700abca02b3bd0733ee60466ce89026",
+    (2, 221): "64730293289a943be780765a8ecd93485643c89fb519f58e59016adc858a7e44",
+    (2, 322): "6d02768759cc2fa67d705bffacb7955a8aef6fdc52b2239a7a186dd607ef1368",
+    (2, 100): "e2a79d42654245e1866ecd31c3af696d2b506ae1f40689681b52213ecb645e50",
+}
+
 
 def trace_digest(sc) -> str:
     return hashlib.sha256(Simulation(sc).run().to_jsonl().encode()).hexdigest()
@@ -41,3 +53,9 @@ def test_bundled_scenario_trace_digest(name):
 @pytest.mark.parametrize("seed", sorted(CHAOS_DIGESTS))
 def test_chaos_seed_trace_digest(seed):
     assert trace_digest(parse_scenario(chaos_doc(seed), name="chaos")) == CHAOS_DIGESTS[seed]
+
+
+@pytest.mark.parametrize("threshold,seed", sorted(SHARED_TILE_DIGESTS))
+def test_shared_tile_trace_digest(threshold, seed):
+    sc = parse_scenario(shared_tile_doc(seed, threshold), name="shared-tile")
+    assert trace_digest(sc) == SHARED_TILE_DIGESTS[(threshold, seed)]
