@@ -87,17 +87,18 @@ class MetricsSummary:
 
 
 def compute_metrics(records: Iterable[TraceRecord]) -> MetricsSummary:
+    """Fold a trace, in the time order it was written, into its metrics."""
     m = MetricsSummary()
-    records = list(records)
 
     horizon = None
     tg_map: dict[str, list[str]] = {}
     fault_kind: dict[int, str] = {}
     disposition: dict[int, str] = {}
     outcome: dict[int, str] = {}
-    detections: list[tuple[int, int, str]] = []   # (fault id, at, group)
+    detected: set[int] = set()
     detection_latencies: list[int] = []
-    verdicts: list[TraceRecord] = []
+    pending: dict[str, list[int]] = {}   # group -> detection times not yet recovered
+    recoveries: list[int] = []
     busy: dict[str, int] = {}
     tg_events: dict[str, list[tuple[int, bool]]] = {}
 
@@ -115,12 +116,22 @@ def compute_metrics(records: Iterable[TraceRecord]) -> MetricsSummary:
             fault_kind[fid] = p["fault_kind"]
             disposition[fid] = p["disposition"]
         elif kind == "fault-detected":
-            detections.append((p["id"], rec.at, p["group"]))
+            detected.add(p["id"])
             detection_latencies.append(p["latency"])
+            pending.setdefault(p["group"], []).append(rec.at)
         elif kind == "fault-outcome":
             outcome[p["id"]] = p["outcome"]
         elif kind == "verdict":
-            verdicts.append(rec)
+            # recovery: from a fault's detection to its group's next
+            # all-agree checkpoint at full strength
+            group = p.get("group")
+            if (group in pending and p.get("result") == "all-agree"
+                    and p.get("participants") == p.get("target_size")):
+                waiting = pending.pop(group)
+                recoveries += [rec.at - at for at in waiting if at < rec.at]
+                later = [at for at in waiting if at >= rec.at]
+                if later:
+                    pending[group] = later
         elif kind == "checkpoint-end":
             m.checkpoints += 1
             for tile in p.get("tiles", []):
@@ -154,23 +165,12 @@ def compute_metrics(records: Iterable[TraceRecord]) -> MetricsSummary:
         setattr(m, bucket, getattr(m, bucket) + 1)
         per = m.faults_by_kind.setdefault(kind, {})
         per[bucket] = per.get(bucket, 0) + 1
-    m.detected = len({fid for fid, _, _ in detections})
+    m.detected = len(detected)
 
     if detection_latencies:
         m.detection_latency_mean = sum(detection_latencies) / len(detection_latencies)
         m.detection_latency_max = max(detection_latencies)
 
-    # recovery: from a fault's detection verdict to the group's next
-    # all-agree checkpoint at full strength
-    recoveries: list[int] = []
-    for fid, at, group in detections:
-        for rec in verdicts:
-            if rec.at <= at or rec.payload.get("group") != group:
-                continue
-            if (rec.payload.get("result") == "all-agree"
-                    and rec.payload.get("participants") == rec.payload.get("target_size")):
-                recoveries.append(rec.at - at)
-                break
     if recoveries:
         m.recovery_latency_mean = sum(recoveries) / len(recoveries)
         m.recovery_latency_max = max(recoveries)
