@@ -419,6 +419,8 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             for vi, fp in enumerate(var_list):
                 if any(c >= cells for c in fp):
                     problems.append(f"fabric.{variants_key}[{vi}]: cell index out of range")
+    if any(c >= fabric_cfg.cells_per_partition for c in fabric_cfg.anchor_cells):
+        problems.append("fabric.anchor_cells: cell index out of range")
 
     costs = section("costs", CostConfig)
 

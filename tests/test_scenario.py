@@ -179,6 +179,7 @@ BAD_VALUE_CASES = [
     ("fig3", 'fabric.variants=[["a"]]', "fabric.variants"),
     ("fig3", "costs=3", "costs"),
     ("fig3", "threads[0]=5", "threads[0]"),
+    ("fig3", "fabric.anchor_cells=[100]", "fabric.anchor_cells"),
 ]
 
 # every section and the first entry of each list, by the dataclass it configures
