@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tilesim.cli import main
 
 
@@ -104,6 +106,19 @@ def test_bad_override_exits_1_without_traceback(capsys):
         err = capsys.readouterr().err
         assert field + ":" in err
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text, error", [
+    ('{"at": 0, "actor": "sim", "kind": "run-st', "error: JSONDecodeError: "),
+    ('{"at":0}', "error: KeyError: 'actor'"),
+])
+def test_unreadable_trace_exits_3_without_traceback(tmp_path, capsys, text, error):
+    path = tmp_path / "t.jsonl"
+    path.write_text(text + "\n")
+    assert main(["metrics", "--trace", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(error)
+    assert len(err.splitlines()) == 1
 
 
 def test_sweep_csv_and_rows(tmp_path):
