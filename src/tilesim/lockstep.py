@@ -9,7 +9,7 @@ what makes the protocol unit-testable in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .workload import OutputRecord
 
@@ -32,16 +32,9 @@ class CheckpointCost:
 
 @dataclass
 class CheckpointReport:
-    tile_id: str
-    checkpoint_index: int
     verdicts: dict[str, str]   # sibling -> agree | disagree | deadline-miss
     completed_at: int
     detected_mismatch: bool = False
-
-
-def checked_threads(thread_ids: list[str], divisors: dict[str, int], index: int) -> list[str]:
-    """Threads scheduled for validation at this checkpoint index."""
-    return [t for t in thread_ids if index % divisors.get(t, 1) == 0]
 
 
 def compare_with_siblings(
@@ -49,12 +42,14 @@ def compare_with_siblings(
     members: list[str],
     written_at: dict[str, int],
     deadline_at: int,
-    checked: list[str],
-    checkpoint_index: int,
-    read_checksum: Callable[[str, str], Optional[int]],
+    rows: dict[str, tuple],
     reads_blocked: bool = False,
 ) -> CheckpointReport:
     """Compare my validation memory against each sibling's.
+
+    `rows` holds each writer's checksums of the checked threads, in one
+    order, with None where an entry is missing. Two rows agree when they
+    are equal and mine has no missing entry.
 
     Comparisons happen as siblings become ready, walked in chronological
     order with ties broken by rotated member order (each tile starts at the
@@ -82,6 +77,8 @@ def compare_with_siblings(
         order.append((when, (pos - my_pos) % n, sib, ready))
     order.sort(key=lambda item: (item[0], item[1]))
 
+    mine = rows[me]
+    mine_whole = None not in mine
     verdicts: dict[str, str] = {}
     completed = my_ready
     mismatch = False
@@ -91,23 +88,14 @@ def compare_with_siblings(
             completed = when
             mismatch = True
             break
-        same = all(
-            read_checksum(me, th) is not None
-            and read_checksum(me, th) == read_checksum(sib, th)
-            for th in checked
-        )
+        same = mine_whole and rows[sib] == mine
         verdicts[sib] = AGREE if same else DISAGREE
         completed = when
         if not same:
             mismatch = True
             break
-    return CheckpointReport(
-        tile_id=me,
-        checkpoint_index=checkpoint_index,
-        verdicts=verdicts,
-        completed_at=completed,
-        detected_mismatch=mismatch,
-    )
+    return CheckpointReport(verdicts=verdicts, completed_at=completed,
+                            detected_mismatch=mismatch)
 
 
 @dataclass

@@ -149,31 +149,14 @@ class Simulation:
             comparison_deadline=scenario.comparison_deadline(gc),
             grace_period=scenario.grace_period(gc),
         )
-        self._set_divisors(group)
+        self._bind_threads(group)
         self.groups[gc.group_id] = group
         self.group_order.append(gc.group_id)
         return group
 
-    def _set_divisors(self, group: TileGroup):
-        """Check each thread every period // base checkpoints of its group."""
-        for tg_id in group.thread_groups:
-            tg = self.thread_groups[tg_id]
-            for spec in tg.threads:
-                tg.check_divisor[spec.thread_id] = max(
-                    1, spec.checkpoint_period // group.base_period)
-
-    def group_thread_ids(self, group: TileGroup) -> list[str]:
-        return [
-            spec.thread_id
-            for tg_id in group.thread_groups
-            for spec in self.thread_groups[tg_id].threads
-        ]
-
-    def group_divisors(self, group: TileGroup) -> dict[str, int]:
-        out = {}
-        for tg_id in group.thread_groups:
-            out.update(self.thread_groups[tg_id].check_divisor)
-        return out
+    def _bind_threads(self, group: TileGroup):
+        group.threads = [spec for tg_id in group.thread_groups
+                         for spec in self.thread_groups[tg_id].threads]
 
     def _participants(self, group: TileGroup) -> list[str]:
         return [m for m in group.members
@@ -330,12 +313,11 @@ class Simulation:
         group.checkpoint_index += 1
         index = group.checkpoint_index
         participants = self._participants(group)
-        divisors = self.group_divisors(group)
-        thread_ids = self.group_thread_ids(group)
-        checked = lockstep.checked_threads(thread_ids, divisors, index)
+        checked = group.checked(index)
         ctx = GroupCheckpoint(
             group_id=group.group_id, index=index, t0=now, trigger=trigger,
-            participants=participants, members=list(group.members), checked=checked,
+            participants=participants, members=list(group.members),
+            checked=[s.thread_id for s in checked],
         )
         self.ctxs[group.group_id] = ctx
         self.trace.emit(now, group.group_id, "checkpoint-start",
@@ -346,27 +328,26 @@ class Simulation:
             self._arm_timer(group, now + group.period)
             return
 
-        specs = {tid: self.scenario.threads[tid] for tid in thread_ids}
+        delay = min(max((s.viable_delay for s in group.threads), default=0),
+                    group.comparison_deadline)
+        duration = delay + self.costs.checksum_duration(checked)
         for m in participants:
             tile = self.tiles[m]
             self._pause_tile_groups(tile, group, now)
             if tile.status == ACTIVE:
                 ctx.boundary[m] = {
                     tid: (tuple(tile.threads[tid].state), tile.threads[tid].cycle_counter)
-                    for tid in checked
+                    for tid in ctx.checked
                 }
-                for tid in thread_ids:
-                    if specs[tid].emits_output and not tile.sefi_blocked:
-                        rec = workload.emit_output(tile.threads[tid])
+                for spec in group.threads:
+                    if spec.emits_output and not tile.sefi_blocked:
+                        rec = workload.emit_output(tile.threads[spec.thread_id])
                         if rec is not None:
-                            ctx.outputs.setdefault(tid, {})[m] = rec
+                            ctx.outputs.setdefault(spec.thread_id, {})[m] = rec
             if tile.sefi_blocked:
                 self.trace.emit(now, m, "checkpoint-blocked",
                                 tile=m, group=group.group_id, index=index)
                 continue
-            delay = max((specs[tid].viable_delay for tid in thread_ids), default=0)
-            delay = min(delay, group.comparison_deadline)
-            duration = delay + self.costs.checksum_duration(specs[tid] for tid in checked)
             self.queue.schedule(now + duration, Simulation._on_checksums_ready,
                                 group.group_id, index, m)
         ctx.deadline_entry = self.queue.schedule(
@@ -452,21 +433,19 @@ class Simulation:
         now = self.queue.now
         deadline_at = ctx.t0 + group.comparison_deadline
 
+        # read at resolve time: a transient vmem fault or a reboot since the
+        # write shows up here
+        rows = {}
+        for w in ctx.written:
+            vmem = self.tiles[w].vmem
+            rows[w] = tuple(vmem.checksum_of(t, index) for t in ctx.checked)
         loss = self.scenario.features.signal_loss_prob
         for m in ctx.participants:
             tile = self.tiles[m]
             if m not in ctx.written or tile.sefi_blocked:
                 continue  # never wrote, or its interface is down: stays silent
             report = lockstep.compare_with_siblings(
-                me=m,
-                members=ctx.members,
-                written_at=ctx.written,
-                deadline_at=deadline_at,
-                checked=ctx.checked,
-                checkpoint_index=index,
-                read_checksum=lambda owner, th: self._read_checksum(owner, th, index),
-                reads_blocked=self.shared_blocked,
-            )
+                m, ctx.members, ctx.written, deadline_at, rows, self.shared_blocked)
             if loss > 0:
                 roll = (self.streams.get("signal-loss").uniform64() >> 11) * 2.0**-53
                 if roll < loss:
@@ -495,7 +474,7 @@ class Simulation:
             self._set_tg_active(group, False, now)
             return
 
-        verdict = sup.arbitrate(group_id, index, ctx.participants, ctx.reports)
+        verdict = sup.arbitrate(ctx.participants, ctx.reports)
         ctx.clique = list(verdict.clique)
         self.supervisor.kick(now)
         self._arm_watchdog(now)
@@ -512,9 +491,6 @@ class Simulation:
             self._handle_unresolvable(group, ctx, verdict)
         else:
             self._handle_faulty(group, ctx, verdict)
-
-    def _read_checksum(self, owner: str, thread_id: str, index: int):
-        return self.tiles[owner].vmem.checksum_of(thread_id, index)
 
     def _vote_outputs(self, group: TileGroup, ctx: GroupCheckpoint):
         now = self.queue.now
@@ -605,10 +581,9 @@ class Simulation:
     def propagate_state(self, group: TileGroup, ctx: GroupCheckpoint, writers: list[str]):
         """Schedule the synchronization callbacks of every healthy writer
         that saw the mismatch (or was asked to donate)."""
-        specs = [self.scenario.threads[t] for t in self.group_thread_ids(group)]
         for w in writers:
             tile = self.tiles[w]
-            missing = [s for s in specs
+            missing = [s for s in group.threads
                        if tile.vmem.snapshot_of(s.thread_id, ctx.index) is None]
             if not missing:
                 continue  # state already in validation memory; callback omitted
@@ -628,12 +603,11 @@ class Simulation:
             self.trace.emit(now, tile_id, "state-propagation-lost",
                             tile=tile_id, group=group_id, index=index)
             return
-        threads = self.group_thread_ids(group)
-        for tid in threads:
-            snap = workload.sync_callback(tile.threads[tid])
+        for spec in group.threads:
+            snap = workload.sync_callback(tile.threads[spec.thread_id])
             tile.vmem.write_snapshot(tile_id, index, snap)
-        self.trace.emit(now, tile_id, "state-propagation",
-                        tile=tile_id, group=group_id, index=index, threads=len(threads))
+        self.trace.emit(now, tile_id, "state-propagation", tile=tile_id, group=group_id,
+                        index=index, threads=len(group.threads))
 
     def _handle_faulty(self, group: TileGroup, ctx: GroupCheckpoint, verdict: sup.Verdict):
         now = self.queue.now
@@ -814,27 +788,26 @@ class Simulation:
             if donor_id is None and ctx.clique:
                 donor_id = next((x for x in group.members if x in ctx.clique), None)
             donor = self.tiles[donor_id] if donor_id else None
-            threads = self.group_thread_ids(group)
             snapshots = {}
             ok = (donor is not None and donor.is_member
                   and not tile.sefi_blocked and not self.shared_blocked)
             if ok:
-                for tid in threads:
-                    snap = donor.vmem.snapshot_of(tid, ctx.index)
+                for spec in group.threads:
+                    snap = donor.vmem.snapshot_of(spec.thread_id, ctx.index)
                     if snap is None:
                         ok = False
                         break
-                    snapshots[tid] = snap
+                    snapshots[spec.thread_id] = snap
             del self.pending_updates[m]
             if ok:
-                for tid in threads:
-                    ts = workload.update_callback(tile.threads[tid], snapshots[tid])
+                for tid, snap in snapshots.items():
+                    ts = workload.update_callback(tile.threads[tid], snap)
                     ts.corrupted = donor.threads[tid].corrupted
                     tile.threads[tid] = ts
                 tile.set_status(ACTIVE)
                 self.trace.emit(now, m, "update-success",
                                 tile=m, group=group.group_id, donor=donor_id,
-                                threads=len(threads))
+                                threads=len(snapshots))
                 self.ledger.settle((flt.PENDING, m), "corrected")
             else:
                 reason = "no-donor" if donor is None else "donor-snapshots-missing"
@@ -1250,7 +1223,7 @@ class Simulation:
             period_factor=entry.period_factor,
             correction_enabled=len(entry.tiles) >= 3,
         )
-        self._set_divisors(group)
+        self._bind_threads(group)
         self.groups[gid] = group
         self.group_order.append(gid)
 
@@ -1298,18 +1271,14 @@ class Simulation:
         self.timers[gid] = self.queue.schedule(now, Simulation._on_timer_checkpoint, gid)
 
     def _rebase_group(self, group: TileGroup):
-        """Recompute a group's period after its thread set changed."""
-        periods = [
-            s.checkpoint_period
-            for tg_id in group.thread_groups
-            for s in self.thread_groups[tg_id].threads
-        ]
-        new_base = min(periods)
+        """Rebind a group's threads after its thread set changed, and
+        recompute its period."""
+        self._bind_threads(group)
+        new_base = min(s.checkpoint_period for s in group.threads)
         if new_base == group.base_period:
             return
         group.base_period = new_base
         group.comparison_deadline = default_comparison_deadline(new_base)
-        self._set_divisors(group)
         for m in group.members:
             self.trace.emit(self.queue.now, m, "timer-adjusted",
                             tile=m, group=group.group_id, period=group.period)

@@ -24,8 +24,6 @@ STAGE2_NO_SPARE = "stage2-no-spare"
 
 @dataclass
 class Verdict:
-    group_id: str
-    checkpoint_index: int
     faulty: list[str]
     clique: list[str]
     unresolvable: bool = False
@@ -36,12 +34,7 @@ class Verdict:
         return not self.faulty and not self.unresolvable
 
 
-def arbitrate(
-    group_id: str,
-    checkpoint_index: int,
-    expected: list[str],
-    reports: dict[str, CheckpointReport],
-) -> Verdict:
+def arbitrate(expected: list[str], reports: dict[str, CheckpointReport]) -> Verdict:
     """Build the agreement graph over the expected members and judge it.
 
     The faulty set is everything outside the largest mutually-agreeing
@@ -78,16 +71,10 @@ def arbitrate(
     all_miss = bool(recorded) and all(v == MISS for v in recorded)
 
     if len(best) != 1:
-        return Verdict(
-            group_id, checkpoint_index, faulty=[], clique=[],
-            unresolvable=True, all_miss=all_miss,
-        )
+        return Verdict(faulty=[], clique=[], unresolvable=True, all_miss=all_miss)
     clique = list(best[0])
     faulty = [t for t in expected if t not in clique]
-    return Verdict(
-        group_id, checkpoint_index, faulty=faulty, clique=clique,
-        all_miss=all_miss,
-    )
+    return Verdict(faulty=faulty, clique=clique, all_miss=all_miss)
 
 
 @dataclass

@@ -90,8 +90,6 @@ class ThreadGroup:
     tg_id: str
     threads: list[ThreadSpec]
     criticality: int = 0
-    # thread_id -> check every n-th checkpoint; filled in when bound to a group
-    check_divisor: dict[str, int] = field(default_factory=dict)
     deactivated: bool = False
 
     def __post_init__(self):
@@ -113,6 +111,8 @@ class TileGroup:
     checkpoint_index: int = -1   # first checkpoint (at boot) is index 0
     correction_enabled: bool = True
     period_factor: int = 1       # grows when the frequency degradation lever fires
+    # the thread groups' threads, in order; bound whenever thread_groups changes
+    threads: list[ThreadSpec] = field(default_factory=list)
 
     def __post_init__(self):
         if self.base_period <= 0:
@@ -123,6 +123,12 @@ class TileGroup:
     @property
     def period(self) -> int:
         return self.base_period * self.period_factor
+
+    def checked(self, index: int) -> list[ThreadSpec]:
+        """Threads validated at checkpoint `index`: each thread every
+        period // base_period checkpoints of this group."""
+        base = self.base_period
+        return [s for s in self.threads if index % max(1, s.checkpoint_period // base) == 0]
 
 
 @dataclass

@@ -1,21 +1,14 @@
 from tilesim.lockstep import (
-    AGREE, DISAGREE, MISS, CheckpointCost, checked_threads,
-    compare_with_siblings, vote_outputs,
+    AGREE, DISAGREE, MISS, CheckpointCost, compare_with_siblings, vote_outputs,
 )
+from tilesim.tiles import TileGroup
 from tilesim.workload import OutputRecord, ThreadSpec
 
 
-def reader(table):
-    return lambda owner, thread: table.get((owner, thread))
-
-
 def test_all_agree():
-    table = {(t, "Ta"): 7 for t in ("C0", "C1", "C2")}
+    rows = {t: (7,) for t in ("C0", "C1", "C2")}
     rep = compare_with_siblings(
-        me="C0", members=["C0", "C1", "C2"],
-        written_at={"C0": 24, "C1": 24, "C2": 24}, deadline_at=100,
-        checked=["Ta"], checkpoint_index=1, read_checksum=reader(table),
-    )
+        "C0", ["C0", "C1", "C2"], {"C0": 24, "C1": 24, "C2": 24}, 100, rows)
     assert rep.verdicts == {"C1": AGREE, "C2": AGREE}
     assert not rep.detected_mismatch
     assert rep.completed_at == 24
@@ -24,72 +17,70 @@ def test_all_agree():
 def test_faulty_sibling_detected_and_comparison_stops():
     # the corrupt member disagrees with its first sibling and stops, so the
     # remaining sibling gets no verdict at all
-    table = {("C0", "Ta"): 7, ("C1", "Ta"): 7, ("C2", "Ta"): 9}
-    healthy = compare_with_siblings(
-        me="C0", members=["C0", "C1", "C2"],
-        written_at={"C0": 24, "C1": 24, "C2": 24}, deadline_at=100,
-        checked=["Ta"], checkpoint_index=2, read_checksum=reader(table),
-    )
+    rows = {"C0": (7,), "C1": (7,), "C2": (9,)}
+    written = {"C0": 24, "C1": 24, "C2": 24}
+    healthy = compare_with_siblings("C0", ["C0", "C1", "C2"], written, 100, rows)
     assert healthy.verdicts == {"C1": AGREE, "C2": DISAGREE}
     assert healthy.detected_mismatch
-    corrupt = compare_with_siblings(
-        me="C2", members=["C0", "C1", "C2"],
-        written_at={"C0": 24, "C1": 24, "C2": 24}, deadline_at=100,
-        checked=["Ta"], checkpoint_index=2, read_checksum=reader(table),
-    )
+    corrupt = compare_with_siblings("C2", ["C0", "C1", "C2"], written, 100, rows)
     assert corrupt.verdicts == {"C0": DISAGREE}
 
 
 def test_stop_on_first_mismatch_in_ready_order():
     # C1 becomes ready before C2; the mismatch with C1 halts comparison
-    table = {("C0", "Ta"): 7, ("C1", "Ta"): 8, ("C2", "Ta"): 7}
+    rows = {"C0": (7,), "C1": (8,), "C2": (7,)}
     rep = compare_with_siblings(
-        me="C0", members=["C0", "C1", "C2"],
-        written_at={"C0": 20, "C1": 30, "C2": 40}, deadline_at=100,
-        checked=["Ta"], checkpoint_index=3, read_checksum=reader(table),
-    )
+        "C0", ["C0", "C1", "C2"], {"C0": 20, "C1": 30, "C2": 40}, 100, rows)
     assert rep.verdicts == {"C1": DISAGREE}
     assert rep.completed_at == 30
 
 
 def test_deadline_miss():
-    table = {("C0", "Ta"): 7, ("C1", "Ta"): 7}
+    rows = {"C0": (7,), "C1": (7,)}
     rep = compare_with_siblings(
-        me="C0", members=["C0", "C1", "C2"],
-        written_at={"C0": 24, "C1": 30}, deadline_at=100,
-        checked=["Ta"], checkpoint_index=4, read_checksum=reader(table),
-    )
+        "C0", ["C0", "C1", "C2"], {"C0": 24, "C1": 30}, 100, rows)
     assert rep.verdicts == {"C1": AGREE, "C2": MISS}
     assert rep.completed_at == 100
 
 
 def test_blocked_reads_miss_everyone_but_stop_after_first():
-    table = {(t, "Ta"): 7 for t in ("C0", "C1", "C2")}
+    rows = {t: (7,) for t in ("C0", "C1", "C2")}
     rep = compare_with_siblings(
-        me="C0", members=["C0", "C1", "C2"],
-        written_at={"C0": 24, "C1": 24, "C2": 24}, deadline_at=100,
-        checked=["Ta"], checkpoint_index=5, read_checksum=reader(table),
-        reads_blocked=True,
-    )
+        "C0", ["C0", "C1", "C2"], {"C0": 24, "C1": 24, "C2": 24}, 100, rows,
+        reads_blocked=True)
     assert rep.verdicts == {"C1": MISS}
 
 
 def test_multi_thread_agreement_needs_all():
-    table = {("C0", "Ta"): 1, ("C0", "Tb"): 2,
-             ("C1", "Ta"): 1, ("C1", "Tb"): 99}
-    rep = compare_with_siblings(
-        me="C0", members=["C0", "C1"],
-        written_at={"C0": 24, "C1": 24}, deadline_at=100,
-        checked=["Ta", "Tb"], checkpoint_index=6, read_checksum=reader(table),
-    )
+    rows = {"C0": (1, 2), "C1": (1, 99)}
+    rep = compare_with_siblings("C0", ["C0", "C1"], {"C0": 24, "C1": 24}, 100, rows)
     assert rep.verdicts == {"C1": DISAGREE}
 
 
+def test_missing_own_entry_disagrees_even_with_an_equal_row():
+    # an entry lost from my validation memory cannot vouch for anything
+    rows = {"C0": (1, None), "C1": (1, None), "C2": (1, 5)}
+    rep = compare_with_siblings(
+        "C0", ["C0", "C1", "C2"], {"C0": 24, "C1": 24, "C2": 24}, 100, rows)
+    assert rep.verdicts == {"C1": DISAGREE}
+    assert rep.detected_mismatch
+
+
+def test_no_checked_thread_agrees():
+    rows = {"C0": (), "C1": ()}
+    rep = compare_with_siblings("C0", ["C0", "C1"], {"C0": 24, "C1": 24}, 100, rows)
+    assert rep.verdicts == {"C1": AGREE}
+
+
 def test_checked_threads_modular_schedule():
-    divisors = {"Ta": 1, "Tb": 3}
-    hits = [i for i in range(9) if "Tb" in checked_threads(["Ta", "Tb"], divisors, i)]
+    group = TileGroup("G1", ["C0"], ["TG"], base_period=1000,
+                      comparison_deadline=500, grace_period=100)
+    group.threads = [ThreadSpec("Ta", 1, 1000), ThreadSpec("Tb", 1, 3000)]
+    hits = [i for i in range(9) if "Tb" in [s.thread_id for s in group.checked(i)]]
     assert hits == [0, 3, 6]
-    assert all("Ta" in checked_threads(["Ta", "Tb"], divisors, i) for i in range(9))
+    assert all(group.checked(i)[0].thread_id == "Ta" for i in range(9))
+    group.base_period = 3000   # the divisor follows the group's own base
+    assert [len(group.checked(i)) for i in range(3)] == [2, 2, 2]
 
 
 def test_checkpoint_cost_accounting():

@@ -249,6 +249,29 @@ def test_tile_statuses_legal_at_end():
         assert tile.status in (ACTIVE, IDLE_SPARE, REBOOTING, DEFUNCT)
 
 
+# -- thread-group detachment -------------------------------------------------------
+
+def _detach(sim, group_id, tg_id):
+    sim._detach_tg(sim.groups[group_id], tg_id, sim.queue.now)
+
+
+def test_detach_keeping_base_period_drops_the_threads_from_checkpoints():
+    # both thread groups check every 1000 us, so detaching one leaves the
+    # group's base period as it was; its threads must still leave the plan
+    doc = make_doc(thread_groups=[{"id": "TG1", "threads": ["Ta"]},
+                                  {"id": "TG2", "threads": ["Tb"]}])
+    doc["tile_groups"][0]["thread_groups"] = ["TG1", "TG2"]
+    sim = Simulation(parse_scenario(doc))
+    sim.queue.schedule(2500, _detach, "G1", "TG2")
+    trace = sim.run()
+    group = sim.groups["G1"]
+    assert group.base_period == 1000
+    assert [s.thread_id for s in group.threads] == ["Ta"]
+    writes = trace.of_kind("validation-write")
+    assert {r.payload["threads"] for r in writes if r.at < 2500} == {2}
+    assert {r.payload["threads"] for r in writes if r.at > 2500} == {1}
+
+
 # -- output voting ---------------------------------------------------------------
 
 def output_doc(voting):

@@ -6,20 +6,19 @@ from tilesim.supervisor import (
 )
 
 
-def report(tile, verdicts, index=1):
-    return CheckpointReport(tile_id=tile, checkpoint_index=index,
-                            verdicts=verdicts, completed_at=0,
+def report(verdicts):
+    return CheckpointReport(verdicts=verdicts, completed_at=0,
                             detected_mismatch=any(v != AGREE for v in verdicts.values()))
 
 
 def test_all_agree_verdict():
     members = ["C0", "C1", "C2"]
     reports = {
-        "C0": report("C0", {"C1": AGREE, "C2": AGREE}),
-        "C1": report("C1", {"C0": AGREE, "C2": AGREE}),
-        "C2": report("C2", {"C0": AGREE, "C1": AGREE}),
+        "C0": report({"C1": AGREE, "C2": AGREE}),
+        "C1": report({"C0": AGREE, "C2": AGREE}),
+        "C2": report({"C0": AGREE, "C1": AGREE}),
     }
-    v = arbitrate("G1", 1, members, reports)
+    v = arbitrate(members, reports)
     assert v.all_agree
     assert v.clique == members
     assert v.faulty == []
@@ -29,11 +28,11 @@ def test_partial_reports_still_isolate_faulty():
     # the corrupt tile reported only its first comparison before stopping
     members = ["C0", "C1", "C2"]
     reports = {
-        "C0": report("C0", {"C1": AGREE, "C2": DISAGREE}),
-        "C1": report("C1", {"C0": AGREE, "C2": DISAGREE}),
-        "C2": report("C2", {"C0": DISAGREE}),
+        "C0": report({"C1": AGREE, "C2": DISAGREE}),
+        "C1": report({"C0": AGREE, "C2": DISAGREE}),
+        "C2": report({"C0": DISAGREE}),
     }
-    v = arbitrate("G1", 2, members, reports)
+    v = arbitrate(members, reports)
     assert v.faulty == ["C2"]
     assert v.clique == ["C0", "C1"]
 
@@ -41,47 +40,47 @@ def test_partial_reports_still_isolate_faulty():
 def test_silent_tile_is_faulty():
     members = ["C0", "C1", "C2"]
     reports = {
-        "C0": report("C0", {"C1": AGREE, "C2": MISS}),
-        "C1": report("C1", {"C0": AGREE, "C2": MISS}),
+        "C0": report({"C1": AGREE, "C2": MISS}),
+        "C1": report({"C0": AGREE, "C2": MISS}),
     }
-    v = arbitrate("G1", 3, members, reports)
+    v = arbitrate(members, reports)
     assert v.faulty == ["C2"]
 
 
 def test_pair_split_unresolvable():
     members = ["C0", "C1"]
     reports = {
-        "C0": report("C0", {"C1": DISAGREE}),
-        "C1": report("C1", {"C0": DISAGREE}),
+        "C0": report({"C1": DISAGREE}),
+        "C1": report({"C0": DISAGREE}),
     }
-    v = arbitrate("G1", 4, members, reports)
+    v = arbitrate(members, reports)
     assert v.unresolvable
 
 
 def test_four_member_two_two_split_unresolvable():
     members = ["C0", "C1", "C2", "C3"]
     reports = {
-        "C0": report("C0", {"C1": AGREE, "C2": DISAGREE}),
-        "C1": report("C1", {"C0": AGREE, "C2": DISAGREE}),
-        "C2": report("C2", {"C0": DISAGREE}),
-        "C3": report("C3", {"C0": DISAGREE}),
+        "C0": report({"C1": AGREE, "C2": DISAGREE}),
+        "C1": report({"C0": AGREE, "C2": DISAGREE}),
+        "C2": report({"C0": DISAGREE}),
+        "C3": report({"C0": DISAGREE}),
     }
     # C2~C3 also mutually agree: two cliques of size two tie
     reports["C2"].verdicts["C3"] = AGREE
     reports["C3"].verdicts["C2"] = AGREE
     reports["C3"].verdicts["C0"] = DISAGREE
-    v = arbitrate("G1", 5, members, reports)
+    v = arbitrate(members, reports)
     assert v.unresolvable
 
 
 def test_all_miss_flag():
     members = ["C0", "C1", "C2"]
     reports = {
-        "C0": report("C0", {"C1": MISS}),
-        "C1": report("C1", {"C0": MISS}),
-        "C2": report("C2", {"C0": MISS}),
+        "C0": report({"C1": MISS}),
+        "C1": report({"C0": MISS}),
+        "C2": report({"C0": MISS}),
     }
-    v = arbitrate("G1", 6, members, reports)
+    v = arbitrate(members, reports)
     assert v.unresolvable
     assert v.all_miss
 
