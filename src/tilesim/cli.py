@@ -1,7 +1,8 @@
 """Command line interface.
 
 Verbs: run, sweep, metrics, validate, replay-check. Exit codes: 0 success,
-1 validation error, 2 loss of mission (with --fail-on-loss).
+1 validation error or a replay-check mismatch, 2 loss of mission (with
+--fail-on-loss), 3 any other error, reported as one line on stderr.
 """
 
 from __future__ import annotations

@@ -54,9 +54,10 @@ class GroupCheckpoint:
 
 @dataclass
 class PendingUpdate:
+    """A donor state update awaited by an UPDATING spare joining the group,
+    or by a SUSPECT member the group commanded to update."""
     group_id: str
     donor: Optional[str]
-    reason: str              # "state-update" | "activation"
 
 
 @dataclass
@@ -107,8 +108,7 @@ class Simulation:
             specs = [scenario.threads[tid] for tid in tgc.threads]
             self.thread_groups[tgc.tg_id] = ThreadGroup(tg_id=tgc.tg_id, threads=specs)
 
-        self.groups: dict[str, TileGroup] = {}
-        self.group_order: list[str] = []
+        self.groups: dict[str, TileGroup] = {}   # in creation order
         for gc in scenario.tile_groups:
             self._make_group(gc)
 
@@ -129,7 +129,6 @@ class Simulation:
         self.full_reconfig = False
         self.watchdog_entry = None
         self.loss_of_mission = False
-        self.finished = False
         self.tg_active: dict[str, bool] = {}
         self.ledger = flt.FaultLedger(self.trace, self.queue)
         self.oracle_divergences = 0
@@ -151,12 +150,19 @@ class Simulation:
         )
         self._bind_threads(group)
         self.groups[gc.group_id] = group
-        self.group_order.append(gc.group_id)
         return group
 
     def _bind_threads(self, group: TileGroup):
         group.threads = [spec for tg_id in group.thread_groups
                          for spec in self.thread_groups[tg_id].threads]
+
+    def _join(self, tile: Tile, group: TileGroup, now: Optional[int]):
+        """Open a run window on `tile` for each of `group`'s thread groups,
+        running from `now`, or stopped until an update lands if None."""
+        for tg_id in group.thread_groups:
+            win = tile.windows[tg_id] = RunWindow()
+            if now is not None:
+                win.resume(now)
 
     def _participants(self, group: TileGroup) -> list[str]:
         return [m for m in group.members
@@ -178,7 +184,7 @@ class Simulation:
         self._schedule_faults()
         self._arm_watchdog(0)
 
-        while not self.finished:
+        while not self.loss_of_mission:
             nxt = self.queue.peek_time()
             if nxt is None or nxt > self.horizon:
                 break
@@ -200,8 +206,8 @@ class Simulation:
     def _initial_boot(self):
         for tile in self.tiles.values():
             self._boot_tile(tile, initial=True)
-        for gid in self.group_order:
-            self._set_tg_active(self.groups[gid], True, 0)
+        for gid, group in self.groups.items():
+            self._set_tg_active(group, True, 0)
             self.timers[gid] = self.queue.schedule(0, Simulation._on_timer_checkpoint, gid)
 
     def _schedule_faults(self):
@@ -246,22 +252,16 @@ class Simulation:
         for spec in self.scenario.threads.values():
             tile.threads[spec.thread_id] = workload.init_thread(spec, tile.tile_id)
 
-        member_of = [gid for gid in self.group_order
-                     if tile.tile_id in self.groups[gid].members]
+        member_of = [g for g in self.groups.values() if tile.tile_id in g.members]
         if member_of:
             tile.set_status(ACTIVE)
-            for gid in member_of:
-                group = self.groups[gid]
-                tile.groups.append(gid)
-                tile.hosted_groups.update(group.thread_groups)
-                for tg_id in group.thread_groups:
-                    win = RunWindow()
-                    win.resume(now)
-                    tile.windows[tg_id] = win
-            self.trace.emit(now, tile.tile_id, "boot", assigned=member_of)
+            for group in member_of:
+                self._join(tile, group, now)
+            self.trace.emit(now, tile.tile_id, "boot",
+                            assigned=[g.group_id for g in member_of])
             if not initial:
-                for gid in member_of:
-                    self._maybe_start_boot_checkpoint(self.groups[gid])
+                for group in member_of:
+                    self._maybe_start_boot_checkpoint(group)
         else:
             self.trace.emit(now, tile.tile_id, "boot", assigned=[])
             self.trace.emit(now, tile.tile_id, "tile-boot-checkpoint", tile=tile.tile_id)
@@ -537,7 +537,7 @@ class Simulation:
         return [m for m in group.members
                 if m in self.pending_updates
                 and self.pending_updates[m].group_id == group.group_id
-                and self.pending_updates[m].reason == "activation"]
+                and self.tiles[m].status == UPDATING]
 
     def _finish_agreeing_checkpoint(self, group: TileGroup, ctx: GroupCheckpoint,
                                     verdict: sup.Verdict):
@@ -679,8 +679,8 @@ class Simulation:
     def _detach_everywhere(self, tile_id: str):
         """A rebooted or halted tile takes all of its replicas with it: pull
         it from every group roster (replacement fills only one slot)."""
-        for gid in self.group_order:
-            self._drop_member(self.groups[gid], tile_id)
+        for group in self.groups.values():
+            self._drop_member(group, tile_id)
 
     def command_tile(self, tile_id: str, command: str, donor: Optional[str] = None,
                      group: Optional[TileGroup] = None):
@@ -699,8 +699,7 @@ class Simulation:
                 return
             self.trace.emit(now, "supervisor", "command",
                             tile=tile_id, command=command, donor=donor)
-            self.pending_updates[tile_id] = PendingUpdate(
-                group_id=group.group_id, donor=donor, reason="state-update")
+            self.pending_updates[tile_id] = PendingUpdate(group_id=group.group_id, donor=donor)
         elif command in ("reboot", "repair-reboot"):
             self.trace.emit(now, "supervisor", "command", tile=tile_id, command="reboot")
             self._reboot_tile(tile)
@@ -714,12 +713,8 @@ class Simulation:
                         tile=spare_id, command="activate-with-mapping",
                         group=group.group_id, thread_groups=list(group.thread_groups))
         spare.set_status(UPDATING)
-        spare.groups.append(group.group_id)
-        spare.hosted_groups.update(group.thread_groups)
-        for tg_id in group.thread_groups:
-            spare.windows[tg_id] = RunWindow()
-        self.pending_updates[spare_id] = PendingUpdate(
-            group_id=group.group_id, donor=donor, reason="activation")
+        self._join(spare, group, None)
+        self.pending_updates[spare_id] = PendingUpdate(group_id=group.group_id, donor=donor)
 
     def _replace_member(self, group: TileGroup, old: str, new: str):
         group.members[group.members.index(old)] = new
@@ -814,7 +809,7 @@ class Simulation:
                 self.trace.emit(now, m, "update-failed",
                                 tile=m, group=group.group_id, reason=reason)
                 self.ledger.move((flt.PENDING, m), (flt.TILE, m))
-                if pending.reason == "activation":
+                if tile.status == UPDATING:
                     # a joining spare that cannot sync goes back through reboot
                     self._drop_member(group, m)
                     self.command_tile(m, "reboot")
@@ -848,7 +843,7 @@ class Simulation:
                 absorbed("no-target")
                 return
             tg_id = next(
-                (tg for tg in sorted(tile.hosted_groups)
+                (tg for tg in sorted(tile.windows)
                  if ev.thread in (s.thread_id for s in self.thread_groups[tg].threads)),
                 None,
             )
@@ -867,10 +862,13 @@ class Simulation:
             if tile is None or not tile.is_member:
                 absorbed("no-target")
                 return
+            # only the open checkpoint that validates the thread reads the
+            # entry again; an entry of an earlier, resolved index is stale
             open_idx = None
-            for gid in tile.groups:
+            for gid, group in self.groups.items():
                 ctx = self.ctxs.get(gid)
-                if (ctx and not ctx.resolved
+                if (ev.tile in group.members and ctx and not ctx.resolved
+                        and ev.thread in ctx.checked
                         and tile.vmem.checksum_of(ev.thread, ctx.index) is not None):
                     open_idx = ctx.index
                     break
@@ -1018,8 +1016,7 @@ class Simulation:
                             Simulation._on_full_reconfig_done)
 
     def _halt_all_tiles(self, now: int):
-        for gid in self.group_order:
-            group = self.groups[gid]
+        for gid, group in self.groups.items():
             self._cancel_timer(gid)
             ctx = self.ctxs.get(gid)
             if ctx and not ctx.resolved:
@@ -1041,7 +1038,6 @@ class Simulation:
                             evidence=sorted(self.fabric.damaged_cells(fab.SHARED)))
             self.ledger.settle((flt.PARTITION, fab.SHARED), "degraded")
             self.loss_of_mission = True
-            self.finished = True
             return
         current = self.fabric.shared.active_variant
         nxt = next((i for i in viable if i > current), viable[0])
@@ -1127,10 +1123,7 @@ class Simulation:
         return plan
 
     def _hosting_group(self, tg_id: str) -> Optional[TileGroup]:
-        for gid in self.group_order:
-            if tg_id in self.groups[gid].thread_groups:
-                return self.groups[gid]
-        return None
+        return next((g for g in self.groups.values() if tg_id in g.thread_groups), None)
 
     def _apply_plan(self, plan: crit.Plan, requests: dict[str, crit.AllocRequest]):
         now = self.queue.now
@@ -1168,9 +1161,7 @@ class Simulation:
         tg.deactivated = True
         if host:
             self._detach_tg(host, entry.tg_id, now)
-        if self.tg_active.get(entry.tg_id, True):
-            self.tg_active[entry.tg_id] = False
-            self.trace.emit(now, "sim", "tg-active", tg=entry.tg_id, active=False)
+        self._mark_active(entry.tg_id, False, now)
         self.trace.emit(now, "supervisor", "tg-deactivated",
                         tg=entry.tg_id, loss_of_capability=entry.loss_of_capability)
 
@@ -1181,7 +1172,6 @@ class Simulation:
         for m in host.members:
             tile = self.tiles[m]
             self._advance_window(tile, tg_id, now)
-            tile.hosted_groups.discard(tg_id)
             tile.windows.pop(tg_id, None)
         if not host.thread_groups:
             self._dissolve_group(host)
@@ -1191,12 +1181,7 @@ class Simulation:
     def _dissolve_group(self, group: TileGroup):
         self._cancel_timer(group.group_id)
         self.ctxs.pop(group.group_id, None)
-        for m in group.members:
-            tile = self.tiles[m]
-            if group.group_id in tile.groups:
-                tile.groups.remove(group.group_id)
-        self.groups.pop(group.group_id, None)
-        self.group_order.remove(group.group_id)
+        del self.groups[group.group_id]
 
     def migrate_thread_group(self, entry: crit.PlanEntry, host: Optional[TileGroup],
                              request: crit.AllocRequest):
@@ -1225,7 +1210,6 @@ class Simulation:
         )
         self._bind_threads(group)
         self.groups[gid] = group
-        self.group_order.append(gid)
 
         if donor_id is None:
             self.trace.emit(now, "supervisor", "tg-restarted",
@@ -1244,11 +1228,7 @@ class Simulation:
                 self.pending_updates.pop(m, None)
                 self.ledger.move((flt.PENDING, m), (flt.TILE, m))
                 tile.set_status(ACTIVE)
-            tile.groups.append(gid)
-            tile.hosted_groups.add(entry.tg_id)
-            win = RunWindow()
-            win.resume(now)
-            tile.windows[entry.tg_id] = win
+            self._join(tile, group, now)
             for spec in tg.threads:
                 if donor is not None and m != donor_id:
                     snap = workload.sync_callback(donor.threads[spec.thread_id])
@@ -1265,9 +1245,8 @@ class Simulation:
         if entry.mode == crit.MODE_DETECT_ONLY:
             self.trace.emit(now, "supervisor", "tg-degraded",
                             tg=entry.tg_id, mode=entry.mode, levers=list(entry.levers))
-        if not tg.deactivated and not self.tg_active.get(entry.tg_id, False):
-            self.tg_active[entry.tg_id] = True
-            self.trace.emit(now, "sim", "tg-active", tg=entry.tg_id, active=True)
+        if not tg.deactivated:
+            self._mark_active(entry.tg_id, True, now)
         self.timers[gid] = self.queue.schedule(now, Simulation._on_timer_checkpoint, gid)
 
     def _rebase_group(self, group: TileGroup):
@@ -1289,8 +1268,7 @@ class Simulation:
     def _restore_groups(self):
         """When a spare appears, top up the first group running short."""
         now = self.queue.now
-        for gid in self.group_order:
-            group = self.groups[gid]
+        for gid, group in self.groups.items():
             if not group.correction_enabled:
                 continue
             if group.target_size - len(group.members) <= 0:
@@ -1312,11 +1290,13 @@ class Simulation:
 
     def _set_tg_active(self, group: TileGroup, active: bool, now: int):
         for tg_id in group.thread_groups:
-            if self.thread_groups[tg_id].deactivated:
-                continue
-            if self.tg_active.get(tg_id) != active:
-                self.tg_active[tg_id] = active
-                self.trace.emit(now, "sim", "tg-active", tg=tg_id, active=active)
+            if not self.thread_groups[tg_id].deactivated:
+                self._mark_active(tg_id, active, now)
+
+    def _mark_active(self, tg_id: str, active: bool, now: int):
+        if self.tg_active.get(tg_id) != active:
+            self.tg_active[tg_id] = active
+            self.trace.emit(now, "sim", "tg-active", tg=tg_id, active=active)
 
     def _arm_timer(self, group: TileGroup, at: int):
         self._cancel_timer(group.group_id)

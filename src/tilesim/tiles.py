@@ -163,14 +163,12 @@ class Tile:
         self.noise_seed = int.from_bytes(
             hashlib.blake2b(tile_id.encode(), digest_size=8).digest(), "little")
         self.status = BOOTING
-        self.groups: list[str] = []          # tile-group ids, in join order
-        self.hosted_groups: set[str] = set() # thread-group ids
         self.vmem = ValidationMemory(tile_id)
         self.sefi_blocked = False
         self.sefi_epoch = 0                  # bumps when a block is set or cleared
         self.persist_corrupt = False         # active fabric damage under this tile's footprint
         self.threads: dict[str, ThreadState] = {}
-        self.windows: dict[str, RunWindow] = {}  # thread-group id -> window
+        self.windows: dict[str, RunWindow] = {}  # hosted thread-group id -> window
 
     def set_status(self, new: str):
         if new == self.status:
@@ -180,8 +178,6 @@ class Tile:
             raise InvalidTransition(f"{self.tile_id}: {self.status} -> {new}")
         self.status = new
         if new in (DEFUNCT, IDLE_SPARE, REBOOTING):
-            self.groups.clear()
-            self.hosted_groups.clear()
             self.windows.clear()
 
     @property
@@ -200,6 +196,6 @@ def scheduler_step(tile: Tile) -> str:
     """The three conditions a tile checks when control returns to its scheduler."""
     if tile.status == UPDATING:
         return PERFORM_UPDATE
-    if tile.status == ACTIVE and tile.hosted_groups:
+    if tile.status == ACTIVE and tile.windows:
         return RUN_THREADS
     return SLEEP

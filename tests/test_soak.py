@@ -7,46 +7,7 @@ from tilesim.metrics import compute_metrics
 from tilesim.scenario import parse_scenario
 from tilesim.simulation import Simulation
 from tilesim.tiles import ACTIVE, SUSPECT, UPDATING
-
-
-def chaos_doc(seed):
-    return {
-        "name": "chaos", "seed": seed, "horizon": 60000,
-        "tiles": [{"id": "C0"}, {"id": "C1"}, {"id": "C2"}, {"id": "C3"},
-                  {"id": "C4"}, {"id": "C5", "spare": True}],
-        "threads": [
-            {"id": "Ta", "criticality": 8, "checkpoint_period": 1000,
-             "state_words": 4, "work_per_tick": 100, "emits_output": True,
-             "checksum_cost": 10, "sync_cost": 15, "update_cost": 15},
-            {"id": "Tb", "criticality": 3, "checkpoint_period": 2000,
-             "state_words": 4, "work_per_tick": 100,
-             "checksum_cost": 10, "sync_cost": 15, "update_cost": 15},
-            {"id": "Tc", "criticality": 5, "checkpoint_period": 1500,
-             "state_words": 6, "work_per_tick": 120,
-             "checksum_cost": 10, "sync_cost": 15, "update_cost": 15},
-        ],
-        "thread_groups": [{"id": "TG-ab", "threads": ["Ta", "Tb"]},
-                          {"id": "TG-c", "threads": ["Tc"]}],
-        "tile_groups": [
-            {"id": "G1", "members": ["C0", "C1", "C2"], "thread_groups": ["TG-ab"]},
-            {"id": "G2", "members": ["C3", "C4"], "thread_groups": ["TG-c"]},
-        ],
-        "supervisor": {"transient_threshold": 2, "defunct_threshold": 5},
-        "features": {"output_voting": True, "ecc": True},
-        "faults": {
-            "rates": {
-                "transient-state": 3e-4,
-                "transient-validation-memory": 5e-5,
-                "sefi-tile": 2e-5,
-                "sefi-shared": 4e-6,
-                "permanent-cell": 1e-5,
-                "memory-word": 5e-5,
-            },
-            "windows": [{"start": 20000, "end": 30000, "factor": 4.0}],
-            "multi_word_prob": 0.2,
-            "sefi_duration": 1200,
-        },
-    }
+from trace_corpus import chaos_doc, shared_tile_doc
 
 
 class Checked(Simulation):
@@ -63,13 +24,15 @@ class Checked(Simulation):
                 f"pooled tile {tid} is {self.tiles[tid].status}"
         for gid, group in self.groups.items():
             for m in group.members:
-                tile = self.tiles[m]
-                if tile.status in (ACTIVE, SUSPECT, UPDATING):
-                    assert gid in tile.groups, f"{m} lost its binding to {gid}"
+                if self.tiles[m].status in (ACTIVE, SUSPECT, UPDATING):
+                    for tg_id in group.thread_groups:
+                        assert tg_id in self.tiles[m].windows, \
+                            f"{m} runs no window of {tg_id} for {gid}"
         for tid, tile in self.tiles.items():
-            for gid in tile.groups:
-                assert tid in self.groups[gid].members, \
-                    f"{tid} bound to {gid} without membership"
+            for tg_id in tile.windows:
+                assert any(tg_id in g.thread_groups and tid in g.members
+                           for g in self.groups.values()), \
+                    f"{tid} runs {tg_id} for no group that lists it"
         # permanent damage never shrinks
         dd = {k for k, fl in self.fabric.damage.items() if fl == "dd"}
         assert dd >= self._last_dd
@@ -101,16 +64,6 @@ def test_chaos_soak_over_seeds():
         assert trace.to_jsonl() == again.to_jsonl(), f"seed {seed}: not deterministic"
 
 
-def shared_tile_doc(seed, transient_threshold):
-    doc = chaos_doc(seed)
-    doc["tile_groups"] = [
-        {"id": "G1", "members": ["C0", "C1", "C2"], "thread_groups": ["TG-ab"]},
-        {"id": "G2", "members": ["C2", "C3", "C4"], "thread_groups": ["TG-c"]},
-    ]
-    doc["supervisor"] = {"transient_threshold": transient_threshold, "defunct_threshold": 5}
-    return doc
-
-
 # C2 serves both groups. At (3, 63) G1's group-reboot reboots C2 while a
 # state update that G2 ordered for it still holds a detected fault; in the
 # other cases G2 blames C2 in the same instant as G1's reboot wiped its
@@ -126,3 +79,18 @@ def test_shared_tile_reboot(threshold, seed):
     assert compute_metrics(trace.records).identity_holds()
     assert sim.oracle_divergences == 0
     assert not lost_faults(sim, trace)
+
+
+def test_vmem_fault_skips_another_groups_resolved_entry():
+    # At t=1515 G2's checkpoint 1 is open on C2, but C2's entry (Ta, 1) is
+    # the one G1 wrote for its own checkpoint 1, resolved at t=1036: Ta is
+    # not validated by G2, so nothing reads that entry again.
+    doc = shared_tile_doc(0, 3)
+    doc["horizon"] = 8000
+    doc["faults"] = {"explicit": [{"at": 1515, "kind": "transient-validation-memory",
+                                   "tile": "C2", "thread": "Ta", "mask": 1}]}
+    trace = Simulation(parse_scenario(doc)).run()
+    fault = next(r.payload for r in trace.records if r.kind == "fault")
+    assert (fault["disposition"], fault.get("reason")) == ("absorbed", "stale-entry")
+    summary = compute_metrics(trace.records)
+    assert summary.undetected == 0 and summary.identity_holds()

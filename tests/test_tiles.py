@@ -61,13 +61,12 @@ def test_status_machine_rejects_illegal():
 def test_spare_and_defunct_host_nothing():
     tile = Tile("C0", "p0")
     tile.set_status(ACTIVE)
-    tile.groups.append("G1")
-    tile.hosted_groups.add("TG1")
+    tile.windows["TG1"] = RunWindow()
     tile.set_status(REBOOTING)
-    assert not tile.groups and not tile.hosted_groups
+    assert not tile.windows
     tile.set_status(BOOTING)
     tile.set_status(DEFUNCT)
-    assert not tile.hosted_groups
+    assert not tile.windows
 
 
 def test_tile_group_invariants():
@@ -85,9 +84,9 @@ def test_tile_group_invariants():
 def test_scheduler_step_conditions():
     tile = Tile("C0", "p0")
     tile.set_status(ACTIVE)
-    tile.hosted_groups.add("TG1")
+    tile.windows["TG1"] = RunWindow()
     assert scheduler_step(tile) == RUN_THREADS
-    tile.hosted_groups.clear()
+    tile.windows.clear()
     assert scheduler_step(tile) == SLEEP
     spare = Tile("C1", "p1")
     spare.set_status(IDLE_SPARE)

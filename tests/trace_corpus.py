@@ -1,0 +1,106 @@
+"""Corpus oracle: one SHA-256 over many runs' traces, one over their metrics.
+
+Run it before and after a change that must keep the trace bytes:
+
+    python3 tests/trace_corpus.py
+
+The corpus is the bundled scenarios, chaos seeds 0-299, and the shared-tile
+variant (C2 serves both groups) at transient thresholds 3 and 2 over seeds
+0-399: 1104 runs, about 40 s. The first hash covers each run's JSONL trace,
+the second each run's `compute_metrics(...).to_json()`, in that run order.
+It needs only the standard library; pytest does not collect it, and the
+soak and digest tests take their scenario documents from here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from tilesim.metrics import compute_metrics  # noqa: E402
+from tilesim.scenario import load_scenario, parse_scenario  # noqa: E402
+from tilesim.simulation import Simulation  # noqa: E402
+
+BUNDLED = ("fig3", "fig6", "storm", "exhaustion")
+
+
+def chaos_doc(seed):
+    return {
+        "name": "chaos", "seed": seed, "horizon": 60000,
+        "tiles": [{"id": "C0"}, {"id": "C1"}, {"id": "C2"}, {"id": "C3"},
+                  {"id": "C4"}, {"id": "C5", "spare": True}],
+        "threads": [
+            {"id": "Ta", "criticality": 8, "checkpoint_period": 1000,
+             "state_words": 4, "work_per_tick": 100, "emits_output": True,
+             "checksum_cost": 10, "sync_cost": 15, "update_cost": 15},
+            {"id": "Tb", "criticality": 3, "checkpoint_period": 2000,
+             "state_words": 4, "work_per_tick": 100,
+             "checksum_cost": 10, "sync_cost": 15, "update_cost": 15},
+            {"id": "Tc", "criticality": 5, "checkpoint_period": 1500,
+             "state_words": 6, "work_per_tick": 120,
+             "checksum_cost": 10, "sync_cost": 15, "update_cost": 15},
+        ],
+        "thread_groups": [{"id": "TG-ab", "threads": ["Ta", "Tb"]},
+                          {"id": "TG-c", "threads": ["Tc"]}],
+        "tile_groups": [
+            {"id": "G1", "members": ["C0", "C1", "C2"], "thread_groups": ["TG-ab"]},
+            {"id": "G2", "members": ["C3", "C4"], "thread_groups": ["TG-c"]},
+        ],
+        "supervisor": {"transient_threshold": 2, "defunct_threshold": 5},
+        "features": {"output_voting": True, "ecc": True},
+        "faults": {
+            "rates": {
+                "transient-state": 3e-4,
+                "transient-validation-memory": 5e-5,
+                "sefi-tile": 2e-5,
+                "sefi-shared": 4e-6,
+                "permanent-cell": 1e-5,
+                "memory-word": 5e-5,
+            },
+            "windows": [{"start": 20000, "end": 30000, "factor": 4.0}],
+            "multi_word_prob": 0.2,
+            "sefi_duration": 1200,
+        },
+    }
+
+
+def shared_tile_doc(seed, transient_threshold):
+    doc = chaos_doc(seed)
+    doc["tile_groups"] = [
+        {"id": "G1", "members": ["C0", "C1", "C2"], "thread_groups": ["TG-ab"]},
+        {"id": "G2", "members": ["C2", "C3", "C4"], "thread_groups": ["TG-c"]},
+    ]
+    doc["supervisor"] = {"transient_threshold": transient_threshold, "defunct_threshold": 5}
+    return doc
+
+
+def corpus():
+    for name in BUNDLED:
+        yield load_scenario(name)
+    for seed in range(300):
+        yield parse_scenario(chaos_doc(seed), name="chaos")
+    for threshold in (3, 2):
+        for seed in range(400):
+            yield parse_scenario(shared_tile_doc(seed, threshold), name="shared-tile")
+
+
+def main() -> int:
+    traces, metrics = hashlib.sha256(), hashlib.sha256()
+    runs = 0
+    for scenario in corpus():
+        trace = Simulation(scenario).run()
+        traces.update(trace.to_jsonl().encode())
+        metrics.update(compute_metrics(trace.records).to_json().encode())
+        runs += 1
+    print(f"runs    {runs}")
+    print(f"traces  {traces.hexdigest()}")
+    print(f"metrics {metrics.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
