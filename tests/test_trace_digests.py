@@ -4,16 +4,17 @@ The trace is the simulator's behavioural contract. A change that keeps
 these digests keeps the behaviour of every bundled scenario and of the
 first chaos-soak seeds, whatever it does to the code underneath. The
 shared-tile pins cover a tile serving two groups: a command to a rebooting
-tile, a reboot that settles a pending update, and a stale participant.
+tile, a reboot that settles a pending update, and a stale participant. The
+wide-group pins cover arbitration over one 14-tile group.
 """
 
 import hashlib
 
 import pytest
 
-from test_soak import chaos_doc, shared_tile_doc
 from tilesim.scenario import load_scenario, parse_scenario
 from tilesim.simulation import Simulation
+from trace_corpus import chaos_doc, shared_tile_doc, wide_doc
 
 BUNDLED_DIGESTS = {
     "fig3": "d80b81eaa01c083210c2482ef0de823c4d06e90ac7cb827d8c285275a7a188af",
@@ -30,7 +31,7 @@ CHAOS_DIGESTS = {
     4: "4628184203fc2f5126941ed9a8fa607f8fd0502e168b2ac9b4ce249d8ae5de63",
 }
 
-# (transient threshold, seed) -> digest, for test_soak.shared_tile_doc
+# (transient threshold, seed) -> digest, for trace_corpus.shared_tile_doc
 SHARED_TILE_DIGESTS = {
     (3, 63): "4e8c6b5cc5ea888a4e2721005d9d273d4c123406cb2826ed14993853510a9717",
     (3, 22): "79462b2b602b6665dbfba184f3e34e42f4219929de010d6957dc994757c84ecb",
@@ -38,6 +39,13 @@ SHARED_TILE_DIGESTS = {
     (2, 221): "64730293289a943be780765a8ecd93485643c89fb519f58e59016adc858a7e44",
     (2, 322): "6d02768759cc2fa67d705bffacb7955a8aef6fdc52b2239a7a186dd607ef1368",
     (2, 100): "e2a79d42654245e1866ecd31c3af696d2b506ae1f40689681b52213ecb645e50",
+}
+
+WIDE_DIGESTS = {
+    0: "28eb9c81387ea45c2e2fe19adfba1093617fa14c7a6441a93961fe528cedc8a8",
+    1: "ab8079738aa75072a6cf4766e34eb398c925d13c1730f99575d7a1e930dc476e",
+    2: "a0ee79534e592acb3ef3a2db41ec8dd84305392a8fb116595dfbab2f01dfc1a3",
+    3: "43096484d4b42d90f0fa1d6d22524ece39a5ff36145515168bac77d5dd6b1bc2",
 }
 
 
@@ -59,3 +67,9 @@ def test_chaos_seed_trace_digest(seed):
 def test_shared_tile_trace_digest(threshold, seed):
     sc = parse_scenario(shared_tile_doc(seed, threshold), name="shared-tile")
     assert trace_digest(sc) == SHARED_TILE_DIGESTS[(threshold, seed)]
+
+
+@pytest.mark.parametrize("seed", sorted(WIDE_DIGESTS))
+def test_wide_group_trace_digest(seed):
+    sc = parse_scenario(wide_doc(seed), name="wide-group")
+    assert trace_digest(sc) == WIDE_DIGESTS[seed]

@@ -8,6 +8,8 @@ The corpus is the bundled scenarios, chaos seeds 0-299, and the shared-tile
 variant (C2 serves both groups) at transient thresholds 3 and 2 over seeds
 0-399: 1104 runs, about 40 s. The first hash covers each run's JSONL trace,
 the second each run's `compute_metrics(...).to_json()`, in that run order.
+A third line hashes the wide-group variant (one 14-tile group) over seeds
+0-59, traces then metrics, so that arbitration of wide groups is covered.
 It needs only the standard library; pytest does not collect it, and the
 soak and digest tests take their scenario documents from here.
 """
@@ -78,6 +80,22 @@ def shared_tile_doc(seed, transient_threshold):
     return doc
 
 
+def wide_doc(seed):
+    """The chaos document reshaped into one 14-tile group with two spares
+    and every fault rate x4, as in the `wide-group` benchmark workload."""
+    doc = chaos_doc(seed)
+    doc["name"] = "wide-group"
+    members = [f"C{i}" for i in range(14)]
+    doc["tiles"] = ([{"id": m} for m in members]
+                    + [{"id": f"S{i}", "spare": True} for i in range(2)])
+    doc["thread_groups"] = [{"id": "TG-abc", "threads": ["Ta", "Tb", "Tc"]}]
+    doc["tile_groups"] = [{"id": "G1", "members": members, "thread_groups": ["TG-abc"]}]
+    doc["supervisor"] = {"transient_threshold": 5, "defunct_threshold": 20}
+    rates = doc["faults"]["rates"]
+    doc["faults"]["rates"] = {kind: 4 * rate for kind, rate in rates.items()}
+    return doc
+
+
 def corpus():
     for name in BUNDLED:
         yield load_scenario(name)
@@ -88,17 +106,29 @@ def corpus():
             yield parse_scenario(shared_tile_doc(seed, threshold), name="shared-tile")
 
 
-def main() -> int:
+def wide_corpus():
+    for seed in range(60):
+        yield parse_scenario(wide_doc(seed), name="wide-group")
+
+
+def hashes(scenarios):
     traces, metrics = hashlib.sha256(), hashlib.sha256()
     runs = 0
-    for scenario in corpus():
+    for scenario in scenarios:
         trace = Simulation(scenario).run()
         traces.update(trace.to_jsonl().encode())
         metrics.update(compute_metrics(trace.records).to_json().encode())
         runs += 1
+    return runs, traces.hexdigest(), metrics.hexdigest()
+
+
+def main() -> int:
+    runs, traces, metrics = hashes(corpus())
     print(f"runs    {runs}")
-    print(f"traces  {traces.hexdigest()}")
-    print(f"metrics {metrics.hexdigest()}")
+    print(f"traces  {traces}")
+    print(f"metrics {metrics}")
+    runs, traces, metrics = hashes(wide_corpus())
+    print(f"wide    {runs} runs, traces {traces}, metrics {metrics}")
     return 0
 
 
