@@ -23,6 +23,11 @@ from .workload import ThreadSpec
 
 BUNDLED = ("fig3", "fig6", "exhaustion", "storm")
 
+# The widest tile group a scenario may declare. Arbitration's worst case, an
+# agreement graph of disagreeing triples, has 3^(n/3) largest cliques; at 24
+# members one such checkpoint takes about 10 ms to judge.
+MAX_GROUP_MEMBERS = 24
+
 
 def default_comparison_deadline(base_period: int) -> int:
     """A group's comparison deadline unless its config sets one: 10% of its
@@ -384,6 +389,8 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         members = group.members
         if len(members) < 2:
             problems.append(f"{path}: tile groups need at least 2 members")
+        if len(members) > MAX_GROUP_MEMBERS:
+            problems.append(f"{path}: at most {MAX_GROUP_MEMBERS} members")
         if len(set(members)) != len(members):
             problems.append(f"{path}: duplicate members")
         for m in members:

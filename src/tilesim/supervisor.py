@@ -10,7 +10,6 @@ state update, spare replacement, and permanent-defect classification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .lockstep import AGREE, DISAGREE, MISS, CheckpointReport
@@ -44,37 +43,88 @@ def arbitrate(expected: list[str], reports: dict[str, CheckpointReport]) -> Verd
     unresolvable: with partial, possibly lying reports there is no safe
     pick, so the whole group must be rebooted. A lone member is trivially
     a clique of one.
+
+    The largest cliques are found by a Bron-Kerbosch search with Tomita
+    pivoting over bit masks (bit i stands for expected[i]). Every largest
+    clique is maximal, so the verdict is the one that trying every subset,
+    largest first, would give.
     """
-    edges = set()
-    for i, j in combinations(expected, 2):
-        ri, rj = reports.get(i), reports.get(j)
-        if ri is None or rj is None:
+    n = len(expected)
+    adj = [0] * n
+    seen = []  # (index, tile, verdicts) of the members with a report so far
+    for j, b in enumerate(expected):
+        rb = reports.get(b)
+        if rb is None:
             continue
-        vi, vj = ri.verdicts.get(j), rj.verdicts.get(i)
-        if vi in (DISAGREE, MISS) or vj in (DISAGREE, MISS):
-            continue
-        if vi == AGREE or vj == AGREE:
-            edges.add((i, j))
+        vb = rb.verdicts
+        for i, a, va in seen:
+            vi, vj = va.get(b), vb.get(a)
+            if vi in (DISAGREE, MISS) or vj in (DISAGREE, MISS):
+                continue
+            if vi == AGREE or vj == AGREE:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        seen.append((j, b, vb))
 
-    def is_clique(subset):
-        return all((a, b) in edges for a, b in combinations(subset, 2))
+    best = [1]  # a clique has one member or more; an empty group finds none
+    _expand(adj, 0, (1 << n) - 1, 0, best)
 
-    best: list[tuple[str, ...]] = []
-    for size in range(len(expected), 0, -1):
-        for subset in combinations(expected, size):
-            if is_clique(subset):
-                best.append(subset)
-        if best:
-            break
+    # an edge needs an AGREE, so only an edgeless graph can be all misses
+    all_miss = False
+    if not any(adj):
+        recorded = [v for r in reports.values() for v in r.verdicts.values()]
+        all_miss = bool(recorded) and all(v == MISS for v in recorded)
 
-    recorded = [v for r in reports.values() for v in r.verdicts.values()]
-    all_miss = bool(recorded) and all(v == MISS for v in recorded)
-
-    if len(best) != 1:
+    if len(best) != 2:
         return Verdict(faulty=[], clique=[], unresolvable=True, all_miss=all_miss)
-    clique = list(best[0])
-    faulty = [t for t in expected if t not in clique]
+    clique, faulty = [], []
+    for i, t in enumerate(expected):
+        (clique if best[1] >> i & 1 else faulty).append(t)
     return Verdict(faulty=faulty, clique=clique, all_miss=all_miss)
+
+
+def _expand(adj: list[int], clique: int, cand: int, excl: int, best: list[int]):
+    """One Bron-Kerbosch step: extend `clique` by vertices of `cand`; `excl`
+    holds the vertices whose extensions are already done.
+
+    `best` is the size of the largest clique found so far, followed by the
+    cliques of that size. The search stops growing it at two of them: only
+    a strictly larger clique can still change the verdict.
+    """
+    ncand = cand.bit_count()
+    reach = (clique | cand).bit_count()
+    if reach < best[0] or (reach == best[0] and len(best) > 2):
+        return
+    pivot, pivot_deg, closed = 0, -1, True
+    rest = cand | excl
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        deg = (cand & adj[v]).bit_count()
+        if low & excl:
+            if deg == ncand:
+                return  # v extends every clique here: none is maximal
+        elif deg != ncand - 1:
+            closed = False
+        if deg > pivot_deg:
+            pivot, pivot_deg = v, deg
+    if closed:
+        # cand is itself a clique, so clique | cand is the one maximal
+        # clique in this branch
+        if reach > best[0]:
+            best[:] = [reach, clique | cand]
+        else:
+            best.append(clique | cand)
+        return
+    branch = cand & ~adj[pivot]
+    while branch:
+        low = branch & -branch
+        branch ^= low
+        v = low.bit_length() - 1
+        _expand(adj, clique | low, cand & adj[v], excl & adj[v], best)
+        cand ^= low
+        excl |= low
 
 
 @dataclass

@@ -7,10 +7,11 @@ import pytest
 from tilesim.criticality import CriticalityPolicy
 from tilesim.faults import FaultEvent, FaultProfile, RateWindow
 from tilesim.scenario import (
-    BUNDLED, CostConfig, FabricConfig, FeatureConfig, Scenario, ScenarioError,
+    BUNDLED, MAX_GROUP_MEMBERS, CostConfig, FabricConfig, FeatureConfig, Scenario, ScenarioError,
     SupervisorConfig, TileConfig, TileGroupConfig, apply_override, load_scenario,
     parse_scenario,
 )
+from tilesim.simulation import Simulation
 from tilesim.workload import ThreadSpec
 
 
@@ -76,6 +77,29 @@ def test_all_problems_reported_at_once():
     assert "horizon" in text
     assert "at least 2 members" in text
     assert "nope" in text
+
+
+def wide_group_doc(size):
+    doc = minimal_doc()
+    members = [f"C{i}" for i in range(size)]
+    doc["tiles"] = [{"id": m} for m in members]
+    doc["tile_groups"][0]["members"] = members
+    return doc
+
+
+def test_group_wider_than_bound_rejected():
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(wide_group_doc(MAX_GROUP_MEMBERS + 1))
+    assert err.value.problems == ["tile_groups[0]: at most 24 members"]
+
+
+def test_group_at_bound_parses_and_runs():
+    s = parse_scenario(wide_group_doc(MAX_GROUP_MEMBERS))
+    assert len(s.tile_groups[0].members) == 24
+    verdicts = Simulation(s).run().of_kind("verdict")
+    assert verdicts
+    assert all(v.payload["result"] == "all-agree" and v.payload["participants"] == 24
+               for v in verdicts)
 
 
 def test_spare_cannot_be_group_member():

@@ -1,8 +1,13 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilesim.lockstep import AGREE, DISAGREE, MISS, CheckpointReport
 from tilesim.supervisor import (
-    DEFUNCT_STAGE2, REPLACE, STAGE2_NO_SPARE, STATE_UPDATE, Supervisor, arbitrate,
+    DEFUNCT_STAGE2, REPLACE, STAGE2_NO_SPARE, STATE_UPDATE, Supervisor, Verdict,
+    arbitrate,
 )
 
 
@@ -83,6 +88,106 @@ def test_all_miss_flag():
     v = arbitrate(members, reports)
     assert v.unresolvable
     assert v.all_miss
+
+
+def brute_force_arbitrate(expected, reports):
+    """The reference arbitration: try every subset of the group, largest
+    first, and keep the cliques of the first size that has any."""
+    edges = set()
+    for i, j in combinations(expected, 2):
+        ri, rj = reports.get(i), reports.get(j)
+        if ri is None or rj is None:
+            continue
+        vi, vj = ri.verdicts.get(j), rj.verdicts.get(i)
+        if vi in (DISAGREE, MISS) or vj in (DISAGREE, MISS):
+            continue
+        if vi == AGREE or vj == AGREE:
+            edges.add((i, j))
+
+    def is_clique(subset):
+        return all((a, b) in edges for a, b in combinations(subset, 2))
+
+    best = []
+    for size in range(len(expected), 0, -1):
+        for subset in combinations(expected, size):
+            if is_clique(subset):
+                best.append(subset)
+        if best:
+            break
+
+    recorded = [v for r in reports.values() for v in r.verdicts.values()]
+    all_miss = bool(recorded) and all(v == MISS for v in recorded)
+
+    if len(best) != 1:
+        return Verdict(faulty=[], clique=[], unresolvable=True, all_miss=all_miss)
+    clique = list(best[0])
+    faulty = [t for t in expected if t not in clique]
+    return Verdict(faulty=faulty, clique=clique, all_miss=all_miss)
+
+
+TILES = [f"C{i}" for i in range(12)]
+VERDICTS = (AGREE, DISAGREE, MISS)
+
+
+@st.composite
+def report_sets(draw):
+    """Up to 10 expected members in any order, drawn from 12 tiles, so some
+    tiles report or are judged without being expected. Each tile holds one
+    of three states, half of them the first. About one tile in six sends no
+    report and one verdict in six is missing; the rest compare states
+    truthfully, or partly at random, or every verdict is a miss."""
+    expected = draw(st.permutations(TILES))[:draw(st.integers(0, 10))]
+    state = {t: draw(st.sampled_from((0, 0, 1, 2))) for t in TILES}
+    mode = draw(st.sampled_from(("truthful", "truthful", "noisy", "noisy", "all-miss")))
+    reports = {}
+    for tile in TILES:
+        if not draw(st.integers(0, 5)):
+            continue
+        verdicts = {}
+        for other in TILES:
+            if other == tile or not draw(st.integers(0, 5)):
+                continue
+            if mode == "all-miss":
+                verdicts[other] = MISS
+            elif mode == "noisy" and draw(st.booleans()):
+                verdicts[other] = draw(st.sampled_from(VERDICTS))
+            else:
+                verdicts[other] = AGREE if state[tile] == state[other] else DISAGREE
+        reports[tile] = report(verdicts)
+    return expected, reports
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(report_sets())
+def test_arbitrate_matches_brute_force(case):
+    expected, reports = case
+    assert arbitrate(expected, reports) == brute_force_arbitrate(expected, reports)
+
+
+def full_reports(members, agree):
+    """Every member reports on every other; agree(a, b) says whether they match."""
+    return {a: report({b: AGREE if agree(a, b) else DISAGREE
+                       for b in members if b != a})
+            for a in members}
+
+
+def test_moon_moser_group_of_24_is_unresolvable():
+    # members in eight triples that disagree inside, agree across: 3^8
+    # largest cliques of size 8 tie
+    members = [f"C{i}" for i in range(24)]
+    triple = {m: i // 3 for i, m in enumerate(members)}
+    reports = full_reports(members, lambda a, b: triple[a] != triple[b])
+    v = arbitrate(members, reports)
+    assert v.unresolvable
+    assert not v.all_miss
+
+
+def test_one_disagreeing_tile_in_group_of_24_is_faulty():
+    members = [f"C{i}" for i in range(24)]
+    reports = full_reports(members, lambda a, b: "C17" not in (a, b))
+    v = arbitrate(members, reports)
+    assert v.faulty == ["C17"]
+    assert v.clique == [m for m in members if m != "C17"]
 
 
 def supervisor(transient=3, defunct=10, spares=("C3",)):
