@@ -8,11 +8,10 @@ absorbed == injected.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .trace import TraceRecord
+from .trace import TraceRecord, encode_canonical
 
 OUTCOMES = ("corrected", "replaced", "repaired", "degraded")
 
@@ -83,7 +82,7 @@ class MetricsSummary:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")) + "\n"
+        return encode_canonical(self.to_dict()) + "\n"
 
 
 def compute_metrics(records: Iterable[TraceRecord]) -> MetricsSummary:

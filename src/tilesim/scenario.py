@@ -19,6 +19,7 @@ from typing import Any, Optional
 
 from . import faults
 from .criticality import CriticalityPolicy
+from .trace import encode_canonical
 from .workload import ThreadSpec
 
 BUNDLED = ("fig3", "fig6", "exhaustion", "storm")
@@ -126,7 +127,7 @@ class Scenario:
     raw: dict = field(default_factory=dict, metadata={"key": None})
 
     def canonical_json(self) -> str:
-        return json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
+        return encode_canonical(self.raw)
 
     def base_period(self, group: TileGroupConfig) -> int:
         periods = [

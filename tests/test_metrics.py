@@ -1,10 +1,13 @@
 import io
 import json
 
+import pytest
+
 from tilesim.metrics import compute_metrics
 from tilesim.runner import run_simulation
 from tilesim.scenario import load_scenario, parse_scenario
 from tilesim.trace import Trace, read_jsonl
+from trace_corpus import BUNDLED, chaos_doc, wide_doc
 
 
 def storm_run():
@@ -60,13 +63,33 @@ def test_availability_reflects_deactivation():
     assert summary.availability == {"Ta": 0.6}
 
 
-def test_trace_roundtrip_preserves_records():
-    trace, _ = storm_run()
-    back = read_jsonl(io.StringIO(trace.to_jsonl()))
+ROUNDTRIP_SCENARIOS = {
+    **{name: load_scenario(name) for name in BUNDLED},
+    **{f"chaos-{seed}": parse_scenario(chaos_doc(seed), name="chaos") for seed in range(5)},
+    **{f"wide-{seed}": parse_scenario(wide_doc(seed), name="wide-group") for seed in range(2)},
+}
+
+
+@pytest.mark.parametrize("scenario", ROUNDTRIP_SCENARIOS.values(), ids=ROUNDTRIP_SCENARIOS.keys())
+def test_jsonl_read_back_equals_emitted_records(scenario):
+    trace, _ = run_simulation(scenario)
+    text = trace.to_jsonl()
+    back = read_jsonl(io.StringIO(text))
     assert len(back) == len(trace.records)
-    assert back[0].kind == "run-start"
-    assert all(a.at == b.at and a.kind == b.kind
-               for a, b in zip(back, trace.records))
+    for read, emitted in zip(back, trace.records):
+        assert read == emitted
+        assert (read.at, read.actor, read.kind, read.payload) == \
+            (emitted.at, emitted.actor, emitted.kind, emitted.payload)
+    assert "".join(rec.to_json() + "\n" for rec in back) == text
+
+
+def test_emit_rejects_time_going_backwards():
+    trace = Trace()
+    trace.emit(5, "sim", "tick")
+    trace.emit(5, "sim", "tick")
+    with pytest.raises(ValueError, match="backwards"):
+        trace.emit(4, "sim", "tick")
+    assert [r.at for r in trace.records] == [5, 5]
 
 
 def test_trace_records_time_ordered():

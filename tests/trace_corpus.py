@@ -8,6 +8,9 @@ The corpus is the bundled scenarios, chaos seeds 0-299, and the shared-tile
 variant (C2 serves both groups) at transient thresholds 3 and 2 over seeds
 0-399: 1104 runs, about 40 s. The first hash covers each run's JSONL trace,
 the second each run's `compute_metrics(...).to_json()`, in that run order.
+Each run's JSONL is also read back with `read_jsonl`: the script exits 1,
+naming the run, unless the records read back re-serialise to the same bytes
+and give the same metrics.
 A third line hashes the wide-group variant (one 14-tile group) over seeds
 0-59, traces then metrics, so that arbitration of wide groups is covered.
 It needs only the standard library; pytest does not collect it, and the
@@ -17,6 +20,7 @@ soak and digest tests take their scenario documents from here.
 from __future__ import annotations
 
 import hashlib
+import io
 import sys
 from pathlib import Path
 
@@ -26,6 +30,7 @@ if __name__ == "__main__":
 from tilesim.metrics import compute_metrics  # noqa: E402
 from tilesim.scenario import load_scenario, parse_scenario  # noqa: E402
 from tilesim.simulation import Simulation  # noqa: E402
+from tilesim.trace import read_jsonl  # noqa: E402
 
 BUNDLED = ("fig3", "fig6", "storm", "exhaustion")
 
@@ -116,8 +121,15 @@ def hashes(scenarios):
     runs = 0
     for scenario in scenarios:
         trace = Simulation(scenario).run()
-        traces.update(trace.to_jsonl().encode())
-        metrics.update(compute_metrics(trace.records).to_json().encode())
+        text = trace.to_jsonl()
+        summary = compute_metrics(trace.records).to_json()
+        back = read_jsonl(io.StringIO(text))
+        if ("".join(rec.to_json() + "\n" for rec in back) != text
+                or compute_metrics(back).to_json() != summary):
+            sys.exit(f"run {runs} ({scenario.name}, seed {scenario.seed}): "
+                     "the JSONL read back differs from the emitted trace")
+        traces.update(text.encode())
+        metrics.update(summary.encode())
         runs += 1
     return runs, traces.hexdigest(), metrics.hexdigest()
 
