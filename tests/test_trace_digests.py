@@ -6,12 +6,18 @@ first chaos-soak seeds, whatever it does to the code underneath. The
 shared-tile pins cover a tile serving two groups: a command to a rebooting
 tile, a reboot that settles a pending update, and a stale participant. The
 wide-group pins cover arbitration over one 14-tile group.
+
+Each pinned run also pins how many events it scheduled and dispatched,
+counted by wrapping `EventQueue.schedule` and `EventQueue.advance` as the
+benchmark does: a change that merges or drops events keeps the trace yet
+fails here, so it cannot pass as a speedup.
 """
 
 import hashlib
 
 import pytest
 
+from tilesim.engine import EventQueue
 from tilesim.scenario import load_scenario, parse_scenario
 from tilesim.simulation import Simulation
 from trace_corpus import chaos_doc, shared_tile_doc, wide_doc
@@ -49,27 +55,81 @@ WIDE_DIGESTS = {
 }
 
 
-def trace_digest(sc) -> str:
-    return hashlib.sha256(Simulation(sc).run().to_jsonl().encode()).hexdigest()
+# (scheduled, dispatched) events of each pinned run above, keyed like the
+# digests and prefixed with the family
+EVENT_COUNTS = {
+    ("bundled", "exhaustion"): (77, 56),
+    ("bundled", "fig3"): (43, 31),
+    ("bundled", "fig6"): (305, 215),
+    ("bundled", "storm"): (1515, 1123),
+    ("chaos", 0): (785, 574),
+    ("chaos", 1): (768, 560),
+    ("chaos", 2): (752, 542),
+    ("chaos", 3): (660, 479),
+    ("chaos", 4): (767, 554),
+    ("shared-tile", 2, 100): (781, 574),
+    ("shared-tile", 2, 221): (830, 611),
+    ("shared-tile", 2, 322): (790, 581),
+    ("shared-tile", 3, 22): (864, 647),
+    ("shared-tile", 3, 63): (842, 622),
+    ("shared-tile", 3, 107): (772, 573),
+    ("wide-group", 0): (1750, 1636),
+    ("wide-group", 1): (1701, 1563),
+    ("wide-group", 2): (1559, 1453),
+    ("wide-group", 3): (1657, 1543),
+}
+
+
+@pytest.fixture
+def pinned_run(monkeypatch):
+    """Run a scenario; return its trace digest and (scheduled, dispatched)."""
+    counts = [0, 0]
+    schedule, advance = EventQueue.schedule, EventQueue.advance
+
+    def counting_schedule(self, *args):
+        counts[0] += 1
+        return schedule(self, *args)
+
+    def counting_advance(self):
+        entry = advance(self)
+        counts[1] += entry is not None
+        return entry
+
+    monkeypatch.setattr(EventQueue, "schedule", counting_schedule)
+    monkeypatch.setattr(EventQueue, "advance", counting_advance)
+
+    def run(sc):
+        counts[:] = [0, 0]
+        text = Simulation(sc).run().to_jsonl()
+        return hashlib.sha256(text.encode()).hexdigest(), tuple(counts)
+
+    return run
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))
-def test_bundled_scenario_trace_digest(name):
-    assert trace_digest(load_scenario(name)) == BUNDLED_DIGESTS[name]
+def test_bundled_scenario_trace_digest(pinned_run, name):
+    digest, events = pinned_run(load_scenario(name))
+    assert digest == BUNDLED_DIGESTS[name]
+    assert events == EVENT_COUNTS["bundled", name]
 
 
 @pytest.mark.parametrize("seed", sorted(CHAOS_DIGESTS))
-def test_chaos_seed_trace_digest(seed):
-    assert trace_digest(parse_scenario(chaos_doc(seed), name="chaos")) == CHAOS_DIGESTS[seed]
+def test_chaos_seed_trace_digest(pinned_run, seed):
+    digest, events = pinned_run(parse_scenario(chaos_doc(seed), name="chaos"))
+    assert digest == CHAOS_DIGESTS[seed]
+    assert events == EVENT_COUNTS["chaos", seed]
 
 
 @pytest.mark.parametrize("threshold,seed", sorted(SHARED_TILE_DIGESTS))
-def test_shared_tile_trace_digest(threshold, seed):
+def test_shared_tile_trace_digest(pinned_run, threshold, seed):
     sc = parse_scenario(shared_tile_doc(seed, threshold), name="shared-tile")
-    assert trace_digest(sc) == SHARED_TILE_DIGESTS[(threshold, seed)]
+    digest, events = pinned_run(sc)
+    assert digest == SHARED_TILE_DIGESTS[(threshold, seed)]
+    assert events == EVENT_COUNTS["shared-tile", threshold, seed]
 
 
 @pytest.mark.parametrize("seed", sorted(WIDE_DIGESTS))
-def test_wide_group_trace_digest(seed):
-    sc = parse_scenario(wide_doc(seed), name="wide-group")
-    assert trace_digest(sc) == WIDE_DIGESTS[seed]
+def test_wide_group_trace_digest(pinned_run, seed):
+    digest, events = pinned_run(parse_scenario(wide_doc(seed), name="wide-group"))
+    assert digest == WIDE_DIGESTS[seed]
+    assert events == EVENT_COUNTS["wide-group", seed]
