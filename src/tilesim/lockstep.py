@@ -67,7 +67,9 @@ def compare_with_siblings(
         if sib == me:
             continue
         if not reads_blocked and sib in written_at:
-            when = max(my_ready, written_at[sib])
+            when = written_at[sib]
+            if when < my_ready:
+                when = my_ready
             ready = when <= deadline_at
             if not ready:
                 when = deadline_at
@@ -75,7 +77,7 @@ def compare_with_siblings(
             ready = False
             when = deadline_at
         order.append((when, (pos - my_pos) % n, sib, ready))
-    order.sort(key=lambda item: (item[0], item[1]))
+    order.sort()  # by time, then rotation: the offsets are unique
 
     mine = rows[me]
     mine_whole = None not in mine

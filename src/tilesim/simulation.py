@@ -50,6 +50,30 @@ class GroupCheckpoint:
     deadline_entry: Optional[list] = None    # queue entries, for cancelling
     resolve_entry: Optional[list] = None
     grace: bool = False
+    # Replicas stay bit-identical until a fault hits one, so the tiles of a
+    # checkpoint mostly repeat each other's work. These memos are keyed by
+    # content, never by tile id, and die with the checkpoint: nothing is
+    # shared between checkpoints or runs.
+    advanced: dict[tuple, tuple] = field(default_factory=dict)  # (words, cycles) -> words
+    checksums: dict[tuple, int] = field(default_factory=dict)   # (words, cycle_counter) -> checksum
+
+    def advance(self, ts: workload.ThreadState, cycles: int) -> workload.ThreadState:
+        """`ts` advanced by `cycles` work cycles, in a state list of its own."""
+        key = (tuple(ts.state), cycles)
+        words = self.advanced.get(key)
+        if words is None:
+            ts = workload.execute_slice(ts, cycles * ts.spec.work_per_tick)
+            self.advanced[key] = tuple(ts.state)
+            return ts
+        return workload.ThreadState(ts.spec, list(words), ts.cycle_counter + cycles,
+                                    ts.corrupted)
+
+    def checksum(self, ts: workload.ThreadState) -> int:
+        key = (tuple(ts.state), ts.cycle_counter)
+        checksum = self.checksums.get(key)
+        if checksum is None:
+            checksum = self.checksums[key] = workload.checksum_callback(ts)
+        return checksum
 
 
 @dataclass
@@ -333,7 +357,7 @@ class Simulation:
         duration = delay + self.costs.checksum_duration(checked)
         for m in participants:
             tile = self.tiles[m]
-            self._pause_tile_groups(tile, group, now)
+            self._pause_tile_groups(tile, group, ctx)
             if tile.status == ACTIVE:
                 ctx.boundary[m] = {
                     tid: (tuple(tile.threads[tid].state), tile.threads[tid].cycle_counter)
@@ -341,9 +365,9 @@ class Simulation:
                 }
                 for spec in group.threads:
                     if spec.emits_output and not tile.sefi_blocked:
-                        rec = workload.emit_output(tile.threads[spec.thread_id])
-                        if rec is not None:
-                            ctx.outputs.setdefault(spec.thread_id, {})[m] = rec
+                        ts = tile.threads[spec.thread_id]
+                        ctx.outputs.setdefault(spec.thread_id, {})[m] = \
+                            workload.emit_output(ts, ctx.checksum(ts))
             if tile.sefi_blocked:
                 self.trace.emit(now, m, "checkpoint-blocked",
                                 tile=m, group=group.group_id, index=index)
@@ -354,14 +378,16 @@ class Simulation:
             now + group.comparison_deadline, Simulation._resolve_checkpoint,
             group.group_id, index)
 
-    def _pause_tile_groups(self, tile: Tile, group: TileGroup, now: int):
+    def _pause_tile_groups(self, tile: Tile, group: TileGroup, ctx: GroupCheckpoint):
         for tg_id in group.thread_groups:
             win = tile.windows.get(tg_id)
             if win and win.running:
-                self._advance_window(tile, tg_id, now)
+                self._advance_window(tile, tg_id, ctx.t0, ctx)
                 win.running = False
 
-    def _advance_window(self, tile: Tile, tg_id: str, now: int):
+    def _advance_window(self, tile: Tile, tg_id: str, now: int,
+                        ctx: Optional[GroupCheckpoint] = None):
+        """Run the window's threads up to `now`, through `ctx`'s memo if given."""
         win = tile.windows.get(tg_id)
         if win is None or not win.running or now <= win.advanced_to:
             return
@@ -371,7 +397,10 @@ class Simulation:
             cycles = win.cycles(now, spec.work_per_tick)
             if cycles:
                 ts = tile.threads[spec.thread_id]
-                ts = workload.execute_slice(ts, cycles * spec.work_per_tick)
+                if ctx is None:
+                    ts = workload.execute_slice(ts, cycles * spec.work_per_tick)
+                else:
+                    ts = ctx.advance(ts, cycles)
                 if tile.persist_corrupt:
                     ts.state[0] ^= mix64(tile.noise_seed ^ ts.cycle_counter) | 1
                     ts.corrupted = True
@@ -412,13 +441,14 @@ class Simulation:
                             tile=tile.tile_id, group=group.group_id, index=ctx.index)
             return
         for tid in ctx.checked:
-            checksum = workload.checksum_callback(tile.threads[tid])
-            tile.vmem.write_checksum(tile.tile_id, tid, ctx.index, checksum)
+            tile.vmem.write_checksum(tile.tile_id, tid, ctx.index,
+                                     ctx.checksum(tile.threads[tid]))
         ctx.written[tile.tile_id] = now
         self.trace.emit(now, tile.tile_id, "validation-write",
                         tile=tile.tile_id, group=group.group_id, index=ctx.index,
                         threads=len(ctx.checked))
-        if all(m in ctx.written for m in ctx.participants) and ctx.resolve_entry is None:
+        # only participants write, each once
+        if len(ctx.written) == len(ctx.participants) and ctx.resolve_entry is None:
             ctx.resolve_entry = self.queue.schedule(
                 now, Simulation._resolve_checkpoint, group.group_id, ctx.index)
 
@@ -512,6 +542,9 @@ class Simulation:
     def _oracle_check(self, group: TileGroup, ctx: GroupCheckpoint):
         """Compare full boundary states behind the protocol's back: a pair
         that diverged yet mutually agreed is an undetected divergence."""
+        boundaries = list(ctx.boundary.values())
+        if all(b == boundaries[0] for b in boundaries[1:]):
+            return  # no pair diverged
         now = self.queue.now
         for i, a in enumerate(ctx.participants):
             for b in ctx.participants[i + 1:]:

@@ -1,5 +1,9 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from tilesim.lockstep import (
-    AGREE, DISAGREE, MISS, CheckpointCost, compare_with_siblings, vote_outputs,
+    AGREE, DISAGREE, MISS, CheckpointCost, CheckpointReport, compare_with_siblings,
+    vote_outputs,
 )
 from tilesim.tiles import TileGroup
 from tilesim.workload import OutputRecord, ThreadSpec
@@ -70,6 +74,75 @@ def test_no_checked_thread_agrees():
     rows = {"C0": (), "C1": ()}
     rep = compare_with_siblings("C0", ["C0", "C1"], {"C0": 24, "C1": 24}, 100, rows)
     assert rep.verdicts == {"C1": AGREE}
+
+
+def reference_compare_with_siblings(me, members, written_at, deadline_at, rows,
+                                    reads_blocked=False):
+    """The reference comparison, kept as it was before the sort went plain:
+    a per-sibling max() and a sort keyed on (time, rotation) alone."""
+    my_ready = written_at[me]
+    my_pos = members.index(me)
+    n = len(members)
+    order = []
+    for pos, sib in enumerate(members):
+        if sib == me:
+            continue
+        if not reads_blocked and sib in written_at:
+            when = max(my_ready, written_at[sib])
+            ready = when <= deadline_at
+            if not ready:
+                when = deadline_at
+        else:
+            ready = False
+            when = deadline_at
+        order.append((when, (pos - my_pos) % n, sib, ready))
+    order.sort(key=lambda item: (item[0], item[1]))
+
+    mine = rows[me]
+    mine_whole = None not in mine
+    verdicts = {}
+    completed = my_ready
+    mismatch = False
+    for when, _, sib, ready in order:
+        if not ready:
+            verdicts[sib] = MISS
+            completed = when
+            mismatch = True
+            break
+        same = mine_whole and rows[sib] == mine
+        verdicts[sib] = AGREE if same else DISAGREE
+        completed = when
+        if not same:
+            mismatch = True
+            break
+    return CheckpointReport(verdicts=verdicts, completed_at=completed,
+                            detected_mismatch=mismatch)
+
+
+@st.composite
+def comparisons(draw):
+    """Up to 8 members in any order; any subset of them (always including
+    me) has written, at times drawn from a narrow range so that ties are
+    common; rows of up to 3 entries from a small alphabet, some of them
+    None; reads blocked or not."""
+    tiles = [f"C{i}" for i in range(8)]
+    members = draw(st.permutations(tiles))[:draw(st.integers(1, 8))]
+    me = draw(st.sampled_from(members))
+    times = st.integers(0, 40)
+    written_at = {m: draw(times) for m in members if m == me or draw(st.booleans())}
+    width = draw(st.integers(0, 3))
+    entry = st.one_of(st.none(), st.integers(0, 2))
+    rows = {w: tuple(draw(entry) for _ in range(width)) for w in written_at}
+    return me, members, written_at, draw(times), rows, draw(st.booleans())
+
+
+@settings(max_examples=500, deadline=None, database=None, derandomize=True)
+@given(comparisons())
+def test_compare_with_siblings_matches_reference(case):
+    got = compare_with_siblings(*case)
+    want = reference_compare_with_siblings(*case)
+    assert got == want
+    assert list(got.verdicts) == list(want.verdicts)  # same comparison order
 
 
 def test_checked_threads_modular_schedule():

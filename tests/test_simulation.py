@@ -5,9 +5,10 @@ import weakref
 
 import pytest
 
+from tilesim import workload
 from tilesim.runner import run_simulation
 from tilesim.scenario import BUNDLED, load_scenario, parse_scenario
-from tilesim.simulation import Simulation
+from tilesim.simulation import GroupCheckpoint, Simulation
 from tilesim.tiles import ACTIVE, DEFUNCT, IDLE_SPARE, REBOOTING
 
 
@@ -169,6 +170,77 @@ def test_protocol_blind_to_corruption_flag():
         faults={"explicit": [transient(1500, "C2")]}))).run()
     poisoned = Poisoned(parse_scenario(doc)).run()
     assert clean.to_jsonl() == poisoned.to_jsonl()
+
+
+def test_oracle_sees_a_divergence_the_checksums_hide(monkeypatch):
+    # with every checksum equal, the replica C2 corrupted at t=1500 agrees
+    # with its siblings; only the oracle's boundary states tell them apart
+    monkeypatch.setattr(workload, "checksum_callback", lambda ts: 0)
+    sim = Simulation(parse_scenario(make_doc(faults={"explicit": [transient(1500, "C2")]})))
+    trace = sim.run()
+    records = trace.of_kind("oracle-divergence")
+    assert sim.oracle_divergences >= 1
+    assert sim.oracle_divergences == len(records)
+    assert records[0].at == 2072
+    assert records[0].payload == {"group": "G1", "index": 2, "thread": "Ta",
+                                  "tiles": ["C0", "C2"]}
+    assert {tuple(r.payload["tiles"]) for r in records} == {("C0", "C2"), ("C1", "C2")}
+
+
+# -- per-checkpoint memo: shared work, never shared state ------------------------
+
+def test_checkpoint_memo_hit_gives_a_state_list_of_its_own():
+    spec = workload.ThreadSpec("Ta", 5, 1000, work_per_tick=50)
+    ctx = GroupCheckpoint("G1", 1, 0, "timer", ["C0", "C1"], ["C0", "C1"], ["Ta"])
+    a = ctx.advance(workload.init_thread(spec, "C0"), 7)
+    b = ctx.advance(workload.init_thread(spec, "C1"), 7)
+    assert len(ctx.advanced) == 1
+    assert a.state == b.state and a.state is not b.state
+    assert a.cycle_counter == b.cycle_counter == 7
+    a.state[0] ^= 1
+    assert b.state != a.state
+    assert ctx.advance(workload.init_thread(spec, "C2"), 7).state == b.state
+    assert ctx.checksum(a) != ctx.checksum(b)
+    assert len(ctx.checksums) == 2
+
+
+def paused_at_first_checkpoint(doc):
+    """The simulation right after the pause of checkpoint 1 at t=1024."""
+    sim = Simulation(parse_scenario(doc), until=1024)
+    sim.run()
+    assert sim.ctxs["G1"].index == 1 and sim.ctxs["G1"].t0 == 1024
+    return sim
+
+
+def test_replicas_share_no_state_list_after_a_memo_hit():
+    sim = paused_at_first_checkpoint(make_doc())
+    assert len(sim.ctxs["G1"].advanced) == 2  # one entry per thread, not per tile
+    states = {m: {t: sim.tiles[m].threads[t].state for t in ("Ta", "Tb")}
+              for m in ("C0", "C1", "C2")}
+    assert len({id(s) for per_tile in states.values() for s in per_tile.values()}) == 6
+    before = {m: {t: list(s) for t, s in per_tile.items()} for m, per_tile in states.items()}
+    states["C1"]["Ta"][2] ^= 0xFF
+    for m in ("C0", "C2"):
+        assert states[m] == before[m]
+    assert states["C1"]["Tb"] == before["C1"]["Tb"]
+
+
+@pytest.mark.parametrize("corrupt,partition", [("C0", "p0"), ("C2", "p2")])
+def test_persistent_corruption_reaches_only_its_own_tile(corrupt, partition):
+    # C0 advances first (a memo miss), C2 last (a hit): either way only the
+    # damaged tile's list takes the XOR
+    doc = make_doc(faults={"explicit": [
+        {"at": 500, "kind": "permanent-cell", "partition": partition, "cell": 10}]})
+    sim = paused_at_first_checkpoint(doc)
+    assert sim.tiles[corrupt].persist_corrupt
+    c0, c1 = [m for m in ("C0", "C1", "C2") if m != corrupt]
+    for tid in ("Ta", "Tb"):
+        state = {m: sim.tiles[m].threads[tid].state for m in ("C0", "C1", "C2")}
+        assert len({id(words) for words in state.values()}) == 3
+        assert state[c0] == state[c1]
+        assert state[corrupt][0] != state[c0][0]
+        assert state[corrupt][1:] == state[c0][1:]
+        assert tuple(state[c0]) in sim.ctxs["G1"].advanced.values()
 
 
 # -- replacement chains and spare conservation ----------------------------------
