@@ -5,7 +5,10 @@ these digests keeps the behaviour of every bundled scenario and of the
 first chaos-soak seeds, whatever it does to the code underneath. The
 shared-tile pins cover a tile serving two groups: a command to a rebooting
 tile, a reboot that settles a pending update, and a stale participant. The
-wide-group pins cover arbitration over one 14-tile group.
+wide-group pins cover arbitration over one 14-tile group. The reordered
+pins cover a tile group that lists its thread groups in another order than
+the scenario does: a generated fault picks its thread in scenario order,
+while the group checks its threads in its own order.
 
 Each pinned run also pins how many events it scheduled and dispatched,
 counted by wrapping `EventQueue.schedule` and `EventQueue.advance` as the
@@ -20,7 +23,7 @@ import pytest
 from tilesim.engine import EventQueue
 from tilesim.scenario import load_scenario, parse_scenario
 from tilesim.simulation import Simulation
-from trace_corpus import chaos_doc, shared_tile_doc, wide_doc
+from trace_corpus import chaos_doc, reordered_doc, shared_tile_doc, wide_doc
 
 BUNDLED_DIGESTS = {
     "fig3": "d80b81eaa01c083210c2482ef0de823c4d06e90ac7cb827d8c285275a7a188af",
@@ -54,6 +57,11 @@ WIDE_DIGESTS = {
     3: "43096484d4b42d90f0fa1d6d22524ece39a5ff36145515168bac77d5dd6b1bc2",
 }
 
+REORDERED_DIGESTS = {
+    0: "fa47ffcf2bfab64170a01c3d9dd310ddaca64967b57be7ef2522106eaf1970c7",
+    1: "3867bdf6c38bdb8df51912dcdce7b040959f79e5cf291c6462f1ba46528d642f",
+}
+
 
 # (scheduled, dispatched) events of each pinned run above, keyed like the
 # digests and prefixed with the family
@@ -67,6 +75,8 @@ EVENT_COUNTS = {
     ("chaos", 2): (752, 542),
     ("chaos", 3): (660, 479),
     ("chaos", 4): (767, 554),
+    ("reordered", 0): (785, 574),
+    ("reordered", 1): (768, 560),
     ("shared-tile", 2, 100): (781, 574),
     ("shared-tile", 2, 221): (830, 611),
     ("shared-tile", 2, 322): (790, 581),
@@ -133,3 +143,12 @@ def test_wide_group_trace_digest(pinned_run, seed):
     digest, events = pinned_run(parse_scenario(wide_doc(seed), name="wide-group"))
     assert digest == WIDE_DIGESTS[seed]
     assert events == EVENT_COUNTS["wide-group", seed]
+
+
+@pytest.mark.parametrize("seed", sorted(REORDERED_DIGESTS))
+def test_reordered_thread_groups_trace_digest(pinned_run, seed):
+    sc = parse_scenario(reordered_doc(seed), name="reordered")
+    assert [s.thread_id for s in Simulation(sc).groups["G1"].checked(0)] == ["Tb", "Ta"]
+    digest, events = pinned_run(sc)
+    assert digest == REORDERED_DIGESTS[seed]
+    assert events == EVENT_COUNTS["reordered", seed]

@@ -85,6 +85,20 @@ def shared_tile_doc(seed, transient_threshold):
     return doc
 
 
+def reordered_doc(seed):
+    """The chaos document with TG-ab split in two, and G1 listing the halves
+    in the opposite order to the top-level `thread_groups`: the order of a
+    tile's threads for fault draws and the order of a group's checked
+    threads then differ."""
+    doc = chaos_doc(seed)
+    doc["name"] = "reordered"
+    doc["thread_groups"] = [{"id": "TG-a", "threads": ["Ta"]},
+                            {"id": "TG-b", "threads": ["Tb"]},
+                            {"id": "TG-c", "threads": ["Tc"]}]
+    doc["tile_groups"][0]["thread_groups"] = ["TG-b", "TG-a"]
+    return doc
+
+
 def wide_doc(seed):
     """The chaos document reshaped into one 14-tile group with two spares
     and every fault rate x4, as in the `wide-group` benchmark workload."""
