@@ -71,9 +71,15 @@ def _load(args):
     return load_scenario(args.scenario, overrides)
 
 
+def _until(args):
+    if args.until is not None and args.until < 1:
+        raise ScenarioError([f"--until: must be at least 1, not {args.until}"])
+    return args.until
+
+
 def cmd_run(args) -> int:
     scenario = _load(args)
-    trace, summary = runner.run_simulation(scenario, until=args.until)
+    trace, summary = runner.run_simulation(scenario, until=_until(args))
     runner.write_outputs(trace, summary, args.trace_out, args.metrics_out)
     if not args.quiet:
         print(json.dumps(summary.to_dict(), sort_keys=True, indent=2))
@@ -127,7 +133,7 @@ def cmd_validate(args) -> int:
 
 def cmd_replay_check(args) -> int:
     ok = runner.replay_check(args.scenario, overrides=args.overrides,
-                             seed=args.seed, until=args.until)
+                             seed=args.seed, until=_until(args))
     if not args.quiet:
         print("replay-check: " + ("byte-identical" if ok else "MISMATCH"))
     return 0 if ok else 1

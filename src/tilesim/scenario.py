@@ -19,6 +19,8 @@ from typing import Any, Optional
 
 from . import faults
 from .criticality import CriticalityPolicy
+from .lockstep import CheckpointCost
+from .tiles import TileGroup
 from .trace import encode_canonical
 from .workload import ThreadSpec
 
@@ -28,18 +30,6 @@ BUNDLED = ("fig3", "fig6", "exhaustion", "storm")
 # agreement graph of disagreeing triples, has 3^(n/3) largest cliques; at 24
 # members one such checkpoint takes about 10 ms to judge.
 MAX_GROUP_MEMBERS = 24
-
-
-def default_comparison_deadline(base_period: int) -> int:
-    """A group's comparison deadline unless its config sets one: 10% of its
-    base period."""
-    return max(1, base_period // 10)
-
-
-def default_grace_period(specs) -> int:
-    """A group's grace period unless its config sets one: twice the summed
-    update cost of its threads `specs`."""
-    return 2 * sum(s.update_cost for s in specs)
 
 
 class ScenarioError(ValueError):
@@ -65,8 +55,8 @@ class TileGroupConfig:
     group_id: str = field(metadata=_ID)
     members: list[str] = field(default_factory=list)
     thread_groups: list[str] = field(default_factory=list)
-    comparison_deadline: int = 0   # 0 = default (10% of base period)
-    grace_period: int = 0          # 0 = default (2x summed update cost)
+    comparison_deadline: int = 0   # 0 = derive, see tiles.TileGroup.bind
+    grace_period: int = 0          # 0 = derive, see tiles.TileGroup.bind
 
 
 @dataclass
@@ -98,7 +88,7 @@ class SupervisorConfig:
     transient_threshold: int = 3
     defunct_threshold: int = 10
     window_checkpoints: int = 100
-    watchdog_period: int = 0       # 0 = default (4x largest group period)
+    watchdog_period: int = 0       # 0 = 4x the longest base period, see tiles.TileGroup.bind
 
 
 @dataclass
@@ -128,33 +118,6 @@ class Scenario:
 
     def canonical_json(self) -> str:
         return encode_canonical(self.raw)
-
-    def base_period(self, group: TileGroupConfig) -> int:
-        periods = [
-            self.threads[tid].checkpoint_period
-            for tgc in self.thread_groups if tgc.tg_id in group.thread_groups
-            for tid in tgc.threads
-        ]
-        return min(periods)
-
-    def group_threads(self, group: TileGroupConfig) -> list[str]:
-        return [
-            tid
-            for tgc in self.thread_groups if tgc.tg_id in group.thread_groups
-            for tid in tgc.threads
-        ]
-
-    def comparison_deadline(self, group: TileGroupConfig) -> int:
-        return group.comparison_deadline or default_comparison_deadline(self.base_period(group))
-
-    def grace_period(self, group: TileGroupConfig) -> int:
-        return group.grace_period or default_grace_period(
-            self.threads[t] for t in self.group_threads(group))
-
-    def watchdog_period(self) -> int:
-        if self.supervisor.watchdog_period:
-            return self.supervisor.watchdog_period
-        return 4 * max(self.base_period(g) for g in self.tile_groups)
 
 
 _KEY_RE = re.compile(r"([^.\[\]]+)|\[(\*|\d+)\]")
@@ -466,16 +429,18 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
 
     if not problems:
         # checkpoints must be able to finish before the comparison deadline
+        checksum_duration = CheckpointCost(costs.context_switch).checksum_duration
+        tg_threads = {tgc.tg_id: tgc.threads for tgc in thread_groups}
         for g in tile_groups:
-            specs = [threads[t] for t in scenario.group_threads(g)]
-            worst = max((s.viable_delay for s in specs), default=0) + sum(
-                s.checksum_cost + costs.context_switch for s in specs
-            )
-            deadline = scenario.comparison_deadline(g)
-            if worst > deadline:
+            group = TileGroup(g.group_id, g.members, g.thread_groups,
+                              deadline=g.comparison_deadline, grace=g.grace_period)
+            group.bind([threads[t] for tg in g.thread_groups for t in tg_threads[tg]])
+            worst = (max(s.viable_delay for s in group.threads)
+                     + checksum_duration(group.threads))
+            if worst > group.comparison_deadline:
                 problems.append(
                     f"tile_groups[{g.group_id}]: checkpoint cost {worst} exceeds "
-                    f"comparison deadline {deadline}"
+                    f"comparison deadline {group.comparison_deadline}"
                 )
 
     if problems:

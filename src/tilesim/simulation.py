@@ -21,9 +21,7 @@ from . import lockstep
 from . import supervisor as sup
 from . import workload
 from .engine import MASK64, EventQueue, StreamPool, mix64
-from .scenario import (
-    Scenario, TileGroupConfig, default_comparison_deadline, default_grace_period,
-)
+from .scenario import Scenario, TileGroupConfig
 from .tiles import (
     ACTIVE, BOOTING, DEFUNCT, IDLE_SPARE, REBOOTING, SUSPECT, UPDATING,
     RUN_THREADS, RunWindow, Tile, TileGroup, ThreadGroup, scheduler_step,
@@ -95,7 +93,7 @@ class RepairJob:
 class Simulation:
     def __init__(self, scenario: Scenario, until: Optional[int] = None):
         self.scenario = scenario
-        self.horizon = min(until, scenario.horizon) if until else scenario.horizon
+        self.horizon = scenario.horizon if until is None else min(until, scenario.horizon)
         self.queue = EventQueue()
         self.streams = StreamPool(scenario.seed)
         self.trace = Trace()
@@ -140,7 +138,8 @@ class Simulation:
             transient_threshold=scenario.supervisor.transient_threshold,
             defunct_threshold=scenario.supervisor.defunct_threshold,
             window_checkpoints=scenario.supervisor.window_checkpoints,
-            watchdog_period=scenario.watchdog_period(),
+            watchdog_period=(scenario.supervisor.watchdog_period
+                             or 4 * max(g.base_period for g in self.groups.values())),
             spare_pool=[t.tile_id for t in scenario.tiles if t.spare],
         )
 
@@ -162,31 +161,24 @@ class Simulation:
     # construction helpers
 
     def _make_group(self, gc: TileGroupConfig) -> TileGroup:
-        scenario = self.scenario
-        base = scenario.base_period(gc)
-        group = TileGroup(
-            group_id=gc.group_id,
-            members=list(gc.members),
-            thread_groups=list(gc.thread_groups),
-            base_period=base,
-            comparison_deadline=scenario.comparison_deadline(gc),
-            grace_period=scenario.grace_period(gc),
-        )
-        self._bind_threads(group)
+        group = TileGroup(gc.group_id, list(gc.members), list(gc.thread_groups),
+                          deadline=gc.comparison_deadline, grace=gc.grace_period)
+        group.bind([spec for tg_id in group.thread_groups
+                    for spec in self.thread_groups[tg_id].threads])
         self.groups[gc.group_id] = group
         return group
 
-    def _bind_threads(self, group: TileGroup):
-        group.threads = [spec for tg_id in group.thread_groups
-                         for spec in self.thread_groups[tg_id].threads]
-
     def _join(self, tile: Tile, group: TileGroup, now: Optional[int]):
         """Open a run window on `tile` for each of `group`'s thread groups,
-        running from `now`, or stopped until an update lands if None."""
+        running from `now`, or stopped until an update lands if None, and
+        give the tile an initial state for each thread it does not hold."""
         for tg_id in group.thread_groups:
             win = tile.windows[tg_id] = RunWindow()
             if now is not None:
                 win.resume(now)
+            for spec in self.thread_groups[tg_id].threads:
+                if spec.thread_id not in tile.threads:
+                    tile.threads[spec.thread_id] = workload.init_thread(spec)
 
     def _participants(self, group: TileGroup) -> list[str]:
         return [m for m in group.members
@@ -237,10 +229,13 @@ class Simulation:
     def _schedule_faults(self):
         space = flt.TargetSpace(
             tiles=[t.tile_id for t in self.scenario.tiles],
+            # a tile's threads in scenario order, which decides the thread
+            # a generated fault hits
             threads_on={
                 t.tile_id: [
                     tid for g in self.scenario.tile_groups if t.tile_id in g.members
-                    for tid in self.scenario.group_threads(g)
+                    for tgc in self.scenario.thread_groups if tgc.tg_id in g.thread_groups
+                    for tid in tgc.threads
                 ]
                 for t in self.scenario.tiles
             },
@@ -273,8 +268,6 @@ class Simulation:
             self._start_repair(tile.tile_id)
             return
         tile.persist_corrupt = False
-        for spec in self.scenario.threads.values():
-            tile.threads[spec.thread_id] = workload.init_thread(spec, tile.tile_id)
 
         member_of = [g for g in self.groups.values() if tile.tile_id in g.members]
         if member_of:
@@ -1230,18 +1223,10 @@ class Simulation:
 
         self._stage3_seq += 1
         gid = f"{entry.tg_id}-m{self._stage3_seq}"
-        base = request.period
-        group = TileGroup(
-            group_id=gid,
-            members=list(entry.tiles),
-            thread_groups=[entry.tg_id],
-            base_period=base,
-            comparison_deadline=default_comparison_deadline(base),
-            grace_period=default_grace_period(tg.threads),
-            period_factor=entry.period_factor,
-            correction_enabled=len(entry.tiles) >= 3,
-        )
-        self._bind_threads(group)
+        group = TileGroup(gid, list(entry.tiles), [entry.tg_id],
+                          period_factor=entry.period_factor,
+                          correction_enabled=len(entry.tiles) >= 3)
+        group.bind(tg.threads)
         self.groups[gid] = group
 
         if donor_id is None:
@@ -1269,7 +1254,7 @@ class Simulation:
                     ts.corrupted = donor.threads[spec.thread_id].corrupted
                     tile.threads[spec.thread_id] = ts
                 elif donor is None:
-                    tile.threads[spec.thread_id] = workload.init_thread(spec, m)
+                    tile.threads[spec.thread_id] = workload.init_thread(spec)
             self.trace.emit(now, m, "timer-adjusted",
                             tile=m, group=gid, period=group.period)
         self.trace.emit(now, "supervisor", "tg-migrated",
@@ -1283,14 +1268,13 @@ class Simulation:
         self.timers[gid] = self.queue.schedule(now, Simulation._on_timer_checkpoint, gid)
 
     def _rebase_group(self, group: TileGroup):
-        """Rebind a group's threads after its thread set changed, and
-        recompute its period."""
-        self._bind_threads(group)
-        new_base = min(s.checkpoint_period for s in group.threads)
-        if new_base == group.base_period:
+        """Rebind a group's threads after its thread set changed, which
+        works out its timing again."""
+        base = group.base_period
+        group.bind([spec for tg_id in group.thread_groups
+                    for spec in self.thread_groups[tg_id].threads])
+        if group.base_period == base:
             return
-        group.base_period = new_base
-        group.comparison_deadline = default_comparison_deadline(new_base)
         for m in group.members:
             self.trace.emit(self.queue.now, m, "timer-adjusted",
                             tile=m, group=group.group_id, period=group.period)

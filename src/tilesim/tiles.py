@@ -104,21 +104,34 @@ class TileGroup:
     group_id: str
     members: list[str]
     thread_groups: list[str]
-    base_period: int
-    comparison_deadline: int
-    grace_period: int
+    deadline: int = 0            # explicit comparison deadline; 0 = derive
+    grace: int = 0               # explicit grace period; 0 = derive
     target_size: int = 0
     checkpoint_index: int = -1   # first checkpoint (at boot) is index 0
     correction_enabled: bool = True
     period_factor: int = 1       # grows when the frequency degradation lever fires
-    # the thread groups' threads, in order; bound whenever thread_groups changes
+    # set by `bind` whenever thread_groups changes
     threads: list[ThreadSpec] = field(default_factory=list)
+    base_period: int = 0
+    comparison_deadline: int = 0
+    grace_period: int = 0
 
     def __post_init__(self):
-        if self.base_period <= 0:
-            raise ValueError(f"group {self.group_id}: base_period must be > 0")
         if not self.target_size:
             self.target_size = len(self.members)
+
+    def bind(self, threads: list[ThreadSpec]):
+        """Run `threads`, in the order given, and work out the group's timing
+        from them. The base period is the shortest checkpoint period. The
+        comparison deadline is the explicit one, else 10% of the base period
+        (at least 1). The grace period is the explicit one, else twice the
+        summed update cost."""
+        if not threads:
+            raise ValueError(f"group {self.group_id}: no threads to run")
+        self.threads = list(threads)
+        self.base_period = min(s.checkpoint_period for s in threads)
+        self.comparison_deadline = self.deadline or max(1, self.base_period // 10)
+        self.grace_period = self.grace or 2 * sum(s.update_cost for s in threads)
 
     @property
     def period(self) -> int:

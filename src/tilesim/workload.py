@@ -100,11 +100,11 @@ def _jump(cycles: int) -> tuple[int, int]:
     return mult, inc
 
 
-def init_thread(spec: ThreadSpec, tile_id: str) -> ThreadState:
+def init_thread(spec: ThreadSpec) -> ThreadState:
     """Build the initial state for a thread replica.
 
-    The state depends on the thread id alone, never the tile, so every
-    replica starts bit-identical.
+    The state depends on the thread id alone, so every replica starts
+    bit-identical.
     """
     digest = hashlib.blake2b(spec.thread_id.encode(), digest_size=8).digest()
     base = int.from_bytes(digest, "little")

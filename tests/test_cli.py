@@ -108,6 +108,15 @@ def test_bad_override_exits_1_without_traceback(capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["run", "replay-check"])
+@pytest.mark.parametrize("until", ["0", "-5"])
+def test_until_below_one_exits_1_naming_until(capsys, verb, until):
+    assert main([verb, "--scenario", "fig3", "--until", until, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert "--until:" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("text, error", [
     ('{"at": 0, "actor": "sim", "kind": "run-st', "error: JSONDecodeError: "),
     ('{"at":0}', "error: KeyError: 'actor'"),

@@ -146,9 +146,8 @@ def test_compare_with_siblings_matches_reference(case):
 
 
 def test_checked_threads_modular_schedule():
-    group = TileGroup("G1", ["C0"], ["TG"], base_period=1000,
-                      comparison_deadline=500, grace_period=100)
-    group.threads = [ThreadSpec("Ta", 1, 1000), ThreadSpec("Tb", 1, 3000)]
+    group = TileGroup("G1", ["C0"], ["TG"])
+    group.bind([ThreadSpec("Ta", 1, 1000), ThreadSpec("Tb", 1, 3000)])
     hits = [i for i in range(9) if "Tb" in [s.thread_id for s in group.checked(i)]]
     assert hits == [0, 3, 6]
     assert all(group.checked(i)[0].thread_id == "Ta" for i in range(9))

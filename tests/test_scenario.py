@@ -39,12 +39,12 @@ def test_bundled_scenarios_load():
 
 
 def test_minimal_scenario_parses_with_defaults():
-    s = parse_scenario(minimal_doc())
-    g = s.tile_groups[0]
-    assert s.base_period(g) == 1000
-    assert s.comparison_deadline(g) == 100          # 10% of base period
-    assert s.grace_period(g) == 2 * 10              # 2x summed update cost
-    assert s.watchdog_period() == 4000              # 4x largest period
+    sim = Simulation(parse_scenario(minimal_doc()))
+    g = sim.groups["G1"]
+    assert g.base_period == 1000
+    assert g.comparison_deadline == 100             # 10% of base period
+    assert g.grace_period == 2 * 10                 # 2x summed update cost
+    assert sim.supervisor.watchdog_period == 4000   # 4x largest period
 
 
 def test_unknown_key_rejected():

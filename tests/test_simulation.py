@@ -10,6 +10,7 @@ from tilesim.runner import run_simulation
 from tilesim.scenario import BUNDLED, load_scenario, parse_scenario
 from tilesim.simulation import GroupCheckpoint, Simulation
 from tilesim.tiles import ACTIVE, DEFUNCT, IDLE_SPARE, REBOOTING
+from trace_corpus import shared_tile_doc
 
 
 def make_doc(**over):
@@ -192,16 +193,21 @@ def test_oracle_sees_a_divergence_the_checksums_hide(monkeypatch):
 def test_checkpoint_memo_hit_gives_a_state_list_of_its_own():
     spec = workload.ThreadSpec("Ta", 5, 1000, work_per_tick=50)
     ctx = GroupCheckpoint("G1", 1, 0, "timer", ["C0", "C1"], ["C0", "C1"], ["Ta"])
-    a = ctx.advance(workload.init_thread(spec, "C0"), 7)
-    b = ctx.advance(workload.init_thread(spec, "C1"), 7)
+    a = ctx.advance(workload.init_thread(spec), 7)
+    b = ctx.advance(workload.init_thread(spec), 7)
     assert len(ctx.advanced) == 1
     assert a.state == b.state and a.state is not b.state
     assert a.cycle_counter == b.cycle_counter == 7
     a.state[0] ^= 1
     assert b.state != a.state
-    assert ctx.advance(workload.init_thread(spec, "C2"), 7).state == b.state
+    assert ctx.advance(workload.init_thread(spec), 7).state == b.state
     assert ctx.checksum(a) != ctx.checksum(b)
     assert len(ctx.checksums) == 2
+
+
+def test_until_zero_stops_at_zero():
+    sim = Simulation(parse_scenario(make_doc()), until=0)
+    assert sim.horizon == 0
 
 
 def paused_at_first_checkpoint(doc):
@@ -342,6 +348,45 @@ def test_detach_keeping_base_period_drops_the_threads_from_checkpoints():
     writes = trace.of_kind("validation-write")
     assert {r.payload["threads"] for r in writes if r.at < 2500} == {2}
     assert {r.payload["threads"] for r in writes if r.at > 2500} == {1}
+
+
+def test_detach_keeps_an_explicit_deadline_when_the_base_period_rises():
+    doc = make_doc(thread_groups=[{"id": "TG1", "threads": ["Ta"]},
+                                  {"id": "TG2", "threads": ["Tb"]}])
+    doc["threads"][0]["checkpoint_period"] = 500
+    doc["tile_groups"][0]["thread_groups"] = ["TG1", "TG2"]
+    doc["tile_groups"][0]["comparison_deadline"] = 80
+    sim = Simulation(parse_scenario(doc))
+    sim.queue.schedule(2500, _detach, "G1", "TG1")
+    trace = sim.run()
+    group = sim.groups["G1"]
+    assert (group.base_period, group.comparison_deadline) == (1000, 80)
+    assert {r.payload["period"] for r in trace.of_kind("timer-adjusted")} == {1000}
+
+
+def test_detach_recomputes_a_default_grace_period():
+    # the base period stays at 1000 us, but the group's update cost halves
+    doc = make_doc(thread_groups=[{"id": "TG1", "threads": ["Ta"]},
+                                  {"id": "TG2", "threads": ["Tb"]}])
+    doc["tile_groups"][0]["thread_groups"] = ["TG1", "TG2"]
+    sim = Simulation(parse_scenario(doc))
+    group = sim.groups["G1"]
+    assert group.grace_period == 2 * (15 + 15)
+    sim.queue.schedule(2500, _detach, "G1", "TG2")
+    trace = sim.run()
+    assert (group.base_period, group.comparison_deadline) == (1000, 100)
+    assert group.grace_period == 2 * 15
+    assert not trace.of_kind("timer-adjusted")
+
+
+def test_tiles_hold_states_only_for_the_threads_of_their_groups():
+    # C2 serves both groups, and C5 is a spare
+    sim = Simulation(parse_scenario(shared_tile_doc(0, 3)))
+    sim._initial_boot()
+    assert {m: sorted(tile.threads) for m, tile in sim.tiles.items()} == {
+        "C0": ["Ta", "Tb"], "C1": ["Ta", "Tb"], "C2": ["Ta", "Tb", "Tc"],
+        "C3": ["Tc"], "C4": ["Tc"], "C5": [],
+    }
 
 
 # -- output voting ---------------------------------------------------------------

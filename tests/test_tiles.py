@@ -5,7 +5,7 @@ from tilesim.tiles import (
     RUN_THREADS, SLEEP, SUSPECT, UPDATING, InvalidTransition, NotOwner,
     RunWindow, Tile, TileGroup, ValidationMemory, scheduler_step,
 )
-from tilesim.workload import StateSnapshot
+from tilesim.workload import StateSnapshot, ThreadSpec
 
 
 def test_single_writer_enforced():
@@ -70,11 +70,11 @@ def test_spare_and_defunct_host_nothing():
 
 
 def test_tile_group_invariants():
+    g = TileGroup("G1", members=["C0", "C1", "C2"], thread_groups=["TG1"])
     with pytest.raises(ValueError):
-        TileGroup("G1", members=["C0", "C1"], thread_groups=["TG1"],
-                  base_period=0, comparison_deadline=10, grace_period=10)
-    g = TileGroup("G1", members=["C0", "C1", "C2"], thread_groups=["TG1"],
-                  base_period=1000, comparison_deadline=100, grace_period=60)
+        g.bind([])              # no threads, no base period
+    g.bind([ThreadSpec("Ta", 1, 1000, update_cost=30)])
+    assert (g.comparison_deadline, g.grace_period) == (100, 60)
     assert g.target_size == 3
     assert g.period == 1000
     g.period_factor = 2
