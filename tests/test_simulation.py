@@ -1,15 +1,17 @@
 """End-to-end protocol behavior on small scripted systems."""
 
 import gc
+import hashlib
 import weakref
 
 import pytest
 
+from tilesim import criticality as crit
 from tilesim import workload
 from tilesim.runner import run_simulation
 from tilesim.scenario import BUNDLED, load_scenario, parse_scenario
 from tilesim.simulation import GroupCheckpoint, Simulation
-from tilesim.tiles import ACTIVE, DEFUNCT, IDLE_SPARE, REBOOTING
+from tilesim.tiles import ACTIVE, DEFUNCT, IDLE_SPARE, REBOOTING, SUSPECT
 from trace_corpus import shared_tile_doc
 
 
@@ -290,14 +292,15 @@ def test_two_faults_exhaust_spares_then_stage2():
     assert summary.undetected == 0
 
 
+def pair_doc(**over):
+    return make_doc(tiles=[{"id": "C0"}, {"id": "C1"}],
+                    tile_groups=[{"id": "G1", "members": ["C0", "C1"],
+                                  "thread_groups": ["TG1"]}], **over)
+
+
 def test_group_reboot_on_pair_split():
     # two-member group with one corrupted: arbitration ties, group reboots
-    doc = make_doc(
-        tiles=[{"id": "C0"}, {"id": "C1"}],
-        tile_groups=[{"id": "G1", "members": ["C0", "C1"],
-                      "thread_groups": ["TG1"]}],
-        faults={"explicit": [transient(1500, "C1")]},
-    )
+    doc = pair_doc(faults={"explicit": [transient(1500, "C1")]})
     trace, summary = run_doc(doc)
     unresolved = [r for r in trace.of_kind("verdict")
                   if r.payload["result"] == "unresolvable"]
@@ -306,6 +309,38 @@ def test_group_reboot_on_pair_split():
     # after the reboot both replicas restart from init and agree again
     last = [r for r in trace.of_kind("verdict")][-1]
     assert last.payload["result"] == "all-agree"
+
+
+# -- detection only: a group with correction off ---------------------------------
+
+DETECT_ONLY_DIGESTS = {
+    "faulty": "9a26e60885fb37975bc1d6f804833e5f6c15722bf232d5696edea37714b5e928",
+    "unresolvable": "a0c7a9d549aece0f5a5513fa7e3884f8f2abaa1fd56e8ca3383969495da137d1",
+}
+
+
+@pytest.mark.parametrize("path,doc,payload", [
+    ("faulty", make_doc(faults={"explicit": [transient(1500, "C1")]}),
+     {"group": "G1", "index": 2, "faulty": ["C1"]}),
+    ("unresolvable", pair_doc(faults={"explicit": [transient(1500, "C1")]}),
+     {"group": "G1", "index": 2, "faulty": [], "unresolvable": True}),
+])
+def test_detection_only_group_reports_and_carries_on(path, doc, payload):
+    # the faulty replica is blamed by the clique of three, or, in a pair,
+    # both tiles are; either way nothing is corrected and the group resumes
+    sim = Simulation(parse_scenario(doc))
+    sim.groups["G1"].correction_enabled = False
+    trace = sim.run()
+    assert [r.payload["result"] for r in trace.of_kind("verdict")][2] == path
+    detections = trace.of_kind("detection-only")
+    assert detections[0].at == 2072 and detections[0].payload == payload
+    assert [r.payload for r in trace.of_kind("fault-outcome")] == [
+        {"id": 0, "outcome": "degraded"}]
+    ends = [r.payload for r in trace.of_kind("checkpoint-end") if r.at == 2072]
+    assert [(e["index"], e["result"]) for e in ends] == [(2, "detect-only")]
+    assert not trace.of_kind("command", "group-reboot", "update-success")
+    digest = hashlib.sha256(trace.to_jsonl().encode()).hexdigest()
+    assert digest == DETECT_ONLY_DIGESTS[path]
 
 
 def test_commanding_defunct_tile_rejected():
@@ -387,6 +422,88 @@ def test_tiles_hold_states_only_for_the_threads_of_their_groups():
         "C0": ["Ta", "Tb"], "C1": ["Ta", "Tb"], "C2": ["Ta", "Tb", "Tc"],
         "C3": ["Tc"], "C4": ["Tc"], "C5": [],
     }
+
+
+# -- Stage 3 plans, applied by hand --------------------------------------------------
+
+def apply_by_hand(entry, current, prepare=lambda sim: None):
+    """Run the default scenario to t=1500, `prepare` it, then apply a plan of
+    one entry for TG1, whose hosting tiles were `current`. Returns the
+    simulation and the records the plan added."""
+    sim = Simulation(parse_scenario(make_doc()), until=1500)
+    added = []
+
+    def apply(sim):
+        prepare(sim)
+        tg = sim.thread_groups["TG1"]
+        request = crit.AllocRequest("TG1", tg.criticality, tuple(tg.threads), 1000,
+                                    tuple(current))
+        start = len(sim.trace.records)
+        sim._apply_plan(crit.Plan([entry]), {"TG1": request})
+        added.extend((r.kind, r.payload) for r in sim.trace.records[start:])
+
+    sim.queue.schedule(1500, apply)
+    sim.run()
+    return sim, added
+
+
+def test_plan_slows_a_host_in_place():
+    members = ("C0", "C1", "C2")
+    entry = crit.PlanEntry("TG1", members, 2, crit.MODE_DETECT_ONLY,
+                           levers=(crit.REDUCE_FREQUENCY,))
+    sim, records = apply_by_hand(entry, members)
+    group = sim.groups["G1"]
+    assert (group.period, group.correction_enabled) == (2000, False)
+    assert records == [
+        *[("timer-adjusted", {"tile": m, "group": "G1", "period": 2000}) for m in members],
+        ("tg-degraded", {"tg": "TG1", "mode": "detect-only",
+                         "levers": ["reduce-checkpoint-frequency"]}),
+    ]
+
+
+def test_plan_migrates_onto_a_spare_and_a_suspect_tile():
+    # C1 awaits a commanded update, and C3 is the idle spare
+    entry = crit.PlanEntry("TG1", ("C0", "C1", "C3"), 1, crit.MODE_FULL)
+
+    def command_update(sim):
+        sim.command_tile("C1", "state-update", donor="C0", group=sim.groups["G1"])
+        assert (sim.tiles["C1"].status, sim.tiles["C3"].status) == (SUSPECT, IDLE_SPARE)
+        assert "C1" in sim.pending_updates and "C3" in sim.supervisor.spare_pool
+
+    sim, records = apply_by_hand(entry, ("C0", "C1", "C2"), command_update)
+    assert "G1" not in sim.groups
+    assert sim.groups["TG1-m1"].members == ["C0", "C1", "C3"]
+    assert "C3" not in sim.supervisor.spare_pool
+    assert {m: sim.tiles[m].status for m in ("C0", "C1", "C3")} == dict.fromkeys(
+        ("C0", "C1", "C3"), ACTIVE)
+    assert "C1" not in sim.pending_updates
+    state = {m: {t: (sim.tiles[m].threads[t].state, sim.tiles[m].threads[t].cycle_counter)
+                 for t in ("Ta", "Tb")} for m in ("C0", "C1", "C3")}
+    assert state["C0"] == state["C1"] == state["C3"]
+    assert [k for k, _ in records] == ["timer-adjusted"] * 3 + ["tg-migrated"]
+    assert records[-1][1] == {"tg": "TG1", "group": "TG1-m1", "tiles": ["C0", "C1", "C3"],
+                              "mode": "full", "period_factor": 1}
+
+
+def test_plan_restarts_a_group_with_no_donor_and_degrades_it():
+    entry = crit.PlanEntry("TG1", ("C0", "C3"), 1, crit.MODE_DETECT_ONLY,
+                           levers=(crit.REDUCE_REPLICAS,))
+    sim, records = apply_by_hand(entry, ())
+    group = sim.groups["TG1-m1"]
+    assert not group.correction_enabled
+    for m in ("C0", "C3"):
+        for spec in group.threads:
+            ts = sim.tiles[m].threads[spec.thread_id]
+            assert (ts.state, ts.cycle_counter) == (workload.init_thread(spec).state, 0)
+    assert records == [
+        ("tg-restarted", {"tg": "TG1", "reason": "no-donor"}),
+        *[("timer-adjusted", {"tile": m, "group": "TG1-m1", "period": 1000})
+          for m in ("C0", "C3")],
+        ("tg-migrated", {"tg": "TG1", "group": "TG1-m1", "tiles": ["C0", "C3"],
+                         "mode": "detect-only", "period_factor": 1}),
+        ("tg-degraded", {"tg": "TG1", "mode": "detect-only",
+                         "levers": ["reduce-replicas"]}),
+    ]
 
 
 # -- output voting ---------------------------------------------------------------
