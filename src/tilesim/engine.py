@@ -87,7 +87,6 @@ class RandomStream:
     GOLDEN = 0x9E3779B97F4A7C15
 
     def __init__(self, seed: int, label: str):
-        self.label = label
         digest = hashlib.blake2b(
             f"{seed}:{label}".encode(), digest_size=8
         ).digest()

@@ -1,8 +1,9 @@
 """Reconfigurable-fabric abstraction: partitions, logic cells, damage, and
-differently-routed configuration variants.
+differently-routed configuration variants. A variant is its footprint: the
+set of cells it occupies, which the trace names by index.
 
 Two damage flavors exist. True silicon damage ("dd") is permanent and can
-only be routed around; corrupted configuration memory ("config") behaves
+only be routed around; corrupt configuration memory ("config") behaves
 the same until the partition is rewritten, which any reconfiguration does.
 """
 
@@ -18,12 +19,6 @@ SHARED = "shared"
 
 
 @dataclass
-class ConfigVariant:
-    variant_id: str
-    footprint: frozenset[int]
-
-
-@dataclass
 class Partition:
     partition_id: str
     cell_count: int = 64
@@ -31,23 +26,19 @@ class Partition:
     active_variant: int = 0
 
 
-def default_variants(cell_count: int = 64, anchor: tuple[int, ...] = (0,)) -> list[ConfigVariant]:
+def default_variants(cell_count: int = 64, anchor: tuple[int, ...] = (0,)) -> list[frozenset[int]]:
     """Three variants over distinct thirds of the partition plus shared anchor cells."""
     third = cell_count // 3
-    variants = []
-    for i in range(3):
-        cells = set(range(1 + i * third, 1 + (i + 1) * third))
-        cells.update(anchor)
-        variants.append(ConfigVariant(f"v{i}", frozenset(cells)))
-    return variants
+    return [frozenset(range(1 + i * third, 1 + (i + 1) * third)).union(anchor)
+            for i in range(3)]
 
 
 class Fabric:
     def __init__(
         self,
         partitions: list[Partition],
-        tile_variants: list[ConfigVariant],
-        shared_variants: Optional[list[ConfigVariant]] = None,
+        tile_variants: list[frozenset[int]],
+        shared_variants: Optional[list[frozenset[int]]] = None,
         shared_cells: int = 64,
     ):
         self.partitions = {p.partition_id: p for p in partitions}
@@ -81,48 +72,42 @@ class Fabric:
             return self.shared
         return self.partitions[partition_id]
 
-    def _variants_for(self, partition_id: str) -> list[ConfigVariant]:
+    def _variants_for(self, partition_id: str) -> list[frozenset[int]]:
         return self.shared_variants if partition_id == SHARED else self.tile_variants
 
     # -- reconfiguration ----------------------------------------------------
 
     def footprint_overlap(self, partition_id: str, variant_index: int) -> set[int]:
-        variant = self._variants_for(partition_id)[variant_index]
-        return set(variant.footprint) & self.damaged_cells(partition_id)
+        return self.damaged_cells(partition_id) & self._variants_for(partition_id)[variant_index]
 
     def partial_reconfigure(self, partition_id: str, variant_index: int) -> bool:
         """Rewrite one partition with the given variant.
 
-        Rewriting clears corrupted configuration memory as a side effect;
+        Rewriting clears corrupt configuration memory as a side effect;
         success then depends on the variant's footprint avoiding permanent
         damage. Returns True on success, False on a fabric fault.
         """
         part = self._part(partition_id)
         for key in [k for k, fl in self.damage.items() if k[0] == partition_id and fl == CONFIG]:
             del self.damage[key]
-        variant = self._variants_for(partition_id)[variant_index]
-        if variant.footprint & self.dd_cells(partition_id):
+        if self._variants_for(partition_id)[variant_index] & self.dd_cells(partition_id):
             return False
         part.active_variant = variant_index
         return True
 
     def validate_partition(self, partition_id: str) -> tuple[bool, set[int]]:
-        """Post-reconfiguration check; failure returns the offending cells."""
+        """Boot-time and post-reconfiguration check of the active variant;
+        failure returns the offending cells."""
         part = self._part(partition_id)
         overlap = self.footprint_overlap(partition_id, part.active_variant)
         return (not overlap, overlap)
-
-    def self_test(self, partition_id: str) -> bool:
-        """Boot-time check a tile runs against its own partition."""
-        ok, _ = self.validate_partition(partition_id)
-        return ok
 
     def viable_variants(self, partition_id: str) -> list[int]:
         """Variant indices whose footprints avoid all permanent damage."""
         dd = self.dd_cells(partition_id)
         return [
             i for i, v in enumerate(self._variants_for(partition_id))
-            if not (v.footprint & dd)
+            if not (v & dd)
         ]
 
     def free_partitions(self) -> list[str]:

@@ -9,7 +9,6 @@ what makes the protocol unit-testable in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .workload import OutputRecord
 
@@ -102,25 +101,19 @@ def compare_with_siblings(
 
 @dataclass
 class VoteResult:
-    thread_id: str
     cycle_counter: int
-    voted: Optional[OutputRecord]
     divergent: list[str] = field(default_factory=list)  # tiles whose record lost
     no_majority: bool = False
 
 
-def vote_outputs(
-    records: dict[str, OutputRecord],
-    voting_enabled: bool,
-) -> VoteResult:
+def vote_outputs(records: dict[str, OutputRecord]) -> VoteResult:
     """Majority-vote one checkpoint window's replica outputs for one thread.
 
     A record wins with >= ceil(n/2) identical copies. Divergent records are
     what would have escaped without voting; with voting disabled they do
-    escape and are merely counted.
+    escape and are merely counted. Without a majority every record diverges.
     """
     tiles = list(records)
-    first = records[tiles[0]]
     buckets: dict[int, list[str]] = {}
     for tile in tiles:
         buckets.setdefault(records[tile].digest, []).append(tile)
@@ -129,14 +122,11 @@ def vote_outputs(
     winners = [d for d, v in buckets.items() if len(v) == max_size]
     has_majority = 2 * max_size >= n and len(winners) == 1
 
-    result = VoteResult(thread_id=first.thread_id, cycle_counter=first.cycle_counter, voted=None)
+    result = VoteResult(cycle_counter=records[tiles[0]].cycle_counter)
     if has_majority:
         best = winners[0]
-        result.voted = records[buckets[best][0]]
         result.divergent = [t for t in tiles if records[t].digest != best]
     else:
         result.no_majority = True
         result.divergent = list(tiles)
-        if not voting_enabled:
-            result.voted = first
     return result

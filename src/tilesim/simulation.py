@@ -24,7 +24,7 @@ from .engine import MASK64, EventQueue, StreamPool, mix64
 from .scenario import Scenario, TileGroupConfig
 from .tiles import (
     ACTIVE, BOOTING, DEFUNCT, IDLE_SPARE, REBOOTING, SUSPECT, UPDATING,
-    RUN_THREADS, RunWindow, Tile, TileGroup, ThreadGroup, scheduler_step,
+    RunWindow, Tile, TileGroup, ThreadGroup,
 )
 from .trace import Trace
 
@@ -34,7 +34,6 @@ class GroupCheckpoint:
     group_id: str
     index: int
     t0: int
-    trigger: str
     participants: list[str]
     members: list[str]                       # roster as of checkpoint start
     checked: list[str]                       # thread ids validated this index
@@ -63,8 +62,7 @@ class GroupCheckpoint:
             ts = workload.execute_slice(ts, cycles * ts.spec.work_per_tick)
             self.advanced[key] = tuple(ts.state)
             return ts
-        return workload.ThreadState(ts.spec, list(words), ts.cycle_counter + cycles,
-                                    ts.corrupted)
+        return workload.ThreadState(ts.spec, list(words), ts.cycle_counter + cycles)
 
     def checksum(self, ts: workload.ThreadState) -> int:
         key = (tuple(ts.state), ts.cycle_counter)
@@ -108,21 +106,18 @@ class Simulation:
             partitions.append(
                 fab.Partition(f"free{i}", cell_count=scenario.fabric.cells_per_partition))
         if scenario.fabric.variants is not None:
-            variants = [fab.ConfigVariant(f"v{i}", frozenset(fp))
-                        for i, fp in enumerate(scenario.fabric.variants)]
+            variants = [frozenset(fp) for fp in scenario.fabric.variants]
         else:
             variants = fab.default_variants(scenario.fabric.cells_per_partition,
                                             anchor=scenario.fabric.anchor_cells)
         shared_variants = None
         if scenario.fabric.shared_variants is not None:
-            shared_variants = [fab.ConfigVariant(f"s{i}", frozenset(fp))
-                               for i, fp in enumerate(scenario.fabric.shared_variants)]
+            shared_variants = [frozenset(fp) for fp in scenario.fabric.shared_variants]
         self.fabric = fab.Fabric(partitions, variants, shared_variants,
                                  shared_cells=scenario.fabric.shared_cells)
 
         self.tiles: dict[str, Tile] = {
-            t.tile_id: Tile(t.tile_id, t.partition, capacity=t.capacity)
-            for t in scenario.tiles
+            t.tile_id: Tile(t.tile_id, t.partition) for t in scenario.tiles
         }
 
         self.thread_groups: dict[str, ThreadGroup] = {}
@@ -259,8 +254,8 @@ class Simulation:
 
     def _boot_tile(self, tile: Tile, initial: bool = False):
         now = self.queue.now
-        if not self.fabric.self_test(tile.partition):
-            _, evidence = self.fabric.validate_partition(tile.partition)
+        passed, evidence = self.fabric.validate_partition(tile.partition)
+        if not passed:
             self.trace.emit(now, tile.tile_id, "boot-failed",
                             tile=tile.tile_id, evidence=sorted(evidence))
             tile.set_status(DEFUNCT)
@@ -304,9 +299,7 @@ class Simulation:
         if tile.tile_id in self.supervisor.spare_pool:
             self.supervisor.spare_pool.remove(tile.tile_id)
         if tile.sefi_blocked:
-            tile.sefi_blocked = False
-            tile.sefi_epoch += 1
-            self.trace.emit(now, tile.tile_id, "sefi-cleared", target=tile.tile_id)
+            self._lift_sefi(tile.tile_id, tile.tile_id)
         # the reboot resets the state a pending update was going to repair
         self.pending_updates.pop(tile.tile_id, None)
         self.ledger.settle((flt.PENDING, tile.tile_id), "corrected")
@@ -332,7 +325,7 @@ class Simulation:
         participants = self._participants(group)
         checked = group.checked(index)
         ctx = GroupCheckpoint(
-            group_id=group.group_id, index=index, t0=now, trigger=trigger,
+            group_id=group.group_id, index=index, t0=now,
             participants=participants, members=list(group.members),
             checked=[s.thread_id for s in checked],
         )
@@ -396,7 +389,6 @@ class Simulation:
                     ts = ctx.advance(ts, cycles)
                 if tile.persist_corrupt:
                     ts.state[0] ^= mix64(tile.noise_seed ^ ts.cycle_counter) | 1
-                    ts.corrupted = True
                     slipped = True
                 tile.threads[spec.thread_id] = ts
         win.advanced_to = now
@@ -510,6 +502,8 @@ class Simulation:
 
         if verdict.all_agree:
             self._finish_agreeing_checkpoint(group, ctx, verdict)
+        elif not group.correction_enabled:
+            self._detect_only(group, ctx, verdict)
         elif verdict.unresolvable:
             self._handle_unresolvable(group, ctx, verdict)
         else:
@@ -522,7 +516,7 @@ class Simulation:
             records = ctx.outputs[tid]
             if len(records) < 2:
                 continue
-            result = lockstep.vote_outputs(records, voting)
+            result = lockstep.vote_outputs(records)
             if result.divergent or result.no_majority:
                 self.trace.emit(now, group.group_id, "output-vote",
                                 group=group.group_id, index=ctx.index, thread=tid,
@@ -591,7 +585,7 @@ class Simulation:
     def _resume_group(self, group: TileGroup, now: int):
         for m in group.members:
             tile = self.tiles[m]
-            if scheduler_step(tile) == RUN_THREADS:
+            if tile.status == ACTIVE and tile.windows:
                 for tg_id in group.thread_groups:
                     win = tile.windows.get(tg_id)
                     if win:
@@ -635,17 +629,19 @@ class Simulation:
         self.trace.emit(now, tile_id, "state-propagation", tile=tile_id, group=group_id,
                         index=index, threads=len(group.threads))
 
-    def _handle_faulty(self, group: TileGroup, ctx: GroupCheckpoint, verdict: sup.Verdict):
-        now = self.queue.now
-        if not group.correction_enabled:
-            self.trace.emit(now, "supervisor", "detection-only",
-                            group=group.group_id, index=ctx.index, faulty=verdict.faulty)
-            for f in verdict.faulty:
-                self.ledger.settle((flt.TILE, f), "degraded",
-                                   detected_by=(f, group.group_id, ctx.index))
-            self._finish_checkpoint(group, ctx, "detect-only")
-            return
+    def _detect_only(self, group: TileGroup, ctx: GroupCheckpoint, verdict: sup.Verdict):
+        """A group with correction off records what it detected and carries
+        on. An unresolvable verdict blames every participant."""
+        blamed = ctx.participants if verdict.unresolvable else verdict.faulty
+        extra = {"unresolvable": True} if verdict.unresolvable else {}
+        self.trace.emit(self.queue.now, "supervisor", "detection-only",
+                        group=group.group_id, index=ctx.index, faulty=verdict.faulty, **extra)
+        for m in blamed:
+            self.ledger.settle((flt.TILE, m), "degraded",
+                               detected_by=(m, group.group_id, ctx.index))
+        self._finish_checkpoint(group, ctx, "detect-only")
 
+    def _handle_faulty(self, group: TileGroup, ctx: GroupCheckpoint, verdict: sup.Verdict):
         donor = next((m for m in group.members if m in verdict.clique), None)
         writers = sorted(
             {m for m, r in ctx.reports.items() if r.detected_mismatch}
@@ -752,15 +748,6 @@ class Simulation:
     def _handle_unresolvable(self, group: TileGroup, ctx: GroupCheckpoint,
                              verdict: sup.Verdict):
         now = self.queue.now
-        if not group.correction_enabled:
-            self.trace.emit(now, "supervisor", "detection-only",
-                            group=group.group_id, index=ctx.index,
-                            faulty=[], unresolvable=True)
-            for m in ctx.participants:
-                self.ledger.settle((flt.TILE, m), "degraded",
-                                   detected_by=(m, group.group_id, ctx.index))
-            self._finish_checkpoint(group, ctx, "detect-only")
-            return
         if verdict.all_miss and ctx.reports and len(ctx.reports) == len(ctx.participants):
             # every member is alive yet nobody could read a sibling: the
             # shared interconnect itself is suspect
@@ -822,9 +809,7 @@ class Simulation:
             del self.pending_updates[m]
             if ok:
                 for tid, snap in snapshots.items():
-                    ts = workload.update_callback(tile.threads[tid], snap)
-                    ts.corrupted = donor.threads[tid].corrupted
-                    tile.threads[tid] = ts
+                    tile.threads[tid] = workload.update_callback(tile.threads[tid], snap)
                 tile.set_status(ACTIVE)
                 self.trace.emit(now, m, "update-success",
                                 tile=m, group=group.group_id, donor=donor_id,
@@ -880,7 +865,6 @@ class Simulation:
             ts = tile.threads[ev.thread]
             for k, mask in enumerate(ev.masks):
                 ts.state[(ev.word + k) % len(ts.state)] ^= mask & MASK64
-            ts.corrupted = True
             applied(words=len(ev.masks))
             self.ledger.open(ev.fault_id, (flt.TILE, ev.tile))
         elif kind == flt.TRANSIENT_VMEM:
@@ -912,8 +896,8 @@ class Simulation:
                 return
             part = self.fabric.partitions[ev.partition]
             tile = self.tiles.get(part.hosted_tile or "")
-            variant = self.fabric.tile_variants[part.active_variant]
-            if tile is not None and tile.is_member and ev.cell in variant.footprint:
+            footprint = self.fabric.tile_variants[part.active_variant]
+            if tile is not None and tile.is_member and ev.cell in footprint:
                 tile.persist_corrupt = True
                 applied(flavor=ev.flavor, corrupting=True)
                 self.ledger.open(ev.fault_id, (flt.TILE, tile.tile_id),
@@ -942,20 +926,26 @@ class Simulation:
             raise ValueError(f"unhandled fault kind {kind!r}")
 
     def _on_sefi_expiry(self, target: str, epoch: int, fault_id: int):
-        now = self.queue.now
         if target == fab.SHARED:
-            if epoch != self.shared_epoch or not self.shared_blocked:
-                return
+            blocked, current = self.shared_blocked, self.shared_epoch
+        else:
+            tile = self.tiles[target]
+            blocked, current = tile.sefi_blocked, tile.sefi_epoch
+        if blocked and epoch == current:
+            self._lift_sefi(target, "injector")
+            self.ledger.absorb(fault_id)
+
+    def _lift_sefi(self, target: str, actor: str):
+        """Clear the SEFI block on a tile or on the shared region; the new
+        epoch voids any expiry still queued for the old block."""
+        if target == fab.SHARED:
             self.shared_blocked = False
             self.shared_epoch += 1
         else:
             tile = self.tiles[target]
-            if epoch != tile.sefi_epoch or not tile.sefi_blocked:
-                return
             tile.sefi_blocked = False
             tile.sefi_epoch += 1
-        self.trace.emit(now, "injector", "sefi-cleared", target=target)
-        self.ledger.absorb(fault_id)
+        self.trace.emit(self.queue.now, actor, "sefi-cleared", target=target)
 
     # ------------------------------------------------------------------
     # Stage 2: repair
@@ -1070,9 +1060,7 @@ class Simulation:
         self.fabric.partial_reconfigure(fab.SHARED, nxt)
         self.trace.emit(now, "fabric", "full-reconfig-done", variant=nxt)
         if self.shared_blocked:
-            self.shared_blocked = False
-            self.shared_epoch += 1
-            self.trace.emit(now, "injector", "sefi-cleared", target=fab.SHARED)
+            self._lift_sefi(fab.SHARED, "injector")
         self.ledger.settle((flt.PARTITION, fab.SHARED), "repaired")
         self._restart_after_halt(now)
 
@@ -1249,10 +1237,9 @@ class Simulation:
             self._join(tile, group, now)
             for spec in tg.threads:
                 if donor is not None and m != donor_id:
-                    snap = workload.sync_callback(donor.threads[spec.thread_id])
-                    ts = workload.update_callback(tile.threads[spec.thread_id], snap)
-                    ts.corrupted = donor.threads[spec.thread_id].corrupted
-                    tile.threads[spec.thread_id] = ts
+                    tile.threads[spec.thread_id] = workload.update_callback(
+                        tile.threads[spec.thread_id],
+                        workload.sync_callback(donor.threads[spec.thread_id]))
                 elif donor is None:
                     tile.threads[spec.thread_id] = workload.init_thread(spec)
             self.trace.emit(now, m, "timer-adjusted",

@@ -168,10 +168,9 @@ class RunWindow:
 
 
 class Tile:
-    def __init__(self, tile_id: str, partition: str, capacity: float = 0.0):
+    def __init__(self, tile_id: str, partition: str):
         self.tile_id = tile_id
         self.partition = partition
-        self.capacity = capacity
         # tile-specific salt for modeling damaged-logic corruption
         self.noise_seed = int.from_bytes(
             hashlib.blake2b(tile_id.encode(), digest_size=8).digest(), "little")
@@ -197,18 +196,3 @@ class Tile:
     def is_member(self) -> bool:
         """Lockstepping siblings expect a report from this tile."""
         return self.status in (ACTIVE, SUSPECT, UPDATING)
-
-
-# scheduler_step actions
-RUN_THREADS = "run-threads"
-PERFORM_UPDATE = "perform-update"
-SLEEP = "sleep-until-checkpoint"
-
-
-def scheduler_step(tile: Tile) -> str:
-    """The three conditions a tile checks when control returns to its scheduler."""
-    if tile.status == UPDATING:
-        return PERFORM_UPDATE
-    if tile.status == ACTIVE and tile.windows:
-        return RUN_THREADS
-    return SLEEP

@@ -69,9 +69,6 @@ class ThreadState:
     spec: ThreadSpec
     state: list[int]
     cycle_counter: int = 0
-    # Diagnostic flag for the run oracle only. Protocol logic never reads it;
-    # tests enforce that by running with reads trapped.
-    corrupted: bool = False
 
 
 @dataclass(frozen=True)
@@ -123,7 +120,7 @@ def execute_slice(ts: ThreadState, ticks: int) -> ThreadState:
     mult, inc = _jump(cycles)
     inc = inc * MIX_TAG
     words = [(mult * w + inc * (2 * i + 1)) & MASK64 for i, w in enumerate(ts.state)]
-    return ThreadState(ts.spec, words, ts.cycle_counter + cycles, ts.corrupted)
+    return ThreadState(ts.spec, words, ts.cycle_counter + cycles)
 
 
 def checksum_callback(ts: ThreadState) -> int:
@@ -151,7 +148,7 @@ def update_callback(target: ThreadState, snap: StateSnapshot) -> ThreadState:
         raise ThreadIdMismatch(
             f"snapshot of {snap.thread_id!r} applied to {target.spec.thread_id!r}"
         )
-    return ThreadState(target.spec, list(snap.state), snap.cycle_counter, target.corrupted)
+    return ThreadState(target.spec, list(snap.state), snap.cycle_counter)
 
 
 @dataclass(frozen=True)

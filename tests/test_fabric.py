@@ -1,5 +1,5 @@
 from tilesim.fabric import (
-    CONFIG, DD, SHARED, ConfigVariant, Fabric, Partition, default_variants,
+    CONFIG, DD, SHARED, Fabric, Partition, default_variants,
 )
 
 
@@ -12,10 +12,10 @@ def test_default_variant_geometry():
     variants = default_variants(64, anchor=(0,))
     assert len(variants) == 3
     for v in variants:
-        assert 0 in v.footprint
-        assert max(v.footprint) < 64
+        assert 0 in v
+        assert max(v) < 64
     # thirds are disjoint apart from the anchor
-    a, b, c = (set(v.footprint) - {0} for v in variants)
+    a, b, c = (v - {0} for v in variants)
     assert not (a & b) and not (b & c) and not (a & c)
 
 
@@ -29,7 +29,7 @@ def test_variant_overlap_decides_repair():
     # damage at a cell used by variant A but not variant B
     f = Fabric(
         [Partition("p0", cell_count=16, hosted_tile="C0")],
-        [ConfigVariant("a", frozenset({5, 6, 7})), ConfigVariant("b", frozenset({2, 3, 4}))],
+        [frozenset({5, 6, 7}), frozenset({2, 3, 4})],
     )
     f.add_damage("p0", 7)
     assert not f.partial_reconfigure("p0", 0)
@@ -49,7 +49,7 @@ def test_validation_returns_evidence():
 def test_damage_after_reconfigure_fails_validation():
     f = make_fabric()
     assert f.partial_reconfigure("p0", 2)
-    cell = next(iter(f.tile_variants[2].footprint - {0}))
+    cell = next(iter(f.tile_variants[2] - {0}))
     f.add_damage("p0", cell)
     ok, evidence = f.validate_partition("p0")
     assert not ok and cell in evidence
@@ -73,11 +73,11 @@ def test_dd_dominates_config_flavor():
     assert 3 in f.dd_cells("p0")
 
 
-def test_self_test_matches_active_footprint():
+def test_anchor_damage_fails_validation_under_every_variant():
     f = make_fabric()
-    assert f.self_test("p0")
+    assert f.validate_partition("p0") == (True, set())
     f.add_damage("p0", 0)  # anchor cell: every variant uses it
-    assert not f.self_test("p0")
+    assert f.validate_partition("p0") == (False, {0})
     assert f.viable_variants("p0") == []
 
 

@@ -168,35 +168,28 @@ def rec(tid, cycle, digest):
 
 def test_vote_three_identical():
     records = {t: rec("Ta", 4, 77) for t in ("C0", "C1", "C2")}
-    result = vote_outputs(records, voting_enabled=True)
-    assert result.voted.digest == 77
+    result = vote_outputs(records)
+    assert result.cycle_counter == 4
     assert result.divergent == []
     assert not result.no_majority
 
 
 def test_vote_two_versus_one():
     records = {"C0": rec("Ta", 4, 77), "C1": rec("Ta", 4, 77), "C2": rec("Ta", 4, 5)}
-    result = vote_outputs(records, voting_enabled=True)
-    assert result.voted.digest == 77
+    result = vote_outputs(records)
     assert result.divergent == ["C2"]
+    assert not result.no_majority
 
 
 def test_vote_no_majority_suppresses():
     records = {"C0": rec("Ta", 4, 1), "C1": rec("Ta", 4, 2), "C2": rec("Ta", 4, 3)}
-    result = vote_outputs(records, voting_enabled=True)
-    assert result.voted is None
+    result = vote_outputs(records)
     assert result.no_majority
     assert sorted(result.divergent) == ["C0", "C1", "C2"]
 
 
 def test_vote_pair_split_has_no_majority():
     records = {"C0": rec("Ta", 4, 1), "C1": rec("Ta", 4, 2)}
-    result = vote_outputs(records, voting_enabled=True)
+    result = vote_outputs(records)
     assert result.no_majority
 
-
-def test_voting_disabled_lets_divergence_escape():
-    records = {"C0": rec("Ta", 4, 77), "C1": rec("Ta", 4, 77), "C2": rec("Ta", 4, 5)}
-    result = vote_outputs(records, voting_enabled=False)
-    assert result.divergent == ["C2"]
-    assert result.voted is not None

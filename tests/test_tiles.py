@@ -1,9 +1,8 @@
 import pytest
 
 from tilesim.tiles import (
-    ACTIVE, BOOTING, DEFUNCT, IDLE_SPARE, PERFORM_UPDATE, REBOOTING,
-    RUN_THREADS, SLEEP, SUSPECT, UPDATING, InvalidTransition, NotOwner,
-    RunWindow, Tile, TileGroup, ValidationMemory, scheduler_step,
+    ACTIVE, BOOTING, DEFUNCT, IDLE_SPARE, REBOOTING, SUSPECT, UPDATING,
+    InvalidTransition, NotOwner, RunWindow, Tile, TileGroup, ValidationMemory,
 )
 from tilesim.workload import StateSnapshot, ThreadSpec
 
@@ -79,19 +78,6 @@ def test_tile_group_invariants():
     assert g.period == 1000
     g.period_factor = 2
     assert g.period == 2000
-
-
-def test_scheduler_step_conditions():
-    tile = Tile("C0", "p0")
-    tile.set_status(ACTIVE)
-    tile.windows["TG1"] = RunWindow()
-    assert scheduler_step(tile) == RUN_THREADS
-    tile.windows.clear()
-    assert scheduler_step(tile) == SLEEP
-    spare = Tile("C1", "p1")
-    spare.set_status(IDLE_SPARE)
-    spare.set_status(UPDATING)
-    assert scheduler_step(spare) == PERFORM_UPDATE
 
 
 def test_run_window_split_advance_is_exact():

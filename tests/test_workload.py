@@ -171,7 +171,6 @@ def test_snapshot_roundtrip_reproduces_checksum():
 def test_snapshots_are_honest():
     corrupted = init_thread(spec())
     corrupted.state[0] ^= 0xFF
-    corrupted.corrupted = True
     snap = sync_callback(corrupted)
     assert snap.state == tuple(corrupted.state)
     assert snap.cycle_counter == corrupted.cycle_counter
