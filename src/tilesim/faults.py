@@ -10,7 +10,7 @@ random stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .engine import EventQueue, RandomStream
@@ -231,7 +231,8 @@ def generate(
                     if roll < profile.multi_word_prob and ev.thread is not None:
                         ev.masks = (ev.masks[0], _nonzero_mask(stream))
                 events.append(ev)
-    events.extend(profile.explicit)
+    # copies: the run numbers its faults, the scenario keeps its own
+    events.extend(replace(e) for e in profile.explicit)
     events.sort(key=lambda e: e.at)
     for i, ev in enumerate(events):
         ev.fault_id = i

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import typing
+from importlib import resources
 
 import pytest
 
@@ -241,6 +242,17 @@ def test_bad_durations_rejected(name, override, field):
     with pytest.raises(ScenarioError) as err:
         load_scenario(name, [override])
     assert [p for p in err.value.problems if p.startswith(field + ":")]
+
+
+def test_a_run_leaves_its_scenario_as_parsed():
+    # the run numbers its faults; the scenario's own events keep the id
+    # they were parsed with, so a scenario can be run again or copied
+    doc = json.loads(
+        (resources.files("tilesim") / "scenarios" / "fig3.scenario").read_text())
+    sc = parse_scenario(doc, name="fig3")
+    Simulation(sc).run()
+    assert sc.profile.explicit[0].fault_id == -1
+    assert sc == parse_scenario(doc, name="fig3")
 
 
 def test_canonical_json_is_stable():
