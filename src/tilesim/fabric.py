@@ -9,6 +9,7 @@ the same until the partition is rewritten, which any reconfiguration does.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -31,6 +32,18 @@ def default_variants(cell_count: int = 64, anchor: tuple[int, ...] = (0,)) -> li
     third = cell_count // 3
     return [frozenset(range(1 + i * third, 1 + (i + 1) * third)).union(anchor)
             for i in range(3)]
+
+
+def free_partition_ids(count: int) -> list[str]:
+    """Ids of the `count` extra partitions, which host no tile at boot."""
+    return [f"free{i}" for i in range(count)]
+
+
+def reserved_partition_id(partition_id: str, extra_partitions: int) -> bool:
+    """Whether the fabric itself names a partition `partition_id`: the shared
+    region, or one of `free_partition_ids(extra_partitions)`."""
+    free = re.fullmatch(r"free(0|[1-9][0-9]*)", partition_id)
+    return partition_id == SHARED or (free is not None and int(free[1]) < extra_partitions)
 
 
 class Fabric:

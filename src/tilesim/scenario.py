@@ -19,6 +19,7 @@ from typing import Any, Optional
 
 from . import faults
 from .criticality import CriticalityPolicy
+from .fabric import reserved_partition_id
 from .lockstep import CheckpointCost
 from .tiles import TileGroup
 from .trace import encode_canonical
@@ -297,6 +298,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     def section(key, cls):
         return cls(**_read(problems, key, doc.get(key, {}), cls))
 
+    fabric_cfg = section("fabric", FabricConfig)
     tiles: list[TileConfig] = []
     tile_ids: set[str] = set()
     for i, t in _entries(problems, "tiles", doc.get("tiles", [])):
@@ -305,6 +307,9 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
                                   tile_id=f"tile{i}", partition=f"p{i}"))
         if tile.tile_id in tile_ids:
             problems.append(f"{path}: duplicate tile id {tile.tile_id!r}")
+        if reserved_partition_id(tile.partition, fabric_cfg.extra_partitions):
+            problems.append(f"{path}.partition: {tile.partition!r} names a partition "
+                            "of the fabric's own")
         tile_ids.add(tile.tile_id)
         tiles.append(tile)
     if not tiles:
@@ -378,7 +383,6 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             if m in spare_ids:
                 problems.append(f"tile_groups[{g.group_id}]: spare tile {m!r} cannot be a member")
 
-    fabric_cfg = section("fabric", FabricConfig)
     for cells_key, variants_key in (("cells_per_partition", "variants"),
                                     ("shared_cells", "shared_variants")):
         cells, var_list = getattr(fabric_cfg, cells_key), getattr(fabric_cfg, variants_key)

@@ -102,9 +102,9 @@ class Simulation:
                           hosted_tile=t.tile_id)
             for t in scenario.tiles
         ]
-        for i in range(scenario.fabric.extra_partitions):
+        for pid in fab.free_partition_ids(scenario.fabric.extra_partitions):
             partitions.append(
-                fab.Partition(f"free{i}", cell_count=scenario.fabric.cells_per_partition))
+                fab.Partition(pid, cell_count=scenario.fabric.cells_per_partition))
         if scenario.fabric.variants is not None:
             variants = [frozenset(fp) for fp in scenario.fabric.variants]
         else:

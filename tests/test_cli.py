@@ -108,6 +108,17 @@ def test_bad_override_exits_1_without_traceback(capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("partition,extra", [("free0", "1"), ("shared", "0")])
+def test_reserved_partition_name_exits_1(capsys, verb, partition, extra):
+    rc = main([verb, "--scenario", "fig3", "--set", f'tiles[0].partition="{partition}"',
+               "--set", f"fabric.extra_partitions={extra}", "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "tiles[0].partition:" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("verb", ["run", "replay-check"])
 @pytest.mark.parametrize("until", ["0", "-5"])
 def test_until_below_one_exits_1_naming_until(capsys, verb, until):

@@ -255,6 +255,26 @@ def test_a_run_leaves_its_scenario_as_parsed():
     assert sc == parse_scenario(doc, name="fig3")
 
 
+@pytest.mark.parametrize("partition,extra", [
+    ("shared", 0), ("free0", 1), ("free2", 3),
+])
+def test_tile_partition_cannot_take_a_fabric_name(partition, extra):
+    doc = minimal_doc(fabric={"extra_partitions": extra})
+    doc["tiles"][1]["partition"] = partition
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.problems == [
+        f"tiles[1].partition: {partition!r} names a partition of the fabric's own"]
+
+
+@pytest.mark.parametrize("partition", ["free1", "free01", "free", "shared0"])
+def test_tile_partition_may_look_like_a_fabric_name(partition):
+    doc = minimal_doc(fabric={"extra_partitions": 1})
+    doc["tiles"][1]["partition"] = partition
+    sim = Simulation(parse_scenario(doc))
+    assert sim.fabric.partitions[partition].hosted_tile == "C1"
+
+
 def test_canonical_json_is_stable():
     a = parse_scenario(minimal_doc())
     b = parse_scenario(minimal_doc())
