@@ -102,7 +102,10 @@ def cmd_sweep(args) -> int:
             except json.JSONDecodeError:
                 raise ScenarioError([f"--grid {key}: non-numeric value {v!r}"])
         grid[key] = parsed
-    seeds = [int(s) for s in args.seeds.split(",") if s]
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError:
+        raise ScenarioError([f"--seeds: expected comma-separated integers, not {args.seeds!r}"])
     rows = runner.sweep(scenario.raw, grid, seeds)
     if args.csv_out:
         runner.write_sweep_csv(rows, args.csv_out)

@@ -152,6 +152,18 @@ def test_sweep_csv_and_rows(tmp_path):
     assert "overhead_mean" in lines[0]
 
 
+@pytest.mark.parametrize("seeds", ["1,x", "", "1,,2"])
+def test_sweep_rejects_bad_seeds(tmp_path, capsys, seeds):
+    csv_out = tmp_path / "rows.csv"
+    rc = main(["sweep", "--scenario", "fig3", "--seeds", seeds,
+               "--csv-out", str(csv_out), "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "--seeds:" in err
+    assert "Traceback" not in err
+    assert not csv_out.exists()
+
+
 def test_sweep_rejects_non_numeric_grid():
     rc = main(["sweep", "--scenario", "fig3", "--grid", "name=foo,bar", "--quiet"])
     assert rc == 1
