@@ -8,7 +8,9 @@ tile, a reboot that settles a pending update, and a stale participant. The
 wide-group pins cover arbitration over one 14-tile group. The reordered
 pins cover a tile group that lists its thread groups in another order than
 the scenario does: a generated fault picks its thread in scenario order,
-while the group checks its threads in its own order.
+while the group checks its threads in its own order. The signal-loss pins
+lose about three in ten checkpoint reports, so the supervisor judges rounds
+from a partial set of reports.
 
 Each pinned run also pins how many events it scheduled and dispatched,
 counted by wrapping `EventQueue.schedule` and `EventQueue.advance` as the
@@ -23,7 +25,7 @@ import pytest
 from tilesim.engine import EventQueue
 from tilesim.scenario import load_scenario, parse_scenario
 from tilesim.simulation import Simulation
-from trace_corpus import chaos_doc, reordered_doc, shared_tile_doc, wide_doc
+from trace_corpus import chaos_doc, lossy_doc, reordered_doc, shared_tile_doc, wide_doc
 
 BUNDLED_DIGESTS = {
     "fig3": "d80b81eaa01c083210c2482ef0de823c4d06e90ac7cb827d8c285275a7a188af",
@@ -62,6 +64,17 @@ REORDERED_DIGESTS = {
     1: "3867bdf6c38bdb8df51912dcdce7b040959f79e5cf291c6462f1ba46528d642f",
 }
 
+# (document, seed) -> digest, each document at signal_loss_prob 0.3
+SIGNAL_LOSS_DOCS = {"chaos": chaos_doc, "wide-group": wide_doc}
+SIGNAL_LOSS_DIGESTS = {
+    ("chaos", 0): "a64bce996d7e50b44bc7cdbb44b7af5565841879163f45463af3a3ee195a821e",
+    ("chaos", 1): "7845ad1fa00ebd34472fc64d7843847346837e4e9b98372c2def3f03c138dc54",
+    ("chaos", 2): "8aaf9b5187ddf94c0485c48705782f1d20d25b14c23a68ce44dc4138cf7422de",
+    ("chaos", 3): "fa911d55402d5668ff03832fa1feb050afc5de370d4de5d796ca338cad825ff6",
+    ("wide-group", 0): "b89854c86dad216f6caac9a57224dcfcec0141b1bb2e7eef613fe4c976f1d691",
+    ("wide-group", 1): "5f2b6319838786e6848b0a251c1862e769770774f267ea8ca390890c4326ffdf",
+}
+
 
 # (scheduled, dispatched) events of each pinned run above, keyed like the
 # digests and prefixed with the family
@@ -87,6 +100,12 @@ EVENT_COUNTS = {
     ("wide-group", 1): (1701, 1563),
     ("wide-group", 2): (1559, 1453),
     ("wide-group", 3): (1657, 1543),
+    ("signal-loss", "chaos", 0): (629, 489),
+    ("signal-loss", "chaos", 1): (605, 470),
+    ("signal-loss", "chaos", 2): (636, 489),
+    ("signal-loss", "chaos", 3): (597, 466),
+    ("signal-loss", "wide-group", 0): (2999, 2711),
+    ("signal-loss", "wide-group", 1): (2729, 2461),
 }
 
 
@@ -152,3 +171,11 @@ def test_reordered_thread_groups_trace_digest(pinned_run, seed):
     digest, events = pinned_run(sc)
     assert digest == REORDERED_DIGESTS[seed]
     assert events == EVENT_COUNTS["reordered", seed]
+
+
+@pytest.mark.parametrize("doc,seed", sorted(SIGNAL_LOSS_DIGESTS))
+def test_signal_loss_trace_digest(pinned_run, doc, seed):
+    raw = lossy_doc(SIGNAL_LOSS_DOCS[doc](seed), 0.3)
+    digest, events = pinned_run(parse_scenario(raw, name=raw["name"]))
+    assert digest == SIGNAL_LOSS_DIGESTS[doc, seed]
+    assert events == EVENT_COUNTS["signal-loss", doc, seed]

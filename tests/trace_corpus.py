@@ -13,6 +13,10 @@ naming the run, unless the records read back re-serialise to the same bytes
 and give the same metrics.
 A third line hashes the wide-group variant (one 14-tile group) over seeds
 0-59, traces then metrics, so that arbitration of wide groups is covered.
+A fourth hashes the chaos and wide-group documents with report signal loss
+at probabilities 0.05, 0.3 and 0.9 over seeds 0-59 (360 runs), so that
+rounds in which some reports are lost are covered. All four lines take
+about 60 s.
 It needs only the standard library; pytest does not collect it, and the
 soak and digest tests take their scenario documents from here.
 """
@@ -115,6 +119,12 @@ def wide_doc(seed):
     return doc
 
 
+def lossy_doc(doc, prob):
+    """`doc` with each checkpoint report lost with probability `prob`."""
+    doc["features"]["signal_loss_prob"] = prob
+    return doc
+
+
 def corpus():
     for name in BUNDLED:
         yield load_scenario(name)
@@ -128,6 +138,14 @@ def corpus():
 def wide_corpus():
     for seed in range(60):
         yield parse_scenario(wide_doc(seed), name="wide-group")
+
+
+def lossy_corpus():
+    for prob in (0.05, 0.3, 0.9):
+        for seed in range(60):
+            for make in (chaos_doc, wide_doc):
+                doc = lossy_doc(make(seed), prob)
+                yield parse_scenario(doc, name=doc["name"])
 
 
 def hashes(scenarios):
@@ -155,6 +173,8 @@ def main() -> int:
     print(f"metrics {metrics}")
     runs, traces, metrics = hashes(wide_corpus())
     print(f"wide    {runs} runs, traces {traces}, metrics {metrics}")
+    runs, traces, metrics = hashes(lossy_corpus())
+    print(f"lossy   {runs} runs, traces {traces}, metrics {metrics}")
     return 0
 
 
