@@ -1,5 +1,6 @@
 """Checkpoint-cycle protocol pieces that are pure functions of captured
-values: checksum scheduling, sibling comparison, and output voting.
+values: checksum scheduling, sibling comparison (with the unanimous round
+built directly), and output voting.
 
 The event wiring (when each phase runs) lives in the simulation; everything
 here is deterministic arithmetic over validation-memory snapshots, which is
@@ -9,6 +10,7 @@ what makes the protocol unit-testable in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .workload import OutputRecord
 
@@ -97,6 +99,31 @@ def compare_with_siblings(
             break
     return CheckpointReport(verdicts=verdicts, completed_at=completed,
                             detected_mismatch=mismatch)
+
+
+def unanimous_reports(
+    members: list[str],
+    written_at: dict[str, int],
+    deadline_at: int,
+    rows: dict[str, tuple],
+    reads_blocked: bool = False,
+) -> Optional[dict[str, CheckpointReport]]:
+    """Every member's report of a unanimous round, or None if it is not one.
+
+    A round is unanimous when reads are not blocked, every member wrote by
+    the deadline, and every row is equal with no missing entry. Each
+    member's `compare_with_siblings` then affirms every sibling and
+    completes when the last member wrote: that is built here directly,
+    without walking siblings. `written_at` holds members only.
+    """
+    if reads_blocked or not members or len(written_at) != len(members):
+        return None
+    completed = max(written_at.values())
+    first = rows[members[0]]
+    if completed > deadline_at or None in first or any(rows[m] != first for m in members):
+        return None
+    return {me: CheckpointReport({sib: AGREE for sib in members if sib != me}, completed)
+            for me in members}
 
 
 @dataclass

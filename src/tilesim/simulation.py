@@ -454,12 +454,14 @@ class Simulation:
         for w in ctx.written:
             vmem = self.tiles[w].vmem
             rows[w] = tuple(vmem.checksum_of(t, index) for t in ctx.checked)
+        unanimous = lockstep.unanimous_reports(
+            ctx.members, ctx.written, deadline_at, rows, self.shared_blocked)
         loss = self.scenario.features.signal_loss_prob
         for m in ctx.participants:
             tile = self.tiles[m]
             if m not in ctx.written or tile.sefi_blocked:
                 continue  # never wrote, or its interface is down: stays silent
-            report = lockstep.compare_with_siblings(
+            report = unanimous[m] if unanimous else lockstep.compare_with_siblings(
                 m, ctx.members, ctx.written, deadline_at, rows, self.shared_blocked)
             if loss > 0:
                 roll = (self.streams.get("signal-loss").uniform64() >> 11) * 2.0**-53
@@ -489,7 +491,10 @@ class Simulation:
             self._set_tg_active(group, False, now)
             return
 
-        verdict = sup.arbitrate(ctx.participants, ctx.reports)
+        if unanimous and len(ctx.reports) == len(ctx.participants):
+            verdict = sup.Verdict(faulty=[], clique=list(ctx.participants))
+        else:  # a lost or blocked report can leave a tie: only arbitration tells
+            verdict = sup.arbitrate(ctx.participants, ctx.reports)
         ctx.clique = list(verdict.clique)
         self.supervisor.kick(now)
         self._arm_watchdog(now)

@@ -3,8 +3,9 @@ from hypothesis import strategies as st
 
 from tilesim.lockstep import (
     AGREE, DISAGREE, MISS, CheckpointCost, CheckpointReport, compare_with_siblings,
-    vote_outputs,
+    unanimous_reports, vote_outputs,
 )
+from tilesim.supervisor import arbitrate
 from tilesim.tiles import TileGroup
 from tilesim.workload import OutputRecord, ThreadSpec
 
@@ -143,6 +144,51 @@ def test_compare_with_siblings_matches_reference(case):
     want = reference_compare_with_siblings(*case)
     assert got == want
     assert list(got.verdicts) == list(want.verdicts)  # same comparison order
+
+
+@st.composite
+def unanimous_rounds(draw):
+    """1-24 members in any order, each written at or before the deadline,
+    and one None-free row of up to 3 entries that every member holds."""
+    tiles = [f"C{i}" for i in range(24)]
+    members = draw(st.permutations(tiles))[:draw(st.integers(1, 24))]
+    deadline_at = draw(st.integers(0, 40))
+    written_at = {m: draw(st.integers(0, deadline_at)) for m in members}
+    row = tuple(draw(st.lists(st.integers(0, 2), max_size=3)))
+    return members, written_at, deadline_at, {m: row for m in members}
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(unanimous_rounds(), st.data())
+def test_unanimous_reports_equal_the_general_path(case, data):
+    members, written_at, deadline_at, rows = case
+    reports = unanimous_reports(*case)
+    assert reports == {me: compare_with_siblings(me, *case) for me in members}
+    verdict = arbitrate(members, reports)
+    assert verdict.all_agree and verdict.clique == members
+
+    # each way of breaking unanimity leaves the round to the general path
+    me = data.draw(st.sampled_from(members))
+    row = rows[me]
+    holed = {m: (None,) + row[1:] for m in members}
+    assert unanimous_reports(members, written_at, deadline_at, holed) is None
+    if len(members) > 1:
+        assert unanimous_reports(members, written_at, deadline_at,
+                                 {**rows, me: row + (0,)}) is None
+    missing = {m: t for m, t in written_at.items() if m != me}
+    assert unanimous_reports(members, missing, deadline_at, rows) is None
+    late = {**written_at, me: deadline_at + 1}
+    assert unanimous_reports(members, late, deadline_at, rows) is None
+    assert unanimous_reports(*case, reads_blocked=True) is None
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(comparisons())
+def test_unanimous_reports_only_where_the_general_path_agrees(case):
+    _, members, written_at, deadline_at, rows, blocked = case
+    reports = unanimous_reports(members, written_at, deadline_at, rows, blocked)
+    if reports is not None:
+        assert reports == {me: compare_with_siblings(me, *case[1:]) for me in members}
 
 
 def test_checked_threads_modular_schedule():
