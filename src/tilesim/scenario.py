@@ -32,6 +32,11 @@ BUNDLED = ("fig3", "fig6", "exhaustion", "storm")
 # members one such checkpoint takes about 10 ms to judge.
 MAX_GROUP_MEMBERS = 24
 
+# The most free partitions a fabric may add beyond the tiles' own. A run
+# builds each of them and every relocation sorts them all; at 1024 that adds
+# about 1 ms to construction and 0.1 ms to each relocation.
+MAX_EXTRA_PARTITIONS = 1024
+
 
 class ScenarioError(ValueError):
     def __init__(self, problems: list[str]):
@@ -396,6 +401,8 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
                     problems.append(f"fabric.{variants_key}[{vi}]: cell index out of range")
     if any(c >= fabric_cfg.cells_per_partition for c in fabric_cfg.anchor_cells):
         problems.append("fabric.anchor_cells: cell index out of range")
+    if fabric_cfg.extra_partitions > MAX_EXTRA_PARTITIONS:
+        problems.append(f"fabric.extra_partitions: at most {MAX_EXTRA_PARTITIONS}")
 
     costs = section("costs", CostConfig)
 

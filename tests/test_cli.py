@@ -3,6 +3,7 @@ import json
 import pytest
 
 from tilesim.cli import main
+from tilesim.scenario import MAX_EXTRA_PARTITIONS
 
 
 def test_run_writes_trace_and_metrics(tmp_path):
@@ -116,6 +117,16 @@ def test_reserved_partition_name_exits_1(capsys, verb, partition, extra):
     assert rc == 1
     err = capsys.readouterr().err
     assert "tiles[0].partition:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_too_many_extra_partitions_exits_1(capsys, verb):
+    rc = main([verb, "--scenario", "fig3", "--set",
+               f"fabric.extra_partitions={MAX_EXTRA_PARTITIONS + 1}", "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "fabric.extra_partitions:" in err
     assert "Traceback" not in err
 
 

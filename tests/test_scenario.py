@@ -8,7 +8,7 @@ import pytest
 from tilesim.criticality import CriticalityPolicy
 from tilesim.faults import FaultEvent, FaultProfile, RateWindow
 from tilesim.scenario import (
-    BUNDLED, MAX_GROUP_MEMBERS, CostConfig, FabricConfig, FeatureConfig, Scenario,
+    BUNDLED, MAX_EXTRA_PARTITIONS, MAX_GROUP_MEMBERS, CostConfig, FabricConfig, FeatureConfig, Scenario,
     ScenarioError, SupervisorConfig, TileConfig, TileGroupConfig, apply_override,
     load_scenario, parse_scenario,
 )
@@ -273,6 +273,20 @@ def test_tile_partition_may_look_like_a_fabric_name(partition):
     doc["tiles"][1]["partition"] = partition
     sim = Simulation(parse_scenario(doc))
     assert sim.fabric.partitions[partition].hosted_tile == "C1"
+
+
+def test_extra_partitions_over_bound_rejected():
+    doc = minimal_doc(fabric={"extra_partitions": MAX_EXTRA_PARTITIONS + 1})
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.problems == [f"fabric.extra_partitions: at most {MAX_EXTRA_PARTITIONS}"]
+
+
+def test_extra_partitions_at_bound_parses_and_runs():
+    sc = parse_scenario(minimal_doc(fabric={"extra_partitions": MAX_EXTRA_PARTITIONS}))
+    sim = Simulation(sc)
+    assert f"free{MAX_EXTRA_PARTITIONS - 1}" in sim.fabric.free_partitions()
+    sim.run()
 
 
 def test_canonical_json_is_stable():
