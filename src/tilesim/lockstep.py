@@ -116,7 +116,7 @@ def unanimous_reports(
     completes when the last member wrote: that is built here directly,
     without walking siblings. `written_at` holds members only.
     """
-    if reads_blocked or not members or len(written_at) != len(members):
+    if reads_blocked or len(written_at) != len(members):
         return None
     completed = max(written_at.values())
     first = rows[members[0]]

@@ -6,7 +6,7 @@ Run it before and after a change that must keep the trace bytes:
 
 The corpus is the bundled scenarios, chaos seeds 0-299, and the shared-tile
 variant (C2 serves both groups) at transient thresholds 3 and 2 over seeds
-0-399: 1104 runs, about 40 s. The first hash covers each run's JSONL trace,
+0-399: 1104 runs. The first hash covers each run's JSONL trace,
 the second each run's `compute_metrics(...).to_json()`, in that run order.
 Each run's JSONL is also read back with `read_jsonl`: the script exits 1,
 naming the run, unless the records read back re-serialise to the same bytes
@@ -16,7 +16,7 @@ A third line hashes the wide-group variant (one 14-tile group) over seeds
 A fourth hashes the chaos and wide-group documents with report signal loss
 at probabilities 0.05, 0.3 and 0.9 over seeds 0-59 (360 runs), so that
 rounds in which some reports are lost are covered. All four lines take
-about 60 s.
+about 90 s on a 2-vCPU host.
 It needs only the standard library; pytest does not collect it, and the
 soak and digest tests take their scenario documents from here.
 """
