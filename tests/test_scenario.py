@@ -8,9 +8,9 @@ import pytest
 from tilesim.criticality import CriticalityPolicy
 from tilesim.faults import FaultEvent, FaultProfile, RateWindow
 from tilesim.scenario import (
-    BUNDLED, MAX_EXTRA_PARTITIONS, MAX_GROUP_MEMBERS, CostConfig, FabricConfig, FeatureConfig, Scenario,
-    ScenarioError, SupervisorConfig, TileConfig, TileGroupConfig, apply_override,
-    load_scenario, parse_scenario,
+    BUNDLED, MAX_EXTRA_PARTITIONS, MAX_GROUP_MEMBERS, CostConfig, FabricConfig,
+    FeatureConfig, Scenario, ScenarioError, SupervisorConfig, TileConfig,
+    TileGroupConfig, apply_override, load_scenario, parse_scenario,
 )
 from tilesim.simulation import Simulation
 from tilesim.workload import ThreadSpec
