@@ -20,6 +20,13 @@ REDUCE_REPLICAS = "reduce-replicas"
 REDUCE_FREQUENCY = "reduce-checkpoint-frequency"
 DEACTIVATE = "deactivate"
 
+# Stage 3's degradation ladder: the levers fire in this order, a frequency
+# step multiplies a group's checkpoint period by FREQUENCY_FACTOR, and the
+# period never grows past MAX_PERIOD_FACTOR times its desired value.
+DEGRADATION_ORDER = (REDUCE_REPLICAS, REDUCE_FREQUENCY, DEACTIVATE)
+FREQUENCY_FACTOR = 2
+MAX_PERIOD_FACTOR = 8
+
 MODE_FULL = "full"
 MODE_DETECT_ONLY = "detect-only"
 MODE_DEACTIVATED = "deactivated"
@@ -30,16 +37,10 @@ class CriticalityPolicy:
     min_replicas_high: int = 3
     min_replicas_low: int = 2
     high_threshold: int = 5
-    degradation_order: tuple[str, ...] = (REDUCE_REPLICAS, REDUCE_FREQUENCY, DEACTIVATE)
-    frequency_factor: int = 2
-    max_period_factor: int = 8
 
     def __post_init__(self):
         if not (self.min_replicas_high >= self.min_replicas_low >= 1):
             raise ValueError("need min_replicas_high >= min_replicas_low >= 1")
-        for lever in self.degradation_order:
-            if lever not in (REDUCE_REPLICAS, REDUCE_FREQUENCY, DEACTIVATE):
-                raise ValueError(f"unknown degradation lever {lever!r}")
 
     def class_min(self, criticality: int) -> int:
         if criticality >= self.high_threshold:
@@ -105,8 +106,8 @@ def apply_degradation(
             return replicas - 1, factor
         return None
     if lever == REDUCE_FREQUENCY:
-        if factor * policy.frequency_factor <= policy.max_period_factor:
-            return replicas, factor * policy.frequency_factor
+        if factor * FREQUENCY_FACTOR <= MAX_PERIOD_FACTOR:
+            return replicas, factor * FREQUENCY_FACTOR
         return None
     if lever == DEACTIVATE:
         return 0, factor
@@ -125,7 +126,7 @@ def reallocate(
     many replicas as it has healthy hosts (never below its class minimum),
     and placement prefers retained hosts, then tiles that can take the
     group without displacing anything still unplaced. When a group cannot
-    be placed, degradation levers fire strictly in the configured order
+    be placed, degradation levers fire strictly in DEGRADATION_ORDER
     until it fits or is deactivated.
     """
     order = sorted(requests, key=lambda r: (-r.criticality, r.tg_id))
@@ -169,7 +170,7 @@ def reallocate(
                 placed = candidates[:replicas]
                 break
             moved = None
-            for lever in policy.degradation_order:
+            for lever in DEGRADATION_ORDER:
                 moved = apply_degradation(policy, lever, replicas, factor)
                 if moved is not None:
                     levers_used.append(lever)

@@ -1,6 +1,7 @@
 """Reconfigurable-fabric abstraction: partitions, logic cells, damage, and
 differently-routed configuration variants. A variant is its footprint: the
-set of cells it occupies, which the trace names by index.
+set of cells it occupies, which the trace names by index. Every partition,
+the shared region included, has the same variants.
 
 Two damage flavors exist. True silicon damage ("dd") is permanent and can
 only be routed around; corrupt configuration memory ("config") behaves
@@ -50,16 +51,14 @@ class Fabric:
     def __init__(
         self,
         partitions: list[Partition],
-        tile_variants: list[frozenset[int]],
-        shared_variants: Optional[list[frozenset[int]]] = None,
+        variants: list[frozenset[int]],
         shared_cells: int = 64,
     ):
         self.partitions = {p.partition_id: p for p in partitions}
         if len(self.partitions) != len(partitions):
             raise ValueError("duplicate partition ids")
-        self.tile_variants = tile_variants
+        self.variants = variants
         self.shared = Partition(SHARED, cell_count=shared_cells)
-        self.shared_variants = shared_variants or list(tile_variants)
         # (partition_id, cell) -> flavor; dd entries never leave this map
         self.damage: dict[tuple[str, int], str] = {}
 
@@ -85,13 +84,10 @@ class Fabric:
             return self.shared
         return self.partitions[partition_id]
 
-    def _variants_for(self, partition_id: str) -> list[frozenset[int]]:
-        return self.shared_variants if partition_id == SHARED else self.tile_variants
-
     # -- reconfiguration ----------------------------------------------------
 
     def footprint_overlap(self, partition_id: str, variant_index: int) -> set[int]:
-        return self.damaged_cells(partition_id) & self._variants_for(partition_id)[variant_index]
+        return self.damaged_cells(partition_id) & self.variants[variant_index]
 
     def partial_reconfigure(self, partition_id: str, variant_index: int) -> bool:
         """Rewrite one partition with the given variant.
@@ -103,7 +99,7 @@ class Fabric:
         part = self._part(partition_id)
         for key in [k for k, fl in self.damage.items() if k[0] == partition_id and fl == CONFIG]:
             del self.damage[key]
-        if self._variants_for(partition_id)[variant_index] & self.dd_cells(partition_id):
+        if self.variants[variant_index] & self.dd_cells(partition_id):
             return False
         part.active_variant = variant_index
         return True
@@ -118,10 +114,7 @@ class Fabric:
     def viable_variants(self, partition_id: str) -> list[int]:
         """Variant indices whose footprints avoid all permanent damage."""
         dd = self.dd_cells(partition_id)
-        return [
-            i for i, v in enumerate(self._variants_for(partition_id))
-            if not (v & dd)
-        ]
+        return [i for i, v in enumerate(self.variants) if not (v & dd)]
 
     def free_partitions(self) -> list[str]:
         return sorted(p.partition_id for p in self.partitions.values() if p.hosted_tile is None)

@@ -19,16 +19,14 @@ DISAGREE = "disagree"
 MISS = "deadline-miss"
 
 
-@dataclass
-class CheckpointCost:
-    context_switch: int = 2
+def checksum_duration(specs, context_switch: int) -> int:
+    """Time a tile spends computing checksums for the given threads."""
+    return sum(s.checksum_cost + context_switch for s in specs)
 
-    def checksum_duration(self, specs) -> int:
-        """Time a tile spends computing checksums for the given threads."""
-        return sum(s.checksum_cost + self.context_switch for s in specs)
 
-    def sync_duration(self, specs) -> int:
-        return sum(s.sync_cost + self.context_switch for s in specs)
+def sync_duration(specs, context_switch: int) -> int:
+    """Time a tile spends writing state snapshots of the given threads."""
+    return sum(s.sync_cost + context_switch for s in specs)
 
 
 @dataclass

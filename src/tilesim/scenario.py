@@ -20,7 +20,7 @@ from typing import Any, Optional
 from . import faults
 from .criticality import CriticalityPolicy
 from .fabric import reserved_partition_id
-from .lockstep import CheckpointCost
+from .lockstep import checksum_duration
 from .tiles import TileGroup
 from .trace import encode_canonical
 from .workload import ThreadSpec
@@ -77,8 +77,6 @@ class FabricConfig:
     shared_cells: int = 64
     anchor_cells: tuple[int, ...] = (0,)
     extra_partitions: int = 0
-    variants: Optional[list[list[int]]] = None
-    shared_variants: Optional[list[list[int]]] = None
 
 
 @dataclass
@@ -388,17 +386,9 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             if m in spare_ids:
                 problems.append(f"tile_groups[{g.group_id}]: spare tile {m!r} cannot be a member")
 
-    for cells_key, variants_key in (("cells_per_partition", "variants"),
-                                    ("shared_cells", "shared_variants")):
-        cells, var_list = getattr(fabric_cfg, cells_key), getattr(fabric_cfg, variants_key)
-        if cells < 1:
+    for cells_key in ("cells_per_partition", "shared_cells"):
+        if getattr(fabric_cfg, cells_key) < 1:
             problems.append(f"fabric.{cells_key}: must be at least 1")
-        if var_list is not None:
-            if not var_list:
-                problems.append(f"fabric.{variants_key}: must not be empty")
-            for vi, fp in enumerate(var_list):
-                if any(c >= cells for c in fp):
-                    problems.append(f"fabric.{variants_key}[{vi}]: cell index out of range")
     if any(c >= fabric_cfg.cells_per_partition for c in fabric_cfg.anchor_cells):
         problems.append("fabric.anchor_cells: cell index out of range")
     if fabric_cfg.extra_partitions > MAX_EXTRA_PARTITIONS:
@@ -440,14 +430,13 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
 
     if not problems:
         # checkpoints must be able to finish before the comparison deadline
-        checksum_duration = CheckpointCost(costs.context_switch).checksum_duration
         tg_threads = {tgc.tg_id: tgc.threads for tgc in thread_groups}
         for g in tile_groups:
             group = TileGroup(g.group_id, g.members, g.thread_groups,
                               deadline=g.comparison_deadline, grace=g.grace_period)
             group.bind([threads[t] for tg in g.thread_groups for t in tg_threads[tg]])
             worst = (max(s.viable_delay for s in group.threads)
-                     + checksum_duration(group.threads))
+                     + checksum_duration(group.threads, costs.context_switch))
             if worst > group.comparison_deadline:
                 problems.append(
                     f"tile_groups[{g.group_id}]: checkpoint cost {worst} exceeds "

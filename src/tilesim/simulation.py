@@ -31,7 +31,6 @@ from .trace import Trace
 
 @dataclass
 class GroupCheckpoint:
-    group_id: str
     index: int
     t0: int
     participants: list[str]
@@ -46,7 +45,6 @@ class GroupCheckpoint:
     boundary: dict[str, dict[str, tuple]] = field(default_factory=dict)
     deadline_entry: Optional[list] = None    # queue entries, for cancelling
     resolve_entry: Optional[list] = None
-    grace: bool = False
     # Replicas stay bit-identical until a fault hits one, so the tiles of a
     # checkpoint mostly repeat each other's work. These memos are keyed by
     # content, never by tile id, and die with the checkpoint: nothing is
@@ -95,7 +93,6 @@ class Simulation:
         self.queue = EventQueue()
         self.streams = StreamPool(scenario.seed)
         self.trace = Trace()
-        self.costs = lockstep.CheckpointCost(context_switch=scenario.costs.context_switch)
 
         partitions = [
             fab.Partition(t.partition, cell_count=scenario.fabric.cells_per_partition,
@@ -105,15 +102,9 @@ class Simulation:
         for pid in fab.free_partition_ids(scenario.fabric.extra_partitions):
             partitions.append(
                 fab.Partition(pid, cell_count=scenario.fabric.cells_per_partition))
-        if scenario.fabric.variants is not None:
-            variants = [frozenset(fp) for fp in scenario.fabric.variants]
-        else:
-            variants = fab.default_variants(scenario.fabric.cells_per_partition,
-                                            anchor=scenario.fabric.anchor_cells)
-        shared_variants = None
-        if scenario.fabric.shared_variants is not None:
-            shared_variants = [frozenset(fp) for fp in scenario.fabric.shared_variants]
-        self.fabric = fab.Fabric(partitions, variants, shared_variants,
+        variants = fab.default_variants(scenario.fabric.cells_per_partition,
+                                        anchor=scenario.fabric.anchor_cells)
+        self.fabric = fab.Fabric(partitions, variants,
                                  shared_cells=scenario.fabric.shared_cells)
 
         self.tiles: dict[str, Tile] = {
@@ -325,7 +316,7 @@ class Simulation:
         participants = self._participants(group)
         checked = group.checked(index)
         ctx = GroupCheckpoint(
-            group_id=group.group_id, index=index, t0=now,
+            index=index, t0=now,
             participants=participants, members=list(group.members),
             checked=[s.thread_id for s in checked],
         )
@@ -340,7 +331,8 @@ class Simulation:
 
         delay = min(max((s.viable_delay for s in group.threads), default=0),
                     group.comparison_deadline)
-        duration = delay + self.costs.checksum_duration(checked)
+        duration = delay + lockstep.checksum_duration(checked,
+                                                      self.scenario.costs.context_switch)
         for m in participants:
             tile = self.tiles[m]
             self._pause_tile_groups(tile, group, ctx)
@@ -402,11 +394,9 @@ class Simulation:
         return ctx
 
     def _on_timer_checkpoint(self, group_id: str):
-        group = self.groups.get(group_id)
-        if group is None:
-            return
+        # dissolving a group cancels its timer, so the group is still there
         self.timers.pop(group_id, None)
-        self.start_checkpoint(group, trigger="timer")
+        self.start_checkpoint(self.groups[group_id], trigger="timer")
 
     def _on_checksums_ready(self, group_id: str, index: int, tile_id: str):
         ctx = self._current_ctx(group_id, index)
@@ -496,7 +486,6 @@ class Simulation:
         else:  # a lost or blocked report can leave a tie: only arbitration tells
             verdict = sup.arbitrate(ctx.participants, ctx.reports)
         ctx.clique = list(verdict.clique)
-        self.supervisor.kick(now)
         self._arm_watchdog(now)
         result = ("all-agree" if verdict.all_agree
                   else "unresolvable" if verdict.unresolvable else "faulty")
@@ -597,9 +586,6 @@ class Simulation:
                         win.resume(now)
 
     def _enter_grace(self, group: TileGroup, ctx: GroupCheckpoint):
-        if ctx.grace:
-            return
-        ctx.grace = True
         self.queue.schedule(self.queue.now + group.grace_period,
                             Simulation._on_grace_expiry, group.group_id, ctx.index)
 
@@ -612,7 +598,7 @@ class Simulation:
                        if tile.vmem.snapshot_of(s.thread_id, ctx.index) is None]
             if not missing:
                 continue  # state already in validation memory; callback omitted
-            duration = self.costs.sync_duration(missing)
+            duration = lockstep.sync_duration(missing, self.scenario.costs.context_switch)
             self.queue.schedule(self.queue.now + duration, Simulation._on_sync_written,
                                 group.group_id, ctx.index, w)
 
@@ -622,7 +608,8 @@ class Simulation:
             return
         tile = self.tiles[tile_id]
         now = self.queue.now
-        if not tile.is_member:
+        # a tile that rebooted since may have joined only another group
+        if not tile.is_member or tile_id not in group.members:
             return
         if tile.sefi_blocked:
             self.trace.emit(now, tile_id, "state-propagation-lost",
@@ -780,13 +767,11 @@ class Simulation:
     # -- grace period and updates --------------------------------------------
 
     def _on_grace_expiry(self, group_id: str, index: int):
-        group = self.groups.get(group_id)
-        if group is None:
-            return
+        # dissolving a group drops its round too
         ctx = self.ctxs.get(group_id)
         if ctx is None or ctx.index != index or ctx.completed:
             return
-        self.apply_update_and_resume(group, ctx)
+        self.apply_update_and_resume(self.groups[group_id], ctx)
 
     def apply_update_and_resume(self, group: TileGroup, ctx: GroupCheckpoint):
         """Close the recovery window: run update callbacks on tiles waiting
@@ -901,7 +886,7 @@ class Simulation:
                 return
             part = self.fabric.partitions[ev.partition]
             tile = self.tiles.get(part.hosted_tile or "")
-            footprint = self.fabric.tile_variants[part.active_variant]
+            footprint = self.fabric.variants[part.active_variant]
             if tile is not None and tile.is_member and ev.cell in footprint:
                 tile.persist_corrupt = True
                 applied(flavor=ev.flavor, corrupting=True)
@@ -965,7 +950,7 @@ class Simulation:
         job = RepairJob(
             tile_id=tile_id,
             partition=tile.partition,
-            variants=list(range(len(self.fabric.tile_variants))),
+            variants=list(range(len(self.fabric.variants))),
         )
         self.repair_jobs[tile_id] = job
         self.trace.emit(now, "supervisor", "repair-start",
@@ -1076,13 +1061,14 @@ class Simulation:
             if tile.status == REBOOTING:
                 self.queue.schedule(now + self.scenario.costs.boot_time,
                                     Simulation._on_tile_reboot_done, tile.tile_id)
-        self.supervisor.kick(now)
         self._arm_watchdog(now)
 
     # ------------------------------------------------------------------
     # watchdog
 
     def _arm_watchdog(self, now: int):
+        """(Re)start the watchdog: it fires one period from `now` unless a
+        verdict or a restart arms it again first."""
         self.queue.cancel(self.watchdog_entry)
         self.watchdog_entry = self.queue.schedule(
             now + self.supervisor.watchdog_period, Simulation._on_watchdog_expiry)
@@ -1092,9 +1078,6 @@ class Simulation:
         if self.full_reconfig:
             self.trace.emit(now, "supervisor", "watchdog-suppressed")
             self._arm_watchdog(now)
-            return
-        if not self.supervisor.watchdog_expired(now):
-            self._arm_watchdog(self.supervisor.watchdog_last_kick)
             return
         self.watchdog_tick()
 
@@ -1131,7 +1114,7 @@ class Simulation:
                 period_factor=host.period_factor if host else 1,
             ))
         plan = crit.reallocate(healthy, requests, self.scenario.policy,
-                               context_switch=self.costs.context_switch)
+                               context_switch=self.scenario.costs.context_switch)
         self.trace.emit(now, "supervisor", "stage3-plan",
                         reason=reason,
                         entries=[{

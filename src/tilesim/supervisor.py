@@ -1,5 +1,6 @@
 """External supervisor logic: agreement arbitration, fault counters,
-spare management, and the system watchdog.
+spare management, and the period of the system watchdog (which the
+simulation arms).
 
 The supervisor is modeled as fault-immune (it lives off-chip). It stays
 passive while tiles agree; on disagreement it arbitrates by finding the
@@ -149,7 +150,6 @@ class Supervisor:
         self.defunct_threshold = defunct_threshold
         self.window_checkpoints = window_checkpoints
         self.watchdog_period = watchdog_period
-        self.watchdog_last_kick = 0
         self.spare_pool: list[str] = list(spare_pool or [])
         self.fault_counter: dict[str, int] = {}
         self._window_times: dict[str, list[int]] = {}
@@ -191,11 +191,3 @@ class Supervisor:
     def return_spare(self, tile_id: str):
         if tile_id not in self.spare_pool:
             self.spare_pool.append(tile_id)
-
-    # -- watchdog -----------------------------------------------------------
-
-    def kick(self, now: int):
-        self.watchdog_last_kick = now
-
-    def watchdog_expired(self, now: int) -> bool:
-        return now - self.watchdog_last_kick >= self.watchdog_period > 0

@@ -100,7 +100,7 @@ def test_bad_override_exits_1_without_traceback(capsys):
         (["costs=3"], "costs"),
         (["fabric.shared_cells=0", "faults.rates.permanent-cell=0.001"],
          "fabric.shared_cells"),
-        (['fabric.variants=[["a"]]'], "fabric.variants"),
+        (['fabric.anchor_cells=["a"]'], "fabric.anchor_cells"),
     ]:
         sets = [arg for o in overrides for arg in ("--set", o)]
         assert main(["run", "--scenario", "fig3", *sets, "--quiet"]) == 1, overrides

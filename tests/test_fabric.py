@@ -49,7 +49,7 @@ def test_validation_returns_evidence():
 def test_damage_after_reconfigure_fails_validation():
     f = make_fabric()
     assert f.partial_reconfigure("p0", 2)
-    cell = next(iter(f.tile_variants[2] - {0}))
+    cell = next(iter(f.variants[2] - {0}))
     f.add_damage("p0", cell)
     ok, evidence = f.validate_partition("p0")
     assert not ok and cell in evidence

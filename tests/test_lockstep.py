@@ -2,8 +2,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilesim.lockstep import (
-    AGREE, DISAGREE, MISS, CheckpointCost, CheckpointReport, compare_with_siblings,
-    unanimous_reports, vote_outputs,
+    AGREE, DISAGREE, MISS, CheckpointReport, checksum_duration, compare_with_siblings,
+    sync_duration, unanimous_reports, vote_outputs,
 )
 from tilesim.supervisor import arbitrate
 from tilesim.tiles import TileGroup
@@ -202,10 +202,11 @@ def test_checked_threads_modular_schedule():
 
 
 def test_checkpoint_cost_accounting():
-    costs = CheckpointCost(context_switch=2)
-    specs = [ThreadSpec("Ta", 1, 1000, checksum_cost=10),
-             ThreadSpec("Tb", 1, 1000, checksum_cost=10)]
-    assert costs.checksum_duration(specs) == 2 * (10 + 2)
+    specs = [ThreadSpec("Ta", 1, 1000, checksum_cost=10, sync_cost=15),
+             ThreadSpec("Tb", 1, 1000, checksum_cost=10, sync_cost=15)]
+    assert checksum_duration(specs, 2) == 2 * (10 + 2)
+    assert sync_duration(specs, 2) == 2 * (15 + 2)
+    assert checksum_duration([], 2) == sync_duration([], 2) == 0
 
 
 def rec(tid, cycle, digest):

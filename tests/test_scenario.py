@@ -201,7 +201,7 @@ BAD_VALUE_CASES = [
     ("fig3", 'costs.boot_time="abc"', "costs.boot_time"),
     ("storm", "faults.sefi_duration=-10", "faults.sefi_duration"),
     ("fig3", "fabric.shared_cells=0", "fabric.shared_cells"),
-    ("fig3", 'fabric.variants=[["a"]]', "fabric.variants"),
+    ("fig3", 'fabric.anchor_cells=["a"]', "fabric.anchor_cells"),
     ("fig3", "costs=3", "costs"),
     ("fig3", "threads[0]=5", "threads[0]"),
     ("fig3", "fabric.anchor_cells=[100]", "fabric.anchor_cells"),
@@ -242,6 +242,21 @@ def test_bad_durations_rejected(name, override, field):
     with pytest.raises(ScenarioError) as err:
         load_scenario(name, [override])
     assert [p for p in err.value.problems if p.startswith(field + ":")]
+
+
+@pytest.mark.parametrize("assignment", [
+    "fabric.variants=[[0,1]]",
+    "fabric.shared_variants=[[0,1]]",
+    'policy.degradation_order=["deactivate"]',
+    "policy.frequency_factor=2",
+    "policy.max_period_factor=8",
+])
+def test_fixed_variants_and_ladder_take_no_key(assignment):
+    # every partition has the default variants, and Stage 3's lever order,
+    # frequency step and period cap are constants of criticality.py
+    with pytest.raises(ScenarioError) as err:
+        load_scenario("fig3", [assignment])
+    assert err.value.problems == [assignment.partition("=")[0] + ": unknown key"]
 
 
 def test_a_run_leaves_its_scenario_as_parsed():

@@ -12,7 +12,7 @@ from tilesim.runner import run_simulation
 from tilesim.scenario import BUNDLED, load_scenario, parse_scenario
 from tilesim.simulation import GroupCheckpoint, Simulation
 from tilesim.tiles import ACTIVE, DEFUNCT, IDLE_SPARE, REBOOTING, SUSPECT
-from trace_corpus import shared_tile_doc
+from trace_corpus import chaos_doc, shared_tile_doc
 
 
 def make_doc(**over):
@@ -176,7 +176,7 @@ def test_oracle_sees_a_divergence_the_checksums_hide(monkeypatch):
 
 def test_checkpoint_memo_hit_gives_a_state_list_of_its_own():
     spec = workload.ThreadSpec("Ta", 5, 1000, work_per_tick=50)
-    ctx = GroupCheckpoint(group_id="G1", index=1, t0=0, participants=["C0", "C1"],
+    ctx = GroupCheckpoint(index=1, t0=0, participants=["C0", "C1"],
                           members=["C0", "C1"], checked=["Ta"])
     a = ctx.advance(workload.init_thread(spec), 7)
     b = ctx.advance(workload.init_thread(spec), 7)
@@ -273,6 +273,20 @@ def test_two_faults_exhaust_spares_then_stage2():
     assert acts == ["C3", "C2"]
     assert summary.replaced == 2
     assert summary.undetected == 0
+
+
+@pytest.mark.parametrize("seed", [2, 3])
+@pytest.mark.parametrize("threshold", [2, 3])
+def test_replaced_tile_back_in_another_group_skips_its_old_sync(threshold, seed):
+    # with a 5-tick boot a replaced tile is back before the sync callback it
+    # was given as a writer fires, and the spare restoration may put it into
+    # the other group, whose threads it then holds instead
+    doc = shared_tile_doc(seed, threshold)
+    doc["costs"] = {"boot_time": 5}
+    sim = Simulation(parse_scenario(doc))
+    sim.run()
+    assert sim.trace.records[-1].kind == "run-end"
+    assert sim.oracle_divergences == 0
 
 
 def pair_doc(**over):
@@ -577,12 +591,17 @@ def test_different_seeds_differ_under_random_faults():
 
 # -- memory -----------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", BUNDLED)
-def test_finished_run_freed_without_cyclic_gc(name):
+@pytest.mark.parametrize("source", [
+    *(pytest.param(name, id=name) for name in BUNDLED),
+    # SEFIs, fabric repair, and a tile shared by two groups
+    pytest.param(chaos_doc(0), id="chaos-0"),
+    pytest.param(shared_tile_doc(100, 2), id="shared-tile-100-2"),
+])
+def test_finished_run_freed_without_cyclic_gc(source):
     # a run in a reference cycle (say, a queue entry or a table holding a
     # bound method) lives on until a full collection, which raises the peak
     # memory of every sweep
-    scenario = load_scenario(name)
+    scenario = load_scenario(source) if isinstance(source, str) else parse_scenario(source)
     gc.collect()
     gc.disable()
     try:
