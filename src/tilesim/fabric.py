@@ -20,19 +20,20 @@ CONFIG = "config"
 SHARED = "shared"
 
 
+# logic cells in every partition, the shared region included
+CELLS = 64
+
+# three variants over distinct thirds of the cells, plus anchor cell 0,
+# which every variant occupies
+VARIANTS = [frozenset(range(1 + i * (CELLS // 3), 1 + (i + 1) * (CELLS // 3))) | {0}
+            for i in range(3)]
+
+
 @dataclass
 class Partition:
     partition_id: str
-    cell_count: int = 64
     hosted_tile: Optional[str] = None
     active_variant: int = 0
-
-
-def default_variants(cell_count: int = 64, anchor: tuple[int, ...] = (0,)) -> list[frozenset[int]]:
-    """Three variants over distinct thirds of the partition plus shared anchor cells."""
-    third = cell_count // 3
-    return [frozenset(range(1 + i * third, 1 + (i + 1) * third)).union(anchor)
-            for i in range(3)]
 
 
 def free_partition_ids(count: int) -> list[str]:
@@ -48,25 +49,19 @@ def reserved_partition_id(partition_id: str, extra_partitions: int) -> bool:
 
 
 class Fabric:
-    def __init__(
-        self,
-        partitions: list[Partition],
-        variants: list[frozenset[int]],
-        shared_cells: int = 64,
-    ):
+    def __init__(self, partitions: list[Partition]):
         self.partitions = {p.partition_id: p for p in partitions}
         if len(self.partitions) != len(partitions):
             raise ValueError("duplicate partition ids")
-        self.variants = variants
-        self.shared = Partition(SHARED, cell_count=shared_cells)
+        self.shared = Partition(SHARED)
         # (partition_id, cell) -> flavor; dd entries never leave this map
         self.damage: dict[tuple[str, int], str] = {}
 
     # -- damage bookkeeping -------------------------------------------------
 
     def add_damage(self, partition_id: str, cell: int, flavor: str = DD):
-        part = self._part(partition_id)
-        if not 0 <= cell < part.cell_count:
+        self._part(partition_id)    # raises KeyError for an unknown partition
+        if not 0 <= cell < CELLS:
             raise ValueError(f"cell {cell} outside partition {partition_id}")
         key = (partition_id, cell)
         # dd dominates: permanent damage is never downgraded
@@ -87,7 +82,7 @@ class Fabric:
     # -- reconfiguration ----------------------------------------------------
 
     def footprint_overlap(self, partition_id: str, variant_index: int) -> set[int]:
-        return self.damaged_cells(partition_id) & self.variants[variant_index]
+        return self.damaged_cells(partition_id) & VARIANTS[variant_index]
 
     def partial_reconfigure(self, partition_id: str, variant_index: int) -> bool:
         """Rewrite one partition with the given variant.
@@ -99,7 +94,7 @@ class Fabric:
         part = self._part(partition_id)
         for key in [k for k, fl in self.damage.items() if k[0] == partition_id and fl == CONFIG]:
             del self.damage[key]
-        if self.variants[variant_index] & self.dd_cells(partition_id):
+        if VARIANTS[variant_index] & self.dd_cells(partition_id):
             return False
         part.active_variant = variant_index
         return True
@@ -114,7 +109,7 @@ class Fabric:
     def viable_variants(self, partition_id: str) -> list[int]:
         """Variant indices whose footprints avoid all permanent damage."""
         dd = self.dd_cells(partition_id)
-        return [i for i, v in enumerate(self.variants) if not (v & dd)]
+        return [i for i, v in enumerate(VARIANTS) if not (v & dd)]
 
     def free_partitions(self) -> list[str]:
         return sorted(p.partition_id for p in self.partitions.values() if p.hosted_tile is None)

@@ -152,7 +152,6 @@ class TargetSpace:
     threads_on: dict[str, list[str]]          # tile -> thread ids
     state_words: dict[str, int]               # thread id -> word count
     partitions: list[str]                     # includes the shared region
-    cells_per_partition: dict[str, int]
 
 
 def _segments(horizon: int, windows: list[RateWindow]) -> list[tuple[int, int, float]]:
@@ -195,7 +194,7 @@ def _pick_target(event: FaultEvent, space: TargetSpace, stream: RandomStream):
     elif event.kind == PERMANENT_CELL:
         part = stream.choice(space.partitions)
         event.partition = part
-        event.cell = stream.uniform_range(0, space.cells_per_partition[part] - 1)
+        event.cell = stream.uniform_range(0, fab.CELLS - 1)
     elif event.kind == SEFI_TILE:
         event.tile = stream.choice(space.tiles)
 

@@ -1,7 +1,7 @@
 """Scenario files: the full configuration space of a run.
 
 A scenario is a JSON document (conventionally ``*.scenario``) naming the
-tiles, fabric geometry, threads, group assignments, thresholds, fault
+tiles, free partitions, threads, group assignments, thresholds, fault
 profile, seed, and horizon. Loading validates everything up front and
 reports every problem at once, with a JSON path for each.
 """
@@ -19,7 +19,8 @@ from typing import Any, Optional
 
 from . import faults
 from .criticality import CriticalityPolicy
-from .fabric import reserved_partition_id
+from .engine import MASK64
+from .fabric import CELLS, reserved_partition_id
 from .lockstep import checksum_duration
 from .tiles import TileGroup
 from .trace import encode_canonical
@@ -61,8 +62,6 @@ class TileGroupConfig:
     group_id: str = field(metadata=_ID)
     members: list[str] = field(default_factory=list)
     thread_groups: list[str] = field(default_factory=list)
-    comparison_deadline: int = 0   # 0 = derive, see tiles.TileGroup.bind
-    grace_period: int = 0          # 0 = derive, see tiles.TileGroup.bind
 
 
 @dataclass
@@ -73,9 +72,6 @@ class ThreadGroupConfig:
 
 @dataclass
 class FabricConfig:
-    cells_per_partition: int = 64
-    shared_cells: int = 64
-    anchor_cells: tuple[int, ...] = (0,)
     extra_partitions: int = 0
 
 
@@ -84,15 +80,12 @@ class CostConfig:
     context_switch: int = 2
     boot_time: int = 500
     reconfig_duration: int = 1000
-    full_reconfig_duration: int = 5000
 
 
 @dataclass
 class SupervisorConfig:
     transient_threshold: int = 3
     defunct_threshold: int = 10
-    window_checkpoints: int = 100
-    watchdog_period: int = 0       # 0 = 4x the longest base period, see tiles.TileGroup.bind
 
 
 @dataclass
@@ -386,11 +379,6 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             if m in spare_ids:
                 problems.append(f"tile_groups[{g.group_id}]: spare tile {m!r} cannot be a member")
 
-    for cells_key in ("cells_per_partition", "shared_cells"):
-        if getattr(fabric_cfg, cells_key) < 1:
-            problems.append(f"fabric.{cells_key}: must be at least 1")
-    if any(c >= fabric_cfg.cells_per_partition for c in fabric_cfg.anchor_cells):
-        problems.append("fabric.anchor_cells: cell index out of range")
     if fabric_cfg.extra_partitions > MAX_EXTRA_PARTITIONS:
         problems.append(f"fabric.extra_partitions: at most {MAX_EXTRA_PARTITIONS}")
 
@@ -410,8 +398,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     if features.signal_loss_prob > 1.0:
         problems.append("features.signal_loss_prob: must be within [0, 1]")
 
-    profile = _parse_faults(doc.get("faults", {}), problems, tiles, threads, fabric_cfg,
-                            top["horizon"])
+    profile = _parse_faults(doc.get("faults", {}), problems, tiles, threads, top["horizon"])
 
     scenario = Scenario(
         **top,
@@ -432,8 +419,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         # checkpoints must be able to finish before the comparison deadline
         tg_threads = {tgc.tg_id: tgc.threads for tgc in thread_groups}
         for g in tile_groups:
-            group = TileGroup(g.group_id, g.members, g.thread_groups,
-                              deadline=g.comparison_deadline, grace=g.grace_period)
+            group = TileGroup(g.group_id, g.members, g.thread_groups)
             group.bind([threads[t] for tg in g.thread_groups for t in tg_threads[tg]])
             worst = (max(s.viable_delay for s in group.threads)
                      + checksum_duration(group.threads, costs.context_switch))
@@ -448,7 +434,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     return scenario
 
 
-def _parse_faults(doc, problems, tiles, threads, fabric_cfg, horizon) -> faults.FaultProfile:
+def _parse_faults(doc, problems, tiles, threads, horizon) -> faults.FaultProfile:
     kwargs = _read(problems, "faults", doc, faults.FaultProfile)
     for kind in [k for k in kwargs.get("rates", ()) if k not in faults.KINDS]:
         problems.append(f"faults.rates: unknown fault kind {kind!r}")
@@ -483,14 +469,14 @@ def _parse_faults(doc, problems, tiles, threads, fabric_cfg, horizon) -> faults.
                 problems.append(f"{path}: word index out of range")
             if any(m == 0 for m in fault.masks):
                 problems.append(f"{path}: masks must be non-zero")
+            if any(m > MASK64 for m in fault.masks):
+                problems.append(f"{path}: masks must be below 2**64")
         elif kind == faults.PERMANENT_CELL:
             if fault.partition not in partition_ids:
                 problems.append(f"{path}: unknown partition {fault.partition!r}")
             if fault.flavor not in (faults.fab.DD, faults.fab.CONFIG):
                 problems.append(f"{path}: flavor must be 'dd' or 'config'")
-            cells = (fabric_cfg.shared_cells if fault.partition == faults.fab.SHARED
-                     else fabric_cfg.cells_per_partition)
-            if fault.cell >= cells:
+            if fault.cell >= CELLS:
                 problems.append(f"{path}: cell index out of range")
         else:                           # a functional interrupt
             if kind == faults.SEFI_TILE and fault.tile not in tile_ids:

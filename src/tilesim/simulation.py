@@ -28,6 +28,10 @@ from .tiles import (
 )
 from .trace import Trace
 
+# microseconds that Stage 2's full reconfiguration of the shared region halts
+# the system
+FULL_RECONFIG_DURATION = 5000
+
 
 @dataclass
 class GroupCheckpoint:
@@ -94,18 +98,11 @@ class Simulation:
         self.streams = StreamPool(scenario.seed)
         self.trace = Trace()
 
-        partitions = [
-            fab.Partition(t.partition, cell_count=scenario.fabric.cells_per_partition,
-                          hosted_tile=t.tile_id)
-            for t in scenario.tiles
-        ]
-        for pid in fab.free_partition_ids(scenario.fabric.extra_partitions):
-            partitions.append(
-                fab.Partition(pid, cell_count=scenario.fabric.cells_per_partition))
-        variants = fab.default_variants(scenario.fabric.cells_per_partition,
-                                        anchor=scenario.fabric.anchor_cells)
-        self.fabric = fab.Fabric(partitions, variants,
-                                 shared_cells=scenario.fabric.shared_cells)
+        partitions = [fab.Partition(t.partition, hosted_tile=t.tile_id)
+                      for t in scenario.tiles]
+        partitions += [fab.Partition(pid)
+                       for pid in fab.free_partition_ids(scenario.fabric.extra_partitions)]
+        self.fabric = fab.Fabric(partitions)
 
         self.tiles: dict[str, Tile] = {
             t.tile_id: Tile(t.tile_id, t.partition) for t in scenario.tiles
@@ -123,11 +120,10 @@ class Simulation:
         self.supervisor = sup.Supervisor(
             transient_threshold=scenario.supervisor.transient_threshold,
             defunct_threshold=scenario.supervisor.defunct_threshold,
-            window_checkpoints=scenario.supervisor.window_checkpoints,
-            watchdog_period=(scenario.supervisor.watchdog_period
-                             or 4 * max(g.base_period for g in self.groups.values())),
             spare_pool=[t.tile_id for t in scenario.tiles if t.spare],
         )
+        # the system resets when no verdict arrives for this long
+        self.watchdog_period = 4 * max(g.base_period for g in self.groups.values())
 
         self.timers: dict[str, list] = {}
         self.ctxs: dict[str, GroupCheckpoint] = {}
@@ -147,8 +143,7 @@ class Simulation:
     # construction helpers
 
     def _make_group(self, gc: TileGroupConfig) -> TileGroup:
-        group = TileGroup(gc.group_id, list(gc.members), list(gc.thread_groups),
-                          deadline=gc.comparison_deadline, grace=gc.grace_period)
+        group = TileGroup(gc.group_id, list(gc.members), list(gc.thread_groups))
         group.bind([spec for tg_id in group.thread_groups
                     for spec in self.thread_groups[tg_id].threads])
         self.groups[gc.group_id] = group
@@ -228,11 +223,6 @@ class Simulation:
             state_words={tid: spec.state_words
                          for tid, spec in self.scenario.threads.items()},
             partitions=[t.partition for t in self.scenario.tiles] + [fab.SHARED],
-            cells_per_partition={
-                **{t.partition: self.scenario.fabric.cells_per_partition
-                   for t in self.scenario.tiles},
-                fab.SHARED: self.scenario.fabric.shared_cells,
-            },
         )
         events = flt.generate(self.scenario.profile, self.horizon,
                               self.streams.get("faults"), space)
@@ -886,7 +876,7 @@ class Simulation:
                 return
             part = self.fabric.partitions[ev.partition]
             tile = self.tiles.get(part.hosted_tile or "")
-            footprint = self.fabric.variants[part.active_variant]
+            footprint = fab.VARIANTS[part.active_variant]
             if tile is not None and tile.is_member and ev.cell in footprint:
                 tile.persist_corrupt = True
                 applied(flavor=ev.flavor, corrupting=True)
@@ -950,7 +940,7 @@ class Simulation:
         job = RepairJob(
             tile_id=tile_id,
             partition=tile.partition,
-            variants=list(range(len(self.fabric.variants))),
+            variants=list(range(len(fab.VARIANTS))),
         )
         self.repair_jobs[tile_id] = job
         self.trace.emit(now, "supervisor", "repair-start",
@@ -1018,7 +1008,7 @@ class Simulation:
         self.full_reconfig = True
         self.trace.emit(now, "supervisor", "full-reconfig-start")
         self._halt_all_tiles(now)
-        self.queue.schedule(now + self.scenario.costs.full_reconfig_duration,
+        self.queue.schedule(now + FULL_RECONFIG_DURATION,
                             Simulation._on_full_reconfig_done)
 
     def _halt_all_tiles(self, now: int):
@@ -1071,7 +1061,7 @@ class Simulation:
         verdict or a restart arms it again first."""
         self.queue.cancel(self.watchdog_entry)
         self.watchdog_entry = self.queue.schedule(
-            now + self.supervisor.watchdog_period, Simulation._on_watchdog_expiry)
+            now + self.watchdog_period, Simulation._on_watchdog_expiry)
 
     def _on_watchdog_expiry(self):
         now = self.queue.now

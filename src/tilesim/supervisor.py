@@ -1,6 +1,5 @@
-"""External supervisor logic: agreement arbitration, fault counters,
-spare management, and the period of the system watchdog (which the
-simulation arms).
+"""External supervisor logic: agreement arbitration, fault counters, and
+spare management.
 
 The supervisor is modeled as fault-immune (it lives off-chip). It stays
 passive while tiles agree; on disagreement it arbitrates by finding the
@@ -20,6 +19,10 @@ STATE_UPDATE = "state-update"
 REPLACE = "replace"
 DEFUNCT_STAGE2 = "defunct-stage2"
 STAGE2_NO_SPARE = "stage2-no-spare"
+
+# the transient threshold counts a tile's faults within this many of its
+# group's checkpoint periods
+WINDOW_CHECKPOINTS = 100
 
 
 @dataclass
@@ -140,16 +143,12 @@ class Supervisor:
         self,
         transient_threshold: int = 3,
         defunct_threshold: int = 10,
-        window_checkpoints: int = 100,
-        watchdog_period: int = 0,
         spare_pool: Optional[list[str]] = None,
     ):
         if transient_threshold >= defunct_threshold:
             raise ValueError("transient_threshold must be below defunct_threshold")
         self.transient_threshold = transient_threshold
         self.defunct_threshold = defunct_threshold
-        self.window_checkpoints = window_checkpoints
-        self.watchdog_period = watchdog_period
         self.spare_pool: list[str] = list(spare_pool or [])
         self.fault_counter: dict[str, int] = {}
         self._window_times: dict[str, list[int]] = {}
@@ -163,7 +162,7 @@ class Supervisor:
 
         window = self._window_times.setdefault(tile_id, [])
         window.append(now)
-        horizon = now - self.window_checkpoints * group_period
+        horizon = now - WINDOW_CHECKPOINTS * group_period
         while window and window[0] < horizon:
             window.pop(0)
         windowed = len(window)

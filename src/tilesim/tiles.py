@@ -89,14 +89,13 @@ class ValidationMemory:
 class ThreadGroup:
     tg_id: str
     threads: list[ThreadSpec]
-    criticality: int = 0
     deactivated: bool = False
+    criticality: int = field(init=False)    # the highest of its threads'
 
     def __post_init__(self):
         if not self.threads:
             raise ValueError(f"thread group {self.tg_id} is empty")
-        if not self.criticality:
-            self.criticality = max(t.criticality for t in self.threads)
+        self.criticality = max(t.criticality for t in self.threads)
 
 
 @dataclass
@@ -104,12 +103,10 @@ class TileGroup:
     group_id: str
     members: list[str]
     thread_groups: list[str]
-    deadline: int = 0            # explicit comparison deadline; 0 = derive
-    grace: int = 0               # explicit grace period; 0 = derive
-    target_size: int = 0
     checkpoint_index: int = -1   # first checkpoint (at boot) is index 0
     correction_enabled: bool = True
     period_factor: int = 1       # grows when the frequency degradation lever fires
+    target_size: int = field(init=False)    # the member count at creation
     # set by `bind` whenever thread_groups changes
     threads: list[ThreadSpec] = field(default_factory=list)
     base_period: int = 0
@@ -117,21 +114,19 @@ class TileGroup:
     grace_period: int = 0
 
     def __post_init__(self):
-        if not self.target_size:
-            self.target_size = len(self.members)
+        self.target_size = len(self.members)
 
     def bind(self, threads: list[ThreadSpec]):
         """Run `threads`, in the order given, and work out the group's timing
-        from them. The base period is the shortest checkpoint period. The
-        comparison deadline is the explicit one, else 10% of the base period
-        (at least 1). The grace period is the explicit one, else twice the
-        summed update cost."""
+        from them. The base period is the shortest checkpoint period, the
+        comparison deadline 10% of it (at least 1), and the grace period
+        twice the summed update cost."""
         if not threads:
             raise ValueError(f"group {self.group_id}: no threads to run")
         self.threads = list(threads)
         self.base_period = min(s.checkpoint_period for s in threads)
-        self.comparison_deadline = self.deadline or max(1, self.base_period // 10)
-        self.grace_period = self.grace or 2 * sum(s.update_cost for s in threads)
+        self.comparison_deadline = max(1, self.base_period // 10)
+        self.grace_period = 2 * sum(s.update_cost for s in threads)
 
     @property
     def period(self) -> int:

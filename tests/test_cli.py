@@ -94,13 +94,12 @@ def test_fail_on_loss_exit_code(tmp_path):
 def test_bad_override_exits_1_without_traceback(capsys):
     for overrides, field in [
         (["costs.boot_time=abc"], "costs.boot_time"),
-        (["tile_groups[0].grace_period=-1"], "tile_groups[0].grace_period"),
+        (["fabric.extra_partitions=-1"], "fabric.extra_partitions"),
         (["threads[0].checksum_cost=-100"], "threads[0].checksum_cost"),
         (["supervisor.transient_threshold=abc"], "supervisor.transient_threshold"),
         (["costs=3"], "costs"),
-        (["fabric.shared_cells=0", "faults.rates.permanent-cell=0.001"],
-         "fabric.shared_cells"),
-        (['fabric.anchor_cells=["a"]'], "fabric.anchor_cells"),
+        ([f"faults.explicit[0].mask={2**64}"], "faults.explicit[0]"),
+        (['faults.explicit[0].masks=["a"]'], "faults.explicit[0].masks"),
     ]:
         sets = [arg for o in overrides for arg in ("--set", o)]
         assert main(["run", "--scenario", "fig3", *sets, "--quiet"]) == 1, overrides

@@ -14,8 +14,7 @@ def base_doc(**over):
         "thread_groups": [{"id": "TG1", "threads": ["Ta"]}],
         "tile_groups": [{"id": "G1", "members": ["C0", "C1", "C2"],
                          "thread_groups": ["TG1"]}],
-        "costs": {"context_switch": 2, "boot_time": 500,
-                  "full_reconfig_duration": 5000},
+        "costs": {"context_switch": 2, "boot_time": 500},
     }
     doc.update(over)
     return doc

@@ -1,21 +1,17 @@
-from tilesim.fabric import (
-    CONFIG, DD, SHARED, Fabric, Partition, default_variants,
-)
+from tilesim.fabric import CELLS, CONFIG, DD, SHARED, VARIANTS, Fabric, Partition
 
 
 def make_fabric(n=3):
-    parts = [Partition(f"p{i}", cell_count=64, hosted_tile=f"C{i}") for i in range(n)]
-    return Fabric(parts, default_variants(64))
+    return Fabric([Partition(f"p{i}", hosted_tile=f"C{i}") for i in range(n)])
 
 
 def test_default_variant_geometry():
-    variants = default_variants(64, anchor=(0,))
-    assert len(variants) == 3
-    for v in variants:
+    assert len(VARIANTS) == 3
+    for v in VARIANTS:
         assert 0 in v
-        assert max(v) < 64
+        assert max(v) < CELLS
     # thirds are disjoint apart from the anchor
-    a, b, c = (v - {0} for v in variants)
+    a, b, c = (v - {0} for v in VARIANTS)
     assert not (a & b) and not (b & c) and not (a & c)
 
 
@@ -26,15 +22,14 @@ def test_reconfigure_undamaged_succeeds():
 
 
 def test_variant_overlap_decides_repair():
-    # damage at a cell used by variant A but not variant B
-    f = Fabric(
-        [Partition("p0", cell_count=16, hosted_tile="C0")],
-        [frozenset({5, 6, 7}), frozenset({2, 3, 4})],
-    )
-    f.add_damage("p0", 7)
-    assert not f.partial_reconfigure("p0", 0)
+    # damage at a cell used by variant 2 alone
+    f = make_fabric(1)
+    cell = max(VARIANTS[2])
+    f.add_damage("p0", cell)
+    assert not f.partial_reconfigure("p0", 2)
     assert f.partial_reconfigure("p0", 1)
-    assert f.viable_variants("p0") == [1]
+    assert f.partitions["p0"].active_variant == 1
+    assert f.viable_variants("p0") == [0, 1]
 
 
 def test_validation_returns_evidence():
@@ -49,7 +44,7 @@ def test_validation_returns_evidence():
 def test_damage_after_reconfigure_fails_validation():
     f = make_fabric()
     assert f.partial_reconfigure("p0", 2)
-    cell = next(iter(f.variants[2] - {0}))
+    cell = next(iter(VARIANTS[2] - {0}))
     f.add_damage("p0", cell)
     ok, evidence = f.validate_partition("p0")
     assert not ok and cell in evidence
@@ -83,7 +78,7 @@ def test_anchor_damage_fails_validation_under_every_variant():
 
 def test_free_partitions_and_rebind():
     parts = [Partition("p0", hosted_tile="C0"), Partition("p1"), Partition("p2")]
-    f = Fabric(parts, default_variants(64))
+    f = Fabric(parts)
     assert f.free_partitions() == ["p1", "p2"]
     f.rebind("C0", "p1")
     assert f.partitions["p1"].hosted_tile == "C0"

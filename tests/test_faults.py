@@ -16,7 +16,6 @@ def space():
         threads_on={t: ["Ta", "Tb"] for t in ("C0", "C1", "C2")},
         state_words={"Ta": 4, "Tb": 6},
         partitions=["p0", "p1", "p2", "shared"],
-        cells_per_partition={"p0": 64, "p1": 64, "p2": 64, "shared": 64},
     )
 
 

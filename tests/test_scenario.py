@@ -9,8 +9,8 @@ from tilesim.criticality import CriticalityPolicy
 from tilesim.faults import FaultEvent, FaultProfile, RateWindow
 from tilesim.scenario import (
     BUNDLED, MAX_EXTRA_PARTITIONS, MAX_GROUP_MEMBERS, CostConfig, FabricConfig,
-    FeatureConfig, Scenario, ScenarioError, SupervisorConfig, TileConfig,
-    TileGroupConfig, apply_override, load_scenario, parse_scenario,
+    FeatureConfig, Scenario, ScenarioError, SupervisorConfig, ThreadGroupConfig,
+    TileConfig, TileGroupConfig, _fields, apply_override, load_scenario, parse_scenario,
 )
 from tilesim.simulation import Simulation
 from tilesim.workload import ThreadSpec
@@ -45,7 +45,7 @@ def test_minimal_scenario_parses_with_defaults():
     assert g.base_period == 1000
     assert g.comparison_deadline == 100             # 10% of base period
     assert g.grace_period == 2 * 10                 # 2x summed update cost
-    assert sim.supervisor.watchdog_period == 4000   # 4x largest period
+    assert sim.watchdog_period == 4000              # 4x largest period
 
 
 def test_unknown_key_rejected():
@@ -196,15 +196,15 @@ def test_override_creates_defaulted_section():
 
 
 BAD_VALUE_CASES = [
-    ("fig3", "supervisor.watchdog_period=-5", "supervisor.watchdog_period"),
+    ("fig3", "supervisor.defunct_threshold=-5", "supervisor.defunct_threshold"),
     ("fig3", "costs.boot_time=-1", "costs.boot_time"),
     ("fig3", 'costs.boot_time="abc"', "costs.boot_time"),
     ("storm", "faults.sefi_duration=-10", "faults.sefi_duration"),
-    ("fig3", "fabric.shared_cells=0", "fabric.shared_cells"),
-    ("fig3", 'fabric.anchor_cells=["a"]', "fabric.anchor_cells"),
+    ("fig3", "faults.explicit[0].masks=[0]", "faults.explicit[0]"),
+    ("fig3", 'faults.explicit[0].masks=["a"]', "faults.explicit[0].masks"),
     ("fig3", "costs=3", "costs"),
     ("fig3", "threads[0]=5", "threads[0]"),
-    ("fig3", "fabric.anchor_cells=[100]", "fabric.anchor_cells"),
+    ("exhaustion", "faults.explicit[0].cell=64", "faults.explicit[0]"),
 ]
 
 # every section and the first entry of each list, by the dataclass it configures
@@ -234,6 +234,35 @@ def field_cases():
 
 BAD_VALUE_CASES += [c for c in field_cases() if c not in BAD_VALUE_CASES]
 
+# the keys a scenario document may set, by the dataclass that reads them
+DOCUMENT_KEYS = {
+    Scenario: {"name", "seed", "horizon", "tiles", "threads", "thread_groups",
+               "tile_groups", "fabric", "costs", "supervisor", "policy", "features",
+               "faults"},
+    TileConfig: {"id", "capacity", "spare", "partition"},
+    ThreadSpec: {"id", "criticality", "checkpoint_period", "state_words", "work_per_tick",
+                 "checksum_cost", "sync_cost", "update_cost", "viable_delay",
+                 "emits_output"},
+    ThreadGroupConfig: {"id", "threads"},
+    TileGroupConfig: {"id", "members", "thread_groups"},
+    FabricConfig: {"extra_partitions"},
+    CostConfig: {"context_switch", "boot_time", "reconfig_duration"},
+    SupervisorConfig: {"transient_threshold", "defunct_threshold"},
+    CriticalityPolicy: {"high_threshold", "min_replicas_high", "min_replicas_low"},
+    FeatureConfig: {"output_voting", "ecc", "signal_loss_prob"},
+    FaultProfile: {"rates", "explicit", "windows", "multi_word_prob", "sefi_duration"},
+    FaultEvent: {"at", "kind", "tile", "thread", "word", "masks", "partition", "cell",
+                 "flavor", "duration"},
+    RateWindow: {"start", "end", "factor"},
+}
+
+
+def test_document_key_census():
+    # every scenario knob is a key here, so adding or removing one is a
+    # reviewed change to this table
+    assert {cls: set(_fields(cls)[0]) for cls in DOCUMENT_KEYS} == DOCUMENT_KEYS
+    assert sum(map(len, DOCUMENT_KEYS.values())) == 62
+
 
 @pytest.mark.parametrize("name, override, field", BAD_VALUE_CASES)
 def test_bad_durations_rejected(name, override, field):
@@ -244,16 +273,36 @@ def test_bad_durations_rejected(name, override, field):
     assert [p for p in err.value.problems if p.startswith(field + ":")]
 
 
+def test_mask_must_fit_in_64_bits():
+    # a state word has 64 bits: a wider mask would flip none of them, and
+    # its fault would count as undetected
+    with pytest.raises(ScenarioError) as err:
+        load_scenario("fig3", [f"faults.explicit[0].mask={2**64}"])
+    assert err.value.problems == ["faults.explicit[0]: masks must be below 2**64"]
+    widest = load_scenario("fig3", [f"faults.explicit[0].mask={2**64 - 1}"])
+    assert widest.profile.explicit[0].masks == (2**64 - 1,)
+
+
 @pytest.mark.parametrize("assignment", [
     "fabric.variants=[[0,1]]",
     "fabric.shared_variants=[[0,1]]",
     'policy.degradation_order=["deactivate"]',
     "policy.frequency_factor=2",
     "policy.max_period_factor=8",
+    "fabric.cells_per_partition=32",
+    "fabric.shared_cells=32",
+    "fabric.anchor_cells=[0,1]",
+    "costs.full_reconfig_duration=100",
+    "supervisor.watchdog_period=1",
+    "supervisor.window_checkpoints=10",
+    "tile_groups[0].comparison_deadline=80",
+    "tile_groups[0].grace_period=10",
 ])
 def test_fixed_variants_and_ladder_take_no_key(assignment):
-    # every partition has the default variants, and Stage 3's lever order,
-    # frequency step and period cap are constants of criticality.py
+    # every partition has the same cells and variants; a group's deadline
+    # and grace period, the watchdog period, the fault window and the full
+    # reconfiguration time are derived or constant; and Stage 3's lever
+    # order, frequency step and period cap are constants of criticality.py
     with pytest.raises(ScenarioError) as err:
         load_scenario("fig3", [assignment])
     assert err.value.problems == [assignment.partition("=")[0] + ": unknown key"]

@@ -382,20 +382,6 @@ def test_detach_keeping_base_period_drops_the_threads_from_checkpoints():
     assert {r.payload["threads"] for r in writes if r.at > 2500} == {1}
 
 
-def test_detach_keeps_an_explicit_deadline_when_the_base_period_rises():
-    doc = make_doc(thread_groups=[{"id": "TG1", "threads": ["Ta"]},
-                                  {"id": "TG2", "threads": ["Tb"]}])
-    doc["threads"][0]["checkpoint_period"] = 500
-    doc["tile_groups"][0]["thread_groups"] = ["TG1", "TG2"]
-    doc["tile_groups"][0]["comparison_deadline"] = 80
-    sim = Simulation(parse_scenario(doc))
-    sim.queue.schedule(2500, _detach, "G1", "TG1")
-    trace = sim.run()
-    group = sim.groups["G1"]
-    assert (group.base_period, group.comparison_deadline) == (1000, 80)
-    assert {r.payload["period"] for r in trace.of_kind("timer-adjusted")} == {1000}
-
-
 def test_detach_recomputes_a_default_grace_period():
     # the base period stays at 1000 us, but the group's update cost halves
     doc = make_doc(thread_groups=[{"id": "TG1", "threads": ["Ta"]},

@@ -192,7 +192,6 @@ def test_one_disagreeing_tile_in_group_of_24_is_faulty():
 
 def supervisor(transient=3, defunct=10, spares=("C3",)):
     return Supervisor(transient_threshold=transient, defunct_threshold=defunct,
-                      window_checkpoints=100, watchdog_period=4000,
                       spare_pool=list(spares))
 
 
