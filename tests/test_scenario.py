@@ -234,6 +234,22 @@ def field_cases():
 
 BAD_VALUE_CASES += [c for c in field_cases() if c not in BAD_VALUE_CASES]
 
+# the knobs the document no longer has: any value given one is still
+# rejected, as an unknown key named by its path
+BAD_VALUE_CASES += [
+    ("fig3", f"{field}={value}", field)
+    for field in ("costs.full_reconfig_duration", "fabric.cells_per_partition",
+                  "fabric.shared_cells", "supervisor.watchdog_period",
+                  "supervisor.window_checkpoints", "tile_groups[0].comparison_deadline",
+                  "tile_groups[0].grace_period")
+    for value in ("abc", "-1", "2.5")
+] + [
+    ("fig3", "fabric.shared_cells=0", "fabric.shared_cells"),
+    ("fig3", "supervisor.watchdog_period=-5", "supervisor.watchdog_period"),
+    ("fig3", 'fabric.anchor_cells=["a"]', "fabric.anchor_cells"),
+    ("fig3", "fabric.anchor_cells=[100]", "fabric.anchor_cells"),
+]
+
 # the keys a scenario document may set, by the dataclass that reads them
 DOCUMENT_KEYS = {
     Scenario: {"name", "seed", "horizon", "tiles", "threads", "thread_groups",
