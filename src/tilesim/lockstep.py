@@ -3,7 +3,7 @@ values: checksum scheduling, sibling comparison (with the unanimous round
 built directly), and output voting.
 
 The event wiring (when each phase runs) lives in the simulation; everything
-here is deterministic arithmetic over validation-memory snapshots, which is
+here is deterministic arithmetic over validation-memory contents, which is
 what makes the protocol unit-testable in isolation.
 """
 
@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Optional
-
-from .workload import OutputRecord
 
 AGREE = "agree"
 DISAGREE = "disagree"
@@ -126,32 +124,26 @@ def unanimous_reports(
 
 @dataclass
 class VoteResult:
-    cycle_counter: int
-    divergent: list[str] = field(default_factory=list)  # tiles whose record lost
+    divergent: list[str] = field(default_factory=list)  # tiles whose output lost
     no_majority: bool = False
 
 
-def vote_outputs(records: dict[str, OutputRecord]) -> VoteResult:
-    """Majority-vote one checkpoint window's replica outputs for one thread.
+def vote_outputs(digests: dict[str, int]) -> VoteResult:
+    """Majority-vote one checkpoint window's replica outputs for one thread,
+    each given as its tile's checksum of the thread.
 
-    A record wins with >= ceil(n/2) identical copies. Divergent records are
+    An output wins with >= ceil(n/2) identical copies. Divergent outputs are
     what would have escaped without voting; with voting disabled they do
-    escape and are merely counted. Without a majority every record diverges.
+    escape and are merely counted. Without a majority every output diverges.
     """
-    tiles = list(records)
+    tiles = list(digests)
     buckets: dict[int, list[str]] = {}
     for tile in tiles:
-        buckets.setdefault(records[tile].digest, []).append(tile)
+        buckets.setdefault(digests[tile], []).append(tile)
     n = len(tiles)
     max_size = max(len(v) for v in buckets.values())
     winners = [d for d, v in buckets.items() if len(v) == max_size]
-    has_majority = 2 * max_size >= n and len(winners) == 1
-
-    result = VoteResult(cycle_counter=records[tiles[0]].cycle_counter)
-    if has_majority:
+    if 2 * max_size >= n and len(winners) == 1:
         best = winners[0]
-        result.divergent = [t for t in tiles if records[t].digest != best]
-    else:
-        result.no_majority = True
-        result.divergent = list(tiles)
-    return result
+        return VoteResult(divergent=[t for t in tiles if digests[t] != best])
+    return VoteResult(divergent=list(tiles), no_majority=True)

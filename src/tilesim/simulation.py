@@ -20,7 +20,7 @@ from . import faults as flt
 from . import lockstep
 from . import supervisor as sup
 from . import workload
-from .engine import MASK64, EventQueue, StreamPool, mix64
+from .engine import EventQueue, StreamPool, mix64
 from .scenario import Scenario, TileGroupConfig
 from .tiles import (
     ACTIVE, BOOTING, DEFUNCT, IDLE_SPARE, REBOOTING, SUSPECT, UPDATING,
@@ -45,29 +45,30 @@ class GroupCheckpoint:
     completed: bool = False
     reports: dict[str, lockstep.CheckpointReport] = field(default_factory=dict)
     clique: list[str] = field(default_factory=list)
-    outputs: dict[str, dict[str, workload.OutputRecord]] = field(default_factory=dict)
-    boundary: dict[str, dict[str, tuple]] = field(default_factory=dict)
+    # thread states at the pause, held as they are: a ThreadState never changes
+    outputs: dict[str, dict[str, workload.ThreadState]] = field(default_factory=dict)
+    boundary: dict[str, dict[str, workload.ThreadState]] = field(default_factory=dict)
     deadline_entry: Optional[list] = None    # queue entries, for cancelling
     resolve_entry: Optional[list] = None
     # Replicas stay bit-identical until a fault hits one, so the tiles of a
     # checkpoint mostly repeat each other's work. These memos are keyed by
     # content, never by tile id, and die with the checkpoint: nothing is
-    # shared between checkpoints or runs.
-    advanced: dict[tuple, tuple] = field(default_factory=dict)  # (words, cycles) -> words
+    # shared between checkpoints or runs. Equal replicas get one advanced
+    # state object, which is safe because a ThreadState never changes.
+    advanced: dict[tuple, workload.ThreadState] = field(default_factory=dict)
     checksums: dict[tuple, int] = field(default_factory=dict)   # (words, cycle_counter) -> checksum
 
     def advance(self, ts: workload.ThreadState, cycles: int) -> workload.ThreadState:
-        """`ts` advanced by `cycles` work cycles, in a state list of its own."""
-        key = (tuple(ts.state), cycles)
-        words = self.advanced.get(key)
-        if words is None:
-            ts = workload.execute_slice(ts, cycles * ts.spec.work_per_tick)
-            self.advanced[key] = tuple(ts.state)
-            return ts
-        return workload.ThreadState(ts.spec, list(words), ts.cycle_counter + cycles)
+        """`ts` advanced by `cycles` work cycles."""
+        key = (ts.spec.thread_id, ts.state, ts.cycle_counter, cycles)
+        done = self.advanced.get(key)
+        if done is None:
+            done = self.advanced[key] = workload.execute_slice(
+                ts, cycles * ts.spec.work_per_tick)
+        return done
 
     def checksum(self, ts: workload.ThreadState) -> int:
-        key = (tuple(ts.state), ts.cycle_counter)
+        key = (ts.state, ts.cycle_counter)
         checksum = self.checksums.get(key)
         if checksum is None:
             checksum = self.checksums[key] = workload.checksum_callback(ts)
@@ -327,15 +328,11 @@ class Simulation:
             tile = self.tiles[m]
             self._pause_tile_groups(tile, group, ctx)
             if tile.status == ACTIVE:
-                ctx.boundary[m] = {
-                    tid: (tuple(tile.threads[tid].state), tile.threads[tid].cycle_counter)
-                    for tid in ctx.checked
-                }
+                ctx.boundary[m] = {tid: tile.threads[tid] for tid in ctx.checked}
                 for spec in group.threads:
                     if spec.emits_output and not tile.sefi_blocked:
-                        ts = tile.threads[spec.thread_id]
-                        ctx.outputs.setdefault(spec.thread_id, {})[m] = \
-                            workload.emit_output(ts, ctx.checksum(ts))
+                        tid = spec.thread_id
+                        ctx.outputs.setdefault(tid, {})[m] = tile.threads[tid]
             if tile.sefi_blocked:
                 self.trace.emit(now, m, "checkpoint-blocked",
                                 tile=m, group=group.group_id, index=index)
@@ -370,7 +367,7 @@ class Simulation:
                 else:
                     ts = ctx.advance(ts, cycles)
                 if tile.persist_corrupt:
-                    ts.state[0] ^= mix64(tile.noise_seed ^ ts.cycle_counter) | 1
+                    ts = workload.flip_bits(ts, 0, [mix64(tile.noise_seed ^ ts.cycle_counter) | 1])
                     slipped = True
                 tile.threads[spec.thread_id] = ts
         win.advanced_to = now
@@ -497,14 +494,15 @@ class Simulation:
         now = self.queue.now
         voting = self.scenario.features.output_voting
         for tid in sorted(ctx.outputs):
-            records = ctx.outputs[tid]
-            if len(records) < 2:
+            states = ctx.outputs[tid]
+            if len(states) < 2:
                 continue
-            result = lockstep.vote_outputs(records)
+            result = lockstep.vote_outputs({m: ctx.checksum(ts) for m, ts in states.items()})
             if result.divergent or result.no_majority:
+                first = next(iter(states.values()))
                 self.trace.emit(now, group.group_id, "output-vote",
                                 group=group.group_id, index=ctx.index, thread=tid,
-                                cycle=result.cycle_counter,
+                                cycle=first.cycle_counter,
                                 divergent=result.divergent,
                                 suppressed=bool(voting),
                                 no_majority=result.no_majority,
@@ -606,8 +604,7 @@ class Simulation:
                             tile=tile_id, group=group_id, index=index)
             return
         for spec in group.threads:
-            snap = workload.sync_callback(tile.threads[spec.thread_id])
-            tile.vmem.write_snapshot(tile_id, index, snap)
+            tile.vmem.write_snapshot(tile_id, index, tile.threads[spec.thread_id])
         self.trace.emit(now, tile_id, "state-propagation", tile=tile_id, group=group_id,
                         index=index, threads=len(group.threads))
 
@@ -842,9 +839,8 @@ class Simulation:
                 absorbed("no-target")
                 return
             self._advance_window(tile, tg_id, now)
-            ts = tile.threads[ev.thread]
-            for k, mask in enumerate(ev.masks):
-                ts.state[(ev.word + k) % len(ts.state)] ^= mask & MASK64
+            tile.threads[ev.thread] = workload.flip_bits(tile.threads[ev.thread],
+                                                         ev.word, ev.masks)
             applied(words=len(ev.masks))
             self.ledger.open(ev.fault_id, (flt.TILE, ev.tile))
         elif kind == flt.TRANSIENT_VMEM:
@@ -1216,8 +1212,7 @@ class Simulation:
             for spec in tg.threads:
                 if donor is not None and m != donor_id:
                     tile.threads[spec.thread_id] = workload.update_callback(
-                        tile.threads[spec.thread_id],
-                        workload.sync_callback(donor.threads[spec.thread_id]))
+                        tile.threads[spec.thread_id], donor.threads[spec.thread_id])
                 elif donor is None:
                     tile.threads[spec.thread_id] = workload.init_thread(spec)
             self.trace.emit(now, m, "timer-adjusted",

@@ -12,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .workload import StateSnapshot, ThreadSpec, ThreadState
+from .workload import ThreadSpec, ThreadState
 
 # Tile statuses
 BOOTING = "booting"
@@ -48,7 +48,7 @@ class NotOwner(AssertionError):
 @dataclass
 class ValidationEntry:
     checksum: int
-    snapshot: Optional[StateSnapshot] = None
+    state: Optional[ThreadState] = None    # written when the owner propagates state
 
 
 class ValidationMemory:
@@ -63,23 +63,23 @@ class ValidationMemory:
             raise NotOwner(f"{actor} wrote validation memory of {self.owner}")
         self.entries[(thread_id, checkpoint_index)] = ValidationEntry(checksum=checksum)
 
-    def write_snapshot(self, actor: str, checkpoint_index: int, snapshot: StateSnapshot):
+    def write_snapshot(self, actor: str, checkpoint_index: int, ts: ThreadState):
         if actor != self.owner:
             raise NotOwner(f"{actor} wrote validation memory of {self.owner}")
-        key = (snapshot.thread_id, checkpoint_index)
+        key = (ts.spec.thread_id, checkpoint_index)
         entry = self.entries.get(key)
         if entry is None:
             entry = ValidationEntry(checksum=0)
             self.entries[key] = entry
-        entry.snapshot = snapshot
+        entry.state = ts
 
     def checksum_of(self, thread_id: str, checkpoint_index: int) -> Optional[int]:
         entry = self.entries.get((thread_id, checkpoint_index))
         return entry.checksum if entry else None
 
-    def snapshot_of(self, thread_id: str, checkpoint_index: int) -> Optional[StateSnapshot]:
+    def snapshot_of(self, thread_id: str, checkpoint_index: int) -> Optional[ThreadState]:
         entry = self.entries.get((thread_id, checkpoint_index))
-        return entry.snapshot if entry else None
+        return entry.state if entry else None
 
     def clear(self):
         self.entries.clear()

@@ -18,8 +18,14 @@ skip-ahead), and split advances are exact: f^a after f^b is f^(a+b).
 
 The step itself does not avalanche: a flip at bit b changes only bits >= b.
 The avalanche that makes any corruption visible comes from
-`checksum_callback`, which folds every word through `mix64`. The four
-per-thread hooks (init, checksum, sync, update) operate on this state.
+`checksum_callback`, which folds every word through `mix64`.
+
+A `ThreadState` is a value: nothing changes it after it is built.
+`execute_slice` and `flip_bits` return a new state and `update_callback`
+hands back the donor's, so a checkpoint memo, a tile's validation memory
+and the oracle can all hold one state without copying it, and a fault on
+one replica cannot reach another. `flip_bits` is the only code that knows
+how a fault lands in the state words.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .engine import MASK64, mix64
 
@@ -39,7 +46,7 @@ MIX_TAG = 0x9E3779B97F4A7C15
 
 
 class ThreadIdMismatch(ValueError):
-    """A snapshot was applied to a thread it does not belong to."""
+    """A donor state was applied to a thread it does not belong to."""
 
 
 @dataclass(frozen=True)
@@ -64,18 +71,12 @@ class ThreadSpec:
             raise ValueError(f"{self.thread_id}: work_per_tick must be >= 1")
 
 
-@dataclass
-class ThreadState:
+# A named tuple, not a frozen dataclass: it is built once per advance, and
+# a frozen dataclass takes about twice as long to build.
+class ThreadState(NamedTuple):
     spec: ThreadSpec
-    state: list[int]
-    cycle_counter: int = 0
-
-
-@dataclass(frozen=True)
-class StateSnapshot:
-    thread_id: str
-    cycle_counter: int
     state: tuple[int, ...]
+    cycle_counter: int = 0
 
 
 # A run advances by only a few distinct cycle counts, so a small bounded
@@ -105,7 +106,7 @@ def init_thread(spec: ThreadSpec) -> ThreadState:
     """
     digest = hashlib.blake2b(spec.thread_id.encode(), digest_size=8).digest()
     base = int.from_bytes(digest, "little")
-    words = [mix64((base + k) & MASK64) for k in range(spec.state_words)]
+    words = tuple([mix64((base + k) & MASK64) for k in range(spec.state_words)])
     return ThreadState(spec=spec, state=words, cycle_counter=0)
 
 
@@ -119,8 +120,17 @@ def execute_slice(ts: ThreadState, ticks: int) -> ThreadState:
     cycles = ticks // ts.spec.work_per_tick
     mult, inc = _jump(cycles)
     inc = inc * MIX_TAG
-    words = [(mult * w + inc * (2 * i + 1)) & MASK64 for i, w in enumerate(ts.state)]
+    words = tuple([(mult * w + inc * (2 * i + 1)) & MASK64 for i, w in enumerate(ts.state)])
     return ThreadState(ts.spec, words, ts.cycle_counter + cycles)
+
+
+def flip_bits(ts: ThreadState, word: int, masks) -> ThreadState:
+    """`ts` with `masks[k]` XORed into state word `word + k`, wrapping
+    around the end of the state: the corruption a fault leaves."""
+    words = list(ts.state)
+    for k, mask in enumerate(masks):
+        words[(word + k) % len(words)] ^= mask & MASK64
+    return ThreadState(ts.spec, tuple(words), ts.cycle_counter)
 
 
 def checksum_callback(ts: ThreadState) -> int:
@@ -135,37 +145,10 @@ def checksum_callback(ts: ThreadState) -> int:
     return mix64(h ^ ts.cycle_counter)
 
 
-def sync_callback(ts: ThreadState) -> StateSnapshot:
-    return StateSnapshot(
-        thread_id=ts.spec.thread_id,
-        cycle_counter=ts.cycle_counter,
-        state=tuple(ts.state),
-    )
-
-
-def update_callback(target: ThreadState, snap: StateSnapshot) -> ThreadState:
-    if snap.thread_id != target.spec.thread_id:
+def update_callback(target: ThreadState, donor: ThreadState) -> ThreadState:
+    """The state `target` takes from a sibling's copy `donor` of its thread."""
+    if donor.spec.thread_id != target.spec.thread_id:
         raise ThreadIdMismatch(
-            f"snapshot of {snap.thread_id!r} applied to {target.spec.thread_id!r}"
+            f"state of {donor.spec.thread_id!r} applied to {target.spec.thread_id!r}"
         )
-    return ThreadState(target.spec, list(snap.state), snap.cycle_counter)
-
-
-@dataclass(frozen=True)
-class OutputRecord:
-    thread_id: str
-    cycle_counter: int
-    digest: int
-
-
-def emit_output(ts: ThreadState, digest: int | None = None) -> OutputRecord | None:
-    """Digest of the thread's externally visible result for this cycle.
-
-    `digest` is the thread's `checksum_callback`, if the caller has it."""
-    if not ts.spec.emits_output:
-        return None
-    return OutputRecord(
-        thread_id=ts.spec.thread_id,
-        cycle_counter=ts.cycle_counter,
-        digest=checksum_callback(ts) if digest is None else digest,
-    )
+    return donor

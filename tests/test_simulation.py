@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from tilesim import criticality as crit
+from tilesim import faults as flt
 from tilesim import workload
 from tilesim.runner import run_simulation
 from tilesim.scenario import BUNDLED, load_scenario, parse_scenario
@@ -60,7 +61,7 @@ def test_post_checkpoint_states_pairwise_equal():
     sim = Simulation(scenario)
     sim.run()
     states = [
-        [tuple(sim.tiles[m].threads[t].state) for t in ("Ta", "Tb")]
+        [sim.tiles[m].threads[t].state for t in ("Ta", "Tb")]
         for m in ("C0", "C1", "C2")
     ]
     assert states[0] == states[1] == states[2]
@@ -172,20 +173,20 @@ def test_oracle_sees_a_divergence_the_checksums_hide(monkeypatch):
     assert {tuple(r.payload["tiles"]) for r in records} == {("C0", "C2"), ("C1", "C2")}
 
 
-# -- per-checkpoint memo: shared work, never shared state ------------------------
+# -- per-checkpoint memo: shared work, and a fault stays on its tile ---------------
 
-def test_checkpoint_memo_hit_gives_a_state_list_of_its_own():
+def test_checkpoint_memo_hit_survives_a_flip_of_an_earlier_result():
     spec = workload.ThreadSpec("Ta", 5, 1000, work_per_tick=50)
     ctx = GroupCheckpoint(index=1, t0=0, participants=["C0", "C1"],
                           members=["C0", "C1"], checked=["Ta"])
     a = ctx.advance(workload.init_thread(spec), 7)
     b = ctx.advance(workload.init_thread(spec), 7)
     assert len(ctx.advanced) == 1
-    assert a.state == b.state and a.state is not b.state
-    assert a.cycle_counter == b.cycle_counter == 7
-    a.state[0] ^= 1
+    assert a is b
+    assert a.cycle_counter == 7
+    a = workload.flip_bits(a, 0, [1])
     assert b.state != a.state
-    assert ctx.advance(workload.init_thread(spec), 7).state == b.state
+    assert ctx.advance(workload.init_thread(spec), 7) == b
     assert ctx.checksum(a) != ctx.checksum(b)
     assert len(ctx.checksums) == 2
 
@@ -203,23 +204,28 @@ def paused_at_first_checkpoint(doc):
     return sim
 
 
-def test_replicas_share_no_state_list_after_a_memo_hit():
+def test_fault_after_a_memo_hit_changes_only_its_own_tile():
     sim = paused_at_first_checkpoint(make_doc())
-    assert len(sim.ctxs["G1"].advanced) == 2  # one entry per thread, not per tile
-    states = {m: {t: sim.tiles[m].threads[t].state for t in ("Ta", "Tb")}
-              for m in ("C0", "C1", "C2")}
-    assert len({id(s) for per_tile in states.values() for s in per_tile.values()}) == 6
-    before = {m: {t: list(s) for t, s in per_tile.items()} for m, per_tile in states.items()}
-    states["C1"]["Ta"][2] ^= 0xFF
+    ctx = sim.ctxs["G1"]
+    assert len(ctx.advanced) == 2  # one entry per thread, not per tile
+    before = {m: dict(sim.tiles[m].threads) for m in ("C0", "C1", "C2")}
+    sim.apply_fault(flt.FaultEvent(fault_id=0, at=1024, kind=flt.TRANSIENT_STATE,
+                                   tile="C1", thread="Ta", word=2, masks=(0xFF,)))
+    after = {m: dict(sim.tiles[m].threads) for m in ("C0", "C1", "C2")}
+    assert after["C1"]["Ta"].state[2] == before["C1"]["Ta"].state[2] ^ 0xFF
+    assert after["C1"]["Ta"].state[:2] == before["C1"]["Ta"].state[:2]
+    assert after["C1"]["Tb"] == before["C1"]["Tb"]
     for m in ("C0", "C2"):
-        assert states[m] == before[m]
-    assert states["C1"]["Tb"] == before["C1"]["Tb"]
+        assert after[m] == before[m]
+    # the memo and the oracle's boundary still hold the unflipped state
+    assert before["C1"]["Ta"] in ctx.advanced.values()
+    assert ctx.boundary["C1"]["Ta"] == before["C1"]["Ta"]
 
 
 @pytest.mark.parametrize("corrupt,partition", [("C0", "p0"), ("C2", "p2")])
 def test_persistent_corruption_reaches_only_its_own_tile(corrupt, partition):
     # C0 advances first (a memo miss), C2 last (a hit): either way only the
-    # damaged tile's list takes the XOR
+    # damaged tile's state takes the XOR
     doc = make_doc(faults={"explicit": [
         {"at": 500, "kind": "permanent-cell", "partition": partition, "cell": 10}]})
     sim = paused_at_first_checkpoint(doc)
@@ -227,11 +233,10 @@ def test_persistent_corruption_reaches_only_its_own_tile(corrupt, partition):
     c0, c1 = [m for m in ("C0", "C1", "C2") if m != corrupt]
     for tid in ("Ta", "Tb"):
         state = {m: sim.tiles[m].threads[tid].state for m in ("C0", "C1", "C2")}
-        assert len({id(words) for words in state.values()}) == 3
         assert state[c0] == state[c1]
         assert state[corrupt][0] != state[c0][0]
         assert state[corrupt][1:] == state[c0][1:]
-        assert tuple(state[c0]) in sim.ctxs["G1"].advanced.values()
+        assert sim.tiles[c0].threads[tid] in sim.ctxs["G1"].advanced.values()
 
 
 # -- replacement chains and spare conservation ----------------------------------
@@ -505,6 +510,17 @@ def test_output_divergence_suppressed_by_voting():
     votes = trace.of_kind("output-vote")
     assert votes and votes[0].payload["divergent"] == ["C2"]
     assert votes[0].payload["suppressed"]
+
+
+def test_no_output_vote_for_a_thread_that_emits_none():
+    # the corrupted replica diverges, but a thread with emits_output off
+    # has no output to vote on
+    doc = output_doc(voting=True)
+    doc["threads"][0]["emits_output"] = False
+    trace, summary = run_doc(doc)
+    assert summary.detected == 1
+    assert trace.of_kind("output-vote") == []
+    assert summary.propagation_window_count == summary.outputs_escaped == 0
 
 
 def test_output_divergence_escapes_without_voting():

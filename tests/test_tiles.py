@@ -4,7 +4,7 @@ from tilesim.tiles import (
     ACTIVE, BOOTING, DEFUNCT, IDLE_SPARE, REBOOTING, SUSPECT, UPDATING,
     InvalidTransition, NotOwner, RunWindow, Tile, TileGroup, ValidationMemory,
 )
-from tilesim.workload import StateSnapshot, ThreadSpec
+from tilesim.workload import ThreadSpec, init_thread
 
 
 def test_single_writer_enforced():
@@ -12,7 +12,7 @@ def test_single_writer_enforced():
     vmem.write_checksum("C0", "Ta", 1, 123)
     with pytest.raises(NotOwner):
         vmem.write_checksum("C1", "Ta", 1, 999)
-    snap = StateSnapshot(thread_id="Ta", cycle_counter=4, state=(1, 2))
+    snap = init_thread(ThreadSpec("Ta", 1, 1000))
     with pytest.raises(NotOwner):
         vmem.write_snapshot("C1", 1, snap)
     assert vmem.checksum_of("Ta", 1) == 123
@@ -29,9 +29,9 @@ def test_checksums_readable_after_entries():
 
 def test_snapshot_storage():
     vmem = ValidationMemory("C0")
-    snap = StateSnapshot(thread_id="Ta", cycle_counter=4, state=(1, 2))
+    snap = init_thread(ThreadSpec("Ta", 1, 1000))
     vmem.write_snapshot("C0", 3, snap)
-    assert vmem.snapshot_of("Ta", 3) == snap
+    assert vmem.snapshot_of("Ta", 3) is snap
     assert vmem.snapshot_of("Ta", 2) is None
 
 

@@ -1,10 +1,10 @@
 import pytest
 
 from tilesim.engine import MASK64
+from tilesim.lockstep import vote_outputs
 from tilesim.workload import (
-    MIX_MULT, MIX_TAG, OutputRecord, ThreadIdMismatch, ThreadSpec, ThreadState,
-    checksum_callback, emit_output, execute_slice, init_thread, sync_callback,
-    update_callback,
+    MIX_MULT, MIX_TAG, ThreadIdMismatch, ThreadSpec, ThreadState,
+    checksum_callback, execute_slice, flip_bits, init_thread, update_callback,
 )
 
 
@@ -16,12 +16,29 @@ def spec(tid="Ta", words=4, wpt=1, emits=False):
 # -- init -------------------------------------------------------------------
 
 def test_init_identical_on_every_tile():
-    # each tile builds its replica with its own call: equal states, but
-    # never one shared list that a fault on one tile would corrupt on all
     s = spec()
-    a, b = init_thread(s), init_thread(s)
-    assert a == b
-    assert a.state is not b.state
+    assert init_thread(s) == init_thread(s)
+
+
+def test_state_cannot_be_changed_in_place():
+    # replicas may hold one state object, so no write may reach it
+    ts = init_thread(spec())
+    with pytest.raises(TypeError):
+        ts.state[0] ^= 1
+    with pytest.raises(AttributeError):
+        ts.cycle_counter = 5
+    assert ts == init_thread(spec())
+
+
+def test_flip_bits_returns_a_new_state():
+    ts = execute_slice(init_thread(spec()), 9)
+    flipped = flip_bits(ts, 3, [1 << 5, 0xFF])
+    # the second mask wraps around to word 0
+    assert flipped.state == (ts.state[0] ^ 0xFF, ts.state[1], ts.state[2],
+                             ts.state[3] ^ (1 << 5))
+    assert flipped.cycle_counter == ts.cycle_counter and flipped.spec is ts.spec
+    assert ts == execute_slice(init_thread(spec()), 9)
+    assert flip_bits(ts, 0, [1 << 64 | 1]).state[0] == ts.state[0] ^ 1
 
 
 def test_init_word_count():
@@ -54,8 +71,7 @@ def test_replicas_stay_equal():
 
 def test_single_bit_flip_stays_diverged():
     healthy = init_thread(spec())
-    flipped = init_thread(spec())
-    flipped.state[2] ^= 1 << 17
+    flipped = flip_bits(init_thread(spec()), 2, [1 << 17])
     for _ in range(20):
         healthy = execute_slice(healthy, 10)
         flipped = execute_slice(flipped, 10)
@@ -74,7 +90,7 @@ def naive_slice(state, cycles):
 def test_jump_matches_per_cycle_step():
     ts = init_thread(spec(words=5))
     for cycles in range(65):
-        assert execute_slice(ts, cycles).state == naive_slice(ts.state, cycles)
+        assert list(execute_slice(ts, cycles).state) == naive_slice(ts.state, cycles)
 
 
 @pytest.mark.parametrize("wpt", [1, 7])
@@ -92,9 +108,8 @@ def test_split_advance_equals_one_advance(wpt, first, second):
 
 def test_input_state_is_not_changed():
     ts = init_thread(spec())
-    before = list(ts.state)
     execute_slice(ts, 50)
-    assert ts.state == before and ts.cycle_counter == 0
+    assert ts == init_thread(spec()) and ts.cycle_counter == 0
 
 
 def test_negative_ticks_rejected():
@@ -106,8 +121,7 @@ def test_top_bit_flip_stays_diverged():
     # an odd multiplier keeps a difference at bit b only in bits >= b, so a
     # flip of bit 63 is the case that could most easily be lost
     healthy = init_thread(spec(words=4))
-    flipped = init_thread(spec(words=4))
-    flipped.state = [w ^ (1 << 63) for w in flipped.state]
+    flipped = flip_bits(init_thread(spec(words=4)), 0, [1 << 63] * 4)
     for ticks in (1, 2, 63, 1000, 2**40 + 3):
         healthy = execute_slice(healthy, ticks)
         flipped = execute_slice(flipped, ticks)
@@ -126,7 +140,7 @@ def test_checksum_golden_seed_fold():
     # frozen from an independent evaluation of the documented fold:
     # h = mix64(seed ^ word0); result = mix64(h ^ cycle), with mix64 the
     # splitmix64 finalizer
-    ts = ThreadState(spec=spec(words=1), state=[0], cycle_counter=0)
+    ts = ThreadState(spec=spec(words=1), state=(0,), cycle_counter=0)
     assert checksum_callback(ts) == 0x47C655395B457103
 
 
@@ -144,10 +158,7 @@ def test_all_single_bit_flips_detected():
     seen = set()
     for word in range(4):
         for bit in range(64):
-            mutated = ThreadState(spec=base.spec, state=list(base.state),
-                                  cycle_counter=base.cycle_counter)
-            mutated.state[word] ^= 1 << bit
-            c = checksum_callback(mutated)
+            c = checksum_callback(flip_bits(base, word, [1 << bit]))
             assert c != clean
             seen.add(c)
     assert len(seen) == 256
@@ -155,69 +166,62 @@ def test_all_single_bit_flips_detected():
 
 def test_cycle_counter_affects_checksum():
     a = init_thread(spec())
-    b = ThreadState(spec=a.spec, state=list(a.state), cycle_counter=1)
+    b = ThreadState(spec=a.spec, state=a.state, cycle_counter=1)
     assert checksum_callback(a) != checksum_callback(b)
 
 
-# -- sync / update ----------------------------------------------------------
+# -- update -----------------------------------------------------------------
 
 def test_snapshot_roundtrip_reproduces_checksum():
     donor = execute_slice(init_thread(spec()), 33)
     stale = init_thread(spec())
-    updated = update_callback(stale, sync_callback(donor))
+    updated = update_callback(stale, donor)
     assert checksum_callback(updated) == checksum_callback(donor)
 
 
 def test_snapshots_are_honest():
-    corrupted = init_thread(spec())
-    corrupted.state[0] ^= 0xFF
-    snap = sync_callback(corrupted)
-    assert snap.state == tuple(corrupted.state)
-    assert snap.cycle_counter == corrupted.cycle_counter
+    # a corrupted donor passes its corruption on: the update does not
+    # repair or re-derive the state it copies
+    corrupted = flip_bits(init_thread(spec()), 0, [0xFF])
+    updated = update_callback(init_thread(spec()), corrupted)
+    assert updated.state == corrupted.state
+    assert updated.cycle_counter == corrupted.cycle_counter
 
 
 def test_self_update_is_identity():
     ts = execute_slice(init_thread(spec()), 12)
-    again = update_callback(ts, sync_callback(ts))
-    assert again.state == ts.state
-    assert again.cycle_counter == ts.cycle_counter
+    assert update_callback(ts, ts) == ts
 
 
 def test_update_rejects_wrong_thread():
     a = init_thread(spec("Ta"))
     b = init_thread(spec("Tb"))
     with pytest.raises(ThreadIdMismatch):
-        update_callback(a, sync_callback(b))
+        update_callback(a, b)
 
 
 def test_recovered_replica_matches_group():
-    # the replaced tile pulls a donor snapshot and then tracks the group:
+    # the replaced tile takes a donor's state and then tracks the group:
     # C3 updated from C1 must checksum-match C0 at the next checkpoint
     c0 = execute_slice(init_thread(spec()), 200)
     c1 = execute_slice(init_thread(spec()), 200)
-    c3 = update_callback(init_thread(spec()), sync_callback(c1))
+    c3 = update_callback(init_thread(spec()), c1)
     c0 = execute_slice(c0, 100)
     c3 = execute_slice(c3, 100)
     assert checksum_callback(c0) == checksum_callback(c3)
 
 
 # -- output -----------------------------------------------------------------
-
-def test_no_output_when_disabled():
-    ts = init_thread(spec(emits=False))
-    assert emit_output(ts) is None
-
+# A replica's output, as the checkpoint votes on it, is its checksum.
 
 def test_healthy_replicas_emit_identical_records():
-    a = execute_slice(init_thread(spec(emits=True)), 30)
-    b = execute_slice(init_thread(spec(emits=True)), 30)
-    assert emit_output(a) == emit_output(b)
+    states = {t: execute_slice(init_thread(spec(emits=True)), 30) for t in ("C0", "C1")}
+    result = vote_outputs({t: checksum_callback(ts) for t, ts in states.items()})
+    assert result.divergent == [] and not result.no_majority
 
 
 def test_corrupted_replica_emits_divergent_record():
-    a = execute_slice(init_thread(spec(emits=True)), 30)
-    b = execute_slice(init_thread(spec(emits=True)), 30)
-    b.state[1] ^= 1 << 5
-    ra, rb = emit_output(a), emit_output(b)
-    assert isinstance(ra, OutputRecord)
-    assert ra.digest != rb.digest
+    states = {t: execute_slice(init_thread(spec(emits=True)), 30) for t in ("C0", "C1", "C2")}
+    states["C1"] = flip_bits(states["C1"], 1, [1 << 5])
+    result = vote_outputs({t: checksum_callback(ts) for t, ts in states.items()})
+    assert result.divergent == ["C1"]
