@@ -329,6 +329,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
 
     thread_groups: list[ThreadGroupConfig] = []
     tg_ids: set[str] = set()
+    listed: dict[str, str] = {}    # thread id -> the thread group that lists it
     for i, tg in _entries(problems, "thread_groups", doc.get("thread_groups", [])):
         path = f"thread_groups[{i}]"
         tgc = ThreadGroupConfig(**_read(problems, path, tg, ThreadGroupConfig, tg_id=f"TG{i}"))
@@ -340,6 +341,12 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         for tid in tgc.threads:
             if tid not in threads:
                 problems.append(f"{path}: unknown thread {tid!r}")
+            elif tid in listed:
+                # a tile holds one state per thread id, so a second listing
+                # would run the thread twice, or in two groups at once
+                problems.append(f"{path}: thread {tid!r} is already listed in "
+                                f"thread group {listed[tid]!r}")
+            listed.setdefault(tid, tgc.tg_id)
         thread_groups.append(tgc)
 
     tile_groups: list[TileGroupConfig] = []

@@ -119,6 +119,15 @@ def test_reserved_partition_name_exits_1(capsys, verb, partition, extra):
     assert "Traceback" not in err
 
 
+def test_thread_listed_twice_exits_1(capsys):
+    rc = main(["validate", "--scenario", "fig3", "--set",
+               'thread_groups[0].threads=["Ta","Tb","Ta"]', "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "thread_groups[0]: thread 'Ta' is already listed" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("verb", ["validate", "run"])
 def test_too_many_extra_partitions_exits_1(capsys, verb):
     rc = main([verb, "--scenario", "fig3", "--set",

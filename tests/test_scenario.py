@@ -14,6 +14,7 @@ from tilesim.scenario import (
 )
 from tilesim.simulation import Simulation
 from tilesim.workload import ThreadSpec
+from trace_corpus import chaos_doc, shared_tile_doc
 
 
 def minimal_doc(**over):
@@ -120,6 +121,39 @@ def test_thread_group_assigned_twice_rejected():
     with pytest.raises(ScenarioError) as err:
         parse_scenario(doc)
     assert "assigned twice" in str(err.value)
+
+
+def thread_in_two_groups_doc():
+    # without the check, the fault-free run has G1 and then G2 blame the
+    # tile they share, C2, which holds one state for Ta and runs it twice
+    doc = chaos_doc(3)
+    del doc["faults"]
+    doc["thread_groups"] = [{"id": "TG-ab", "threads": ["Ta", "Tb"]},
+                            {"id": "TG-c", "threads": ["Tc", "Ta"]}]
+    doc["tile_groups"] = shared_tile_doc(3, 2)["tile_groups"]
+    return doc
+
+
+def thread_listed_twice_doc():
+    # without the check, Ta runs at twice Tb's rate
+    doc = chaos_doc(3)
+    del doc["faults"]
+    doc["thread_groups"][0]["threads"] = ["Ta", "Ta", "Tb"]
+    return doc
+
+
+@pytest.mark.parametrize("make,problem", [
+    pytest.param(thread_in_two_groups_doc,
+                 "thread_groups[1]: thread 'Ta' is already listed in thread group 'TG-ab'",
+                 id="in-two-groups"),
+    pytest.param(thread_listed_twice_doc,
+                 "thread_groups[0]: thread 'Ta' is already listed in thread group 'TG-ab'",
+                 id="twice-in-one-group"),
+])
+def test_thread_listed_twice_rejected(make, problem):
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(make())
+    assert err.value.problems == [problem]
 
 
 def test_checkpoint_cost_must_fit_deadline():
