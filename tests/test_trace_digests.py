@@ -4,8 +4,10 @@ The trace is the simulator's behavioural contract. A change that keeps
 these digests keeps the behaviour of every bundled scenario and of the
 first chaos-soak seeds, whatever it does to the code underneath. The
 shared-tile pins cover a tile serving two groups: a command to a rebooting
-tile, a reboot that settles a pending update, and a stale participant. The
-wide-group pins cover arbitration over one 14-tile group. The reordered
+tile, a reboot that settles a pending update, a stale participant, and a
+fault in validation memory. Chaos seed 196 covers Stage 3 deactivating
+every thread group. The wide-group pins cover arbitration over one 14-tile
+group. The reordered
 pins cover a tile group that lists its thread groups in another order than
 the scenario does: a generated fault picks its thread in scenario order,
 while the group checks its threads in its own order. The signal-loss pins
@@ -40,6 +42,8 @@ CHAOS_DIGESTS = {
     2: "4f3638455e4fd9042ecba91e6d956050f4a8234c0a49011e7a32989237f03c40",
     3: "0523cbac465fc86c4fa086415a7f731f391517a243024c894be5a9bc3bd6ce25",
     4: "4628184203fc2f5126941ed9a8fa607f8fd0502e168b2ac9b4ce249d8ae5de63",
+    # Stage 3 deactivates both thread groups
+    196: "a7fefe6f34716cc2c5b43fe26a833fdb9bd6530403764469345fa43fd03cda92",
 }
 
 # (transient threshold, seed) -> digest, for trace_corpus.shared_tile_doc
@@ -50,6 +54,8 @@ SHARED_TILE_DIGESTS = {
     (2, 221): "64730293289a943be780765a8ecd93485643c89fb519f58e59016adc858a7e44",
     (2, 322): "6d02768759cc2fa67d705bffacb7955a8aef6fdc52b2239a7a186dd607ef1368",
     (2, 100): "e2a79d42654245e1866ecd31c3af696d2b506ae1f40689681b52213ecb645e50",
+    # a validation-memory fault applied to an open checkpoint at t=31037
+    (2, 38): "10ea8bea46225aac34546c166fd6ef2d736a6e000b8c47e81e15965b27831777",
 }
 
 WIDE_DIGESTS = {
@@ -88,8 +94,10 @@ EVENT_COUNTS = {
     ("chaos", 2): (752, 542),
     ("chaos", 3): (660, 479),
     ("chaos", 4): (767, 554),
+    ("chaos", 196): (399, 305),
     ("reordered", 0): (785, 574),
     ("reordered", 1): (768, 560),
+    ("shared-tile", 2, 38): (845, 629),
     ("shared-tile", 2, 100): (781, 574),
     ("shared-tile", 2, 221): (830, 611),
     ("shared-tile", 2, 322): (790, 581),
