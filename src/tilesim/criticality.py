@@ -200,49 +200,3 @@ def reallocate(
         ))
     return plan
 
-
-def priority_dominance_violations(
-    tiles: dict[str, Fraction],
-    requests: list[AllocRequest],
-    plan: Plan,
-    policy: CriticalityPolicy,
-    context_switch: int = 2,
-) -> list[str]:
-    """Exchange-argument check: no group may sit below its class minimum
-    while strictly less critical groups hold capacity that could fill the
-    gap. Returns the ids of groups whose minimum is violated that way.
-    """
-    by_id = {r.tg_id: r for r in requests}
-    load: dict[str, Fraction] = {t: Fraction(0) for t in tiles}
-    lower_load: dict[str, dict[str, Fraction]] = {t: {} for t in tiles}
-    for entry in plan.entries:
-        if not entry.active:
-            continue
-        req = by_id[entry.tg_id]
-        util = group_utilization(req, entry.period_factor, context_switch)
-        for t in entry.tiles:
-            load[t] += util
-            lower_load[t][entry.tg_id] = util
-
-    violations = []
-    for entry in plan.entries:
-        req = by_id[entry.tg_id]
-        class_min = policy.class_min(req.criticality)
-        have = len(entry.tiles) if entry.active else 0
-        if have >= class_min:
-            continue
-        util = group_utilization(req, entry.period_factor or 1, context_switch)
-        usable = 0
-        for t in tiles:
-            if t in entry.tiles:
-                continue
-            freed = sum(
-                (u for other, u in lower_load[t].items()
-                 if by_id[other].criticality < req.criticality),
-                start=Fraction(0),
-            )
-            if load[t] - freed + util <= tiles[t]:
-                usable += 1
-        if have + usable >= class_min:
-            violations.append(entry.tg_id)
-    return violations

@@ -13,7 +13,7 @@ from importlib import resources
 import pytest
 
 from tilesim import faults as flt
-from tilesim.criticality import reallocate, priority_dominance_violations
+from tilesim.criticality import reallocate
 from tilesim.engine import RandomStream
 from tilesim.runner import replay_check, run_simulation, sweep
 from tilesim.scenario import load_scenario, parse_scenario
@@ -21,6 +21,7 @@ from tilesim.simulation import Simulation
 
 from test_criticality import (
     POLICY, brute_force_high_count, degraded_instance, plan_high_count,
+    priority_dominance_violations,
 )
 
 

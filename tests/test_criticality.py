@@ -3,9 +3,8 @@ from itertools import combinations
 
 from tilesim.criticality import (
     DEACTIVATE, MODE_DEACTIVATED, MODE_DETECT_ONLY, MODE_FULL,
-    REDUCE_FREQUENCY, REDUCE_REPLICAS, AllocRequest, CriticalityPolicy,
-    apply_degradation, group_utilization, priority_dominance_violations,
-    reallocate, utilization,
+    REDUCE_FREQUENCY, REDUCE_REPLICAS, AllocRequest, CriticalityPolicy, Plan,
+    apply_degradation, group_utilization, reallocate, utilization,
 )
 from tilesim.engine import RandomStream
 from tilesim.workload import ThreadSpec
@@ -115,8 +114,55 @@ def test_high_group_loss_of_capability():
     assert entry.loss_of_capability
 
 
+def priority_dominance_violations(
+    tiles: dict[str, Fraction],
+    requests: list[AllocRequest],
+    plan: Plan,
+    policy: CriticalityPolicy,
+    context_switch: int = 2,
+) -> list[str]:
+    """Exchange-argument check: no group may sit below its class minimum
+    while strictly less critical groups hold capacity that could fill the
+    gap. Returns the ids of groups whose minimum is violated that way.
+    """
+    by_id = {r.tg_id: r for r in requests}
+    load: dict[str, Fraction] = {t: Fraction(0) for t in tiles}
+    lower_load: dict[str, dict[str, Fraction]] = {t: {} for t in tiles}
+    for entry in plan.entries:
+        if not entry.active:
+            continue
+        req = by_id[entry.tg_id]
+        util = group_utilization(req, entry.period_factor, context_switch)
+        for t in entry.tiles:
+            load[t] += util
+            lower_load[t][entry.tg_id] = util
+
+    violations = []
+    for entry in plan.entries:
+        req = by_id[entry.tg_id]
+        class_min = policy.class_min(req.criticality)
+        have = len(entry.tiles) if entry.active else 0
+        if have >= class_min:
+            continue
+        util = group_utilization(req, entry.period_factor or 1, context_switch)
+        usable = 0
+        for t in tiles:
+            if t in entry.tiles:
+                continue
+            freed = sum(
+                (u for other, u in lower_load[t].items()
+                 if by_id[other].criticality < req.criticality),
+                start=Fraction(0),
+            )
+            if load[t] - freed + util <= tiles[t]:
+                usable += 1
+        if have + usable >= class_min:
+            violations.append(entry.tg_id)
+    return violations
+
+
 def test_priority_dominance_checker_flags_bad_plan():
-    from tilesim.criticality import Plan, PlanEntry
+    from tilesim.criticality import PlanEntry
     tiles = {"C0": Fraction(100), "C1": Fraction(100), "C2": Fraction(100)}
     reqs = [request("TG-hi", 9, ("C0", "C1")), request("TG-lo", 1, ("C2",))]
     # hand-built bad plan: the high group sits at 2 < 3 replicas while the
