@@ -33,7 +33,7 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .engine import MASK64, mix64
 
@@ -124,7 +124,7 @@ def execute_slice(ts: ThreadState, ticks: int) -> ThreadState:
     return ThreadState(ts.spec, words, ts.cycle_counter + cycles)
 
 
-def flip_bits(ts: ThreadState, word: int, masks) -> ThreadState:
+def flip_bits(ts: ThreadState, word: int, masks: Iterable[int]) -> ThreadState:
     """`ts` with `masks[k]` XORed into state word `word + k`, wrapping
     around the end of the state: the corruption a fault leaves."""
     words = list(ts.state)
