@@ -328,14 +328,14 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             problems.append(f"{path}: {exc}")
 
     thread_groups: list[ThreadGroupConfig] = []
-    tg_ids: set[str] = set()
+    tg_paths: dict[str, str] = {}    # thread group id -> its first document path
     listed: dict[str, str] = {}    # thread id -> the thread group that lists it
     for i, tg in _entries(problems, "thread_groups", doc.get("thread_groups", [])):
         path = f"thread_groups[{i}]"
         tgc = ThreadGroupConfig(**_read(problems, path, tg, ThreadGroupConfig, tg_id=f"TG{i}"))
-        if tgc.tg_id in tg_ids:
+        if tgc.tg_id in tg_paths:
             problems.append(f"{path}: duplicate thread group id {tgc.tg_id!r}")
-        tg_ids.add(tgc.tg_id)
+        tg_paths.setdefault(tgc.tg_id, path)
         if not tgc.threads:
             problems.append(f"{path}: thread group is empty")
         for tid in tgc.threads:
@@ -349,7 +349,9 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
             listed.setdefault(tid, tgc.tg_id)
         thread_groups.append(tgc)
 
+    spare_ids = {t.tile_id for t in tiles if t.spare}
     tile_groups: list[TileGroupConfig] = []
+    group_paths: list[str] = []     # the document path of each of tile_groups
     group_ids: set[str] = set()
     assigned_tgs: set[str] = set()
     for i, g in _entries(problems, "tile_groups", doc.get("tile_groups", [])):
@@ -368,23 +370,26 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         for m in members:
             if m not in tile_ids:
                 problems.append(f"{path}: unknown tile {m!r}")
+            elif m in spare_ids:
+                problems.append(f"{path}: spare tile {m!r} cannot be a member")
         if not group.thread_groups:
             problems.append(f"{path}: no thread groups assigned")
         for tgid in group.thread_groups:
-            if tgid not in tg_ids:
+            if tgid not in tg_paths:
                 problems.append(f"{path}: unknown thread group {tgid!r}")
             elif tgid in assigned_tgs:
                 problems.append(f"{path}: thread group {tgid!r} assigned twice")
             assigned_tgs.add(tgid)
         tile_groups.append(group)
+        group_paths.append(path)
     if not tile_groups:
         problems.append("tile_groups: at least one tile group required")
-
-    spare_ids = {t.tile_id for t in tiles if t.spare}
-    for g in tile_groups:
-        for m in g.members:
-            if m in spare_ids:
-                problems.append(f"tile_groups[{g.group_id}]: spare tile {m!r} cannot be a member")
+    else:
+        # a thread group that no tile group runs would first start at a
+        # Stage-3 plan, from its initial state, and could displace others
+        for tg_id, path in tg_paths.items():
+            if tg_id not in assigned_tgs:
+                problems.append(f"{path}: thread group {tg_id!r} is run by no tile group")
 
     if fabric_cfg.extra_partitions > MAX_EXTRA_PARTITIONS:
         problems.append(f"fabric.extra_partitions: at most {MAX_EXTRA_PARTITIONS}")
@@ -425,14 +430,14 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     if not problems:
         # checkpoints must be able to finish before the comparison deadline
         tg_threads = {tgc.tg_id: tgc.threads for tgc in thread_groups}
-        for g in tile_groups:
+        for path, g in zip(group_paths, tile_groups):
             group = TileGroup(g.group_id, g.members, g.thread_groups)
             group.bind([threads[t] for tg in g.thread_groups for t in tg_threads[tg]])
             worst = (max(s.viable_delay for s in group.threads)
                      + checksum_duration(group.threads, costs.context_switch))
             if worst > group.comparison_deadline:
                 problems.append(
-                    f"tile_groups[{g.group_id}]: checkpoint cost {worst} exceeds "
+                    f"{path}: checkpoint cost {worst} exceeds "
                     f"comparison deadline {group.comparison_deadline}"
                 )
 

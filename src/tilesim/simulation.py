@@ -41,6 +41,11 @@ class GroupCheckpoint:
     members: list[str]                       # roster as of checkpoint start
     checked: list[str]                       # thread ids validated this index
     written: dict[str, int] = field(default_factory=dict)
+    # Validation memory of this round. A tile writes its row, its checksums
+    # of `checked` in order, and a writer asked to propagate adds its thread
+    # states; siblings only read them. A reboot wipes both.
+    rows: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    snapshots: dict[str, dict[str, workload.ThreadState]] = field(default_factory=dict)
     resolved: bool = False
     completed: bool = False
     reports: dict[str, lockstep.CheckpointReport] = field(default_factory=dict)
@@ -276,7 +281,9 @@ class Simulation:
     def _reboot_tile(self, tile: Tile, schedule: bool = True):
         now = self.queue.now
         tile.set_status(REBOOTING)
-        tile.vmem.clear()
+        for ctx in self.ctxs.values():
+            ctx.rows.pop(tile.tile_id, None)
+            ctx.snapshots.pop(tile.tile_id, None)
         tile.threads.clear()
         if tile.tile_id in self.supervisor.spare_pool:
             self.supervisor.spare_pool.remove(tile.tile_id)
@@ -402,9 +409,7 @@ class Simulation:
             self.trace.emit(now, tile.tile_id, "validation-write-lost",
                             tile=tile.tile_id, group=group.group_id, index=ctx.index)
             return
-        for tid in ctx.checked:
-            tile.vmem.write_checksum(tile.tile_id, tid, ctx.index,
-                                     ctx.checksum(tile.threads[tid]))
+        ctx.rows[tile.tile_id] = tuple(ctx.checksum(tile.threads[tid]) for tid in ctx.checked)
         ctx.written[tile.tile_id] = now
         self.trace.emit(now, tile.tile_id, "validation-write",
                         tile=tile.tile_id, group=group.group_id, index=ctx.index,
@@ -426,11 +431,9 @@ class Simulation:
         deadline_at = ctx.t0 + group.comparison_deadline
 
         # read at resolve time: a transient vmem fault or a reboot since the
-        # write shows up here
-        rows = {}
-        for w in ctx.written:
-            vmem = self.tiles[w].vmem
-            rows[w] = tuple(vmem.checksum_of(t, index) for t in ctx.checked)
+        # write shows up here, and a wiped row reads as all missing
+        wiped = (None,) * len(ctx.checked)
+        rows = {w: ctx.rows.get(w, wiped) for w in ctx.written}
         unanimous = lockstep.unanimous_reports(
             ctx.members, ctx.written, deadline_at, rows, self.shared_blocked)
         loss = self.scenario.features.signal_loss_prob
@@ -580,13 +583,8 @@ class Simulation:
     def propagate_state(self, group: TileGroup, ctx: GroupCheckpoint, writers: list[str]):
         """Schedule the synchronization callbacks of every healthy writer
         that saw the mismatch (or was asked to donate)."""
+        duration = lockstep.sync_duration(group.threads, self.scenario.costs.context_switch)
         for w in writers:
-            tile = self.tiles[w]
-            missing = [s for s in group.threads
-                       if tile.vmem.snapshot_of(s.thread_id, ctx.index) is None]
-            if not missing:
-                continue  # state already in validation memory; callback omitted
-            duration = lockstep.sync_duration(missing, self.scenario.costs.context_switch)
             self.queue.schedule(self.queue.now + duration, Simulation._on_sync_written,
                                 group.group_id, ctx.index, w)
 
@@ -603,8 +601,11 @@ class Simulation:
             self.trace.emit(now, tile_id, "state-propagation-lost",
                             tile=tile_id, group=group_id, index=index)
             return
-        for spec in group.threads:
-            tile.vmem.write_snapshot(tile_id, index, tile.threads[spec.thread_id])
+        # once the group has started a later round, nothing reads this one's states
+        ctx = self.ctxs[group_id]
+        if ctx.index == index:
+            ctx.snapshots[tile_id] = {spec.thread_id: tile.threads[spec.thread_id]
+                                      for spec in group.threads}
         self.trace.emit(now, tile_id, "state-propagation", tile=tile_id, group=group_id,
                         index=index, threads=len(group.threads))
 
@@ -773,24 +774,19 @@ class Simulation:
             if donor_id is None and ctx.clique:
                 donor_id = next((x for x in group.members if x in ctx.clique), None)
             donor = self.tiles[donor_id] if donor_id else None
-            snapshots = {}
-            ok = (donor is not None and donor.is_member
-                  and not tile.sefi_blocked and not self.shared_blocked)
-            if ok:
-                for spec in group.threads:
-                    snap = donor.vmem.snapshot_of(spec.thread_id, ctx.index)
-                    if snap is None:
-                        ok = False
-                        break
-                    snapshots[spec.thread_id] = snap
+            # the donor's states of every thread the group still runs: a
+            # rebase may have dropped some since the donor propagated
+            held = ctx.snapshots.get(donor_id)
             del self.pending_updates[m]
-            if ok:
-                for tid, snap in snapshots.items():
-                    tile.threads[tid] = workload.update_callback(tile.threads[tid], snap)
+            if (donor is not None and donor.is_member and held is not None
+                    and not tile.sefi_blocked and not self.shared_blocked):
+                for spec in group.threads:
+                    tid = spec.thread_id
+                    tile.threads[tid] = workload.update_callback(tile.threads[tid], held[tid])
                 tile.set_status(ACTIVE)
                 self.trace.emit(now, m, "update-success",
                                 tile=m, group=group.group_id, donor=donor_id,
-                                threads=len(snapshots))
+                                threads=len(group.threads))
                 self.ledger.settle((flt.PENDING, m), "corrected")
             else:
                 reason = "no-donor" if donor is None else "donor-snapshots-missing"
@@ -848,21 +844,21 @@ class Simulation:
             if tile is None or not tile.is_member:
                 absorbed("no-target")
                 return
-            # only the open checkpoint that validates the thread reads the
-            # entry again; an entry of an earlier, resolved index is stale
-            open_idx = None
+            # only an open round that validates the thread, and that the
+            # tile has written its row to, reads the checksum again; any
+            # other entry is stale
             for gid, group in self.groups.items():
                 ctx = self.ctxs.get(gid)
                 if (ev.tile in group.members and ctx and not ctx.resolved
-                        and ev.thread in ctx.checked
-                        and tile.vmem.checksum_of(ev.thread, ctx.index) is not None):
-                    open_idx = ctx.index
+                        and ev.thread in ctx.checked and ev.tile in ctx.rows):
                     break
-            if open_idx is None:
+            else:
                 absorbed("stale-entry")
                 return
-            tile.vmem.entries[(ev.thread, open_idx)].checksum ^= ev.masks[0] or 1
-            applied(index=open_idx)
+            row = list(ctx.rows[ev.tile])
+            row[ctx.checked.index(ev.thread)] ^= ev.masks[0] or 1
+            ctx.rows[ev.tile] = tuple(row)
+            applied(index=ctx.index)
             self.ledger.open(ev.fault_id, (flt.TILE, ev.tile))
         elif kind == flt.PERMANENT_CELL:
             self.fabric.add_damage(ev.partition, ev.cell, ev.flavor)
@@ -973,9 +969,9 @@ class Simulation:
         self.stage3_reallocate(reason=f"repair-exhausted:{job.tile_id}")
 
     def _on_reconfiguration_done(self, tile_id: str, partition: str, variant: int):
-        job = self.repair_jobs.get(tile_id)
-        if job is None or job.partition != partition:
-            return
+        # a repair job has one reconfiguration in flight, and only this
+        # handler ends or relocates the job
+        job = self.repair_jobs[tile_id]
         now = self.queue.now
         ok = self.fabric.partial_reconfigure(partition, variant)
         passed, evidence = (self.fabric.validate_partition(partition) if ok

@@ -134,7 +134,6 @@ def _expand(adj: list[int], clique: int, cand: int, excl: int, best: list[int]):
 @dataclass
 class FaultAction:
     kind: str
-    tile_id: str
     spare: Optional[str] = None
 
 
@@ -175,7 +174,7 @@ class Supervisor:
             kind = REPLACE if spare else STAGE2_NO_SPARE
         else:
             kind, spare = STATE_UPDATE, None
-        return FaultAction(kind=kind, tile_id=tile_id, spare=spare)
+        return FaultAction(kind=kind, spare=spare)
 
     def reset_counter(self, tile_id: str):
         """Explicit reset after a successful Stage 2 repair."""

@@ -1,16 +1,16 @@
-"""Per-tile lifecycle state machine, validation memory, and group wiring.
+"""Per-tile lifecycle state machine and group wiring.
 
 A tile is the unit of replication: it hosts one replica of every thread in
-its tile groups, owns a validation memory segment its siblings may only
-read, and moves through a fixed status machine driven by checkpoints and
-supervisor commands.
+its tile groups and moves through a fixed status machine driven by
+checkpoints and supervisor commands. The validation memory a tile writes
+and its siblings read belongs to one checkpoint round, so it lives on the
+simulation's `GroupCheckpoint`.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .workload import ThreadSpec, ThreadState
 
@@ -39,50 +39,6 @@ TRANSITIONS = {
 
 class InvalidTransition(RuntimeError):
     pass
-
-
-class NotOwner(AssertionError):
-    """A tile tried to write another tile's validation memory."""
-
-
-@dataclass
-class ValidationEntry:
-    checksum: int
-    state: Optional[ThreadState] = None    # written when the owner propagates state
-
-
-class ValidationMemory:
-    """Tile-owned segment: writable by the owner, readable by every sibling."""
-
-    def __init__(self, owner: str):
-        self.owner = owner
-        self.entries: dict[tuple[str, int], ValidationEntry] = {}
-
-    def write_checksum(self, actor: str, thread_id: str, checkpoint_index: int, checksum: int):
-        if actor != self.owner:
-            raise NotOwner(f"{actor} wrote validation memory of {self.owner}")
-        self.entries[(thread_id, checkpoint_index)] = ValidationEntry(checksum=checksum)
-
-    def write_snapshot(self, actor: str, checkpoint_index: int, ts: ThreadState):
-        if actor != self.owner:
-            raise NotOwner(f"{actor} wrote validation memory of {self.owner}")
-        key = (ts.spec.thread_id, checkpoint_index)
-        entry = self.entries.get(key)
-        if entry is None:
-            entry = ValidationEntry(checksum=0)
-            self.entries[key] = entry
-        entry.state = ts
-
-    def checksum_of(self, thread_id: str, checkpoint_index: int) -> Optional[int]:
-        entry = self.entries.get((thread_id, checkpoint_index))
-        return entry.checksum if entry else None
-
-    def snapshot_of(self, thread_id: str, checkpoint_index: int) -> Optional[ThreadState]:
-        entry = self.entries.get((thread_id, checkpoint_index))
-        return entry.state if entry else None
-
-    def clear(self):
-        self.entries.clear()
 
 
 @dataclass
@@ -170,7 +126,6 @@ class Tile:
         self.noise_seed = int.from_bytes(
             hashlib.blake2b(tile_id.encode(), digest_size=8).digest(), "little")
         self.status = BOOTING
-        self.vmem = ValidationMemory(tile_id)
         self.sefi_blocked = False
         self.sefi_epoch = 0                  # bumps when a block is set or cleared
         self.persist_corrupt = False         # active fabric damage under this tile's footprint

@@ -22,7 +22,7 @@ The avalanche that makes any corruption visible comes from
 
 A `ThreadState` is a value: nothing changes it after it is built.
 `execute_slice` and `flip_bits` return a new state and `update_callback`
-hands back the donor's, so a checkpoint memo, a tile's validation memory
+hands back the donor's, so a checkpoint memo, a round's validation memory
 and the oracle can all hold one state without copying it, and a fault on
 one replica cannot reach another. `flip_bits` is the only code that knows
 how a fault lands in the state words.

@@ -128,6 +128,16 @@ def test_thread_listed_twice_exits_1(capsys):
     assert "Traceback" not in err
 
 
+def test_thread_group_run_by_no_tile_group_exits_1(capsys):
+    rc = main(["validate", "--scenario", "fig3", "--set",
+               'thread_groups=[{"id":"TG1","threads":["Ta"]},{"id":"TG-z","threads":["Tb"]}]',
+               "--quiet"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "thread_groups[1]: thread group 'TG-z' is run by no tile group" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("verb", ["validate", "run"])
 def test_too_many_extra_partitions_exits_1(capsys, verb):
     rc = main([verb, "--scenario", "fig3", "--set",

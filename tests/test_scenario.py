@@ -156,12 +156,38 @@ def test_thread_listed_twice_rejected(make, problem):
     assert err.value.problems == [problem]
 
 
+def test_thread_group_run_by_no_tile_group_rejected():
+    # without the check, Tz runs nowhere until the Stage-3 plan at t=5656
+    # starts it from its initial state, and TG-d is deactivated for it
+    doc = json.loads(
+        (resources.files("tilesim") / "scenarios" / "fig6.scenario").read_text())
+    doc["threads"].append({**doc["threads"][0], "id": "Tz", "criticality": 9})
+    doc["thread_groups"].append({"id": "TG-z", "threads": ["Tz"]})
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    tgz = len(doc["thread_groups"]) - 1
+    assert err.value.problems == [
+        f"thread_groups[{tgz}]: thread group 'TG-z' is run by no tile group"]
+
+
+# a tile group is named by its document index, the path --set takes, and
+# not by its id ("G1" here)
 def test_checkpoint_cost_must_fit_deadline():
     doc = minimal_doc()
     doc["threads"][0]["checksum_cost"] = 500
     with pytest.raises(ScenarioError) as err:
         parse_scenario(doc)
-    assert "deadline" in str(err.value)
+    assert err.value.problems == [
+        "tile_groups[0]: checkpoint cost 502 exceeds comparison deadline 100"]
+
+
+def test_spare_tile_cannot_be_a_member():
+    doc = minimal_doc()
+    doc["tiles"].append({"id": "C3", "spare": True})
+    doc["tile_groups"][0]["members"] = ["C0", "C1", "C3"]
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.problems == ["tile_groups[0]: spare tile 'C3' cannot be a member"]
 
 
 def test_fault_beyond_horizon_rejected():

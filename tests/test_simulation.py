@@ -9,6 +9,7 @@ import pytest
 from tilesim import criticality as crit
 from tilesim import faults as flt
 from tilesim import workload
+from tilesim.metrics import compute_metrics
 from tilesim.runner import run_simulation
 from tilesim.scenario import BUNDLED, load_scenario, parse_scenario
 from tilesim.simulation import GroupCheckpoint, Simulation
@@ -414,11 +415,11 @@ def test_tiles_hold_states_only_for_the_threads_of_their_groups():
 
 # -- Stage 3 plans, applied by hand --------------------------------------------------
 
-def apply_by_hand(entry, current, prepare=lambda sim: None):
-    """Run the default scenario to t=1500, `prepare` it, then apply a plan of
-    one entry for TG1, whose hosting tiles were `current`. Returns the
-    simulation and the records the plan added."""
-    sim = Simulation(parse_scenario(make_doc()), until=1500)
+def apply_by_hand(entry, current, prepare=lambda sim: None, doc=None, until=1500):
+    """Run `doc` (the default scenario) to t=1500, `prepare` it, then apply a
+    plan of one entry for TG1, whose hosting tiles were `current`, and run on
+    to `until`. Returns the simulation and the records the plan added."""
+    sim = Simulation(parse_scenario(doc or make_doc()), until=until)
     added = []
 
     def apply(sim):
@@ -492,6 +493,21 @@ def test_plan_restarts_a_group_with_no_donor_and_degrades_it():
         ("tg-degraded", {"tg": "TG1", "mode": "detect-only",
                          "levers": ["reduce-replicas"]}),
     ]
+
+
+def test_vmem_fault_misses_the_entry_of_a_group_migrated_away():
+    # TG1-m1 starts round 0 at t=1500, and C0 writes its checksums at
+    # t=1524. The entry (Ta, 0) that C0 wrote for G1's round 0 at t=24 is
+    # no part of that round, so a flip of it at t=1510 changes nothing.
+    entry = crit.PlanEntry("TG1", ("C0", "C1", "C3"), 1, crit.MODE_FULL)
+    doc = make_doc(horizon=4000, faults={"explicit": [
+        {"at": 1510, "kind": "transient-validation-memory", "tile": "C0",
+         "thread": "Ta", "mask": 1}]})
+    sim, records = apply_by_hand(entry, ("C0", "C1", "C2"), doc=doc, until=4000)
+    fault = sim.trace.of_kind("fault")[0].payload
+    assert (fault["disposition"], fault.get("reason")) == ("absorbed", "stale-entry")
+    summary = compute_metrics(sim.trace.records)
+    assert summary.undetected == 0 and summary.identity_holds()
 
 
 # -- output voting ---------------------------------------------------------------

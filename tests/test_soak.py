@@ -82,9 +82,9 @@ def test_shared_tile_reboot(threshold, seed):
 
 
 def test_vmem_fault_skips_another_groups_resolved_entry():
-    # At t=1515 G2's checkpoint 1 is open on C2, but C2's entry (Ta, 1) is
-    # the one G1 wrote for its own checkpoint 1, resolved at t=1036: Ta is
-    # not validated by G2, so nothing reads that entry again.
+    # At t=1515 G2's round 1 is open on C2, but it validates Tc only. C2's
+    # checksum of Ta belongs to G1's round 1, resolved at t=1036, so
+    # nothing reads it again.
     doc = shared_tile_doc(0, 3)
     doc["horizon"] = 8000
     doc["faults"] = {"explicit": [{"at": 1515, "kind": "transient-validation-memory",

@@ -1,38 +1,68 @@
 import pytest
 
+from tilesim import faults as flt
+from tilesim.scenario import parse_scenario
+from tilesim.simulation import Simulation
 from tilesim.tiles import (
     ACTIVE, BOOTING, DEFUNCT, IDLE_SPARE, REBOOTING, SUSPECT, UPDATING,
-    InvalidTransition, NotOwner, RunWindow, Tile, TileGroup, ValidationMemory,
+    InvalidTransition, RunWindow, Tile, TileGroup,
 )
-from tilesim.workload import ThreadSpec, init_thread
+from tilesim.workload import ThreadSpec
+from trace_corpus import shared_tile_doc
 
 
-def test_single_writer_enforced():
-    vmem = ValidationMemory("C0")
-    vmem.write_checksum("C0", "Ta", 1, 123)
-    with pytest.raises(NotOwner):
-        vmem.write_checksum("C1", "Ta", 1, 999)
-    snap = init_thread(ThreadSpec("Ta", 1, 1000))
-    with pytest.raises(NotOwner):
-        vmem.write_snapshot("C1", 1, snap)
-    assert vmem.checksum_of("Ta", 1) == 123
-    assert vmem.snapshot_of("Ta", 1) is None
+def at_open_rounds(check):
+    """Run the shared-tile chaos document without faults to t=1, and there
+    call `check(sim, g1, g2)` with round 0 open in G1 (Ta, Tb on C0, C1, C2)
+    and in G2 (Tc on C2, C3, C4), once every member has written its row in
+    both by hand."""
+    doc = shared_tile_doc(0, 3)
+    doc["faults"] = {"explicit": []}
+    sim = Simulation(parse_scenario(doc), until=1)
+    checked = []
+
+    def hook(sim):
+        for gid in ("G1", "G2"):
+            group, ctx = sim.groups[gid], sim.ctxs[gid]
+            assert (ctx.index, ctx.resolved, ctx.rows) == (0, False, {})
+            for m in group.members:
+                sim.write_validation(sim.tiles[m], group, ctx)
+        check(sim, sim.ctxs["G1"], sim.ctxs["G2"])
+        checked.append(True)
+
+    sim.queue.schedule(1, hook)
+    sim.run()
+    assert checked
 
 
-def test_checksums_readable_after_entries():
-    vmem = ValidationMemory("C0")
-    vmem.write_checksum("C0", "Ta", 2, 1)
-    vmem.write_checksum("C0", "Tb", 2, 2)
-    assert vmem.checksum_of("Ta", 2) == 1
-    assert vmem.checksum_of("Tb", 2) == 2
+def test_vmem_fault_flips_only_its_threads_checksum_in_the_open_round():
+    def check(sim, g1, g2):
+        assert g1.checked == ["Ta", "Tb"] and g2.checked == ["Tc"]
+        before = dict(g1.rows), dict(g2.rows)
+        ev = flt.FaultEvent(at=1, kind=flt.TRANSIENT_VMEM, fault_id=7,
+                            tile="C2", thread="Tb", masks=(4,))
+        sim.ledger.events[ev.fault_id] = ev
+        sim.apply_fault(ev)
+        ta, tb = before[0]["C2"]
+        assert g1.rows == {**before[0], "C2": (ta, tb ^ 4)}
+        assert g2.rows == before[1]
+        assert sim.trace.of_kind("fault")[-1].payload["index"] == 0
+
+    at_open_rounds(check)
 
 
-def test_snapshot_storage():
-    vmem = ValidationMemory("C0")
-    snap = init_thread(ThreadSpec("Ta", 1, 1000))
-    vmem.write_snapshot("C0", 3, snap)
-    assert vmem.snapshot_of("Ta", 3) is snap
-    assert vmem.snapshot_of("Ta", 2) is None
+def test_reboot_of_a_shared_tile_drops_its_row_from_every_open_round():
+    def check(sim, g1, g2):
+        for gid in ("G1", "G2"):
+            sim._on_sync_written(gid, 0, "C2")
+        assert "C2" in g1.snapshots and "C2" in g2.snapshots
+        sim.command_tile("C2", "reboot")
+        assert sorted(g1.rows) == ["C0", "C1"] and sorted(g2.rows) == ["C3", "C4"]
+        assert not g1.snapshots and not g2.snapshots
+        # C2 still counts as a writer, whose wiped row reads as missing
+        assert "C2" in g1.written and "C2" in g2.written
+
+    at_open_rounds(check)
 
 
 def test_status_machine_allows_documented_paths():
