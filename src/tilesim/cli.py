@@ -117,7 +117,11 @@ def cmd_sweep(args) -> int:
 
 def cmd_metrics(args) -> int:
     with open(args.trace) as fh:
-        records = read_jsonl(fh)
+        try:
+            records = read_jsonl(fh)
+        except ValueError as exc:
+            print(f"error: {args.trace}: {exc}", file=sys.stderr)
+            return 1
     summary = compute_metrics(records)
     if args.metrics_out:
         with open(args.metrics_out, "w") as fh:

@@ -33,7 +33,7 @@ from .trace import Trace
 FULL_RECONFIG_DURATION = 5000
 
 
-@dataclass
+@dataclass(slots=True)
 class GroupCheckpoint:
     index: int
     t0: int
@@ -187,13 +187,14 @@ class Simulation:
         self._schedule_faults()
         self._arm_watchdog(0)
 
+        queue, horizon = self.queue, self.horizon
         while not self.loss_of_mission:
-            nxt = self.queue.peek_time()
-            if nxt is None or nxt > self.horizon:
+            nxt = queue.peek_time()
+            if nxt is None or nxt > horizon:
                 break
-            self.dispatch(self.queue.advance())
+            self.dispatch(queue.advance())
 
-        end = self.queue.now if self.loss_of_mission else self.horizon
+        end = queue.now if self.loss_of_mission else horizon
         reason = "loss-of-mission" if self.loss_of_mission else "horizon"
         self.trace.emit(end, "sim", "run-end", reason=reason)
         return self.trace
@@ -319,27 +320,26 @@ class Simulation:
             checked=[s.thread_id for s in checked],
         )
         self.ctxs[group.group_id] = ctx
+        # a copy: the record must not change with the round's roster
         self.trace.emit(now, group.group_id, "checkpoint-start",
                         group=group.group_id, index=index, trigger=trigger,
-                        participants=participants)
+                        participants=list(participants))
         if not participants:
             ctx.resolved = ctx.completed = True
             self._arm_timer(group, now + group.period)
             return
 
-        delay = min(max((s.viable_delay for s in group.threads), default=0),
-                    group.comparison_deadline)
-        duration = delay + lockstep.checksum_duration(checked,
-                                                      self.scenario.costs.context_switch)
+        duration = group.delay + lockstep.checksum_duration(
+            checked, self.scenario.costs.context_switch)
         for m in participants:
             tile = self.tiles[m]
+            threads = tile.threads
             self._pause_tile_groups(tile, group, ctx)
             if tile.status == ACTIVE:
-                ctx.boundary[m] = {tid: tile.threads[tid] for tid in ctx.checked}
-                for spec in group.threads:
-                    if spec.emits_output and not tile.sefi_blocked:
-                        tid = spec.thread_id
-                        ctx.outputs.setdefault(tid, {})[m] = tile.threads[tid]
+                ctx.boundary[m] = {tid: threads[tid] for tid in ctx.checked}
+                if not tile.sefi_blocked:
+                    for tid in group.output_threads:
+                        ctx.outputs.setdefault(tid, {})[m] = threads[tid]
             if tile.sefi_blocked:
                 self.trace.emit(now, m, "checkpoint-blocked",
                                 tile=m, group=group.group_id, index=index)
@@ -351,8 +351,9 @@ class Simulation:
             group.group_id, index)
 
     def _pause_tile_groups(self, tile: Tile, group: TileGroup, ctx: GroupCheckpoint):
+        windows = tile.windows
         for tg_id in group.thread_groups:
-            win = tile.windows.get(tg_id)
+            win = windows.get(tg_id)
             if win and win.running:
                 self._advance_window(tile, tg_id, ctx.t0, ctx)
                 win.running = False
@@ -363,20 +364,20 @@ class Simulation:
         win = tile.windows.get(tg_id)
         if win is None or not win.running or now <= win.advanced_to:
             return
-        tg = self.thread_groups[tg_id]
+        threads = tile.threads
         slipped = False
-        for spec in tg.threads:
+        for spec in self.thread_groups[tg_id].threads:
             cycles = win.cycles(now, spec.work_per_tick)
             if cycles:
-                ts = tile.threads[spec.thread_id]
+                tid = spec.thread_id
                 if ctx is None:
-                    ts = workload.execute_slice(ts, cycles * spec.work_per_tick)
+                    ts = workload.execute_slice(threads[tid], cycles * spec.work_per_tick)
                 else:
-                    ts = ctx.advance(ts, cycles)
+                    ts = ctx.advance(threads[tid], cycles)
                 if tile.persist_corrupt:
                     ts = workload.flip_bits(ts, 0, [mix64(tile.noise_seed ^ ts.cycle_counter) | 1])
                     slipped = True
-                tile.threads[spec.thread_id] = ts
+                threads[tid] = ts
         win.advanced_to = now
         if slipped:
             self.trace.emit(now, tile.tile_id, "persistent-corruption", tile=tile.tile_id)
@@ -409,7 +410,8 @@ class Simulation:
             self.trace.emit(now, tile.tile_id, "validation-write-lost",
                             tile=tile.tile_id, group=group.group_id, index=ctx.index)
             return
-        ctx.rows[tile.tile_id] = tuple(ctx.checksum(tile.threads[tid]) for tid in ctx.checked)
+        checksum, threads = ctx.checksum, tile.threads
+        ctx.rows[tile.tile_id] = tuple([checksum(threads[tid]) for tid in ctx.checked])
         ctx.written[tile.tile_id] = now
         self.trace.emit(now, tile.tile_id, "validation-write",
                         tile=tile.tile_id, group=group.group_id, index=ctx.index,
@@ -431,9 +433,12 @@ class Simulation:
         deadline_at = ctx.t0 + group.comparison_deadline
 
         # read at resolve time: a transient vmem fault or a reboot since the
-        # write shows up here, and a wiped row reads as all missing
-        wiped = (None,) * len(ctx.checked)
-        rows = {w: ctx.rows.get(w, wiped) for w in ctx.written}
+        # write shows up here, and a wiped row reads as all missing. Rows are
+        # a subset of the writers, so equal counts mean no row was wiped.
+        rows = ctx.rows
+        if len(rows) != len(ctx.written):
+            wiped = (None,) * len(ctx.checked)
+            rows = {w: rows.get(w, wiped) for w in ctx.written}
         unanimous = lockstep.unanimous_reports(
             ctx.members, ctx.written, deadline_at, rows, self.shared_blocked)
         loss = self.scenario.features.signal_loss_prob
@@ -452,7 +457,7 @@ class Simulation:
             ctx.reports[m] = report
             self.trace.emit(now, m, "checkpoint-report",
                             tile=m, group=group_id, index=index,
-                            verdicts=dict(sorted(report.verdicts.items())),
+                            verdicts=dict(report.verdicts),
                             completed_at=report.completed_at)
 
         self._vote_outputs(group, ctx)
@@ -546,7 +551,7 @@ class Simulation:
 
     def _finish_agreeing_checkpoint(self, group: TileGroup, ctx: GroupCheckpoint,
                                     verdict: sup.Verdict):
-        joiners = self._joiners(group)
+        joiners = self._joiners(group) if self.pending_updates else None
         if joiners:
             donor = next((m for m in group.members if m in verdict.clique), None)
             for j in joiners:
@@ -559,20 +564,22 @@ class Simulation:
 
     def _finish_checkpoint(self, group: TileGroup, ctx: GroupCheckpoint, result: str):
         now = self.queue.now
+        tiles = self.tiles
         ctx.completed = True
         self.trace.emit(now, group.group_id, "checkpoint-end",
                         group=group.group_id, index=ctx.index,
                         duration=now - ctx.t0, result=result,
-                        tiles=[m for m in group.members if self.tiles[m].is_member])
+                        tiles=[m for m in group.members if tiles[m].is_member])
         self._resume_group(group, now)
         self._arm_timer(group, now + group.period)
 
     def _resume_group(self, group: TileGroup, now: int):
         for m in group.members:
             tile = self.tiles[m]
-            if tile.status == ACTIVE and tile.windows:
+            windows = tile.windows
+            if tile.status == ACTIVE and windows:
                 for tg_id in group.thread_groups:
-                    win = tile.windows.get(tg_id)
+                    win = windows.get(tg_id)
                     if win:
                         win.resume(now)
 

@@ -68,6 +68,8 @@ class TileGroup:
     base_period: int = 0
     comparison_deadline: int = 0
     grace_period: int = 0
+    delay: int = 0               # checksum deferral of each round
+    output_threads: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         self.target_size = len(self.members)
@@ -75,14 +77,18 @@ class TileGroup:
     def bind(self, threads: list[ThreadSpec]):
         """Run `threads`, in the order given, and work out the group's timing
         from them. The base period is the shortest checkpoint period, the
-        comparison deadline 10% of it (at least 1), and the grace period
-        twice the summed update cost."""
+        comparison deadline 10% of it (at least 1), the grace period twice
+        the summed update cost, and the checksum deferral the longest
+        viable delay, capped at the deadline. The output threads are the
+        ids of the threads that emit output, in order."""
         if not threads:
             raise ValueError(f"group {self.group_id}: no threads to run")
         self.threads = list(threads)
         self.base_period = min(s.checkpoint_period for s in threads)
         self.comparison_deadline = max(1, self.base_period // 10)
         self.grace_period = 2 * sum(s.update_cost for s in threads)
+        self.delay = min(max(s.viable_delay for s in threads), self.comparison_deadline)
+        self.output_threads = [s.thread_id for s in threads if s.emits_output]
 
     @property
     def period(self) -> int:

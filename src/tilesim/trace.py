@@ -46,14 +46,23 @@ class Trace:
 
 
 def read_jsonl(lines: Iterable[str]) -> list[TraceRecord]:
+    """The records of a JSONL trace. A line that is not a record raises a
+    ValueError naming its 1-based line number."""
     records = []
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
-        doc = _decode(line)
-        at = doc.pop("at")
-        actor = doc.pop("actor")
-        kind = doc.pop("kind")
+        try:
+            doc = _decode(line)
+            at = doc.pop("at")
+            actor = doc.pop("actor")
+            kind = doc.pop("kind")
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {number}, column {exc.colno}: {exc.msg}") from None
+        except KeyError as exc:
+            raise ValueError(f"line {number}: record has no {exc.args[0]!r} field") from None
+        except (AttributeError, TypeError):
+            raise ValueError(f"line {number}: a record must be a JSON object") from None
         records.append(tuple.__new__(TraceRecord, (at, actor, kind, doc)))
     return records

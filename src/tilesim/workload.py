@@ -18,7 +18,8 @@ skip-ahead), and split advances are exact: f^a after f^b is f^(a+b).
 
 The step itself does not avalanche: a flip at bit b changes only bits >= b.
 The avalanche that makes any corruption visible comes from
-`checksum_callback`, which folds every word through `mix64`.
+`checksum_callback`, which folds every word through the splitmix64
+finalizer (`engine.mix64`, written out inline there).
 
 A `ThreadState` is a value: nothing changes it after it is built.
 `execute_slice` and `flip_bits` return a new state and `update_callback`
@@ -79,11 +80,12 @@ class ThreadState(NamedTuple):
     cycle_counter: int = 0
 
 
-# A run advances by only a few distinct cycle counts, so a small bounded
-# cache skips most of the square-and-multiply.
+# A run advances by only a few distinct cycle counts and state widths, so a
+# small bounded cache skips most of the square-and-multiply.
 @functools.lru_cache(maxsize=256)
-def _jump(cycles: int) -> tuple[int, int]:
-    """(A, S) with f_i^cycles(w) = A * w + S * c_i (mod 2**64), for every i.
+def _jump_words(cycles: int, words: int) -> tuple[int, tuple[int, ...]]:
+    """(A, (S * c_0, ..., S * c_{words-1})) with f_i^cycles(w) = A * w + S * c_i
+    (mod 2**64), for the first `words` words.
 
     Square-and-multiply over affine pairs, where applying (A, S) and then
     (a, s) gives (A * a, S * a + s).
@@ -95,7 +97,8 @@ def _jump(cycles: int) -> tuple[int, int]:
             mult, inc = (mult * step_mult) & MASK64, (inc * step_mult + step_inc) & MASK64
         step_mult, step_inc = (step_mult * step_mult) & MASK64, (step_inc * (step_mult + 1)) & MASK64
         cycles >>= 1
-    return mult, inc
+    inc *= MIX_TAG
+    return mult, tuple([(inc * (2 * i + 1)) & MASK64 for i in range(words)])
 
 
 def init_thread(spec: ThreadSpec) -> ThreadState:
@@ -117,10 +120,10 @@ def execute_slice(ts: ThreadState, ticks: int) -> ThreadState:
     """
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
+    state = ts.state
     cycles = ticks // ts.spec.work_per_tick
-    mult, inc = _jump(cycles)
-    inc = inc * MIX_TAG
-    words = tuple([(mult * w + inc * (2 * i + 1)) & MASK64 for i, w in enumerate(ts.state)])
+    mult, incs = _jump_words(cycles, len(state))
+    words = tuple([(mult * w + c) & MASK64 for w, c in zip(state, incs)])
     return ThreadState(ts.spec, words, ts.cycle_counter + cycles)
 
 
@@ -136,13 +139,18 @@ def flip_bits(ts: ThreadState, word: int, masks: Iterable[int]) -> ThreadState:
 def checksum_callback(ts: ThreadState) -> int:
     """64-bit fold over the state words and cycle counter.
 
-    Each word is absorbed through a full-avalanche mix so that single-bit
-    corruption anywhere in the state changes the result.
+    Each word, and then the cycle counter, is absorbed through the
+    full-avalanche `mix64` so that single-bit corruption anywhere in the
+    state changes the result. The finalizer is written out here, which
+    saves a call per word.
     """
     h = CHECKSUM_SEED
-    for w in ts.state:
-        h = mix64(h ^ w)
-    return mix64(h ^ ts.cycle_counter)
+    for w in (*ts.state, ts.cycle_counter):
+        z = h ^ w
+        z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & MASK64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB & MASK64
+        h = z ^ (z >> 31)
+    return h
 
 
 def update_callback(target: ThreadState, donor: ThreadState) -> ThreadState:

@@ -69,6 +69,18 @@ def test_post_checkpoint_states_pairwise_equal():
     assert sim.oracle_divergences == 0
 
 
+def test_checkpoint_start_record_keeps_its_participants():
+    # the record is a copy: a tile dropped from the open round afterwards
+    # leaves the trace as it was
+    sim = Simulation(parse_scenario(make_doc()), until=1)
+    trace = sim.run()
+    ctx = sim.ctxs["G1"]
+    assert (ctx.index, ctx.resolved) == (0, False)
+    ctx.participants.remove("C2")
+    start = trace.of_kind("checkpoint-start")[-1]
+    assert start.payload["participants"] == ["C0", "C1", "C2"]
+
+
 def test_single_transient_corrected_in_place():
     doc = make_doc(faults={"explicit": [transient(1500, "C2")]})
     trace, summary = run_doc(doc)
@@ -117,21 +129,29 @@ def test_detection_completeness_every_word():
 # -- validation memory and SEFI ------------------------------------------------
 
 def test_validation_memory_corruption_detected():
-    # flip a stored checksum mid-checkpoint: injected between the write (at
-    # t0+24) and the comparison
-    doc = make_doc(faults={"explicit": [
-        {"at": 2073, "kind": "transient-validation-memory", "tile": "C1",
-         "thread": "Ta", "word": 0, "mask": 1}]})
-    # move the write earlier than the fault by making delay positive
-    doc["threads"][0]["viable_delay"] = 20
-    doc["threads"][1]["viable_delay"] = 20
+    # a fourth member, C3, is SEFI-blocked when round 2 starts at t=2048, so
+    # the round stays open from the writes at t=2072 to its deadline at
+    # t=2148, and the flip of C1's stored Ta checksum at t=2100 lands
+    # between the writes and the read
+    doc = make_doc(
+        tiles=[{"id": "C0"}, {"id": "C1"}, {"id": "C2"}, {"id": "C3"},
+               {"id": "C4", "spare": True}],
+        tile_groups=[{"id": "G1", "members": ["C0", "C1", "C2", "C3"],
+                      "thread_groups": ["TG1"]}],
+        faults={"explicit": [
+            {"at": 1990, "kind": "sefi-tile", "tile": "C3", "duration": 200},
+            {"at": 2100, "kind": "transient-validation-memory", "tile": "C1",
+             "thread": "Ta", "word": 0, "mask": 1}]})
     trace, summary = run_doc(doc)
-    applied = [r for r in trace.of_kind("fault")
-               if r.payload["disposition"] == "applied"]
-    if applied:  # timing places the flip inside the open checkpoint
-        faulty = [r for r in trace.of_kind("verdict")
-                  if r.payload["result"] == "faulty"]
-        assert faulty and faulty[0].payload["faulty"] == ["C1"]
+    flip = [r.payload for r in trace.of_kind("fault") if r.payload["id"] == 1]
+    assert flip == [{"id": 1, "fault_kind": "transient-validation-memory",
+                     "target": "C1/Ta[0]", "disposition": "applied", "index": 2}]
+    verdict = [r.payload for r in trace.of_kind("verdict") if r.payload["index"] == 2]
+    assert verdict[0]["faulty"] == ["C1", "C3"]
+    detected = [r.payload for r in trace.of_kind("fault-detected") if r.payload["id"] == 1]
+    assert detected == [{"id": 1, "tile": "C1", "group": "G1", "index": 2, "latency": 48}]
+    assert summary.detected == 2
+    assert summary.faults_by_kind["transient-validation-memory"] == {"corrected": 1}
 
 
 def test_sefi_blocks_three_checkpoints_then_replacement():

@@ -110,6 +110,20 @@ def test_tile_group_invariants():
     assert g.period == 2000
 
 
+def test_bind_works_out_the_round_plan_again():
+    # the checksum deferral and the output threads follow the bound threads
+    g = TileGroup("G1", members=["C0", "C1", "C2"], thread_groups=["TG1"])
+    quiet = ThreadSpec("Tb", 1, 1000)
+    g.bind([ThreadSpec("Ta", 1, 1000, emits_output=True, viable_delay=30), quiet])
+    assert (g.delay, g.output_threads) == (30, ["Ta"])
+    g.bind([quiet])
+    assert (g.delay, g.output_threads) == (0, [])
+    # the deferral is capped at the comparison deadline, 100 here
+    g.bind([ThreadSpec("Tc", 1, 1000, emits_output=True, viable_delay=300), quiet,
+            ThreadSpec("Td", 1, 1000, emits_output=True)])
+    assert (g.delay, g.output_threads) == (100, ["Tc", "Td"])
+
+
 def test_run_window_split_advance_is_exact():
     # advancing in arbitrary sub-intervals must count the same work cycles
     # as one whole advance, for any work_per_tick

@@ -1,9 +1,9 @@
 import pytest
 
-from tilesim.engine import MASK64
+from tilesim.engine import MASK64, mix64
 from tilesim.lockstep import vote_outputs
 from tilesim.workload import (
-    MIX_MULT, MIX_TAG, ThreadIdMismatch, ThreadSpec, ThreadState,
+    CHECKSUM_SEED, MIX_MULT, MIX_TAG, ThreadIdMismatch, ThreadSpec, ThreadState,
     checksum_callback, execute_slice, flip_bits, init_thread, update_callback,
 )
 
@@ -93,6 +93,15 @@ def test_jump_matches_per_cycle_step():
         assert list(execute_slice(ts, cycles).state) == naive_slice(ts.state, cycles)
 
 
+def test_slices_of_two_widths_at_one_cycle_count_stay_apart():
+    # the jump cache is keyed by cycle count and width: a 1-word and a
+    # 6-word thread advanced by the same cycles each match the step
+    for cycles in (1, 7, 1000):
+        for words in (1, 6, 1):
+            ts = init_thread(spec(words=words))
+            assert list(execute_slice(ts, cycles).state) == naive_slice(ts.state, cycles)
+
+
 @pytest.mark.parametrize("wpt", [1, 7])
 @pytest.mark.parametrize("first,second", [(0, 13), (5, 64), (100, 37),
                                           (2**40 + 3, 2**33 + 1)])
@@ -142,6 +151,22 @@ def test_checksum_golden_seed_fold():
     # splitmix64 finalizer
     ts = ThreadState(spec=spec(words=1), state=(0,), cycle_counter=0)
     assert checksum_callback(ts) == 0x47C655395B457103
+
+
+def test_checksum_is_the_mix64_fold():
+    # the documented fold, with `mix64` called per word as the reference
+    # for the finalizer written out inside `checksum_callback`
+    def fold(ts):
+        h = CHECKSUM_SEED
+        for w in ts.state:
+            h = mix64(h ^ w)
+        return mix64(h ^ ts.cycle_counter)
+
+    for words in (1, 4, 6):
+        ts = init_thread(spec(words=words))
+        for ticks in (0, 3, 1 << 40):
+            ts = flip_bits(execute_slice(ts, ticks), 0, [1 << 63])
+            assert checksum_callback(ts) == fold(ts)
 
 
 def test_equal_states_equal_checksums():

@@ -17,6 +17,9 @@ A fourth hashes the chaos and wide-group documents with report signal loss
 at probabilities 0.05, 0.3 and 0.9 over seeds 0-59 (360 runs), so that
 rounds in which some reports are lost are covered. All four lines take
 about 90 s on a 2-vCPU host.
+The script compares each family's run count and hashes with `PINS` and
+exits 1, naming each family that moved, after printing every line. A
+change that alters trace bytes on purpose updates `PINS` with its re-pin.
 It needs only the standard library; pytest does not collect it, and the
 soak and digest tests take their scenario documents from here.
 """
@@ -37,6 +40,16 @@ from tilesim.simulation import Simulation  # noqa: E402
 from tilesim.trace import read_jsonl  # noqa: E402
 
 BUNDLED = ("fig3", "fig6", "storm", "exhaustion")
+
+# family -> (runs, traces hash, metrics hash)
+PINS = {
+    "corpus": (1104, "a6378d87b762b7fd7771ae64d91b295a72192ed274271fbb185d3c5074dc3b9b",
+               "1f5b473308c5ff7e7edbd36ac086ac956282a067fafbaa58fc6bf01577b61cdf"),
+    "wide": (60, "3e7984cecd13dd5f605aad01a5bcfd83eec7db6465667f11e2996065606632eb",
+             "e8d8947d1d0695f93fa000f0241ecc999b447d562f6d46534bcbcd8963b97b1e"),
+    "lossy": (360, "8e8a0f0b65968f8e6c349cb9921faeed02639b436ccb4b1dbb1189a805b19a3f",
+              "02eeda1f80b18736ad24be0a8339acf4cfa4b2600a0e75a83189469b7cc678db"),
+}
 
 
 def chaos_doc(seed):
@@ -167,14 +180,19 @@ def hashes(scenarios):
 
 
 def main() -> int:
-    runs, traces, metrics = hashes(corpus())
+    got = {}
+    got["corpus"] = runs, traces, metrics = hashes(corpus())
     print(f"runs    {runs}")
     print(f"traces  {traces}")
     print(f"metrics {metrics}")
-    runs, traces, metrics = hashes(wide_corpus())
+    got["wide"] = runs, traces, metrics = hashes(wide_corpus())
     print(f"wide    {runs} runs, traces {traces}, metrics {metrics}")
-    runs, traces, metrics = hashes(lossy_corpus())
+    got["lossy"] = runs, traces, metrics = hashes(lossy_corpus())
     print(f"lossy   {runs} runs, traces {traces}, metrics {metrics}")
+    moved = [family for family, pin in PINS.items() if got[family] != pin]
+    if moved:
+        print(f"moved from the pins: {', '.join(moved)}", file=sys.stderr)
+        return 1
     return 0
 
 
