@@ -177,6 +177,38 @@ def test_sefi_shorter_than_period_is_absorbed():
     assert all(r.payload["result"] == "all-agree" for r in trace.of_kind("verdict"))
 
 
+def sefi(at, duration, tile=None):
+    if tile is None:
+        return {"at": at, "kind": "sefi-shared", "duration": duration}
+    return {"at": at, "kind": "sefi-tile", "tile": tile, "duration": duration}
+
+
+@pytest.mark.parametrize("explicit, cleared, outcomes", [
+    # the second SEFI on C2 takes over the block: the first one's expiry at
+    # t=1400 neither clears it nor absorbs fault 0; the second one's at
+    # t=1800 does both for fault 1
+    ([sefi(1100, 300, "C2"), sefi(1200, 600, "C2")],
+     [(1800, "injector", "C2")],
+     [(1800, 1, "absorbed")]),
+    # C2 is replaced and rebooted at t=4468 while fault 0 blocks it, which
+    # lifts the block; back as a spare it takes fault 1 at t=5000, and fault
+    # 0's expiry at t=5500 leaves that newer block alone
+    ([sefi(1500, 4000, "C2"), sefi(5000, 1000, "C2")],
+     [(4468, "C2", "C2"), (6000, "injector", "C2")],
+     [(4468, 0, "replaced"), (6000, 1, "absorbed")]),
+    # the same supersession on the shared region
+    ([sefi(1100, 300), sefi(1200, 600)],
+     [(1800, "injector", "shared")],
+     [(1800, 1, "absorbed")]),
+], ids=["second-tile-sefi", "reboot-during-block", "second-shared-sefi"])
+def test_sefi_expiry_lifts_only_the_block_its_fault_holds(explicit, cleared, outcomes):
+    trace, _ = run_doc(make_doc(faults={"explicit": explicit}))
+    assert [(r.at, r.actor, r.payload["target"])
+            for r in trace.of_kind("sefi-cleared")] == cleared
+    assert [(r.at, r.payload["id"], r.payload["outcome"])
+            for r in trace.of_kind("fault-outcome")] == outcomes
+
+
 # -- oracle ------------------------------------------------------------------------
 
 def test_oracle_sees_a_divergence_the_checksums_hide(monkeypatch):
