@@ -63,7 +63,8 @@ class FaultLedger:
     An applied fault is open at one or more locations, in arrival order. Ids
     leave a location only through `move`, `settle` or `absorb`, so the only
     way for a fault to end a run without an outcome is to be still open.
-    The ledger emits the `fault-detected` and `fault-outcome` trace records.
+    The ledger writes all three trace records of a fault: its `fault`
+    arrival, `fault-detected` and `fault-outcome`.
     """
 
     def __init__(self, trace: Trace, queue: EventQueue):
@@ -74,9 +75,15 @@ class FaultLedger:
         self.outcome: dict[int, str] = {}
         self.held: dict[tuple[str, str], list[int]] = {}
 
-    def open(self, fault_id: int, *locations: tuple[str, str]):
+    def arrive(self, ev: FaultEvent, *locations: tuple[str, str], **detail):
+        """Write `ev`'s `fault` record with `detail`. With `locations` the
+        fault is applied and opens at each of them; with none it is
+        absorbed, and `detail` holds the `reason`."""
+        self.trace.emit(self.queue.now, "injector", "fault",
+                        id=ev.fault_id, fault_kind=ev.kind, target=ev.target_label(),
+                        disposition="applied" if locations else "absorbed", **detail)
         for loc in locations:
-            self.held.setdefault(loc, []).append(fault_id)
+            self.held.setdefault(loc, []).append(ev.fault_id)
 
     def move(self, src: tuple[str, str], dst: tuple[str, str]):
         self.held.setdefault(dst, []).extend(self.held.pop(src, ()))

@@ -115,9 +115,11 @@ class Simulation:
         }
 
         self.thread_groups: dict[str, ThreadGroup] = {}
+        self.thread_group_of: dict[str, str] = {}   # thread id -> the thread group listing it
         for tgc in scenario.thread_groups:
             specs = [scenario.threads[tid] for tid in tgc.threads]
             self.thread_groups[tgc.tg_id] = ThreadGroup(tg_id=tgc.tg_id, threads=specs)
+            self.thread_group_of.update(dict.fromkeys(tgc.threads, tgc.tg_id))
 
         self.groups: dict[str, TileGroup] = {}   # in creation order
         for gc in scenario.tile_groups:
@@ -135,8 +137,7 @@ class Simulation:
         self.ctxs: dict[str, GroupCheckpoint] = {}
         self.pending_updates: dict[str, PendingUpdate] = {}
         self.repair_jobs: dict[str, RepairJob] = {}
-        self.shared_blocked = False
-        self.shared_epoch = 0
+        self.shared_sefi: Optional[int] = None   # id of the SEFI fault blocking the shared region
         self.full_reconfig = False
         self.watchdog_entry = None
         self.loss_of_mission = False
@@ -210,9 +211,9 @@ class Simulation:
     def _initial_boot(self):
         for tile in self.tiles.values():
             self._boot_tile(tile, initial=True)
-        for gid, group in self.groups.items():
+        for group in self.groups.values():
             self._set_tg_active(group, True, 0)
-            self.timers[gid] = self.queue.schedule(0, Simulation._on_timer_checkpoint, gid)
+            self._arm_timer(group, 0)
 
     def _schedule_faults(self):
         space = flt.TargetSpace(
@@ -288,7 +289,7 @@ class Simulation:
         tile.threads.clear()
         if tile.tile_id in self.supervisor.spare_pool:
             self.supervisor.spare_pool.remove(tile.tile_id)
-        if tile.sefi_blocked:
+        if tile.sefi is not None:
             self._lift_sefi(tile.tile_id, tile.tile_id)
         # the reboot resets the state a pending update was going to repair
         self.pending_updates.pop(tile.tile_id, None)
@@ -334,13 +335,14 @@ class Simulation:
         for m in participants:
             tile = self.tiles[m]
             threads = tile.threads
+            blocked = tile.sefi is not None
             self._pause_tile_groups(tile, group, ctx)
             if tile.status == ACTIVE:
                 ctx.boundary[m] = {tid: threads[tid] for tid in ctx.checked}
-                if not tile.sefi_blocked:
+                if not blocked:
                     for tid in group.output_threads:
                         ctx.outputs.setdefault(tid, {})[m] = threads[tid]
-            if tile.sefi_blocked:
+            if blocked:
                 self.trace.emit(now, m, "checkpoint-blocked",
                                 tile=m, group=group.group_id, index=index)
                 continue
@@ -406,7 +408,7 @@ class Simulation:
         """Compute and store this tile's scheduled checksums. Losing the
         write silently is exactly how an interface SEFI manifests."""
         now = self.queue.now
-        if tile.sefi_blocked:
+        if tile.sefi is not None:
             self.trace.emit(now, tile.tile_id, "validation-write-lost",
                             tile=tile.tile_id, group=group.group_id, index=ctx.index)
             return
@@ -439,15 +441,15 @@ class Simulation:
         if len(rows) != len(ctx.written):
             wiped = (None,) * len(ctx.checked)
             rows = {w: rows.get(w, wiped) for w in ctx.written}
+        reads_blocked = self.shared_sefi is not None
         unanimous = lockstep.unanimous_reports(
-            ctx.members, ctx.written, deadline_at, rows, self.shared_blocked)
+            ctx.members, ctx.written, deadline_at, rows, reads_blocked)
         loss = self.scenario.features.signal_loss_prob
         for m in ctx.participants:
-            tile = self.tiles[m]
-            if m not in ctx.written or tile.sefi_blocked:
+            if m not in ctx.written or self.tiles[m].sefi is not None:
                 continue  # never wrote, or its interface is down: stays silent
             report = unanimous[m] if unanimous else lockstep.compare_with_siblings(
-                m, ctx.members, ctx.written, deadline_at, rows, self.shared_blocked)
+                m, ctx.members, ctx.written, deadline_at, rows, reads_blocked)
             if loss > 0:
                 roll = (self.streams.get("signal-loss").uniform64() >> 11) * 2.0**-53
                 if roll < loss:
@@ -604,7 +606,7 @@ class Simulation:
         # a tile that rebooted since may have joined only another group
         if not tile.is_member or tile_id not in group.members:
             return
-        if tile.sefi_blocked:
+        if tile.sefi is not None:
             self.trace.emit(now, tile_id, "state-propagation-lost",
                             tile=tile_id, group=group_id, index=index)
             return
@@ -671,8 +673,6 @@ class Simulation:
             if action.spare:
                 self._replace_member(group, faulty_id, action.spare)
                 self._activate_spare(action.spare, group, donor)
-            else:
-                self._drop_member(group, faulty_id)
             self._detach_everywhere(faulty_id)
             self.trace.emit(now, "supervisor", "command", tile=faulty_id, command="halt")
             tile.set_status(DEFUNCT)
@@ -681,7 +681,6 @@ class Simulation:
         else:  # STAGE2_NO_SPARE
             self.trace.emit(now, "supervisor", "stage2-escalation",
                             tile=faulty_id, reason="no-spare")
-            self._drop_member(group, faulty_id)
             self._detach_everywhere(faulty_id)
             self.command_tile(faulty_id, "reboot")
 
@@ -702,7 +701,7 @@ class Simulation:
             return
         if command == "state-update":
             tile.set_status(SUSPECT)
-            if tile.sefi_blocked:
+            if tile.sefi is not None:
                 self.trace.emit(now, "supervisor", "command-lost",
                                 tile=tile_id, command=command)
                 return
@@ -786,7 +785,7 @@ class Simulation:
             held = ctx.snapshots.get(donor_id)
             del self.pending_updates[m]
             if (donor is not None and donor.is_member and held is not None
-                    and not tile.sefi_blocked and not self.shared_blocked):
+                    and tile.sefi is None and self.shared_sefi is None):
                 for spec in group.threads:
                     tid = spec.thread_id
                     tile.threads[tid] = workload.update_callback(tile.threads[tid], held[tid])
@@ -813,43 +812,29 @@ class Simulation:
     def apply_fault(self, ev: flt.FaultEvent):
         now = self.queue.now
         kind = ev.kind
-
-        def absorbed(reason: str):
-            self.trace.emit(now, "injector", "fault",
-                            id=ev.fault_id, fault_kind=kind, target=ev.target_label(),
-                            disposition="absorbed", reason=reason)
-
-        def applied(**extra):
-            self.trace.emit(now, "injector", "fault",
-                            id=ev.fault_id, fault_kind=kind, target=ev.target_label(),
-                            disposition="applied", **extra)
+        arrive = self.ledger.arrive
 
         if kind == flt.MEMORY_WORD and self.scenario.features.ecc:
-            absorbed("ecc")
+            arrive(ev, reason="ecc")
             return
 
         if kind in (flt.TRANSIENT_STATE, flt.MEMORY_WORD):
             tile = self.tiles.get(ev.tile or "")
             if tile is None or not tile.is_member or ev.thread not in tile.threads:
-                absorbed("no-target")
+                arrive(ev, reason="no-target")
                 return
-            tg_id = next(
-                (tg for tg in sorted(tile.windows)
-                 if ev.thread in (s.thread_id for s in self.thread_groups[tg].threads)),
-                None,
-            )
-            if tg_id is None:
-                absorbed("no-target")
+            tg_id = self.thread_group_of[ev.thread]
+            if tg_id not in tile.windows:
+                arrive(ev, reason="no-target")
                 return
             self._advance_window(tile, tg_id, now)
             tile.threads[ev.thread] = workload.flip_bits(tile.threads[ev.thread],
                                                          ev.word, ev.masks)
-            applied(words=len(ev.masks))
-            self.ledger.open(ev.fault_id, (flt.TILE, ev.tile))
+            arrive(ev, (flt.TILE, ev.tile), words=len(ev.masks))
         elif kind == flt.TRANSIENT_VMEM:
             tile = self.tiles.get(ev.tile or "")
             if tile is None or not tile.is_member:
-                absorbed("no-target")
+                arrive(ev, reason="no-target")
                 return
             # only an open round that validates the thread, and that the
             # tile has written its row to, reads the checksum again; any
@@ -860,70 +845,58 @@ class Simulation:
                         and ev.thread in ctx.checked and ev.tile in ctx.rows):
                     break
             else:
-                absorbed("stale-entry")
+                arrive(ev, reason="stale-entry")
                 return
             row = list(ctx.rows[ev.tile])
             row[ctx.checked.index(ev.thread)] ^= ev.masks[0] or 1
             ctx.rows[ev.tile] = tuple(row)
-            applied(index=ctx.index)
-            self.ledger.open(ev.fault_id, (flt.TILE, ev.tile))
+            arrive(ev, (flt.TILE, ev.tile), index=ctx.index)
         elif kind == flt.PERMANENT_CELL:
             self.fabric.add_damage(ev.partition, ev.cell, ev.flavor)
             if ev.partition == fab.SHARED:
-                applied(flavor=ev.flavor)
-                self.ledger.open(ev.fault_id, (flt.PARTITION, fab.SHARED))
+                arrive(ev, (flt.PARTITION, fab.SHARED), flavor=ev.flavor)
                 return
             part = self.fabric.partitions[ev.partition]
             tile = self.tiles.get(part.hosted_tile or "")
             footprint = fab.VARIANTS[part.active_variant]
             if tile is not None and tile.is_member and ev.cell in footprint:
                 tile.persist_corrupt = True
-                applied(flavor=ev.flavor, corrupting=True)
-                self.ledger.open(ev.fault_id, (flt.TILE, tile.tile_id),
-                                 (flt.PARTITION, ev.partition))
+                arrive(ev, (flt.TILE, tile.tile_id), (flt.PARTITION, ev.partition),
+                       flavor=ev.flavor, corrupting=True)
             else:
-                absorbed("latent-cell")
+                arrive(ev, reason="latent-cell")
         elif kind == flt.SEFI_TILE:
             tile = self.tiles.get(ev.tile or "")
             if tile is None or tile.status in (DEFUNCT, REBOOTING, BOOTING):
-                absorbed("no-target")
+                arrive(ev, reason="no-target")
                 return
-            tile.sefi_blocked = True
-            tile.sefi_epoch += 1
-            applied(duration=ev.duration)
-            self.ledger.open(ev.fault_id, (flt.TILE, ev.tile))
+            tile.sefi = ev.fault_id
+            arrive(ev, (flt.TILE, ev.tile), duration=ev.duration)
             self.queue.schedule(now + ev.duration, Simulation._on_sefi_expiry,
-                                ev.tile, tile.sefi_epoch, ev.fault_id)
+                                ev.tile, ev.fault_id)
         elif kind == flt.SEFI_SHARED:
-            self.shared_blocked = True
-            self.shared_epoch += 1
-            applied(duration=ev.duration)
-            self.ledger.open(ev.fault_id, (flt.PARTITION, fab.SHARED))
+            self.shared_sefi = ev.fault_id
+            arrive(ev, (flt.PARTITION, fab.SHARED), duration=ev.duration)
             self.queue.schedule(now + ev.duration, Simulation._on_sefi_expiry,
-                                fab.SHARED, self.shared_epoch, ev.fault_id)
+                                fab.SHARED, ev.fault_id)
         else:
             raise ValueError(f"unhandled fault kind {kind!r}")
 
-    def _on_sefi_expiry(self, target: str, epoch: int, fault_id: int):
-        if target == fab.SHARED:
-            blocked, current = self.shared_blocked, self.shared_epoch
-        else:
-            tile = self.tiles[target]
-            blocked, current = tile.sefi_blocked, tile.sefi_epoch
-        if blocked and epoch == current:
+    def _on_sefi_expiry(self, target: str, fault_id: int):
+        """A SEFI ends on its own only while its fault still holds the block.
+        A later SEFI on the same target takes the block over, and a reboot
+        or a full reconfiguration lifts it."""
+        holder = self.shared_sefi if target == fab.SHARED else self.tiles[target].sefi
+        if holder == fault_id:
             self._lift_sefi(target, "injector")
             self.ledger.absorb(fault_id)
 
     def _lift_sefi(self, target: str, actor: str):
-        """Clear the SEFI block on a tile or on the shared region; the new
-        epoch voids any expiry still queued for the old block."""
+        """Clear the SEFI block on a tile or on the shared region."""
         if target == fab.SHARED:
-            self.shared_blocked = False
-            self.shared_epoch += 1
+            self.shared_sefi = None
         else:
-            tile = self.tiles[target]
-            tile.sefi_blocked = False
-            tile.sefi_epoch += 1
+            self.tiles[target].sefi = None
         self.trace.emit(self.queue.now, actor, "sefi-cleared", target=target)
 
     # ------------------------------------------------------------------
@@ -1038,7 +1011,7 @@ class Simulation:
         nxt = next((i for i in viable if i > current), viable[0])
         self.fabric.partial_reconfigure(fab.SHARED, nxt)
         self.trace.emit(now, "fabric", "full-reconfig-done", variant=nxt)
-        if self.shared_blocked:
+        if self.shared_sefi is not None:
             self._lift_sefi(fab.SHARED, "injector")
         self.ledger.settle((flt.PARTITION, fab.SHARED), "repaired")
         self._restart_after_halt(now)
@@ -1228,7 +1201,7 @@ class Simulation:
                             tg=entry.tg_id, mode=entry.mode, levers=list(entry.levers))
         if not tg.deactivated:
             self._mark_active(entry.tg_id, True, now)
-        self.timers[gid] = self.queue.schedule(now, Simulation._on_timer_checkpoint, gid)
+        self._arm_timer(group, now)
 
     def _rebase_group(self, group: TileGroup):
         """Rebind a group's threads after its thread set changed, which
@@ -1246,7 +1219,8 @@ class Simulation:
     # spare restoration
 
     def _restore_groups(self):
-        """When a spare appears, top up the first group running short."""
+        """When a spare appears, top up the first group running short. The
+        caller has just returned a spare to the pool, so there is one to take."""
         now = self.queue.now
         for gid, group in self.groups.items():
             if not group.correction_enabled:
@@ -1254,9 +1228,6 @@ class Simulation:
             if group.target_size - len(group.members) <= 0:
                 continue
             spare_id = self.supervisor.take_spare()
-            if spare_id is None:
-                return
-            spare = self.tiles[spare_id]
             self.trace.emit(now, "supervisor", "group-restored", group=gid, tile=spare_id)
             self._activate_spare(spare_id, group, donor=None)
             group.members.append(spare_id)

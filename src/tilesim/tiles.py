@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .workload import ThreadSpec, ThreadState
 
@@ -132,8 +133,7 @@ class Tile:
         self.noise_seed = int.from_bytes(
             hashlib.blake2b(tile_id.encode(), digest_size=8).digest(), "little")
         self.status = BOOTING
-        self.sefi_blocked = False
-        self.sefi_epoch = 0                  # bumps when a block is set or cleared
+        self.sefi: Optional[int] = None      # id of the SEFI fault blocking the interface
         self.persist_corrupt = False         # active fabric damage under this tile's footprint
         self.threads: dict[str, ThreadState] = {}
         self.windows: dict[str, RunWindow] = {}  # hosted thread-group id -> window

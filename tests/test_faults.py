@@ -112,37 +112,60 @@ def test_horizon_must_be_positive():
 def test_ledger_lifecycle():
     trace, queue = Trace(), EventQueue()
     ledger = FaultLedger(trace, queue)
-    kinds = (PERMANENT_CELL, TRANSIENT_STATE, SEFI_TILE, TRANSIENT_STATE)
-    for fid, kind in enumerate(kinds):
-        ledger.events[fid] = FaultEvent(at=fid, kind=kind, fault_id=fid)
+    events = [FaultEvent(at=0, kind=PERMANENT_CELL, fault_id=0, partition="p0", cell=7),
+              FaultEvent(at=1, kind=TRANSIENT_STATE, fault_id=1, tile="C0", thread="Ta",
+                         word=2, masks=(1, 2)),
+              FaultEvent(at=2, kind=SEFI_TILE, fault_id=2, tile="C0", duration=50),
+              FaultEvent(at=3, kind=TRANSIENT_STATE, fault_id=3, tile="C0", thread="Tb"),
+              FaultEvent(at=4, kind=SEFI_TILE, fault_id=4, tile="C9", duration=50)]
+    for ev in events:
+        ledger.events[ev.fault_id] = ev
     tile, part, pending = (TILE, "C0"), (PARTITION, "p0"), (PENDING, "C0")
 
-    ledger.open(0, tile, part)          # a damaged cell under a live tile
-    ledger.open(1, tile)
+    ledger.arrive(events[0], tile, part, flavor="dd", corrupting=True)  # under a live tile
+    queue.now = 1
+    ledger.arrive(events[1], tile, words=2)
     queue.now = 10
     ledger.detect(tile, "C0", "G1", 4)  # detected, still open at the tile
     assert ledger.open_ids() == {0, 1}
     ledger.move(tile, pending)
-    ledger.open(2, tile)
+    ledger.arrive(events[2], tile, duration=50)
     ledger.absorb(2)                    # never observed: absorbed
     ledger.absorb(1)                    # detected: an expiry does not absorb it
     queue.now = 12
     ledger.settle(pending, "corrected")
     assert ledger.open_ids() == {0}     # still open at its partition
     ledger.settle(part, "repaired")
-    ledger.open(3, tile)
+    ledger.arrive(events[3], tile, words=1)
     ledger.settle(tile, "degraded", detected_by=("C0", "G1", 5))
+    ledger.arrive(events[4], reason="no-target")  # no location: absorbed on arrival
 
     assert ledger.open_ids() == set()
     assert ledger.outcome == {0: "repaired", 1: "corrected", 2: "absorbed", 3: "degraded"}
     assert ledger.detected_at == {0: 10, 1: 10, 3: 12}
-    assert [(r.at, r.kind, r.payload) for r in trace.records] == [
-        (10, "fault-detected", {"id": 0, "tile": "C0", "group": "G1", "index": 4, "latency": 10}),
-        (10, "fault-detected", {"id": 1, "tile": "C0", "group": "G1", "index": 4, "latency": 9}),
-        (10, "fault-outcome", {"id": 2, "outcome": "absorbed"}),
-        (12, "fault-outcome", {"id": 0, "outcome": "corrected"}),
-        (12, "fault-outcome", {"id": 1, "outcome": "corrected"}),
-        (12, "fault-outcome", {"id": 0, "outcome": "repaired"}),
-        (12, "fault-detected", {"id": 3, "tile": "C0", "group": "G1", "index": 5, "latency": 9}),
-        (12, "fault-outcome", {"id": 3, "outcome": "degraded"}),
+    assert [(r.at, r.actor, r.kind, r.payload) for r in trace.records] == [
+        (0, "injector", "fault", {"id": 0, "fault_kind": PERMANENT_CELL, "target": "p0:7",
+                                  "disposition": "applied", "flavor": "dd",
+                                  "corrupting": True}),
+        (1, "injector", "fault", {"id": 1, "fault_kind": TRANSIENT_STATE,
+                                  "target": "C0/Ta[2]", "disposition": "applied",
+                                  "words": 2}),
+        (10, "supervisor", "fault-detected",
+         {"id": 0, "tile": "C0", "group": "G1", "index": 4, "latency": 10}),
+        (10, "supervisor", "fault-detected",
+         {"id": 1, "tile": "C0", "group": "G1", "index": 4, "latency": 9}),
+        (10, "injector", "fault", {"id": 2, "fault_kind": SEFI_TILE, "target": "C0",
+                                   "disposition": "applied", "duration": 50}),
+        (10, "supervisor", "fault-outcome", {"id": 2, "outcome": "absorbed"}),
+        (12, "supervisor", "fault-outcome", {"id": 0, "outcome": "corrected"}),
+        (12, "supervisor", "fault-outcome", {"id": 1, "outcome": "corrected"}),
+        (12, "supervisor", "fault-outcome", {"id": 0, "outcome": "repaired"}),
+        (12, "injector", "fault", {"id": 3, "fault_kind": TRANSIENT_STATE,
+                                   "target": "C0/Tb[0]", "disposition": "applied",
+                                   "words": 1}),
+        (12, "supervisor", "fault-detected",
+         {"id": 3, "tile": "C0", "group": "G1", "index": 5, "latency": 9}),
+        (12, "supervisor", "fault-outcome", {"id": 3, "outcome": "degraded"}),
+        (12, "injector", "fault", {"id": 4, "fault_kind": SEFI_TILE, "target": "C9",
+                                   "disposition": "absorbed", "reason": "no-target"}),
     ]
