@@ -4,6 +4,7 @@ import pytest
 
 from tilesim.cli import main
 from tilesim.scenario import MAX_EXTRA_PARTITIONS
+from tilesim.trace import TraceRecord, read_jsonl
 
 
 def test_run_writes_trace_and_metrics(tmp_path):
@@ -161,7 +162,11 @@ def test_until_below_one_exits_1_naming_until(capsys, verb, until):
     ('{"at": 0, "actor": "sim", "kind": "run-st', "line 3, column 35: Unterminated string starting at"),
     ('{"at":0}', "line 3: record has no 'actor' field"),
     ('[0]', "line 3: a record must be a JSON object"),
-], ids=["cut-short", "missing-field", "not-an-object"])
+    ('{"at":0,"actor":"sim","kind":"x"} {"at":1}', "line 3, column 35: Extra data"),
+    ('{"at":0,"actor":"sim","kind":"x"}}', "line 3, column 34: Extra data"),
+    ('"run-start"', "line 3: a record must be a JSON object"),
+], ids=["cut-short", "missing-field", "not-an-object", "two-records", "stray-brace",
+        "a-string"])
 def test_unreadable_trace_exits_1_naming_the_line(tmp_path, capsys, text, error):
     # a good record and a blank line come first: the count is of file lines
     path = tmp_path / "t.jsonl"
@@ -169,6 +174,11 @@ def test_unreadable_trace_exits_1_naming_the_line(tmp_path, capsys, text, error)
     assert main(["metrics", "--trace", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}: {error}\n"
+
+
+def test_record_padded_with_blanks_reads_back():
+    line = ' \t{"at":5,"actor":"sim","kind":"x","n":1}\t \n'
+    assert read_jsonl([line]) == [TraceRecord(5, "sim", "x", {"n": 1})]
 
 
 def test_sweep_csv_and_rows(tmp_path):
