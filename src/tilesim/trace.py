@@ -2,17 +2,38 @@
 
 Records are JSON-lines friendly; serialization is canonical (sorted keys,
 no whitespace variance) so identical runs give byte-identical files.
+Writing and reading a trace pays only for the stdlib's C encoder and
+decoder: the encoder is built once, and the reader decodes each stripped
+line without the decoder's whitespace scans.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from typing import Iterable, NamedTuple
 
-# Canonical JSON for all of tilesim: json.dumps(doc, sort_keys=True,
-# separators=(",", ":")) without building an encoder per call.
-encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-_decode = json.JSONDecoder().decode
+# Canonical JSON for all of tilesim, the bytes of json.dumps(doc,
+# sort_keys=True, separators=(",", ":")). JSONEncoder.encode builds a new C
+# encoder, a markers dict and a float formatter on every call, about a
+# quarter of the cost of writing a trace record, so the C encoder is built
+# once here. Its
+# markers are None (no circular-reference check): a dict kept across calls
+# could hold stale ids after an exception, and every document tilesim
+# encodes is a tree. `default` raises the stdlib's TypeError for a value
+# JSON cannot encode. Without the _json accelerator, JSONEncoder.encode is
+# the only path, and it gives the same bytes.
+if c_make_encoder is None:
+    encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+else:
+    _iterencode = c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring_ascii, None,
+        ":", ",", True, False, True)  # key and item separators, sort_keys, skipkeys, allow_nan
+
+    def encode_canonical(doc) -> str:
+        return "".join(_iterencode(doc, 0))
+
+_decoder = json.JSONDecoder()
 
 
 class TraceRecord(NamedTuple):
@@ -20,10 +41,6 @@ class TraceRecord(NamedTuple):
     actor: str
     kind: str
     payload: dict
-
-    def to_json(self) -> str:
-        return encode_canonical(
-            {"at": self.at, "actor": self.actor, "kind": self.kind, **self.payload})
 
 
 class Trace:
@@ -42,19 +59,23 @@ class Trace:
         return [r for r in self.records if r.kind in kinds]
 
     def to_jsonl(self) -> str:
-        return "".join([rec.to_json() + "\n" for rec in self.records])
+        return "".join([encode_canonical({"at": at, "actor": actor, "kind": kind, **payload}) + "\n"
+                        for at, actor, kind, payload in self.records])
 
 
 def read_jsonl(lines: Iterable[str]) -> list[TraceRecord]:
     """The records of a JSONL trace. A line that is not a record raises a
     ValueError naming its 1-based line number."""
+    raw_decode = _decoder.raw_decode
     records = []
     for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
         try:
-            doc = _decode(line)
+            doc, end = raw_decode(line)
+            if end != len(line):
+                _decoder.decode(line)  # raises the decoder's own "Extra data" error
             at = doc.pop("at")
             actor = doc.pop("actor")
             kind = doc.pop("kind")

@@ -1,13 +1,14 @@
 import io
 import json
+from importlib import resources
 
 import pytest
 
 from tilesim.metrics import compute_metrics
 from tilesim.runner import run_simulation
 from tilesim.scenario import load_scenario, parse_scenario
-from tilesim.trace import Trace, read_jsonl
-from trace_corpus import BUNDLED, chaos_doc, wide_doc
+from tilesim.trace import Trace, encode_canonical, read_jsonl
+from trace_corpus import BUNDLED, chaos_doc, stdlib_jsonl, wide_doc
 
 
 def storm_run():
@@ -80,7 +81,52 @@ def test_jsonl_read_back_equals_emitted_records(scenario):
         assert read == emitted
         assert (read.at, read.actor, read.kind, read.payload) == \
             (emitted.at, emitted.actor, emitted.kind, emitted.payload)
-    assert "".join(rec.to_json() + "\n" for rec in back) == text
+    assert stdlib_jsonl(back) == text
+
+
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+EDGE_DOCS = {
+    "non-ascii": {"name": "fig3-\u03a9", "emoji": "\U0001f6f0", "accent": "d\u00e9j\u00e0"},
+    "control": ["\x00\x01\x1f\x7f", "tab\tnew\nline\r", 'quote" back\\slash'],
+    "non-finite": [float("nan"), float("inf"), float("-inf")],
+    "floats": [0.1 + 0.2, 1 / 3, -0.0, 1e300, 5e-324],  # repr(0.1 + 0.2) has 17 digits
+    "int-keys": {10: "ten", 2: "two", -1: "minus"},
+    "bool-keys": {True: 1, False: 0},
+    "none-key": {None: [None, True, False]},
+    "float-key": {1.5: "x"},
+    "big-int": [2 ** 70, -(2 ** 64)],
+    "empty": {"a": [], "b": {}, "c": [{}, [[]], ""], "d": {"e": {}}},
+    "top-level-string": "run-start",
+}
+
+
+@pytest.mark.parametrize("doc", EDGE_DOCS.values(), ids=EDGE_DOCS.keys())
+def test_encode_canonical_equals_json_dumps_on_edge_values(doc):
+    assert encode_canonical(doc) == _dumps(doc)
+
+
+def test_encode_canonical_equals_json_dumps_on_documents():
+    for name in BUNDLED:
+        doc = json.loads((resources.files("tilesim") / "scenarios" / f"{name}.scenario").read_text())
+        assert encode_canonical(doc) == _dumps(doc), name
+        assert load_scenario(name).canonical_json() == _dumps(doc), name
+    _, summary = storm_run()
+    assert encode_canonical(summary.to_dict()) == _dumps(summary.to_dict())
+
+
+def test_encode_canonical_rejects_what_json_dumps_rejects():
+    with pytest.raises(TypeError) as stdlib:
+        _dumps({"tiles": {"C0"}})
+    with pytest.raises(TypeError) as ours:
+        encode_canonical({"tiles": {"C0"}})
+    assert str(ours.value) == str(stdlib.value)
+
+
+def test_empty_trace_serialises_to_nothing():
+    assert Trace().to_jsonl() == ""
 
 
 def test_emit_rejects_time_going_backwards():

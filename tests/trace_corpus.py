@@ -9,8 +9,8 @@ variant (C2 serves both groups) at transient thresholds 3 and 2 over seeds
 0-399: 1104 runs. The first hash covers each run's JSONL trace,
 the second each run's `compute_metrics(...).to_json()`, in that run order.
 Each run's JSONL is also read back with `read_jsonl`: the script exits 1,
-naming the run, unless the records read back re-serialise to the same bytes
-and give the same metrics.
+naming the run, unless the records read back, re-serialised by the stdlib's
+`json.dumps`, give the same bytes, and unless they give the same metrics.
 A third line hashes the wide-group variant (one 14-tile group) over seeds
 0-59, traces then metrics, so that arbitration of wide groups is covered.
 A fourth hashes the chaos and wide-group documents with report signal loss
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -161,6 +162,14 @@ def lossy_corpus():
                 yield parse_scenario(doc, name=doc["name"])
 
 
+def stdlib_jsonl(records):
+    """The JSONL of `records` by `json.dumps`, an encoder independent of the
+    one under test."""
+    return "".join(json.dumps({"at": rec.at, "actor": rec.actor, "kind": rec.kind, **rec.payload},
+                              sort_keys=True, separators=(",", ":")) + "\n"
+                   for rec in records)
+
+
 def hashes(scenarios):
     traces, metrics = hashlib.sha256(), hashlib.sha256()
     runs = 0
@@ -169,7 +178,7 @@ def hashes(scenarios):
         text = trace.to_jsonl()
         summary = compute_metrics(trace.records).to_json()
         back = read_jsonl(io.StringIO(text))
-        if ("".join(rec.to_json() + "\n" for rec in back) != text
+        if (stdlib_jsonl(back) != text
                 or compute_metrics(back).to_json() != summary):
             sys.exit(f"run {runs} ({scenario.name}, seed {scenario.seed}): "
                      "the JSONL read back differs from the emitted trace")
