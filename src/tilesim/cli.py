@@ -116,7 +116,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    with open(args.trace) as fh:
+    with open(args.trace, encoding="utf-8") as fh:
         try:
             records = read_jsonl(fh)
         except ValueError as exc:
@@ -124,7 +124,7 @@ def cmd_metrics(args) -> int:
             return 1
     summary = compute_metrics(records)
     if args.metrics_out:
-        with open(args.metrics_out, "w") as fh:
+        with open(args.metrics_out, "w", encoding="utf-8") as fh:
             fh.write(summary.to_json())
     if not args.quiet:
         print(json.dumps(summary.to_dict(), sort_keys=True, indent=2))

@@ -23,9 +23,9 @@ def run_simulation(scenario: Scenario, until: Optional[int] = None) -> tuple[Tra
 def write_outputs(trace: Trace, summary: MetricsSummary,
                   trace_out: Optional[str], metrics_out: Optional[str]):
     if trace_out:
-        Path(trace_out).write_text(trace.to_jsonl())
+        Path(trace_out).write_text(trace.to_jsonl(), encoding="utf-8")
     if metrics_out:
-        Path(metrics_out).write_text(summary.to_json())
+        Path(metrics_out).write_text(summary.to_json(), encoding="utf-8")
 
 
 SWEEP_COLUMNS = (
@@ -85,7 +85,7 @@ def sweep(
 def write_sweep_csv(rows: list[dict], path: str):
     if not rows:
         return
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import tilesim
 from tilesim.cli import main
-from tilesim.scenario import MAX_EXTRA_PARTITIONS
+from tilesim.runner import run_simulation
+from tilesim.scenario import MAX_EXTRA_PARTITIONS, load_scenario
 from tilesim.trace import TraceRecord, read_jsonl
 
 
@@ -179,6 +186,23 @@ def test_unreadable_trace_exits_1_naming_the_line(tmp_path, capsys, text, error)
 def test_record_padded_with_blanks_reads_back():
     line = ' \t{"at":5,"actor":"sim","kind":"x","n":1}\t \n'
     assert read_jsonl([line]) == [TraceRecord(5, "sim", "x", {"n": 1})]
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    doc = json.loads((resources.files("tilesim") / "scenarios" / "fig3.scenario").read_text())
+    doc["name"] = "fig3-\u03a9"
+    path, trace_out = tmp_path / "omega.scenario", tmp_path / "out.jsonl"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    code = ("import sys; from tilesim.cli import main; "
+            "sys.exit(main(['validate', '--scenario', sys.argv[1], '--quiet']) or "
+            "main(['run', '--scenario', sys.argv[1], '--trace-out', sys.argv[2], '--quiet']))")
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+               PYTHONPATH=str(Path(tilesim.__file__).resolve().parent.parent))
+    child = subprocess.run([sys.executable, "-c", code, str(path), str(trace_out)],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    trace, _ = run_simulation(load_scenario(str(path)))
+    assert trace_out.read_bytes() == trace.to_jsonl().encode("ascii")
 
 
 def test_sweep_csv_and_rows(tmp_path):
