@@ -66,14 +66,13 @@ class Trace:
 def read_jsonl(lines: Iterable[str]) -> list[TraceRecord]:
     """The records of a JSONL trace. A line that is not a record raises a
     ValueError naming its 1-based line number."""
-    raw_decode = _decoder.raw_decode
     records = []
     for number, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
             continue
         try:
-            doc, end = raw_decode(line)
+            doc, end = _decoder.raw_decode(line)
             if end != len(line):
                 _decoder.decode(line)  # raises the decoder's own "Extra data" error
             at = doc.pop("at")
