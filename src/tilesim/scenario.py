@@ -509,7 +509,8 @@ def _parse_faults(doc, problems, tiles, threads, horizon) -> faults.FaultProfile
 def load_scenario(path_or_name: str, overrides: Optional[list[str]] = None) -> Scenario:
     """Load a scenario file or a bundled scenario by name."""
     if path_or_name in BUNDLED:
-        text = (resources.files("tilesim") / "scenarios" / f"{path_or_name}.scenario").read_text(encoding="utf-8")
+        path = resources.files("tilesim") / "scenarios" / f"{path_or_name}.scenario"
+        text = path.read_text(encoding="utf-8")
         name = path_or_name
     else:
         with open(path_or_name, encoding="utf-8") as fh:

@@ -17,12 +17,11 @@ from typing import Iterable, NamedTuple
 # sort_keys=True, separators=(",", ":")). JSONEncoder.encode builds a new C
 # encoder, a markers dict and a float formatter on every call, about a
 # quarter of the cost of writing a trace record, so the C encoder is built
-# once here. Its
-# markers are None (no circular-reference check): a dict kept across calls
-# could hold stale ids after an exception, and every document tilesim
-# encodes is a tree. `default` raises the stdlib's TypeError for a value
-# JSON cannot encode. Without the _json accelerator, JSONEncoder.encode is
-# the only path, and it gives the same bytes.
+# once here. Its markers are None (no circular-reference check): a dict
+# kept across calls could hold stale ids after an exception, and every
+# document tilesim encodes is a tree. `default` raises the stdlib's
+# TypeError for a value JSON cannot encode. Without the _json accelerator,
+# JSONEncoder.encode is the only path, and it gives the same bytes.
 if c_make_encoder is None:
     encode_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 else:

@@ -110,7 +110,8 @@ def test_encode_canonical_equals_json_dumps_on_edge_values(doc):
 
 def test_encode_canonical_equals_json_dumps_on_documents():
     for name in BUNDLED:
-        doc = json.loads((resources.files("tilesim") / "scenarios" / f"{name}.scenario").read_text())
+        path = resources.files("tilesim") / "scenarios" / f"{name}.scenario"
+        doc = json.loads(path.read_text())
         assert encode_canonical(doc) == _dumps(doc), name
         assert load_scenario(name).canonical_json() == _dumps(doc), name
     _, summary = storm_run()
