@@ -55,46 +55,44 @@ def compare_with_siblings(
     is bad). A sibling that never wrote by the deadline scores a miss. On
     the first mismatch or miss the tile stops comparing and reports what it
     has, so later siblings get no verdict at all.
+
+    No sibling is ready before `first`, the earlier of my write and the
+    deadline. Replicas of one round write together, so most siblings are
+    ready at `first` exactly: those are judged in rotation order as the walk
+    meets them, and only the others are sorted, once the walk gets past.
     """
     my_ready = written_at[me]
+    first = my_ready if my_ready < deadline_at else deadline_at
     my_pos = members.index(me)
-    n = len(members)
-    order = []
-    for pos, sib in enumerate(members):
-        if sib == me:
-            continue
-        if not reads_blocked and sib in written_at:
-            when = written_at[sib]
-            if when < my_ready:
-                when = my_ready
-            ready = when <= deadline_at
-            if not ready:
-                when = deadline_at
-        else:
-            ready = False
-            when = deadline_at
-        order.append((when, (pos - my_pos) % n, sib, ready))
-    order.sort()  # by time, then rotation: the offsets are unique
-
     mine = rows[me]
     mine_whole = None not in mine
     verdicts: dict[str, str] = {}
-    completed = my_ready
-    mismatch = False
-    for when, _, sib, ready in order:
-        if not ready:
-            verdicts[sib] = MISS
-            completed = when
-            mismatch = True
-            break
-        same = mine_whole and rows[sib] == mine
-        verdicts[sib] = AGREE if same else DISAGREE
+    later = []
+    for rotation, sib in enumerate(members[my_pos + 1:] + members[:my_pos]):
+        when, ready = deadline_at, False
+        if not reads_blocked and sib in written_at:
+            written = written_at[sib]
+            if written < my_ready:
+                written = my_ready
+            if written <= deadline_at:
+                when, ready = written, True
+        if when != first:
+            later.append((when, rotation, sib, ready))
+            continue
+        verdict = (AGREE if mine_whole and rows[sib] == mine else DISAGREE) if ready else MISS
+        verdicts[sib] = verdict
+        if verdict != AGREE:
+            return CheckpointReport(verdicts, first, True)
+
+    completed = first if verdicts else my_ready
+    later.sort()  # by time, then rotation: the rotations are unique
+    for when, _, sib, ready in later:
+        verdict = (AGREE if mine_whole and rows[sib] == mine else DISAGREE) if ready else MISS
+        verdicts[sib] = verdict
+        if verdict != AGREE:
+            return CheckpointReport(verdicts, when, True)
         completed = when
-        if not same:
-            mismatch = True
-            break
-    return CheckpointReport(verdicts=verdicts, completed_at=completed,
-                            detected_mismatch=mismatch)
+    return CheckpointReport(verdicts, completed)
 
 
 def unanimous_reports(

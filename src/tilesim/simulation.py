@@ -114,6 +114,11 @@ class Simulation:
             t.tile_id: Tile(t.tile_id, t.partition) for t in scenario.tiles
         }
 
+        # Every replica of a thread starts bit-identical, and a ThreadState
+        # never changes, so each boot, join and restart of this run hands
+        # out the same initial state.
+        self.initial_states = {tid: workload.init_thread(spec)
+                               for tid, spec in scenario.threads.items()}
         self.thread_groups: dict[str, ThreadGroup] = {}
         self.thread_group_of: dict[str, str] = {}   # thread id -> the thread group listing it
         for tgc in scenario.thread_groups:
@@ -166,7 +171,7 @@ class Simulation:
                 win.resume(now)
             for spec in self.thread_groups[tg_id].threads:
                 if spec.thread_id not in tile.threads:
-                    tile.threads[spec.thread_id] = workload.init_thread(spec)
+                    tile.threads[spec.thread_id] = self.initial_states[spec.thread_id]
 
     def _participants(self, group: TileGroup) -> list[str]:
         return [m for m in group.members
@@ -314,11 +319,11 @@ class Simulation:
         group.checkpoint_index += 1
         index = group.checkpoint_index
         participants = self._participants(group)
-        checked = group.checked(index)
+        checked, checksum_cost = group.plan(index)
         ctx = GroupCheckpoint(
             index=index, t0=now,
             participants=participants, members=list(group.members),
-            checked=[s.thread_id for s in checked],
+            checked=checked,
         )
         self.ctxs[group.group_id] = ctx
         # a copy: the record must not change with the round's roster
@@ -330,8 +335,9 @@ class Simulation:
             self._arm_timer(group, now + group.period)
             return
 
-        duration = group.delay + lockstep.checksum_duration(
-            checked, self.scenario.costs.context_switch)
+        # lockstep.checksum_duration of the checked threads
+        duration = (group.delay + checksum_cost
+                    + len(checked) * self.scenario.costs.context_switch)
         for m in participants:
             tile = self.tiles[m]
             threads = tile.threads
@@ -520,22 +526,40 @@ class Simulation:
 
     def _oracle_check(self, group: TileGroup, ctx: GroupCheckpoint):
         """Compare full boundary states behind the protocol's back: a pair
-        that diverged yet mutually agreed is an undetected divergence."""
-        boundaries = list(ctx.boundary.values())
-        if all(b == boundaries[0] for b in boundaries[1:]):
+        that diverged yet mutually agreed is an undetected divergence.
+
+        Participants with equal boundary states form one class, found by
+        comparing against one representative per class; replicas that no
+        fault hit hold the very same state objects. A pair within a class
+        cannot diverge, so only pairs across classes are looked at."""
+        classes: dict[str, int] = {}
+        representatives: list[dict] = []
+        for m, states in ctx.boundary.items():
+            for k, rep in enumerate(representatives):
+                if states == rep:
+                    classes[m] = k
+                    break
+            else:
+                classes[m] = len(representatives)
+                representatives.append(states)
+        if len(representatives) < 2:
             return  # no pair diverged
         now = self.queue.now
         for i, a in enumerate(ctx.participants):
+            ca = classes.get(a)
+            if ca is None:
+                continue
             for b in ctx.participants[i + 1:]:
+                cb = classes.get(b)
+                if cb is None or cb == ca:
+                    continue
                 ra, rb = ctx.reports.get(a), ctx.reports.get(b)
                 if not ra or not rb:
                     continue
                 if (ra.verdicts.get(b) != lockstep.AGREE
                         or rb.verdicts.get(a) != lockstep.AGREE):
                     continue
-                sa, sb = ctx.boundary.get(a), ctx.boundary.get(b)
-                if sa is None or sb is None:
-                    continue
+                sa, sb = ctx.boundary[a], ctx.boundary[b]
                 for tid in ctx.checked:
                     if sa.get(tid) != sb.get(tid):
                         self.oracle_divergences += 1
@@ -1190,7 +1214,7 @@ class Simulation:
                     tile.threads[spec.thread_id] = workload.update_callback(
                         tile.threads[spec.thread_id], donor.threads[spec.thread_id])
                 elif donor is None:
-                    tile.threads[spec.thread_id] = workload.init_thread(spec)
+                    tile.threads[spec.thread_id] = self.initial_states[spec.thread_id]
             self.trace.emit(now, m, "timer-adjusted",
                             tile=m, group=gid, period=group.period)
         self.trace.emit(now, "supervisor", "tg-migrated",

@@ -71,6 +71,8 @@ class TileGroup:
     grace_period: int = 0
     delay: int = 0               # checksum deferral of each round
     output_threads: list[str] = field(default_factory=list)
+    # (thread id, checkpoint period // base period, checksum cost), in order
+    schedule: list[tuple[str, int, int]] = field(default_factory=list)
 
     def __post_init__(self):
         self.target_size = len(self.members)
@@ -90,6 +92,8 @@ class TileGroup:
         self.grace_period = 2 * sum(s.update_cost for s in threads)
         self.delay = min(max(s.viable_delay for s in threads), self.comparison_deadline)
         self.output_threads = [s.thread_id for s in threads if s.emits_output]
+        self.schedule = [(s.thread_id, max(1, s.checkpoint_period // self.base_period),
+                          s.checksum_cost) for s in threads]
 
     @property
     def period(self) -> int:
@@ -100,6 +104,17 @@ class TileGroup:
         period // base_period checkpoints of this group."""
         base = self.base_period
         return [s for s in self.threads if index % max(1, s.checkpoint_period // base) == 0]
+
+    def plan(self, index: int) -> tuple[list[str], int]:
+        """The ids of the threads validated at checkpoint `index`, as
+        `checked` gives them for the base period `bind` worked out, and the
+        sum of their checksum costs."""
+        ids, cost = [], 0
+        for tid, ratio, checksum_cost in self.schedule:
+            if index % ratio == 0:
+                ids.append(tid)
+                cost += checksum_cost
+        return ids, cost
 
 
 @dataclass

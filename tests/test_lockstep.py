@@ -147,6 +147,39 @@ def test_compare_with_siblings_matches_reference(case):
 
 
 @st.composite
+def wide_comparisons(draw):
+    """9-24 members in any order, who write together at one time, but for
+    up to three that never write and up to two that write later, some past
+    the deadline; a deadline at or after the common write; one row that
+    every writer holds, but for one or two odd rows, changed or holed."""
+    tiles = [f"C{i}" for i in range(24)]
+    members = draw(st.permutations(tiles))[:draw(st.integers(9, 24))]
+    me = draw(st.sampled_from(members))
+    at = draw(st.integers(0, 40))
+    deadline_at = draw(st.integers(at, at + 10))
+    silent = draw(st.lists(st.sampled_from(members), max_size=3))
+    written_at = {m: at for m in members if m == me or m not in silent}
+    for m in draw(st.lists(st.sampled_from(members), max_size=2)):
+        if m in written_at:
+            written_at[m] = draw(st.integers(at + 1, deadline_at + 5))
+    row = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
+    rows = dict.fromkeys(written_at, row)
+    for m in draw(st.lists(st.sampled_from(sorted(written_at)), max_size=2)):
+        k = draw(st.integers(0, len(row) - 1))
+        rows[m] = row[:k] + (draw(st.sampled_from([None, 3])),) + row[k + 1:]
+    return me, members, written_at, deadline_at, rows, draw(st.booleans())
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(wide_comparisons())
+def test_wide_compare_with_siblings_matches_reference(case):
+    got = compare_with_siblings(*case)
+    want = reference_compare_with_siblings(*case)
+    assert got == want
+    assert list(got.verdicts) == list(want.verdicts)
+
+
+@st.composite
 def unanimous_rounds(draw):
     """1-24 members in any order, each written at or before the deadline,
     and one None-free row of up to 3 entries that every member holds."""

@@ -8,13 +8,13 @@ import pytest
 
 from tilesim import criticality as crit
 from tilesim import faults as flt
-from tilesim import workload
+from tilesim import lockstep, workload
 from tilesim.metrics import compute_metrics
 from tilesim.runner import run_simulation
 from tilesim.scenario import BUNDLED, load_scenario, parse_scenario
 from tilesim.simulation import GroupCheckpoint, Simulation
 from tilesim.tiles import ACTIVE, DEFUNCT, IDLE_SPARE, REBOOTING, SUSPECT
-from trace_corpus import chaos_doc, shared_tile_doc
+from trace_corpus import chaos_doc, shared_tile_doc, wide_doc
 
 
 def make_doc(**over):
@@ -224,6 +224,49 @@ def test_oracle_sees_a_divergence_the_checksums_hide(monkeypatch):
     assert records[0].payload == {"group": "G1", "index": 2, "thread": "Ta",
                                   "tiles": ["C0", "C2"]}
     assert {tuple(r.payload["tiles"]) for r in records} == {("C0", "C2"), ("C1", "C2")}
+
+
+def reference_oracle_check(self, group, ctx):
+    """The oracle as it compared every pair of participants, kept as the
+    reference for `Simulation._oracle_check`, which compares classes."""
+    boundaries = list(ctx.boundary.values())
+    if all(b == boundaries[0] for b in boundaries[1:]):
+        return  # no pair diverged
+    now = self.queue.now
+    for i, a in enumerate(ctx.participants):
+        for b in ctx.participants[i + 1:]:
+            ra, rb = ctx.reports.get(a), ctx.reports.get(b)
+            if not ra or not rb:
+                continue
+            if (ra.verdicts.get(b) != lockstep.AGREE
+                    or rb.verdicts.get(a) != lockstep.AGREE):
+                continue
+            sa, sb = ctx.boundary.get(a), ctx.boundary.get(b)
+            if sa is None or sb is None:
+                continue
+            for tid in ctx.checked:
+                if sa.get(tid) != sb.get(tid):
+                    self.oracle_divergences += 1
+                    self.trace.emit(now, "oracle", "oracle-divergence",
+                                    group=group.group_id, index=ctx.index,
+                                    thread=tid, tiles=[a, b])
+
+
+@pytest.mark.parametrize("make, seed", [(chaos_doc, s) for s in range(6)]
+                         + [(wide_doc, s) for s in range(4)])
+def test_oracle_by_class_matches_all_pairs(monkeypatch, make, seed):
+    # colliding checksums hide every divergence from the protocol, so the
+    # oracle writes many records, over several classes in the wide group
+    monkeypatch.setattr(workload, "checksum_callback", lambda ts: 0)
+    runs = []
+    for oracle in (Simulation._oracle_check, reference_oracle_check):
+        monkeypatch.setattr(Simulation, "_oracle_check", oracle)
+        sim = Simulation(parse_scenario(make(seed)))
+        records = sim.run().of_kind("oracle-divergence")
+        assert sim.oracle_divergences == len(records)
+        runs.append(records)
+    assert runs[0]
+    assert runs[0] == runs[1]
 
 
 # -- per-checkpoint memo: shared work, and a fault stays on its tile ---------------
@@ -545,6 +588,51 @@ def test_plan_restarts_a_group_with_no_donor_and_degrades_it():
         ("tg-degraded", {"tg": "TG1", "mode": "detect-only",
                          "levers": ["reduce-replicas"]}),
     ]
+
+
+def test_replicas_share_one_initial_state_until_a_fault_hits_one(monkeypatch):
+    # at boot, at a spare's join (C3 replaces C2 after the fault at t=1500)
+    # and at a no-donor restart, every joining replica gets the run's one
+    # initial state object of its thread
+    joined = []
+    join = Simulation._join
+
+    def watched_join(self, tile, group, now):
+        held = set(tile.threads)
+        join(self, tile, group, now)
+        joined.extend((tile.tile_id, tid, ts is self.initial_states[tid])
+                      for tid, ts in tile.threads.items() if tid not in held)
+
+    monkeypatch.setattr(Simulation, "_join", watched_join)
+    doc = make_doc(supervisor={"transient_threshold": 1, "defunct_threshold": 10},
+                   faults={"explicit": [transient(1500, "C2")]})
+    sim = Simulation(parse_scenario(doc))
+    boot = []
+
+    def flip(sim):
+        boot.extend((m, tid, ts is sim.initial_states[tid])
+                    for m in ("C0", "C1", "C2") for tid, ts in sim.tiles[m].threads.items())
+        ev = flt.FaultEvent(at=0, kind=flt.TRANSIENT_STATE, fault_id=99,
+                            tile="C2", thread="Ta", masks=(1,))
+        sim.ledger.events[ev.fault_id] = ev
+        sim.apply_fault(ev)
+        spec = sim.scenario.threads["Ta"]
+        assert sim.initial_states["Ta"] == workload.init_thread(spec)
+        assert sim.tiles["C2"].threads["Ta"] != sim.initial_states["Ta"]
+        assert all(sim.tiles[m].threads["Ta"] is sim.initial_states["Ta"]
+                   for m in ("C0", "C1"))
+
+    sim.queue.schedule(0, flip)   # after the boot, before round 0
+    sim.run()
+    assert sorted(boot) == [(m, tid, True) for m in ("C0", "C1", "C2") for tid in ("Ta", "Tb")]
+    assert ("C3", "Ta", True) in joined and ("C3", "Tb", True) in joined
+    assert all(same for _, _, same in joined)
+
+    entry = crit.PlanEntry("TG1", ("C0", "C3"), 1, crit.MODE_DETECT_ONLY,
+                           levers=(crit.REDUCE_REPLICAS,))
+    sim, _ = apply_by_hand(entry, ())
+    assert all(sim.tiles[m].threads[tid] is sim.initial_states[tid]
+               for m in ("C0", "C3") for tid in ("Ta", "Tb"))
 
 
 def test_vmem_fault_misses_the_entry_of_a_group_migrated_away():
