@@ -8,13 +8,14 @@ Verbs: run, sweep, metrics, validate, replay-check. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 
 from . import runner
 from .metrics import compute_metrics
 from .scenario import ScenarioError, load_scenario
-from .trace import read_jsonl
+from .trace import decode_utf8, read_jsonl
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -116,12 +117,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    with open(args.trace, encoding="utf-8") as fh:
-        try:
-            records = read_jsonl(fh)
-        except ValueError as exc:
-            print(f"error: {args.trace}: {exc}", file=sys.stderr)
-            return 1
+    with open(args.trace, "rb") as fh:
+        data = fh.read()
+    try:
+        # newline=None splits lines as a file opened in text mode does
+        records = read_jsonl(io.StringIO(decode_utf8(data), newline=None))
+    except ValueError as exc:
+        print(f"error: {args.trace}: {exc}", file=sys.stderr)
+        return 1
     summary = compute_metrics(records)
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:

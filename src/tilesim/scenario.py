@@ -23,7 +23,7 @@ from .engine import MASK64
 from .fabric import CELLS, reserved_partition_id
 from .lockstep import checksum_duration
 from .tiles import TileGroup
-from .trace import encode_canonical
+from .trace import decode_utf8, encode_canonical
 from .workload import ThreadSpec
 
 BUNDLED = ("fig3", "fig6", "exhaustion", "storm")
@@ -513,8 +513,12 @@ def load_scenario(path_or_name: str, overrides: Optional[list[str]] = None) -> S
         text = path.read_text(encoding="utf-8")
         name = path_or_name
     else:
-        with open(path_or_name, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path_or_name, "rb") as fh:
+            data = fh.read()
+        try:
+            text = decode_utf8(data)
+        except ValueError as exc:
+            raise ScenarioError([f"{path_or_name}: {exc}"])
         name = path_or_name
     try:
         doc = json.loads(text)

@@ -35,6 +35,21 @@ else:
 _decoder = json.JSONDecoder()
 
 
+def decode_utf8(data: bytes) -> str:
+    """`data`, the bytes of a file, as UTF-8 text. Bytes that are not UTF-8
+    raise a ValueError naming the 1-based line and column of the first one,
+    and its byte offset in the file."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        at = exc.start
+        line_start = data.rfind(b"\n", 0, at) + 1
+        line = data.count(b"\n", 0, at) + 1
+        column = len(data[line_start:at].decode("utf-8")) + 1
+        raise ValueError(f"line {line}, column {column}: byte 0x{data[at]:02x} "
+                         f"at offset {at} is not UTF-8") from None
+
+
 class TraceRecord(NamedTuple):
     at: int
     actor: str

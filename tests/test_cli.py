@@ -183,6 +183,32 @@ def test_unreadable_trace_exits_1_naming_the_line(tmp_path, capsys, text, error)
     assert err == f"error: {path}: {error}\n"
 
 
+def test_trace_not_utf8_exits_1_naming_the_line(tmp_path, capsys):
+    good = '{"at":0,"actor":"sim","kind":"run-start"}\n'
+    path = tmp_path / "t.jsonl"
+    path.write_bytes((good * 4).encode() + b'{"at":1,"actor":"\xc3\xa9\xff","kind":"x"}\n')
+    assert main(["metrics", "--trace", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: line 5, column 19: byte 0xff at offset 187 is not UTF-8\n"
+
+
+def test_scenario_not_utf8_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "bad.scenario"
+    path.write_bytes(b'{"name": "x\xff"}')
+    assert main(["validate", "--scenario", str(path), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}: line 1, column 12: byte 0xff at offset 11 is not UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=str(Path(tilesim.__file__).resolve().parent.parent))
+    child = subprocess.run([sys.executable, "-m", "tilesim", "validate", "--scenario", "fig3"],
+                           env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == "fig3: ok\n"
+
+
 def test_record_padded_with_blanks_reads_back():
     line = ' \t{"at":5,"actor":"sim","kind":"x","n":1}\t \n'
     assert read_jsonl([line]) == [TraceRecord(5, "sim", "x", {"n": 1})]
