@@ -20,10 +20,9 @@ REDUCE_REPLICAS = "reduce-replicas"
 REDUCE_FREQUENCY = "reduce-checkpoint-frequency"
 DEACTIVATE = "deactivate"
 
-# Stage 3's degradation ladder: the levers fire in this order, a frequency
-# step multiplies a group's checkpoint period by FREQUENCY_FACTOR, and the
-# period never grows past MAX_PERIOD_FACTOR times its desired value.
-DEGRADATION_ORDER = (REDUCE_REPLICAS, REDUCE_FREQUENCY, DEACTIVATE)
+# A frequency step of Stage 3's degradation ladder multiplies a group's
+# checkpoint period by FREQUENCY_FACTOR, and the period never grows past
+# MAX_PERIOD_FACTOR times its desired value.
 FREQUENCY_FACTOR = 2
 MAX_PERIOD_FACTOR = 8
 
@@ -97,23 +96,6 @@ def group_utilization(req: AllocRequest, factor: int, context_switch: int) -> Fr
     )
 
 
-def apply_degradation(
-    policy: CriticalityPolicy, lever: str, replicas: int, factor: int
-) -> Optional[tuple[int, int]]:
-    """One lever application; None when the lever is already at its floor."""
-    if lever == REDUCE_REPLICAS:
-        if replicas > policy.min_replicas_low:
-            return replicas - 1, factor
-        return None
-    if lever == REDUCE_FREQUENCY:
-        if factor * FREQUENCY_FACTOR <= MAX_PERIOD_FACTOR:
-            return replicas, factor * FREQUENCY_FACTOR
-        return None
-    if lever == DEACTIVATE:
-        return 0, factor
-    raise ValueError(f"unknown lever {lever!r}")
-
-
 def reallocate(
     tiles: dict[str, Fraction],
     requests: list[AllocRequest],
@@ -126,8 +108,10 @@ def reallocate(
     many replicas as it has healthy hosts (never below its class minimum),
     and placement prefers retained hosts, then tiles that can take the
     group without displacing anything still unplaced. When a group cannot
-    be placed, degradation levers fire strictly in DEGRADATION_ORDER
-    until it fits or is deactivated.
+    be placed, it degrades one step at a time until it fits: one replica
+    fewer, down to the low class minimum; then a checkpoint period
+    FREQUENCY_FACTOR times longer, up to MAX_PERIOD_FACTOR times the
+    desired one; then deactivation.
     """
     order = sorted(requests, key=lambda r: (-r.criticality, r.tg_id))
     load: dict[str, Fraction] = {t: Fraction(0) for t in tiles}
@@ -169,15 +153,14 @@ def reallocate(
             if len(candidates) >= replicas:
                 placed = candidates[:replicas]
                 break
-            moved = None
-            for lever in DEGRADATION_ORDER:
-                moved = apply_degradation(policy, lever, replicas, factor)
-                if moved is not None:
-                    levers_used.append(lever)
-                    replicas, factor = moved
-                    break
-            if moved is None or replicas == 0:
-                placed = None
+            if replicas > policy.min_replicas_low:
+                levers_used.append(REDUCE_REPLICAS)
+                replicas -= 1
+            elif factor * FREQUENCY_FACTOR <= MAX_PERIOD_FACTOR:
+                levers_used.append(REDUCE_FREQUENCY)
+                factor *= FREQUENCY_FACTOR
+            else:
+                levers_used.append(DEACTIVATE)
                 break
 
         if not placed:

@@ -1,6 +1,6 @@
 """Checkpoint-cycle protocol pieces that are pure functions of captured
-values: checksum scheduling, sibling comparison (with the unanimous round
-built directly), and output voting.
+values: sibling comparison (with the unanimous round built directly) and
+output voting.
 
 The event wiring (when each phase runs) lives in the simulation; everything
 here is deterministic arithmetic over validation-memory contents, which is
@@ -15,16 +15,6 @@ from typing import Optional
 AGREE = "agree"
 DISAGREE = "disagree"
 MISS = "deadline-miss"
-
-
-def checksum_duration(specs, context_switch: int) -> int:
-    """Time a tile spends computing checksums for the given threads."""
-    return sum(s.checksum_cost + context_switch for s in specs)
-
-
-def sync_duration(specs, context_switch: int) -> int:
-    """Time a tile spends writing state snapshots of the given threads."""
-    return sum(s.sync_cost + context_switch for s in specs)
 
 
 @dataclass

@@ -21,7 +21,6 @@ from . import faults
 from .criticality import CriticalityPolicy
 from .engine import MASK64
 from .fabric import CELLS, reserved_partition_id
-from .lockstep import checksum_duration
 from .tiles import TileGroup
 from .trace import decode_utf8, encode_canonical
 from .workload import ThreadSpec
@@ -432,9 +431,11 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         tg_threads = {tgc.tg_id: tgc.threads for tgc in thread_groups}
         for path, g in zip(group_paths, tile_groups):
             group = TileGroup(g.group_id, g.members, g.thread_groups)
-            group.bind([threads[t] for tg in g.thread_groups for t in tg_threads[tg]])
+            group.bind([threads[t] for tg in g.thread_groups for t in tg_threads[tg]],
+                       costs.context_switch)
+            # the uncapped viable delay, not group.delay: bind caps that at the deadline
             worst = (max(s.viable_delay for s in group.threads)
-                     + checksum_duration(group.threads, costs.context_switch))
+                     + sum(checksum_time for _, _, checksum_time in group.schedule))
             if worst > group.comparison_deadline:
                 problems.append(
                     f"{path}: checkpoint cost {worst} exceeds "

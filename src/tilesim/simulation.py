@@ -157,7 +157,8 @@ class Simulation:
     def _make_group(self, gc: TileGroupConfig) -> TileGroup:
         group = TileGroup(gc.group_id, list(gc.members), list(gc.thread_groups))
         group.bind([spec for tg_id in group.thread_groups
-                    for spec in self.thread_groups[tg_id].threads])
+                    for spec in self.thread_groups[tg_id].threads],
+                   self.scenario.costs.context_switch)
         self.groups[gc.group_id] = group
         return group
 
@@ -319,7 +320,7 @@ class Simulation:
         group.checkpoint_index += 1
         index = group.checkpoint_index
         participants = self._participants(group)
-        checked, checksum_cost = group.plan(index)
+        checked, ready = group.plan(index)
         ctx = GroupCheckpoint(
             index=index, t0=now,
             participants=participants, members=list(group.members),
@@ -335,9 +336,6 @@ class Simulation:
             self._arm_timer(group, now + group.period)
             return
 
-        # lockstep.checksum_duration of the checked threads
-        duration = (group.delay + checksum_cost
-                    + len(checked) * self.scenario.costs.context_switch)
         for m in participants:
             tile = self.tiles[m]
             threads = tile.threads
@@ -352,7 +350,7 @@ class Simulation:
                 self.trace.emit(now, m, "checkpoint-blocked",
                                 tile=m, group=group.group_id, index=index)
                 continue
-            self.queue.schedule(now + duration, Simulation._on_checksums_ready,
+            self.queue.schedule(now + ready, Simulation._on_checksums_ready,
                                 group.group_id, index, m)
         ctx.deadline_entry = self.queue.schedule(
             now + group.comparison_deadline, Simulation._resolve_checkpoint,
@@ -616,9 +614,8 @@ class Simulation:
     def propagate_state(self, group: TileGroup, ctx: GroupCheckpoint, writers: list[str]):
         """Schedule the synchronization callbacks of every healthy writer
         that saw the mismatch (or was asked to donate)."""
-        duration = lockstep.sync_duration(group.threads, self.scenario.costs.context_switch)
         for w in writers:
-            self.queue.schedule(self.queue.now + duration, Simulation._on_sync_written,
+            self.queue.schedule(self.queue.now + group.sync_time, Simulation._on_sync_written,
                                 group.group_id, ctx.index, w)
 
     def _on_sync_written(self, group_id: str, index: int, tile_id: str):
@@ -1188,7 +1185,7 @@ class Simulation:
         group = TileGroup(gid, list(entry.tiles), [entry.tg_id],
                           period_factor=entry.period_factor,
                           correction_enabled=len(entry.tiles) >= 3)
-        group.bind(tg.threads)
+        group.bind(tg.threads, self.scenario.costs.context_switch)
         self.groups[gid] = group
 
         if donor_id is None:
@@ -1232,7 +1229,8 @@ class Simulation:
         works out its timing again."""
         base = group.base_period
         group.bind([spec for tg_id in group.thread_groups
-                    for spec in self.thread_groups[tg_id].threads])
+                    for spec in self.thread_groups[tg_id].threads],
+                   self.scenario.costs.context_switch)
         if group.base_period == base:
             return
         for m in group.members:

@@ -71,19 +71,21 @@ class TileGroup:
     grace_period: int = 0
     delay: int = 0               # checksum deferral of each round
     output_threads: list[str] = field(default_factory=list)
-    # (thread id, checkpoint period // base period, checksum cost), in order
+    # (thread id, checkpoint period // base period, checksum time), in order
     schedule: list[tuple[str, int, int]] = field(default_factory=list)
+    sync_time: int = 0           # a donor's state write of every thread
 
     def __post_init__(self):
         self.target_size = len(self.members)
 
-    def bind(self, threads: list[ThreadSpec]):
+    def bind(self, threads: list[ThreadSpec], context_switch: int):
         """Run `threads`, in the order given, and work out the group's timing
         from them. The base period is the shortest checkpoint period, the
         comparison deadline 10% of it (at least 1), the grace period twice
         the summed update cost, and the checksum deferral the longest
         viable delay, capped at the deadline. The output threads are the
-        ids of the threads that emit output, in order."""
+        ids of the threads that emit output, in order. A thread's checksum
+        and its state write each cost one context switch on top."""
         if not threads:
             raise ValueError(f"group {self.group_id}: no threads to run")
         self.threads = list(threads)
@@ -93,28 +95,24 @@ class TileGroup:
         self.delay = min(max(s.viable_delay for s in threads), self.comparison_deadline)
         self.output_threads = [s.thread_id for s in threads if s.emits_output]
         self.schedule = [(s.thread_id, max(1, s.checkpoint_period // self.base_period),
-                          s.checksum_cost) for s in threads]
+                          s.checksum_cost + context_switch) for s in threads]
+        self.sync_time = sum(s.sync_cost + context_switch for s in threads)
 
     @property
     def period(self) -> int:
         return self.base_period * self.period_factor
 
-    def checked(self, index: int) -> list[ThreadSpec]:
-        """Threads validated at checkpoint `index`: each thread every
-        period // base_period checkpoints of this group."""
-        base = self.base_period
-        return [s for s in self.threads if index % max(1, s.checkpoint_period // base) == 0]
-
     def plan(self, index: int) -> tuple[list[str], int]:
-        """The ids of the threads validated at checkpoint `index`, as
-        `checked` gives them for the base period `bind` worked out, and the
-        sum of their checksum costs."""
-        ids, cost = [], 0
-        for tid, ratio, checksum_cost in self.schedule:
+        """The ids of the threads validated at checkpoint `index`, each
+        every checkpoint period // base period checkpoints of this group,
+        and the time from the round's start until their checksums are
+        ready: the deferral plus each one's checksum time."""
+        ids, ready = [], self.delay
+        for tid, ratio, checksum_time in self.schedule:
             if index % ratio == 0:
                 ids.append(tid)
-                cost += checksum_cost
-        return ids, cost
+                ready += checksum_time
+        return ids, ready
 
 
 @dataclass

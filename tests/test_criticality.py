@@ -2,9 +2,9 @@ from fractions import Fraction
 from itertools import combinations
 
 from tilesim.criticality import (
-    DEACTIVATE, MODE_DEACTIVATED, MODE_DETECT_ONLY, MODE_FULL,
-    REDUCE_FREQUENCY, REDUCE_REPLICAS, AllocRequest, CriticalityPolicy, Plan,
-    apply_degradation, group_utilization, reallocate, utilization,
+    DEACTIVATE, FREQUENCY_FACTOR, MAX_PERIOD_FACTOR, MODE_DEACTIVATED, MODE_DETECT_ONLY,
+    MODE_FULL, REDUCE_FREQUENCY, REDUCE_REPLICAS, AllocRequest, CriticalityPolicy, Plan,
+    group_utilization, reallocate, utilization,
 )
 from tilesim.engine import RandomStream
 from tilesim.workload import ThreadSpec
@@ -72,13 +72,30 @@ def test_thread_migration_example():
     assert d.mode == MODE_DETECT_ONLY
 
 
-def test_lever_floors_and_order():
-    pol = POLICY
-    assert apply_degradation(pol, REDUCE_REPLICAS, 3, 1) == (2, 1)
-    assert apply_degradation(pol, REDUCE_REPLICAS, 2, 1) is None   # at floor
-    assert apply_degradation(pol, REDUCE_FREQUENCY, 2, 1) == (2, 2)
-    assert apply_degradation(pol, REDUCE_FREQUENCY, 2, 8) is None  # at cap
-    assert apply_degradation(pol, DEACTIVATE, 2, 8) == (0, 8)
+def assert_degradation_ladder(plan, reqs, policy):
+    """Each entry's levers read as replica steps, then frequency steps, then
+    at most one deactivation, and each step is taken only once the one
+    before it is at its floor: the low class minimum, then
+    MAX_PERIOD_FACTOR."""
+    by_id = {r.tg_id: r for r in reqs}
+    rank = {REDUCE_REPLICAS: 0, REDUCE_FREQUENCY: 1, DEACTIVATE: 2}
+    for e in plan.entries:
+        req, levers = by_id[e.tg_id], list(e.levers)
+        assert [rank[lv] for lv in levers] == sorted(rank[lv] for lv in levers)
+        assert levers.count(DEACTIVATE) <= 1
+        replicas = (max(policy.class_min(req.criticality), len(req.current_tiles))
+                    - levers.count(REDUCE_REPLICAS))
+        assert replicas >= policy.min_replicas_low
+        steps = levers.count(REDUCE_FREQUENCY)
+        assert e.period_factor == req.period_factor * FREQUENCY_FACTOR ** steps
+        assert e.period_factor <= MAX_PERIOD_FACTOR
+        if steps or DEACTIVATE in levers:
+            assert replicas == policy.min_replicas_low
+        if DEACTIVATE in levers:
+            assert e.period_factor * FREQUENCY_FACTOR > MAX_PERIOD_FACTOR
+            assert e.mode == MODE_DEACTIVATED
+        else:
+            assert len(e.tiles) == replicas
 
 
 def test_frequency_lever_fires_before_deactivation():
@@ -91,6 +108,7 @@ def test_frequency_lever_fires_before_deactivation():
     assert entry.active
     assert entry.period_factor == 2
     assert REDUCE_FREQUENCY in entry.levers
+    assert_degradation_ladder(plan, reqs, POLICY)
 
 
 def test_saturation_deactivates_lowest_first():
@@ -271,6 +289,7 @@ def test_greedy_matches_brute_force_on_degraded_instances():
         if not reqs:
             continue
         plan = reallocate(tiles, reqs, policy)
+        assert_degradation_ladder(plan, reqs, policy)
         greedy = plan_high_count(plan, reqs, policy)
         optimal = brute_force_high_count(tiles, reqs, policy)
         assert greedy == optimal, f"trial {trial}: greedy {greedy} != optimal {optimal}"
@@ -282,6 +301,7 @@ def test_greedy_never_beats_brute_force():
     # sanity bound on fully random (not deployment-shaped) instances
     rng = RandomStream(99, "alloc-bound")
     policy = CriticalityPolicy(min_replicas_high=3, min_replicas_low=2, high_threshold=6)
+    levers = set()
     for _ in range(200):
         n_tiles = rng.uniform_range(3, 4)
         tile_ids = [f"C{i}" for i in range(n_tiles)]
@@ -293,3 +313,6 @@ def test_greedy_never_beats_brute_force():
                                 work=rng.uniform_range(10, 50)))
         plan = reallocate(tiles, reqs, policy)
         assert plan_high_count(plan, reqs, policy) <= brute_force_high_count(tiles, reqs, policy)
+        assert_degradation_ladder(plan, reqs, policy)
+        levers.update(lv for e in plan.entries for lv in e.levers)
+    assert levers == {REDUCE_REPLICAS, REDUCE_FREQUENCY, DEACTIVATE}

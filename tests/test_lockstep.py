@@ -2,12 +2,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilesim.lockstep import (
-    AGREE, DISAGREE, MISS, CheckpointReport, checksum_duration, compare_with_siblings,
-    sync_duration, unanimous_reports, vote_outputs,
+    AGREE, DISAGREE, MISS, CheckpointReport, compare_with_siblings, unanimous_reports,
+    vote_outputs,
 )
 from tilesim.supervisor import arbitrate
-from tilesim.tiles import TileGroup
-from tilesim.workload import ThreadSpec
 
 
 def test_all_agree():
@@ -222,24 +220,6 @@ def test_unanimous_reports_only_where_the_general_path_agrees(case):
     reports = unanimous_reports(members, written_at, deadline_at, rows, blocked)
     if reports is not None:
         assert reports == {me: compare_with_siblings(me, *case[1:]) for me in members}
-
-
-def test_checked_threads_modular_schedule():
-    group = TileGroup("G1", ["C0"], ["TG"])
-    group.bind([ThreadSpec("Ta", 1, 1000), ThreadSpec("Tb", 1, 3000)])
-    hits = [i for i in range(9) if "Tb" in [s.thread_id for s in group.checked(i)]]
-    assert hits == [0, 3, 6]
-    assert all(group.checked(i)[0].thread_id == "Ta" for i in range(9))
-    group.base_period = 3000   # the divisor follows the group's own base
-    assert [len(group.checked(i)) for i in range(3)] == [2, 2, 2]
-
-
-def test_checkpoint_cost_accounting():
-    specs = [ThreadSpec("Ta", 1, 1000, checksum_cost=10, sync_cost=15),
-             ThreadSpec("Tb", 1, 1000, checksum_cost=10, sync_cost=15)]
-    assert checksum_duration(specs, 2) == 2 * (10 + 2)
-    assert sync_duration(specs, 2) == 2 * (15 + 2)
-    assert checksum_duration([], 2) == sync_duration([], 2) == 0
 
 
 def test_vote_three_identical():

@@ -179,6 +179,13 @@ def test_checkpoint_cost_must_fit_deadline():
         parse_scenario(doc)
     assert err.value.problems == [
         "tile_groups[0]: checkpoint cost 502 exceeds comparison deadline 100"]
+    # the viable delay counts uncapped, though the round defers by at most 100
+    doc = minimal_doc()
+    doc["threads"][0]["viable_delay"] = 150
+    with pytest.raises(ScenarioError) as err:
+        parse_scenario(doc)
+    assert err.value.problems == [
+        "tile_groups[0]: checkpoint cost 162 exceeds comparison deadline 100"]
 
 
 def test_spare_tile_cannot_be_a_member():

@@ -101,8 +101,8 @@ def test_spare_and_defunct_host_nothing():
 def test_tile_group_invariants():
     g = TileGroup("G1", members=["C0", "C1", "C2"], thread_groups=["TG1"])
     with pytest.raises(ValueError):
-        g.bind([])              # no threads, no base period
-    g.bind([ThreadSpec("Ta", 1, 1000, update_cost=30)])
+        g.bind([], 2)           # no threads, no base period
+    g.bind([ThreadSpec("Ta", 1, 1000, update_cost=30)], 2)
     assert (g.comparison_deadline, g.grace_period) == (100, 60)
     assert g.target_size == 3
     assert g.period == 1000
@@ -114,14 +114,33 @@ def test_bind_works_out_the_round_plan_again():
     # the checksum deferral and the output threads follow the bound threads
     g = TileGroup("G1", members=["C0", "C1", "C2"], thread_groups=["TG1"])
     quiet = ThreadSpec("Tb", 1, 1000)
-    g.bind([ThreadSpec("Ta", 1, 1000, emits_output=True, viable_delay=30), quiet])
+    g.bind([ThreadSpec("Ta", 1, 1000, emits_output=True, viable_delay=30), quiet], 2)
     assert (g.delay, g.output_threads) == (30, ["Ta"])
-    g.bind([quiet])
+    g.bind([quiet], 2)
     assert (g.delay, g.output_threads) == (0, [])
     # the deferral is capped at the comparison deadline, 100 here
     g.bind([ThreadSpec("Tc", 1, 1000, emits_output=True, viable_delay=300), quiet,
-            ThreadSpec("Td", 1, 1000, emits_output=True)])
+            ThreadSpec("Td", 1, 1000, emits_output=True)], 2)
     assert (g.delay, g.output_threads) == (100, ["Tc", "Td"])
+
+
+def test_checked_threads_modular_schedule():
+    # Tb is checked every 3000 // 1000 rounds, Ta every round, in bind order
+    group = TileGroup("G1", ["C0"], ["TG"])
+    group.bind([ThreadSpec("Ta", 1, 1000), ThreadSpec("Tb", 1, 3000)], 2)
+    checked = [group.plan(i)[0] for i in range(9)]
+    assert [i for i in range(9) if "Tb" in checked[i]] == [0, 3, 6]
+    assert all(ids[0] == "Ta" for ids in checked)
+
+
+def test_checkpoint_cost_accounting():
+    # a checksum and a state write each cost one context switch on top
+    group = TileGroup("G1", ["C0"], ["TG"])
+    group.bind([ThreadSpec("Ta", 1, 1000, checksum_cost=10, sync_cost=15, viable_delay=30),
+                ThreadSpec("Tb", 1, 2000, checksum_cost=20, sync_cost=15)], 2)
+    assert group.plan(0) == (["Ta", "Tb"], 30 + (10 + 2) + (20 + 2))
+    assert group.plan(1) == (["Ta"], 30 + (10 + 2))
+    assert group.sync_time == 2 * (15 + 2)
 
 
 def test_run_window_split_advance_is_exact():
