@@ -98,6 +98,32 @@ def assert_degradation_ladder(plan, reqs, policy):
             assert len(e.tiles) == replicas
 
 
+def test_lever_floors_and_order():
+    rr, rf, off = REDUCE_REPLICAS, REDUCE_FREQUENCY, DEACTIVATE
+    # a replica fewer is enough: the frequency lever stays unused
+    tiles = {"C0": Fraction(100), "C1": Fraction(100), "C2": Fraction(10)}
+    reqs = [request("TG-a", 2, ("C0", "C1", "C2"))]
+    entry = reallocate(tiles, reqs, POLICY).entry("TG-a")
+    assert (entry.levers, entry.tiles, entry.period_factor) == ((rr,), ("C0", "C1"), 1)
+    # at the replica floor the period doubles up to its cap, then the group goes
+    tiles = {"C0": Fraction(100), "C1": Fraction(10)}
+    reqs = [request("TG-a", 2, ("C0", "C1"))]
+    entry = reallocate(tiles, reqs, POLICY).entry("TG-a")
+    assert entry.levers == (rf, rf, rf, off)
+    assert (entry.period_factor, entry.mode) == (MAX_PERIOD_FACTOR, MODE_DEACTIVATED)
+    # already at the period cap: deactivation is the only step left
+    reqs = [request("TG-a", 2, ("C0", "C1"), factor=MAX_PERIOD_FACTOR)]
+    entry = reallocate(tiles, reqs, POLICY).entry("TG-a")
+    assert (entry.levers, entry.period_factor) == ((off,), MAX_PERIOD_FACTOR)
+    # the whole ladder, in order, for a high group that fits nowhere
+    tiles = {f"C{i}": Fraction(10) for i in range(3)}
+    reqs = [request("TG-hi", 9, ("C0", "C1", "C2"))]
+    plan = reallocate(tiles, reqs, POLICY)
+    assert plan.entry("TG-hi").levers == (rr, rf, rf, rf, off)
+    assert plan.entry("TG-hi").loss_of_capability
+    assert_degradation_ladder(plan, reqs, POLICY)
+
+
 def test_frequency_lever_fires_before_deactivation():
     # one tile short on capacity: halving the frequency shrinks the
     # checkpoint share enough to fit
