@@ -98,16 +98,25 @@ def unanimous_reports(
     the deadline, and every row is equal with no missing entry. Each
     member's `compare_with_siblings` then affirms every sibling and
     completes when the last member wrote: that is built here directly,
-    without walking siblings. `written_at` holds members only.
+    without walking siblings. `written_at` holds members only. Each report
+    gets its own verdicts dict.
     """
     if reads_blocked or len(written_at) != len(members):
         return None
     completed = max(written_at.values())
     first = rows[members[0]]
-    if completed > deadline_at or None in first or any(rows[m] != first for m in members):
+    if completed > deadline_at or None in first:
         return None
-    return {me: CheckpointReport({sib: AGREE for sib in members if sib != me}, completed)
-            for me in members}
+    for m in members:
+        if rows[m] != first:
+            return None
+    agree = dict.fromkeys(members, AGREE)
+    reports = {}
+    for me in members:
+        verdicts = agree.copy()
+        del verdicts[me]
+        reports[me] = CheckpointReport(verdicts, completed)
+    return reports
 
 
 @dataclass

@@ -60,17 +60,9 @@ class GroupCheckpoint:
     # content, never by tile id, and die with the checkpoint: nothing is
     # shared between checkpoints or runs. Equal replicas get one advanced
     # state object, which is safe because a ThreadState never changes.
+    # (thread id, words, cycle_counter, cycles) -> the state advanced by cycles
     advanced: dict[tuple, workload.ThreadState] = field(default_factory=dict)
     checksums: dict[tuple, int] = field(default_factory=dict)   # (words, cycle_counter) -> checksum
-
-    def advance(self, ts: workload.ThreadState, cycles: int) -> workload.ThreadState:
-        """`ts` advanced by `cycles` work cycles."""
-        key = (ts.spec.thread_id, ts.state, ts.cycle_counter, cycles)
-        done = self.advanced.get(key)
-        if done is None:
-            done = self.advanced[key] = workload.execute_slice(
-                ts, cycles * ts.spec.work_per_tick)
-        return done
 
     def checksum(self, ts: workload.ThreadState) -> int:
         key = (ts.state, ts.cycle_counter)
@@ -173,10 +165,6 @@ class Simulation:
             for spec in self.thread_groups[tg_id].threads:
                 if spec.thread_id not in tile.threads:
                     tile.threads[spec.thread_id] = self.initial_states[spec.thread_id]
-
-    def _participants(self, group: TileGroup) -> list[str]:
-        return [m for m in group.members
-                if self.tiles[m].status in (ACTIVE, SUSPECT)]
 
     # ------------------------------------------------------------------
     # run loop
@@ -316,10 +304,11 @@ class Simulation:
 
     def start_checkpoint(self, group: TileGroup, trigger: str):
         now = self.queue.now
+        tiles = self.tiles
         self._cancel_timer(group.group_id)
         group.checkpoint_index += 1
         index = group.checkpoint_index
-        participants = self._participants(group)
+        participants = [m for m in group.members if tiles[m].status in (ACTIVE, SUSPECT)]
         checked, ready = group.plan(index)
         ctx = GroupCheckpoint(
             index=index, t0=now,
@@ -337,10 +326,14 @@ class Simulation:
             return
 
         for m in participants:
-            tile = self.tiles[m]
-            threads = tile.threads
+            tile = tiles[m]
+            threads, windows = tile.threads, tile.windows
             blocked = tile.sefi is not None
-            self._pause_tile_groups(tile, group, ctx)
+            for tg_id in group.thread_groups:
+                win = windows.get(tg_id)
+                if win and win.running:
+                    self._advance_window(tile, tg_id, now, ctx)
+                    win.running = False
             if tile.status == ACTIVE:
                 ctx.boundary[m] = {tid: threads[tid] for tid in ctx.checked}
                 if not blocked:
@@ -356,30 +349,34 @@ class Simulation:
             now + group.comparison_deadline, Simulation._resolve_checkpoint,
             group.group_id, index)
 
-    def _pause_tile_groups(self, tile: Tile, group: TileGroup, ctx: GroupCheckpoint):
-        windows = tile.windows
-        for tg_id in group.thread_groups:
-            win = windows.get(tg_id)
-            if win and win.running:
-                self._advance_window(tile, tg_id, ctx.t0, ctx)
-                win.running = False
-
     def _advance_window(self, tile: Tile, tg_id: str, now: int,
                         ctx: Optional[GroupCheckpoint] = None):
-        """Run the window's threads up to `now`, through `ctx`'s memo if given."""
+        """Run the window's threads up to `now`, through `ctx`'s memo if given.
+
+        A thread runs one work cycle each time another `work_per_tick` ticks
+        have passed since the window's epoch, so an advance split at any
+        instants runs the same cycles as one whole advance."""
         win = tile.windows.get(tg_id)
         if win is None or not win.running or now <= win.advanced_to:
             return
         threads = tile.threads
+        memo = None if ctx is None else ctx.advanced
+        ran, done = now - win.epoch, win.advanced_to - win.epoch
         slipped = False
         for spec in self.thread_groups[tg_id].threads:
-            cycles = win.cycles(now, spec.work_per_tick)
+            work_per_tick = spec.work_per_tick
+            cycles = ran // work_per_tick - done // work_per_tick
             if cycles:
                 tid = spec.thread_id
-                if ctx is None:
-                    ts = workload.execute_slice(threads[tid], cycles * spec.work_per_tick)
+                ts = threads[tid]
+                if memo is None:
+                    ts = workload.execute_slice(ts, cycles * work_per_tick)
                 else:
-                    ts = ctx.advance(threads[tid], cycles)
+                    key = (tid, ts.state, ts.cycle_counter, cycles)
+                    ahead = memo.get(key)
+                    if ahead is None:
+                        ahead = memo[key] = workload.execute_slice(ts, cycles * work_per_tick)
+                    ts = ahead
                 if tile.persist_corrupt:
                     ts = workload.flip_bits(ts, 0, [mix64(tile.noise_seed ^ ts.cycle_counter) | 1])
                     slipped = True
@@ -416,8 +413,15 @@ class Simulation:
             self.trace.emit(now, tile.tile_id, "validation-write-lost",
                             tile=tile.tile_id, group=group.group_id, index=ctx.index)
             return
-        checksum, threads = ctx.checksum, tile.threads
-        ctx.rows[tile.tile_id] = tuple([checksum(threads[tid]) for tid in ctx.checked])
+        memo, threads, row = ctx.checksums, tile.threads, []
+        for tid in ctx.checked:
+            ts = threads[tid]
+            key = (ts.state, ts.cycle_counter)
+            checksum = memo.get(key)
+            if checksum is None:
+                checksum = memo[key] = workload.checksum_callback(ts)
+            row.append(checksum)
+        ctx.rows[tile.tile_id] = tuple(row)
         ctx.written[tile.tile_id] = now
         self.trace.emit(now, tile.tile_id, "validation-write",
                         tile=tile.tile_id, group=group.group_id, index=ctx.index,
@@ -461,12 +465,15 @@ class Simulation:
                                     tile=m, group=group_id, index=index)
                     continue
             ctx.reports[m] = report
+            # the report is built for this round and never changed, so the
+            # record can hold its verdicts as they are
             self.trace.emit(now, m, "checkpoint-report",
                             tile=m, group=group_id, index=index,
-                            verdicts=dict(report.verdicts),
+                            verdicts=report.verdicts,
                             completed_at=report.completed_at)
 
-        self._vote_outputs(group, ctx)
+        if ctx.outputs:
+            self._vote_outputs(group, ctx)
         self._oracle_check(group, ctx)
 
         if not ctx.reports:
@@ -529,41 +536,48 @@ class Simulation:
         Participants with equal boundary states form one class, found by
         comparing against one representative per class; replicas that no
         fault hit hold the very same state objects. A pair within a class
-        cannot diverge, so only pairs across classes are looked at."""
-        classes: dict[str, int] = {}
+        cannot diverge, so only pairs across classes are looked at, and
+        their divergences are written in participant order, pair by pair."""
+        boundary, reports = ctx.boundary, ctx.reports
+        class_of: dict[str, int] = {}
         representatives: list[dict] = []
-        for m, states in ctx.boundary.items():
+        for m, states in boundary.items():
             for k, rep in enumerate(representatives):
                 if states == rep:
-                    classes[m] = k
+                    class_of[m] = k
                     break
             else:
-                classes[m] = len(representatives)
+                class_of[m] = len(representatives)
                 representatives.append(states)
         if len(representatives) < 2:
             return  # no pair diverged
+        # each class's reporting participants, as (position, tile) in order
+        classes: list[list[tuple[int, str]]] = [[] for _ in representatives]
+        for i, m in enumerate(ctx.participants):
+            k = class_of.get(m)
+            if k is not None and m in reports:
+                classes[k].append((i, m))
+        agreed = []
+        for k, ours in enumerate(classes):
+            for theirs in classes[k + 1:]:
+                for i, a in ours:
+                    verdicts_a = reports[a].verdicts
+                    for j, b in theirs:
+                        if (verdicts_a.get(b) == lockstep.AGREE
+                                and reports[b].verdicts.get(a) == lockstep.AGREE):
+                            agreed.append((i, j, a, b) if i < j else (j, i, b, a))
+        if not agreed:
+            return
+        agreed.sort()
         now = self.queue.now
-        for i, a in enumerate(ctx.participants):
-            ca = classes.get(a)
-            if ca is None:
-                continue
-            for b in ctx.participants[i + 1:]:
-                cb = classes.get(b)
-                if cb is None or cb == ca:
-                    continue
-                ra, rb = ctx.reports.get(a), ctx.reports.get(b)
-                if not ra or not rb:
-                    continue
-                if (ra.verdicts.get(b) != lockstep.AGREE
-                        or rb.verdicts.get(a) != lockstep.AGREE):
-                    continue
-                sa, sb = ctx.boundary[a], ctx.boundary[b]
-                for tid in ctx.checked:
-                    if sa.get(tid) != sb.get(tid):
-                        self.oracle_divergences += 1
-                        self.trace.emit(now, "oracle", "oracle-divergence",
-                                        group=group.group_id, index=ctx.index,
-                                        thread=tid, tiles=[a, b])
+        for _, _, a, b in agreed:
+            sa, sb = boundary[a], boundary[b]
+            for tid in ctx.checked:
+                if sa.get(tid) != sb.get(tid):
+                    self.oracle_divergences += 1
+                    self.trace.emit(now, "oracle", "oracle-divergence",
+                                    group=group.group_id, index=ctx.index,
+                                    thread=tid, tiles=[a, b])
 
     # -- checkpoint outcomes ------------------------------------------------
 
@@ -588,24 +602,23 @@ class Simulation:
 
     def _finish_checkpoint(self, group: TileGroup, ctx: GroupCheckpoint, result: str):
         now = self.queue.now
-        tiles = self.tiles
         ctx.completed = True
-        self.trace.emit(now, group.group_id, "checkpoint-end",
-                        group=group.group_id, index=ctx.index,
-                        duration=now - ctx.t0, result=result,
-                        tiles=[m for m in group.members if tiles[m].is_member])
-        self._resume_group(group, now)
-        self._arm_timer(group, now + group.period)
-
-    def _resume_group(self, group: TileGroup, now: int):
+        # list the members and resume the running ones' windows in one pass
+        members = []
         for m in group.members:
             tile = self.tiles[m]
-            windows = tile.windows
-            if tile.status == ACTIVE and windows:
-                for tg_id in group.thread_groups:
-                    win = windows.get(tg_id)
-                    if win:
-                        win.resume(now)
+            if tile.is_member:
+                members.append(m)
+                if tile.status == ACTIVE:
+                    windows = tile.windows
+                    for tg_id in group.thread_groups:
+                        win = windows.get(tg_id)
+                        if win:
+                            win.resume(now)
+        self.trace.emit(now, group.group_id, "checkpoint-end",
+                        group=group.group_id, index=ctx.index,
+                        duration=now - ctx.t0, result=result, tiles=members)
+        self._arm_timer(group, now + group.period)
 
     def _enter_grace(self, group: TileGroup, ctx: GroupCheckpoint):
         self.queue.schedule(self.queue.now + group.grace_period,

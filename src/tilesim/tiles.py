@@ -122,6 +122,7 @@ class RunWindow:
     Work cycles happen at absolute boundary crossings relative to the
     group-synchronized epoch, so interrupting an advance mid-window (to
     inject a fault) splits it without losing or double-counting cycles.
+    `Simulation._advance_window` counts the crossings.
     """
     epoch: int = 0
     advanced_to: int = 0
@@ -132,11 +133,6 @@ class RunWindow:
         self.advanced_to = now
         self.running = True
 
-    def cycles(self, now: int, work_per_tick: int) -> int:
-        if not self.running or now <= self.advanced_to:
-            return 0
-        return (now - self.epoch) // work_per_tick - (self.advanced_to - self.epoch) // work_per_tick
-
 
 class Tile:
     def __init__(self, tile_id: str, partition: str):
@@ -146,6 +142,9 @@ class Tile:
         self.noise_seed = int.from_bytes(
             hashlib.blake2b(tile_id.encode(), digest_size=8).digest(), "little")
         self.status = BOOTING
+        # Lockstepping siblings expect a report from a member: a tile that
+        # is Active, Suspect or Updating. `set_status` keeps this in step.
+        self.is_member = False
         self.sefi: Optional[int] = None      # id of the SEFI fault blocking the interface
         self.persist_corrupt = False         # active fabric damage under this tile's footprint
         self.threads: dict[str, ThreadState] = {}
@@ -158,10 +157,6 @@ class Tile:
         if new not in allowed:
             raise InvalidTransition(f"{self.tile_id}: {self.status} -> {new}")
         self.status = new
+        self.is_member = new in (ACTIVE, SUSPECT, UPDATING)
         if new in (DEFUNCT, IDLE_SPARE, REBOOTING):
             self.windows.clear()
-
-    @property
-    def is_member(self) -> bool:
-        """Lockstepping siblings expect a report from this tile."""
-        return self.status in (ACTIVE, SUSPECT, UPDATING)

@@ -1,0 +1,63 @@
+"""How many Python calls does a run of the simulator make?
+
+    python3 tests/round_calls.py [--seed N]
+
+Wall time on a shared host drifts by up to 50% between runs, but the number
+of Python-level calls a run makes does not, so it is a cost figure that two
+trees can be compared by. This script builds the documents of two
+benchmark workloads with `bench/workloads.py` (read as they are, never
+edited): the one `mission-long` run (`fig3` without faults at horizon 1e6)
+and the first 200 `mc-trial` trials. It parses each document outside the
+profiler, then counts with `cProfile` the calls of building the
+`Simulation` and running it, and prints the calls per run of each workload.
+The counts are the same at every seed of a fault-free `mission-long`.
+
+It needs only the standard library, and pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import cProfile
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MC_TRIALS = 200
+
+
+def count_calls(scenarios: list) -> int:
+    """The Python calls made building and running each scenario, summed."""
+    from tilesim.simulation import Simulation
+
+    profile = cProfile.Profile()
+    for sc in scenarios:
+        profile.enable()
+        Simulation(sc).run()
+        profile.disable()
+    # One entry per code object. `pstats` keys functions by file, line and
+    # name, and so keeps one of the `__init__`s that `dataclasses` generates
+    # alike at "<string>", line 2, dropping the others' calls.
+    return sum(entry.callcount for entry in profile.getstats())
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, str(ROOT / "src"))
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    for name, docs in (("mission-long", workloads.mission_docs(args.seed)),
+                       ("mc-trial", workloads.mc_docs(args.seed)[:MC_TRIALS])):
+        total = count_calls([workloads.parse(doc) for doc in docs])
+        print(f"{name:<13} runs {len(docs):>4}  calls {total:>9}  "
+              f"calls/run {round(total / len(docs)):>7}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

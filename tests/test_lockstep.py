@@ -213,6 +213,20 @@ def test_unanimous_reports_equal_the_general_path(case, data):
     assert unanimous_reports(*case, reads_blocked=True) is None
 
 
+def test_unanimous_reports_own_their_verdicts():
+    members = ["C0", "C1", "C2", "C3"]
+    args = (members, dict.fromkeys(members, 5), 10, dict.fromkeys(members, (1, 2)))
+    fresh = unanimous_reports(*args)
+    for me in members:
+        reports = unanimous_reports(*args)
+        reports[me].verdicts.clear()
+        for other in members:
+            if other != me:
+                assert reports[other] == fresh[other]
+        assert reports[me] != fresh[me]
+    assert len({id(r.verdicts) for r in fresh.values()}) == len(members)
+
+
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(comparisons())
 def test_unanimous_reports_only_where_the_general_path_agrees(case):

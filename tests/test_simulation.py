@@ -272,17 +272,23 @@ def test_oracle_by_class_matches_all_pairs(monkeypatch, make, seed):
 # -- per-checkpoint memo: shared work, and a fault stays on its tile ---------------
 
 def test_checkpoint_memo_hit_survives_a_flip_of_an_earlier_result():
-    spec = workload.ThreadSpec("Ta", 5, 1000, work_per_tick=50)
-    ctx = GroupCheckpoint(index=1, t0=0, participants=["C0", "C1"],
-                          members=["C0", "C1"], checked=["Ta"])
-    a = ctx.advance(workload.init_thread(spec), 7)
-    b = ctx.advance(workload.init_thread(spec), 7)
-    assert len(ctx.advanced) == 1
+    # three replicas run from t=0 to the round's pause at t=350, 7 cycles
+    sim = Simulation(parse_scenario(make_doc()))
+    c0, c1, c2 = (sim.tiles[m] for m in ("C0", "C1", "C2"))
+    ctx = GroupCheckpoint(index=1, t0=350, participants=["C0", "C1", "C2"],
+                          members=["C0", "C1", "C2"], checked=["Ta", "Tb"])
+    for tile in (c0, c1, c2):
+        sim._join(tile, sim.groups["G1"], 0)
+    sim._advance_window(c0, "TG1", 350, ctx)
+    sim._advance_window(c1, "TG1", 350, ctx)
+    assert len(ctx.advanced) == 2  # one entry per thread, not per tile
+    a, b = c0.threads["Ta"], c1.threads["Ta"]
     assert a is b
     assert a.cycle_counter == 7
-    a = workload.flip_bits(a, 0, [1])
+    a = c0.threads["Ta"] = workload.flip_bits(a, 0, [1])
     assert b.state != a.state
-    assert ctx.advance(workload.init_thread(spec), 7) == b
+    sim._advance_window(c2, "TG1", 350, ctx)
+    assert c2.threads["Ta"] is b
     assert ctx.checksum(a) != ctx.checksum(b)
     assert len(ctx.checksums) == 2
 

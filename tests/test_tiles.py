@@ -5,7 +5,7 @@ from tilesim.scenario import parse_scenario
 from tilesim.simulation import Simulation
 from tilesim.tiles import (
     ACTIVE, BOOTING, DEFUNCT, IDLE_SPARE, REBOOTING, SUSPECT, UPDATING,
-    InvalidTransition, RunWindow, Tile, TileGroup,
+    TRANSITIONS, InvalidTransition, RunWindow, Tile, TileGroup,
 )
 from tilesim.workload import ThreadSpec
 from trace_corpus import shared_tile_doc
@@ -144,14 +144,46 @@ def test_checkpoint_cost_accounting():
 
 
 def test_run_window_split_advance_is_exact():
-    # advancing in arbitrary sub-intervals must count the same work cycles
-    # as one whole advance, for any work_per_tick
-    whole = RunWindow()
-    whole.resume(100)
-    split = RunWindow()
-    split.resume(100)
-    total = 0
+    # advancing in arbitrary sub-intervals must run the same work cycles as
+    # one whole advance, for any work_per_tick
+    doc = shared_tile_doc(0, 3)
+    doc["threads"][0]["work_per_tick"] = 25   # Ta; Tb keeps 100
+    sim = Simulation(parse_scenario(doc))
+    whole, split = sim.tiles["C0"], sim.tiles["C1"]
+    for tile in (whole, split):
+        sim._join(tile, sim.groups["G1"], 100)
     for stop in (117, 118, 250, 333, 901):
-        total += split.cycles(stop, 25)
-        split.advanced_to = stop
-    assert total == whole.cycles(901, 25)
+        sim._advance_window(split, "TG-ab", stop)
+    sim._advance_window(whole, "TG-ab", 901)
+    assert split.threads == whole.threads
+    assert [whole.threads[tid].cycle_counter for tid in ("Ta", "Tb")] == [801 // 25, 801 // 100]
+    assert split.windows["TG-ab"].advanced_to == 901
+
+
+MEMBER_STATUSES = {ACTIVE, SUSPECT, UPDATING}
+
+# allowed transitions that take a fresh (booting) tile to each status
+PATH_FROM_BOOT = {
+    BOOTING: [], ACTIVE: [ACTIVE], IDLE_SPARE: [IDLE_SPARE], DEFUNCT: [DEFUNCT],
+    SUSPECT: [ACTIVE, SUSPECT], UPDATING: [ACTIVE, SUSPECT, UPDATING],
+    REBOOTING: [ACTIVE, REBOOTING],
+}
+
+
+@pytest.mark.parametrize("source, target", sorted(
+    (source, target) for source, targets in TRANSITIONS.items() for target in targets))
+def test_is_member_follows_every_transition(source, target):
+    tile = Tile("C0", "p0")
+    assert tile.status == BOOTING and not tile.is_member
+    for step in PATH_FROM_BOOT[source]:
+        tile.set_status(step)
+        assert tile.is_member == (step in MEMBER_STATUSES)
+    tile.set_status(target)
+    assert tile.is_member == (target in MEMBER_STATUSES)
+    # a refused transition leaves status and membership as they were
+    refused = sorted(set(TRANSITIONS) - TRANSITIONS[target] - {target})
+    if refused:
+        with pytest.raises(InvalidTransition):
+            tile.set_status(refused[0])
+        assert tile.status == target
+        assert tile.is_member == (target in MEMBER_STATUSES)
