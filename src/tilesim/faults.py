@@ -10,7 +10,8 @@ random stream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .engine import EventQueue, RandomStream
@@ -210,9 +211,12 @@ def generate(
     profile: FaultProfile,
     horizon: int,
     stream: RandomStream,
-    space: TargetSpace,
+    space: Optional[TargetSpace],
 ) -> list[FaultEvent]:
-    """Merge explicit script events with Poisson arrivals per fault kind."""
+    """Merge explicit script events with Poisson arrivals per fault kind.
+
+    `space` may be None when no kind has a positive rate: only generated
+    faults pick a target."""
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
     events: list[FaultEvent] = []
@@ -238,7 +242,7 @@ def generate(
                         ev.masks = (ev.masks[0], _nonzero_mask(stream))
                 events.append(ev)
     # copies: the run numbers its faults, the scenario keeps its own
-    events.extend(replace(e) for e in profile.explicit)
+    events.extend(copy.copy(e) for e in profile.explicit)
     events.sort(key=lambda e: e.at)
     for i, ev in enumerate(events):
         ev.fault_id = i

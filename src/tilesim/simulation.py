@@ -41,10 +41,13 @@ class GroupCheckpoint:
     members: list[str]                       # roster as of checkpoint start
     checked: list[str]                       # thread ids validated this index
     written: dict[str, int] = field(default_factory=dict)
-    # Validation memory of this round. A tile writes its row, its checksums
-    # of `checked` in order, and a writer asked to propagate adds its thread
-    # states; siblings only read them. A reboot wipes both.
-    rows: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    # Validation memory of this round. A tile writes its row, its states of
+    # `checked` in order, and a writer asked to propagate adds its thread
+    # states; siblings only read them. A reboot wipes both. A row entry
+    # stands for the state's checksum, worked out only when the rows are not
+    # all equal; a validation-memory fault leaves that checksum, flipped, in
+    # the entry it hits.
+    rows: dict[str, tuple] = field(default_factory=dict)
     snapshots: dict[str, dict[str, workload.ThreadState]] = field(default_factory=dict)
     resolved: bool = False
     completed: bool = False
@@ -59,16 +62,21 @@ class GroupCheckpoint:
     # checkpoint mostly repeat each other's work. These memos are keyed by
     # content, never by tile id, and die with the checkpoint: nothing is
     # shared between checkpoints or runs. Equal replicas get one advanced
-    # state object, which is safe because a ThreadState never changes.
-    # (thread id, words, cycle_counter, cycles) -> the state advanced by cycles
+    # state object, which is safe because a ThreadState never changes. The
+    # `advanced` key is the state's anchor, lag and cycle counter, so a
+    # lookup makes no jump; a checksum is also cached on its state.
+    # (thread id, anchor, lag, cycle_counter, cycles) -> the state advanced by cycles
     advanced: dict[tuple, workload.ThreadState] = field(default_factory=dict)
     checksums: dict[tuple, int] = field(default_factory=dict)   # (words, cycle_counter) -> checksum
 
     def checksum(self, ts: workload.ThreadState) -> int:
-        key = (ts.state, ts.cycle_counter)
-        checksum = self.checksums.get(key)
+        checksum = ts.cached_checksum
         if checksum is None:
-            checksum = self.checksums[key] = workload.checksum_callback(ts)
+            key = (ts.state, ts.cycle_counter)
+            checksum = self.checksums.get(key)
+            if checksum is None:
+                checksum = self.checksums[key] = workload.checksum_callback(ts)
+            ts.cached_checksum = checksum
         return checksum
 
 
@@ -210,24 +218,26 @@ class Simulation:
             self._arm_timer(group, 0)
 
     def _schedule_faults(self):
-        space = flt.TargetSpace(
-            tiles=[t.tile_id for t in self.scenario.tiles],
-            # a tile's threads in scenario order, which decides the thread
-            # a generated fault hits
-            threads_on={
-                t.tile_id: [
-                    tid for g in self.scenario.tile_groups if t.tile_id in g.members
-                    for tgc in self.scenario.thread_groups if tgc.tg_id in g.thread_groups
-                    for tid in tgc.threads
-                ]
-                for t in self.scenario.tiles
-            },
-            state_words={tid: spec.state_words
-                         for tid, spec in self.scenario.threads.items()},
-            partitions=[t.partition for t in self.scenario.tiles] + [fab.SHARED],
-        )
-        events = flt.generate(self.scenario.profile, self.horizon,
-                              self.streams.get("faults"), space)
+        profile = self.scenario.profile
+        space = None   # only generated faults pick a target
+        if any(rate > 0 for rate in profile.rates.values()):
+            space = flt.TargetSpace(
+                tiles=[t.tile_id for t in self.scenario.tiles],
+                # a tile's threads in scenario order, which decides the thread
+                # a generated fault hits
+                threads_on={
+                    t.tile_id: [
+                        tid for g in self.scenario.tile_groups if t.tile_id in g.members
+                        for tgc in self.scenario.thread_groups if tgc.tg_id in g.thread_groups
+                        for tid in tgc.threads
+                    ]
+                    for t in self.scenario.tiles
+                },
+                state_words={tid: spec.state_words
+                             for tid, spec in self.scenario.threads.items()},
+                partitions=[t.partition for t in self.scenario.tiles] + [fab.SHARED],
+            )
+        events = flt.generate(profile, self.horizon, self.streams.get("faults"), space)
         for ev in events:
             self.ledger.events[ev.fault_id] = ev
             self.queue.schedule(ev.at, Simulation.apply_fault, ev)
@@ -372,7 +382,7 @@ class Simulation:
                 if memo is None:
                     ts = workload.execute_slice(ts, cycles * work_per_tick)
                 else:
-                    key = (tid, ts.state, ts.cycle_counter, cycles)
+                    key = (tid, ts.anchor, ts.lag, ts.cycle_counter, cycles)
                     ahead = memo.get(key)
                     if ahead is None:
                         ahead = memo[key] = workload.execute_slice(ts, cycles * work_per_tick)
@@ -392,8 +402,8 @@ class Simulation:
         return ctx
 
     def _on_timer_checkpoint(self, group_id: str):
-        # dissolving a group cancels its timer, so the group is still there
-        self.timers.pop(group_id, None)
+        # dissolving a group cancels its timer, so the group is still there;
+        # starting the round drops the timer that fired
         self.start_checkpoint(self.groups[group_id], trigger="timer")
 
     def _on_checksums_ready(self, group_id: str, index: int, tile_id: str):
@@ -406,22 +416,16 @@ class Simulation:
         self.write_validation(tile, self.groups[group_id], ctx)
 
     def write_validation(self, tile: Tile, group: TileGroup, ctx: GroupCheckpoint):
-        """Compute and store this tile's scheduled checksums. Losing the
-        write silently is exactly how an interface SEFI manifests."""
+        """Store this tile's row of its scheduled threads' checksums, held
+        as their states until a resolve needs them. Losing the write
+        silently is exactly how an interface SEFI manifests."""
         now = self.queue.now
         if tile.sefi is not None:
             self.trace.emit(now, tile.tile_id, "validation-write-lost",
                             tile=tile.tile_id, group=group.group_id, index=ctx.index)
             return
-        memo, threads, row = ctx.checksums, tile.threads, []
-        for tid in ctx.checked:
-            ts = threads[tid]
-            key = (ts.state, ts.cycle_counter)
-            checksum = memo.get(key)
-            if checksum is None:
-                checksum = memo[key] = workload.checksum_callback(ts)
-            row.append(checksum)
-        ctx.rows[tile.tile_id] = tuple(row)
+        threads = tile.threads
+        ctx.rows[tile.tile_id] = tuple([threads[tid] for tid in ctx.checked])
         ctx.written[tile.tile_id] = now
         self.trace.emit(now, tile.tile_id, "validation-write",
                         tile=tile.tile_id, group=group.group_id, index=ctx.index,
@@ -450,8 +454,21 @@ class Simulation:
             wiped = (None,) * len(ctx.checked)
             rows = {w: rows.get(w, wiped) for w in ctx.written}
         reads_blocked = self.shared_sefi is not None
+        # Equal states have equal checksums, so rows of equal states settle a
+        # unanimous round. Other rows are compared by their checksums, where
+        # a collision still counts as agreement; a checksum cached on its
+        # state is read without a call. A round in which a member did not
+        # write, or reads are blocked, is not unanimous whatever its rows.
         unanimous = lockstep.unanimous_reports(
             ctx.members, ctx.written, deadline_at, rows, reads_blocked)
+        if unanimous is None:
+            checksum = ctx.checksum
+            rows = {w: tuple([(e.cached_checksum or checksum(e))
+                              if e.__class__ is workload.ThreadState else e for e in row])
+                    for w, row in rows.items()}
+            if not reads_blocked and len(ctx.written) == len(ctx.members):
+                unanimous = lockstep.unanimous_reports(
+                    ctx.members, ctx.written, deadline_at, rows, reads_blocked)
         loss = self.scenario.features.signal_loss_prob
         for m in ctx.participants:
             if m not in ctx.written or self.tiles[m].sefi is not None:
@@ -516,11 +533,11 @@ class Simulation:
         voting = self.scenario.features.output_voting
         for tid in sorted(ctx.outputs):
             states = ctx.outputs[tid]
-            if len(states) < 2:
-                continue
+            first, *others = states.values()
+            if all(ts is first or ts == first for ts in others):
+                continue  # equal outputs cannot diverge
             result = lockstep.vote_outputs({m: ctx.checksum(ts) for m, ts in states.items()})
             if result.divergent or result.no_majority:
-                first = next(iter(states.values()))
                 self.trace.emit(now, group.group_id, "output-vote",
                                 group=group.group_id, index=ctx.index, thread=tid,
                                 cycle=first.cycle_counter,
@@ -882,7 +899,10 @@ class Simulation:
                 arrive(ev, reason="stale-entry")
                 return
             row = list(ctx.rows[ev.tile])
-            row[ctx.checked.index(ev.thread)] ^= ev.masks[0] or 1
+            k = ctx.checked.index(ev.thread)
+            if row[k].__class__ is workload.ThreadState:
+                row[k] = ctx.checksum(row[k])
+            row[k] ^= ev.masks[0] or 1
             ctx.rows[ev.tile] = tuple(row)
             arrive(ev, (flt.TILE, ev.tile), index=ctx.index)
         elif kind == flt.PERMANENT_CELL:

@@ -9,6 +9,7 @@ simulation's `GroupCheckpoint`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
@@ -138,9 +139,6 @@ class Tile:
     def __init__(self, tile_id: str, partition: str):
         self.tile_id = tile_id
         self.partition = partition
-        # tile-specific salt for modeling damaged-logic corruption
-        self.noise_seed = int.from_bytes(
-            hashlib.blake2b(tile_id.encode(), digest_size=8).digest(), "little")
         self.status = BOOTING
         # Lockstepping siblings expect a report from a member: a tile that
         # is Active, Suspect or Updating. `set_status` keeps this in step.
@@ -149,6 +147,13 @@ class Tile:
         self.persist_corrupt = False         # active fabric damage under this tile's footprint
         self.threads: dict[str, ThreadState] = {}
         self.windows: dict[str, RunWindow] = {}  # hosted thread-group id -> window
+
+    @functools.cached_property
+    def noise_seed(self) -> int:
+        """Tile-specific salt for modeling damaged-logic corruption, hashed
+        only if the tile's fabric is ever damaged."""
+        return int.from_bytes(
+            hashlib.blake2b(self.tile_id.encode(), digest_size=8).digest(), "little")
 
     def set_status(self, new: str):
         if new == self.status:

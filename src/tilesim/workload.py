@@ -27,6 +27,16 @@ hands back the donor's, so a checkpoint memo, a round's validation memory
 and the oracle can all hold one state without copying it, and a fault on
 one replica cannot reach another. `flip_bits` is the only code that knows
 how a fault lands in the state words.
+
+The words are worked out only when something reads them. `execute_slice`
+jumps nothing: its state holds the words it was advanced from (its anchor)
+and the cycles it still owes them (its lag). The first read of `.state`
+makes the one jump and caches the words as the new anchor, lag 0; a round
+caches a state's checksum on it as well. Neither cache changes the state's
+value. `flip_bits` and `checksum_callback` read `.state`; equality does not
+need to, since equal lags leave equal words exactly when the anchors are
+equal. Replicas that no fault hit hold one state object, so a fault-free
+run makes no jump and takes no checksum at all.
 """
 
 from __future__ import annotations
@@ -34,7 +44,8 @@ from __future__ import annotations
 import functools
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from operator import attrgetter
+from typing import Iterable, Optional
 
 from .engine import MASK64, mix64
 
@@ -72,14 +83,6 @@ class ThreadSpec:
             raise ValueError(f"{self.thread_id}: work_per_tick must be >= 1")
 
 
-# A named tuple, not a frozen dataclass: it is built once per advance, and
-# a frozen dataclass takes about twice as long to build.
-class ThreadState(NamedTuple):
-    spec: ThreadSpec
-    state: tuple[int, ...]
-    cycle_counter: int = 0
-
-
 # A run advances by only a few distinct cycle counts and state widths, so a
 # small bounded cache skips most of the square-and-multiply.
 @functools.lru_cache(maxsize=256)
@@ -101,6 +104,63 @@ def _jump_words(cycles: int, words: int) -> tuple[int, tuple[int, ...]]:
     return mult, tuple([(inc * (2 * i + 1)) & MASK64 for i in range(words)])
 
 
+class ThreadState:
+    """A thread's state words and cycle counter, as a value.
+
+    It holds its anchor words and the cycles it still owes them (its lag),
+    not the words themselves: see the module docstring. `spec`,
+    `cycle_counter` and the words read from `state` never change.
+    """
+
+    __slots__ = ("_spec", "_cycle_counter", "_anchor", "_lag", "cached_checksum")
+
+    def __init__(self, spec: ThreadSpec, state: tuple[int, ...], cycle_counter: int = 0):
+        self._spec = spec
+        self._anchor = tuple(state)
+        self._lag = 0
+        self._cycle_counter = cycle_counter
+        # the checksum of this state once a round has worked it out
+        self.cached_checksum: Optional[int] = None
+
+    # read-only views, fetched in C: the simulation reads them in every advance
+    spec = property(attrgetter("_spec"))
+    cycle_counter = property(attrgetter("_cycle_counter"))
+    # equal (anchor, lag, cycle_counter) of one thread mean equal states,
+    # which a memo can key by without a jump
+    anchor = property(attrgetter("_anchor"))
+    lag = property(attrgetter("_lag"))
+
+    @property
+    def state(self) -> tuple[int, ...]:
+        """The state words. The first read after an advance makes its one
+        jump and re-anchors the state at the result."""
+        if self._lag:
+            mult, incs = _jump_words(self._lag, len(self._anchor))
+            self._anchor = tuple([(mult * w + c) & MASK64 for w, c in zip(self._anchor, incs)])
+            self._lag = 0
+        return self._anchor
+
+    def __eq__(self, other):
+        if other.__class__ is not ThreadState:
+            return NotImplemented
+        if self is other:
+            return True
+        if (self._cycle_counter != other._cycle_counter
+                or (self._spec is not other._spec and self._spec != other._spec)):
+            return False
+        if self._lag == other._lag:
+            # each step is a bijection, so equal lags keep words apart or equal
+            return self._anchor == other._anchor
+        return self.state == other.state
+
+    def __hash__(self):
+        return hash((self._spec, self.state, self._cycle_counter))
+
+    def __repr__(self):
+        return (f"ThreadState(spec={self._spec!r}, state={self.state!r}, "
+                f"cycle_counter={self._cycle_counter!r})")
+
+
 def init_thread(spec: ThreadSpec) -> ThreadState:
     """Build the initial state for a thread replica.
 
@@ -116,15 +176,16 @@ def init_thread(spec: ThreadSpec) -> ThreadState:
 def execute_slice(ts: ThreadState, ticks: int) -> ThreadState:
     """Advance the thread by floor(ticks / work_per_tick) work cycles.
 
-    Costs O(state_words + log cycles): the cycles are applied as one jump.
+    Costs O(1): the cycles are added to the state's lag, which the first
+    read of its words pays off in one jump of O(state_words + log cycles).
     """
     if ticks < 0:
         raise ValueError("ticks must be >= 0")
-    state = ts.state
-    cycles = ticks // ts.spec.work_per_tick
-    mult, incs = _jump_words(cycles, len(state))
-    words = tuple([(mult * w + c) & MASK64 for w, c in zip(state, incs)])
-    return ThreadState(ts.spec, words, ts.cycle_counter + cycles)
+    spec = ts._spec
+    cycles = ticks // spec.work_per_tick
+    ahead = ThreadState(spec, ts._anchor, ts._cycle_counter + cycles)
+    ahead._lag = ts._lag + cycles
+    return ahead
 
 
 def flip_bits(ts: ThreadState, word: int, masks: Iterable[int]) -> ThreadState:

@@ -10,7 +10,10 @@ edited): the one `mission-long` run (`fig3` without faults at horizon 1e6)
 and the first 200 `mc-trial` trials. It parses each document outside the
 profiler, then counts with `cProfile` the calls of building the
 `Simulation` and running it, and prints the calls per run of each workload.
-The counts are the same at every seed of a fault-free `mission-long`.
+A second, unprofiled pass counts the calls of the two workload kernels that
+a state's words and checksum cost, `checksum_callback` and `_jump_words`, by
+wrapping them on the `workload` module. The counts are the same at every
+seed of a fault-free `mission-long`.
 
 It needs only the standard library, and pytest does not collect it.
 """
@@ -42,6 +45,36 @@ def count_calls(scenarios: list) -> int:
     return sum(entry.callcount for entry in profile.getstats())
 
 
+KERNELS = ("checksum_callback", "_jump_words")
+
+
+def count_kernel_calls(scenarios: list) -> dict[str, int]:
+    """The calls of each of `KERNELS` made running each scenario, summed."""
+    from tilesim import workload
+    from tilesim.simulation import Simulation
+
+    calls = dict.fromkeys(KERNELS, 0)
+    originals = {name: getattr(workload, name) for name in KERNELS}
+
+    def counted(name):
+        fn = originals[name]
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    try:
+        for name in KERNELS:
+            setattr(workload, name, counted(name))
+        for sc in scenarios:
+            Simulation(sc).run()
+    finally:
+        for name, fn in originals.items():
+            setattr(workload, name, fn)
+    return calls
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=0, help="workload seed (default 0)")
@@ -53,9 +86,12 @@ def main(argv=None) -> int:
 
     for name, docs in (("mission-long", workloads.mission_docs(args.seed)),
                        ("mc-trial", workloads.mc_docs(args.seed)[:MC_TRIALS])):
-        total = count_calls([workloads.parse(doc) for doc in docs])
+        scenarios = [workloads.parse(doc) for doc in docs]
+        total = count_calls(scenarios)
+        kernels = count_kernel_calls(scenarios)
         print(f"{name:<13} runs {len(docs):>4}  calls {total:>9}  "
-              f"calls/run {round(total / len(docs)):>7}")
+              f"calls/run {round(total / len(docs)):>7}  "
+              + "  ".join(f"{k}/run {v / len(docs):.2f}" for k, v in kernels.items()))
     return 0
 
 

@@ -293,6 +293,33 @@ def test_checkpoint_memo_hit_survives_a_flip_of_an_earlier_result():
     assert len(ctx.checksums) == 2
 
 
+def test_fault_free_run_jumps_no_words_and_takes_no_checksum(monkeypatch):
+    # replicas that no fault hit hold one state object, so every round's rows
+    # are equal as states and no word is worked out
+    calls = {"checksum_callback": 0, "_jump_words": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(workload, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(workload, name, counted)
+    sim = Simulation(load_scenario("fig3", ["horizon=100000", "faults={}"]))
+    verdicts = sim.run().of_kind("verdict")
+    assert len(verdicts) > 90
+    assert all(r.payload["result"] == "all-agree" for r in verdicts)
+    assert calls == {"checksum_callback": 0, "_jump_words": 0}
+
+
+def test_a_flip_undone_within_the_round_leaves_it_all_agree():
+    # the second flip restores C2's words, which then match its siblings'
+    # though they are a state of their own
+    doc = make_doc(faults={"explicit": [transient(1500, "C2"), transient(1500, "C2")]})
+    sim = Simulation(parse_scenario(doc))
+    trace = sim.run()
+    assert [r.payload["disposition"] for r in trace.of_kind("fault")] == ["applied"] * 2
+    assert all(r.payload["result"] == "all-agree" for r in trace.of_kind("verdict"))
+    assert sim.oracle_divergences == 0
+
+
 def test_until_zero_stops_at_zero():
     sim = Simulation(parse_scenario(make_doc()), until=0)
     assert sim.horizon == 0

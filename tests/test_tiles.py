@@ -43,9 +43,14 @@ def test_vmem_fault_flips_only_its_threads_checksum_in_the_open_round():
                             tile="C2", thread="Tb", masks=(4,))
         sim.ledger.events[ev.fault_id] = ev
         sim.apply_fault(ev)
+        # a row holds states until its checksums are needed; the fault
+        # leaves the flipped checksum in the one entry it hits
         ta, tb = before[0]["C2"]
-        assert g1.rows == {**before[0], "C2": (ta, tb ^ 4)}
+        assert g1.rows == {**before[0], "C2": (ta, g1.checksum(tb) ^ 4)}
+        assert g1.rows["C2"][0] is ta
+        assert all(g1.rows[m] is before[0][m] for m in ("C0", "C1"))
         assert g2.rows == before[1]
+        assert all(g2.rows[m] is before[1][m] for m in g2.rows)
         assert sim.trace.of_kind("fault")[-1].payload["index"] == 0
 
     at_open_rounds(check)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilesim.engine import MASK64, mix64
 from tilesim.lockstep import vote_outputs
@@ -135,6 +137,76 @@ def test_top_bit_flip_stays_diverged():
         healthy = execute_slice(healthy, ticks)
         flipped = execute_slice(flipped, ticks)
         assert all(h != f for h, f in zip(healthy.state, flipped.state))
+
+
+# -- lazy words ---------------------------------------------------------------
+# A state owes its words a lag of cycles until something reads them. Every
+# observable result must be what stepping one cycle at a time gives.
+
+def reference_checksum(words, cycle):
+    h = CHECKSUM_SEED
+    for w in (*words, cycle):
+        h = mix64(h ^ w)
+    return h
+
+
+@st.composite
+def lazy_programs(draw):
+    # mostly the first states or the latest ones, so that paths meet: two
+    # states of equal words often got there by different advances and reads
+    index = st.one_of(st.integers(0, 2), st.integers(-3, -1), st.integers(0, 63))
+    ticks = st.one_of(st.integers(0, 3), st.integers(0, 40))
+    mask = st.one_of(st.sampled_from([0, 1, 1 << 63, 0xFF]), st.integers(0, MASK64))
+    ops = st.one_of(
+        st.tuples(st.just("advance"), index, ticks),
+        st.tuples(st.just("flip"), index, st.integers(0, 7), mask),
+        st.tuples(st.just("read"), index),
+        st.tuples(st.just("checksum"), index),
+        st.tuples(st.just("eq"), index, index),
+    )
+    return draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.lists(ops, max_size=40))
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(lazy_programs())
+def test_lazy_state_matches_per_cycle_stepping(program):
+    words, wpt, ops = program
+    s = spec(words=words, wpt=wpt)
+    # two initial states that share their anchor words but not their object
+    pool = [init_thread(s), init_thread(s)]
+    refs = [(pool[0].state, 0)] * 2          # (words, cycle counter) per state
+    for op, i, *args in ops:
+        i %= len(pool)   # a negative index counts from the latest state
+        ts, (ref_words, ref_cycle) = pool[i], refs[i]
+        if op == "advance":
+            cycles = args[0] // wpt
+            pool.append(execute_slice(ts, args[0]))
+            refs.append((tuple(naive_slice(ref_words, cycles)), ref_cycle + cycles))
+        elif op == "flip":
+            word, mask = args
+            flipped = list(ref_words)
+            flipped[word % words] ^= mask
+            pool.append(flip_bits(ts, word, [mask]))
+            refs.append((tuple(flipped), ref_cycle))
+        elif op == "read":
+            assert ts.state == ref_words
+            # the read re-anchors the state at its words, owing nothing
+            assert (ts.anchor, ts.lag) == (ref_words, 0)
+        elif op == "checksum":
+            assert checksum_callback(ts) == reference_checksum(ref_words, ref_cycle)
+        else:
+            j = args[0] % len(pool)
+            same = refs[i] == refs[j]
+            assert (ts == pool[j]) is same and (ts != pool[j]) is not same
+            if same:
+                assert hash(ts) == hash(pool[j])
+        assert ts.cycle_counter == ref_cycle
+    # every pair, before the last reads: many are equal by different paths
+    for i, ts in enumerate(pool):
+        for j in range(i):
+            assert (ts == pool[j]) is (refs[i] == refs[j])
+    for ts, (ref_words, ref_cycle) in zip(pool, refs):
+        assert (ts.state, ts.cycle_counter) == (ref_words, ref_cycle)
 
 
 def test_cycle_count_follows_work_per_tick():
