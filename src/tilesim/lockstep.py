@@ -34,9 +34,9 @@ def compare_with_siblings(
 ) -> CheckpointReport:
     """Compare my validation memory against each sibling's.
 
-    `rows` holds each writer's checksums of the checked threads, in one
-    order, with None where an entry is missing. Two rows agree when they
-    are equal and mine has no missing entry.
+    `rows` holds each writer's row: a tuple of its checksums of the checked
+    threads, in one order, or None where the whole row is missing. Two rows
+    agree when they are equal and mine is not missing.
 
     Comparisons happen as siblings become ready, walked in chronological
     order with ties broken by rotated member order (each tile starts at the
@@ -55,7 +55,7 @@ def compare_with_siblings(
     first = my_ready if my_ready < deadline_at else deadline_at
     my_pos = members.index(me)
     mine = rows[me]
-    mine_whole = None not in mine
+    mine_whole = mine is not None
     verdicts: dict[str, str] = {}
     later = []
     for rotation, sib in enumerate(members[my_pos + 1:] + members[:my_pos]):
@@ -94,18 +94,20 @@ def unanimous_reports(
 ) -> Optional[dict[str, CheckpointReport]]:
     """Every member's report of a unanimous round, or None if it is not one.
 
-    A round is unanimous when reads are not blocked, every member wrote by
-    the deadline, and every row is equal with no missing entry. Each
-    member's `compare_with_siblings` then affirms every sibling and
-    completes when the last member wrote: that is built here directly,
-    without walking siblings. `written_at` holds members only. Each report
-    gets its own verdicts dict.
+    `rows` are whole rows or None, as `compare_with_siblings` takes them,
+    but an entry may also be a thread state, which equals another only
+    where their checksums are equal too. A round is unanimous when reads
+    are not blocked, every member wrote by the deadline, and every row is
+    there and equal. Each member's `compare_with_siblings` then affirms
+    every sibling and completes when the last member wrote: that is built
+    here directly, without walking siblings. `written_at` holds members
+    only. Each report gets its own verdicts dict.
     """
     if reads_blocked or len(written_at) != len(members):
         return None
     completed = max(written_at.values())
     first = rows[members[0]]
-    if completed > deadline_at or None in first:
+    if completed > deadline_at or first is None:
         return None
     for m in members:
         if rows[m] != first:

@@ -41,12 +41,12 @@ class GroupCheckpoint:
     members: list[str]                       # roster as of checkpoint start
     checked: list[str]                       # thread ids validated this index
     written: dict[str, int] = field(default_factory=dict)
-    # Validation memory of this round. A tile writes its row, its states of
-    # `checked` in order, and a writer asked to propagate adds its thread
-    # states; siblings only read them. A reboot wipes both. A row entry
-    # stands for the state's checksum, worked out only when the rows are not
+    # Validation memory of this round. A tile writes its row, a tuple of its
+    # states of `checked` in order, and a writer asked to propagate adds its
+    # thread states; siblings only read them. A reboot wipes both. A row
+    # entry stands for the state's checksum, read only when the rows are not
     # all equal; a validation-memory fault leaves that checksum, flipped, in
-    # the entry it hits.
+    # the entry it hits, so an entry is a state or an int.
     rows: dict[str, tuple] = field(default_factory=dict)
     snapshots: dict[str, dict[str, workload.ThreadState]] = field(default_factory=dict)
     resolved: bool = False
@@ -59,25 +59,14 @@ class GroupCheckpoint:
     deadline_entry: Optional[list] = None    # queue entries, for cancelling
     resolve_entry: Optional[list] = None
     # Replicas stay bit-identical until a fault hits one, so the tiles of a
-    # checkpoint mostly repeat each other's work. These memos are keyed by
-    # content, never by tile id, and die with the checkpoint: nothing is
-    # shared between checkpoints or runs. Equal replicas get one advanced
-    # state object, which is safe because a ThreadState never changes. The
-    # `advanced` key is the state's anchor, lag and cycle counter, so a
-    # lookup makes no jump; a checksum is also cached on its state.
-    # (thread id, anchor, lag, cycle_counter, cycles) -> the state advanced by cycles
+    # checkpoint mostly repeat each other's work. This memo is keyed by the
+    # advanced state's own thread id, anchor, lag and cycle counter, never
+    # by tile, so a lookup makes no jump, and it dies with the checkpoint.
+    # Equal replicas get one advanced state object, also when a fault split
+    # one's window, and with it one cached checksum; that is safe because a
+    # ThreadState never changes.
+    # (thread id, anchor, lag, cycle_counter) -> the advanced state
     advanced: dict[tuple, workload.ThreadState] = field(default_factory=dict)
-    checksums: dict[tuple, int] = field(default_factory=dict)   # (words, cycle_counter) -> checksum
-
-    def checksum(self, ts: workload.ThreadState) -> int:
-        checksum = ts.cached_checksum
-        if checksum is None:
-            key = (ts.state, ts.cycle_counter)
-            checksum = self.checksums.get(key)
-            if checksum is None:
-                checksum = self.checksums[key] = workload.checksum_callback(ts)
-            ts.cached_checksum = checksum
-        return checksum
 
 
 @dataclass
@@ -361,16 +350,18 @@ class Simulation:
 
     def _advance_window(self, tile: Tile, tg_id: str, now: int,
                         ctx: Optional[GroupCheckpoint] = None):
-        """Run the window's threads up to `now`, through `ctx`'s memo if given.
+        """Run the window's threads up to `now`, through `ctx`'s memo, or
+        through a memo of this call's own outside a round.
 
         A thread runs one work cycle each time another `work_per_tick` ticks
         have passed since the window's epoch, so an advance split at any
-        instants runs the same cycles as one whole advance."""
+        instants runs the same cycles as one whole advance, and reaches the
+        memo entry of the whole advance: the key is the state it makes."""
         win = tile.windows.get(tg_id)
         if win is None or not win.running or now <= win.advanced_to:
             return
         threads = tile.threads
-        memo = None if ctx is None else ctx.advanced
+        memo = {} if ctx is None else ctx.advanced
         ran, done = now - win.epoch, win.advanced_to - win.epoch
         slipped = False
         for spec in self.thread_groups[tg_id].threads:
@@ -379,14 +370,11 @@ class Simulation:
             if cycles:
                 tid = spec.thread_id
                 ts = threads[tid]
-                if memo is None:
-                    ts = workload.execute_slice(ts, cycles * work_per_tick)
-                else:
-                    key = (tid, ts.anchor, ts.lag, ts.cycle_counter, cycles)
-                    ahead = memo.get(key)
-                    if ahead is None:
-                        ahead = memo[key] = workload.execute_slice(ts, cycles * work_per_tick)
-                    ts = ahead
+                key = (tid, ts.anchor, ts.lag + cycles, ts.cycle_counter + cycles)
+                ahead = memo.get(key)
+                if ahead is None:
+                    ahead = memo[key] = workload.execute_slice(ts, cycles * work_per_tick)
+                ts = ahead
                 if tile.persist_corrupt:
                     ts = workload.flip_bits(ts, 0, [mix64(tile.noise_seed ^ ts.cycle_counter) | 1])
                     slipped = True
@@ -416,9 +404,10 @@ class Simulation:
         self.write_validation(tile, self.groups[group_id], ctx)
 
     def write_validation(self, tile: Tile, group: TileGroup, ctx: GroupCheckpoint):
-        """Store this tile's row of its scheduled threads' checksums, held
-        as their states until a resolve needs them. Losing the write
-        silently is exactly how an interface SEFI manifests."""
+        """Store this tile's row: a tuple of its states of the checked
+        threads, each standing for its checksum, which a resolve reads only
+        when the rows differ. Losing the write silently is exactly how an
+        interface SEFI manifests."""
         now = self.queue.now
         if tile.sefi is not None:
             self.trace.emit(now, tile.tile_id, "validation-write-lost",
@@ -447,28 +436,22 @@ class Simulation:
         deadline_at = ctx.t0 + group.comparison_deadline
 
         # read at resolve time: a transient vmem fault or a reboot since the
-        # write shows up here, and a wiped row reads as all missing. Rows are
-        # a subset of the writers, so equal counts mean no row was wiped.
+        # write shows up here, and a wiped row reads as None. Rows are a
+        # subset of the writers, so equal counts mean no row was wiped.
         rows = ctx.rows
         if len(rows) != len(ctx.written):
-            wiped = (None,) * len(ctx.checked)
-            rows = {w: rows.get(w, wiped) for w in ctx.written}
+            rows = {w: rows.get(w) for w in ctx.written}
         reads_blocked = self.shared_sefi is not None
         # Equal states have equal checksums, so rows of equal states settle a
         # unanimous round. Other rows are compared by their checksums, where
-        # a collision still counts as agreement; a checksum cached on its
-        # state is read without a call. A round in which a member did not
-        # write, or reads are blocked, is not unanimous whatever its rows.
+        # a collision still counts as agreement: `compare_with_siblings`
+        # reports such rows as it would a unanimous round.
         unanimous = lockstep.unanimous_reports(
             ctx.members, ctx.written, deadline_at, rows, reads_blocked)
         if unanimous is None:
-            checksum = ctx.checksum
-            rows = {w: tuple([(e.cached_checksum or checksum(e))
-                              if e.__class__ is workload.ThreadState else e for e in row])
+            rows = {w: None if row is None else tuple(
+                        [e.checksum if e.__class__ is workload.ThreadState else e for e in row])
                     for w, row in rows.items()}
-            if not reads_blocked and len(ctx.written) == len(ctx.members):
-                unanimous = lockstep.unanimous_reports(
-                    ctx.members, ctx.written, deadline_at, rows, reads_blocked)
         loss = self.scenario.features.signal_loss_prob
         for m in ctx.participants:
             if m not in ctx.written or self.tiles[m].sefi is not None:
@@ -536,7 +519,7 @@ class Simulation:
             first, *others = states.values()
             if all(ts is first or ts == first for ts in others):
                 continue  # equal outputs cannot diverge
-            result = lockstep.vote_outputs({m: ctx.checksum(ts) for m, ts in states.items()})
+            result = lockstep.vote_outputs({m: ts.checksum for m, ts in states.items()})
             if result.divergent or result.no_majority:
                 self.trace.emit(now, group.group_id, "output-vote",
                                 group=group.group_id, index=ctx.index, thread=tid,
@@ -901,7 +884,7 @@ class Simulation:
             row = list(ctx.rows[ev.tile])
             k = ctx.checked.index(ev.thread)
             if row[k].__class__ is workload.ThreadState:
-                row[k] = ctx.checksum(row[k])
+                row[k] = row[k].checksum
             row[k] ^= ev.masks[0] or 1
             ctx.rows[ev.tile] = tuple(row)
             arrive(ev, (flt.TILE, ev.tile), index=ctx.index)

@@ -31,12 +31,13 @@ how a fault lands in the state words.
 The words are worked out only when something reads them. `execute_slice`
 jumps nothing: its state holds the words it was advanced from (its anchor)
 and the cycles it still owes them (its lag). The first read of `.state`
-makes the one jump and caches the words as the new anchor, lag 0; a round
-caches a state's checksum on it as well. Neither cache changes the state's
-value. `flip_bits` and `checksum_callback` read `.state`; equality does not
-need to, since equal lags leave equal words exactly when the anchors are
-equal. Replicas that no fault hit hold one state object, so a fault-free
-run makes no jump and takes no checksum at all.
+makes the one jump and caches the words as the new anchor, lag 0. The
+first read of `.checksum` calls `checksum_callback` and caches its result
+on the state, the only checksum cache there is. Neither cache changes the
+state's value. `flip_bits` and `checksum_callback` read `.state`; equality
+does not need to, since equal lags leave equal words exactly when the
+anchors are equal. Replicas that no fault hit hold one state object, so a
+fault-free run makes no jump and takes no checksum at all.
 """
 
 from __future__ import annotations
@@ -109,26 +110,35 @@ class ThreadState:
 
     It holds its anchor words and the cycles it still owes them (its lag),
     not the words themselves: see the module docstring. `spec`,
-    `cycle_counter` and the words read from `state` never change.
+    `cycle_counter` and the words read from `state` never change, and
+    neither does `checksum`.
     """
 
-    __slots__ = ("_spec", "_cycle_counter", "_anchor", "_lag", "cached_checksum")
+    __slots__ = ("_spec", "_cycle_counter", "_anchor", "_lag", "_checksum")
 
     def __init__(self, spec: ThreadSpec, state: tuple[int, ...], cycle_counter: int = 0):
         self._spec = spec
         self._anchor = tuple(state)
         self._lag = 0
         self._cycle_counter = cycle_counter
-        # the checksum of this state once a round has worked it out
-        self.cached_checksum: Optional[int] = None
+        self._checksum: Optional[int] = None   # set by the first read of `checksum`
 
     # read-only views, fetched in C: the simulation reads them in every advance
     spec = property(attrgetter("_spec"))
     cycle_counter = property(attrgetter("_cycle_counter"))
-    # equal (anchor, lag, cycle_counter) of one thread mean equal states,
-    # which a memo can key by without a jump
+    # Equal (anchor, lag, cycle_counter) of one thread mean equal states, so
+    # a memo can key by them without a jump. A read of `state` re-anchors
+    # the state at its words, lag 0: the same value under another key.
     anchor = property(attrgetter("_anchor"))
     lag = property(attrgetter("_lag"))
+
+    @property
+    def checksum(self) -> int:
+        """`checksum_callback` of this state, called on the first read only."""
+        checksum = self._checksum
+        if checksum is None:
+            checksum = self._checksum = checksum_callback(self)
+        return checksum
 
     @property
     def state(self) -> tuple[int, ...]:

@@ -4,15 +4,18 @@
 
 Wall time on a shared host drifts by up to 50% between runs, but the number
 of Python-level calls a run makes does not, so it is a cost figure that two
-trees can be compared by. This script builds the documents of two
+trees can be compared by. This script builds the documents of three
 benchmark workloads with `bench/workloads.py` (read as they are, never
-edited): the one `mission-long` run (`fig3` without faults at horizon 1e6)
-and the first 200 `mc-trial` trials. It parses each document outside the
-profiler, then counts with `cProfile` the calls of building the
-`Simulation` and running it, and prints the calls per run of each workload.
-A second, unprofiled pass counts the calls of the two workload kernels that
-a state's words and checksum cost, `checksum_callback` and `_jump_words`, by
-wrapping them on the `workload` module. The counts are the same at every
+edited): the one `mission-long` run (`fig3` without faults at horizon 1e6),
+the first 200 `mc-trial` trials and the `wide-group` pool (chaos faults x4
+on one 14-tile group). It parses each document outside the profiler, then
+counts with `cProfile` the calls of building the `Simulation` and running
+it, and prints the calls per run of each workload. A second, unprofiled
+pass counts the calls of the workload kernels, `execute_slice` and the two
+that a state's words and checksum cost, `checksum_callback` and
+`_jump_words`, by wrapping them on the `workload` module. Every count
+repeats exactly from run to run, so a change in an advance memo's sharing
+shows as a changed `execute_slice` count. The counts are the same at every
 seed of a fault-free `mission-long`.
 
 It needs only the standard library, and pytest does not collect it.
@@ -45,7 +48,7 @@ def count_calls(scenarios: list) -> int:
     return sum(entry.callcount for entry in profile.getstats())
 
 
-KERNELS = ("checksum_callback", "_jump_words")
+KERNELS = ("execute_slice", "checksum_callback", "_jump_words")
 
 
 def count_kernel_calls(scenarios: list) -> dict[str, int]:
@@ -85,7 +88,8 @@ def main(argv=None) -> int:
     import workloads
 
     for name, docs in (("mission-long", workloads.mission_docs(args.seed)),
-                       ("mc-trial", workloads.mc_docs(args.seed)[:MC_TRIALS])):
+                       ("mc-trial", workloads.mc_docs(args.seed)[:MC_TRIALS]),
+                       ("wide-group", workloads.wide_docs(args.seed))):
         scenarios = [workloads.parse(doc) for doc in docs]
         total = count_calls(scenarios)
         kernels = count_kernel_calls(scenarios)

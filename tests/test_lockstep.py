@@ -61,8 +61,9 @@ def test_multi_thread_agreement_needs_all():
 
 
 def test_missing_own_entry_disagrees_even_with_an_equal_row():
-    # an entry lost from my validation memory cannot vouch for anything
-    rows = {"C0": (1, None), "C1": (1, None), "C2": (1, 5)}
+    # a row lost from my validation memory cannot vouch for anything, even
+    # to a sibling whose row is lost too
+    rows = {"C0": None, "C1": None, "C2": (1, 5)}
     rep = compare_with_siblings(
         "C0", ["C0", "C1", "C2"], {"C0": 24, "C1": 24, "C2": 24}, 100, rows)
     assert rep.verdicts == {"C1": DISAGREE}
@@ -98,7 +99,7 @@ def reference_compare_with_siblings(me, members, written_at, deadline_at, rows,
     order.sort(key=lambda item: (item[0], item[1]))
 
     mine = rows[me]
-    mine_whole = None not in mine
+    mine_whole = mine is not None
     verdicts = {}
     completed = my_ready
     mismatch = False
@@ -122,16 +123,17 @@ def reference_compare_with_siblings(me, members, written_at, deadline_at, rows,
 def comparisons(draw):
     """Up to 8 members in any order; any subset of them (always including
     me) has written, at times drawn from a narrow range so that ties are
-    common; rows of up to 3 entries from a small alphabet, some of them
-    None; reads blocked or not."""
+    common; rows of up to 3 entries from a small alphabet, some rows
+    missing (None); reads blocked or not."""
     tiles = [f"C{i}" for i in range(8)]
     members = draw(st.permutations(tiles))[:draw(st.integers(1, 8))]
     me = draw(st.sampled_from(members))
     times = st.integers(0, 40)
     written_at = {m: draw(times) for m in members if m == me or draw(st.booleans())}
     width = draw(st.integers(0, 3))
-    entry = st.one_of(st.none(), st.integers(0, 2))
-    rows = {w: tuple(draw(entry) for _ in range(width)) for w in written_at}
+    entry = st.integers(0, 2)
+    row = st.one_of(st.none(), st.tuples(*[entry] * width))
+    rows = {w: draw(row) for w in written_at}
     return me, members, written_at, draw(times), rows, draw(st.booleans())
 
 
@@ -149,7 +151,7 @@ def wide_comparisons(draw):
     """9-24 members in any order, who write together at one time, but for
     up to three that never write and up to two that write later, some past
     the deadline; a deadline at or after the common write; one row that
-    every writer holds, but for one or two odd rows, changed or holed."""
+    every writer holds, but for one or two odd rows, changed or missing."""
     tiles = [f"C{i}" for i in range(24)]
     members = draw(st.permutations(tiles))[:draw(st.integers(9, 24))]
     me = draw(st.sampled_from(members))
@@ -164,7 +166,7 @@ def wide_comparisons(draw):
     rows = dict.fromkeys(written_at, row)
     for m in draw(st.lists(st.sampled_from(sorted(written_at)), max_size=2)):
         k = draw(st.integers(0, len(row) - 1))
-        rows[m] = row[:k] + (draw(st.sampled_from([None, 3])),) + row[k + 1:]
+        rows[m] = draw(st.sampled_from([None, row[:k] + (3,) + row[k + 1:]]))
     return me, members, written_at, deadline_at, rows, draw(st.booleans())
 
 
@@ -180,7 +182,7 @@ def test_wide_compare_with_siblings_matches_reference(case):
 @st.composite
 def unanimous_rounds(draw):
     """1-24 members in any order, each written at or before the deadline,
-    and one None-free row of up to 3 entries that every member holds."""
+    and one row of up to 3 entries that every member holds."""
     tiles = [f"C{i}" for i in range(24)]
     members = draw(st.permutations(tiles))[:draw(st.integers(1, 24))]
     deadline_at = draw(st.integers(0, 40))
@@ -201,8 +203,8 @@ def test_unanimous_reports_equal_the_general_path(case, data):
     # each way of breaking unanimity leaves the round to the general path
     me = data.draw(st.sampled_from(members))
     row = rows[me]
-    holed = {m: (None,) + row[1:] for m in members}
-    assert unanimous_reports(members, written_at, deadline_at, holed) is None
+    wiped = dict.fromkeys(members)
+    assert unanimous_reports(members, written_at, deadline_at, wiped) is None
     if len(members) > 1:
         assert unanimous_reports(members, written_at, deadline_at,
                                  {**rows, me: row + (0,)}) is None

@@ -46,7 +46,7 @@ def test_vmem_fault_flips_only_its_threads_checksum_in_the_open_round():
         # a row holds states until its checksums are needed; the fault
         # leaves the flipped checksum in the one entry it hits
         ta, tb = before[0]["C2"]
-        assert g1.rows == {**before[0], "C2": (ta, g1.checksum(tb) ^ 4)}
+        assert g1.rows == {**before[0], "C2": (ta, tb.checksum ^ 4)}
         assert g1.rows["C2"][0] is ta
         assert all(g1.rows[m] is before[0][m] for m in ("C0", "C1"))
         assert g2.rows == before[1]
