@@ -599,18 +599,43 @@ def apply_by_hand(entry, current, prepare=lambda sim: None, doc=None, until=1500
     return sim, added
 
 
-def test_plan_slows_a_host_in_place():
+def detect_only(sim):
+    sim.groups["G1"].correction_enabled = False
+
+
+def degraded(mode, *levers):
+    return ("tg-degraded", {"tg": "TG1", "mode": mode, "levers": list(levers)})
+
+
+def slowed(period):
+    return [("timer-adjusted", {"tile": m, "group": "G1", "period": period})
+            for m in ("C0", "C1", "C2")]
+
+
+@pytest.mark.parametrize("factor, mode, levers, prepare, expected", [
+    # the same factor: only a first degradation to detect-only is recorded
+    (1, crit.MODE_DETECT_ONLY, (crit.REDUCE_REPLICAS,), lambda sim: None,
+     [degraded("detect-only", "reduce-replicas")]),
+    (1, crit.MODE_DETECT_ONLY, (crit.REDUCE_REPLICAS,), detect_only, []),
+    (1, crit.MODE_FULL, (), lambda sim: None, []),
+    # a new factor adjusts every member's timer, then records the mode
+    (2, crit.MODE_DETECT_ONLY, (crit.REDUCE_FREQUENCY,), lambda sim: None,
+     [*slowed(2000), degraded("detect-only", "reduce-checkpoint-frequency")]),
+    (2, crit.MODE_FULL, (crit.REDUCE_FREQUENCY,), lambda sim: None,
+     [*slowed(2000), degraded("full", "reduce-checkpoint-frequency")]),
+    (2, crit.MODE_DETECT_ONLY, (crit.REDUCE_FREQUENCY,), detect_only,
+     [*slowed(2000), degraded("detect-only", "reduce-checkpoint-frequency")]),
+], ids=["same-detect-only", "same-already-detect-only", "same-full",
+        "slower-detect-only", "slower-full", "slower-already-detect-only"])
+def test_plan_slows_a_host_in_place(factor, mode, levers, prepare, expected):
     members = ("C0", "C1", "C2")
-    entry = crit.PlanEntry("TG1", members, 2, crit.MODE_DETECT_ONLY,
-                           levers=(crit.REDUCE_FREQUENCY,))
-    sim, records = apply_by_hand(entry, members)
+    entry = crit.PlanEntry("TG1", members, factor, mode, levers=levers)
+    sim, records = apply_by_hand(entry, members, prepare)
     group = sim.groups["G1"]
-    assert (group.period, group.correction_enabled) == (2000, False)
-    assert records == [
-        *[("timer-adjusted", {"tile": m, "group": "G1", "period": 2000}) for m in members],
-        ("tg-degraded", {"tg": "TG1", "mode": "detect-only",
-                         "levers": ["reduce-checkpoint-frequency"]}),
-    ]
+    assert group.members == list(members)
+    assert group.period == 1000 * factor
+    assert group.correction_enabled == (mode == crit.MODE_FULL and prepare is not detect_only)
+    assert records == expected
 
 
 def test_plan_migrates_onto_a_spare_and_a_suspect_tile():
