@@ -122,10 +122,10 @@ def cmd_metrics(args) -> int:
     try:
         # newline=None splits lines as a file opened in text mode does
         records = read_jsonl(io.StringIO(decode_utf8(data), newline=None))
+        summary = compute_metrics(records)
     except ValueError as exc:
         print(f"error: {args.trace}: {exc}", file=sys.stderr)
         return 1
-    summary = compute_metrics(records)
     if args.metrics_out:
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             fh.write(summary.to_json())

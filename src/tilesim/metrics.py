@@ -86,7 +86,9 @@ class MetricsSummary:
 
 
 def compute_metrics(records: Iterable[TraceRecord]) -> MetricsSummary:
-    """Fold a trace, in the time order it was written, into its metrics."""
+    """Fold a trace, in the time order it was written, into its metrics. A
+    record without a field that its kind needs raises a ValueError naming
+    the record's 1-based number, its kind and the field."""
     m = MetricsSummary()
 
     horizon = None
@@ -101,51 +103,54 @@ def compute_metrics(records: Iterable[TraceRecord]) -> MetricsSummary:
     busy: dict[str, int] = {}
     tg_events: dict[str, list[tuple[int, bool]]] = {}
 
-    for rec in records:
-        kind = rec.kind
-        p = rec.payload
-        if kind == "run-start":
-            m.horizon = p.get("horizon", 0)
-            tg_map = p.get("tg_map", {})
-        elif kind == "run-end":
-            horizon = rec.at
-            m.loss_of_mission = p.get("reason") == "loss-of-mission"
-        elif kind == "fault":
-            fid = p["id"]
-            fault_kind[fid] = p["fault_kind"]
-            disposition[fid] = p["disposition"]
-        elif kind == "fault-detected":
-            detected.add(p["id"])
-            detection_latencies.append(p["latency"])
-            pending.setdefault(p["group"], []).append(rec.at)
-        elif kind == "fault-outcome":
-            outcome[p["id"]] = p["outcome"]
-        elif kind == "verdict":
-            # recovery: from a fault's detection to its group's next
-            # all-agree checkpoint at full strength
-            group = p.get("group")
-            if (group in pending and p.get("result") == "all-agree"
-                    and p.get("participants") == p.get("target_size")):
-                waiting = pending.pop(group)
-                recoveries += [rec.at - at for at in waiting if at < rec.at]
-                later = [at for at in waiting if at >= rec.at]
-                if later:
-                    pending[group] = later
-        elif kind == "checkpoint-end":
-            m.checkpoints += 1
-            for tile in p.get("tiles", []):
-                busy[tile] = busy.get(tile, 0) + p["duration"]
-        elif kind == "output-vote":
-            m.propagation_window_count += len(p.get("divergent", []))
-            m.outputs_escaped += p.get("escaped", 0)
-            if p.get("no_majority"):
-                m.no_majority_events += 1
-        elif kind == "oracle-divergence":
-            m.undetected_divergences += 1
-        elif kind in ("command", "command-lost", "command-rejected"):
-            m.supervisor_commands += 1
-        elif kind == "tg-active":
-            tg_events.setdefault(p["tg"], []).append((rec.at, p["active"]))
+    try:
+        for number, rec in enumerate(records, 1):
+            kind = rec.kind
+            p = rec.payload
+            if kind == "run-start":
+                m.horizon = p.get("horizon", 0)
+                tg_map = p.get("tg_map", {})
+            elif kind == "run-end":
+                horizon = rec.at
+                m.loss_of_mission = p.get("reason") == "loss-of-mission"
+            elif kind == "fault":
+                fid = p["id"]
+                fault_kind[fid] = p["fault_kind"]
+                disposition[fid] = p["disposition"]
+            elif kind == "fault-detected":
+                detected.add(p["id"])
+                detection_latencies.append(p["latency"])
+                pending.setdefault(p["group"], []).append(rec.at)
+            elif kind == "fault-outcome":
+                outcome[p["id"]] = p["outcome"]
+            elif kind == "verdict":
+                # recovery: from a fault's detection to its group's next
+                # all-agree checkpoint at full strength
+                group = p.get("group")
+                if (group in pending and p.get("result") == "all-agree"
+                        and p.get("participants") == p.get("target_size")):
+                    waiting = pending.pop(group)
+                    recoveries += [rec.at - at for at in waiting if at < rec.at]
+                    later = [at for at in waiting if at >= rec.at]
+                    if later:
+                        pending[group] = later
+            elif kind == "checkpoint-end":
+                m.checkpoints += 1
+                for tile in p.get("tiles", []):
+                    busy[tile] = busy.get(tile, 0) + p["duration"]
+            elif kind == "output-vote":
+                m.propagation_window_count += len(p.get("divergent", []))
+                m.outputs_escaped += p.get("escaped", 0)
+                if p.get("no_majority"):
+                    m.no_majority_events += 1
+            elif kind == "oracle-divergence":
+                m.undetected_divergences += 1
+            elif kind in ("command", "command-lost", "command-rejected"):
+                m.supervisor_commands += 1
+            elif kind == "tg-active":
+                tg_events.setdefault(p["tg"], []).append((rec.at, p["active"]))
+    except KeyError as exc:
+        raise ValueError(f"record {number} ({kind}) has no {exc.args[0]!r} field") from None
 
     m.partial = horizon is None
     if horizon is not None:

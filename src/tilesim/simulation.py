@@ -87,6 +87,8 @@ class RepairJob:
 
 class Simulation:
     def __init__(self, scenario: Scenario, until: Optional[int] = None):
+        if until is not None and until < 0:
+            raise ValueError(f"until must be >= 0, not {until}")
         self.scenario = scenario
         self.horizon = scenario.horizon if until is None else min(until, scenario.horizon)
         self.queue = EventQueue()
@@ -226,7 +228,8 @@ class Simulation:
                              for tid, spec in self.scenario.threads.items()},
                 partitions=[t.partition for t in self.scenario.tiles] + [fab.SHARED],
             )
-        events = flt.generate(profile, self.horizon, self.streams.get("faults"), space)
+        # drawn over the whole horizon, so a run to `until` is a prefix of the run
+        events = flt.generate(profile, self.scenario.horizon, self.streams.get("faults"), space)
         for ev in events:
             self.ledger.events[ev.fault_id] = ev
             self.queue.schedule(ev.at, Simulation.apply_fault, ev)
@@ -389,40 +392,31 @@ class Simulation:
             return None
         return ctx
 
-    def _on_timer_checkpoint(self, group_id: str):
-        # dissolving a group cancels its timer, so the group is still there;
-        # starting the round drops the timer that fired
-        self.start_checkpoint(self.groups[group_id], trigger="timer")
-
     def _on_checksums_ready(self, group_id: str, index: int, tile_id: str):
+        """Store this tile's row: a tuple of its states of the checked
+        threads, each standing for its checksum, which a resolve reads only
+        when the rows differ. Losing the write silently is exactly how an
+        interface SEFI manifests."""
         ctx = self._current_ctx(group_id, index)
         if ctx is None or tile_id not in ctx.participants:
             return
         tile = self.tiles[tile_id]
         if not tile.is_member:
             return
-        self.write_validation(tile, self.groups[group_id], ctx)
-
-    def write_validation(self, tile: Tile, group: TileGroup, ctx: GroupCheckpoint):
-        """Store this tile's row: a tuple of its states of the checked
-        threads, each standing for its checksum, which a resolve reads only
-        when the rows differ. Losing the write silently is exactly how an
-        interface SEFI manifests."""
         now = self.queue.now
         if tile.sefi is not None:
-            self.trace.emit(now, tile.tile_id, "validation-write-lost",
-                            tile=tile.tile_id, group=group.group_id, index=ctx.index)
+            self.trace.emit(now, tile_id, "validation-write-lost",
+                            tile=tile_id, group=group_id, index=index)
             return
         threads = tile.threads
-        ctx.rows[tile.tile_id] = tuple([threads[tid] for tid in ctx.checked])
-        ctx.written[tile.tile_id] = now
-        self.trace.emit(now, tile.tile_id, "validation-write",
-                        tile=tile.tile_id, group=group.group_id, index=ctx.index,
-                        threads=len(ctx.checked))
+        ctx.rows[tile_id] = tuple([threads[tid] for tid in ctx.checked])
+        ctx.written[tile_id] = now
+        self.trace.emit(now, tile_id, "validation-write", tile=tile_id, group=group_id,
+                        index=index, threads=len(ctx.checked))
         # only participants write, each once
         if len(ctx.written) == len(ctx.participants) and ctx.resolve_entry is None:
             ctx.resolve_entry = self.queue.schedule(
-                now, Simulation._resolve_checkpoint, group.group_id, ctx.index)
+                now, Simulation._resolve_checkpoint, group_id, index)
 
     def _resolve_checkpoint(self, group_id: str, index: int):
         ctx = self._current_ctx(group_id, index)
@@ -536,8 +530,8 @@ class Simulation:
         Participants with equal boundary states form one class, found by
         comparing against one representative per class; replicas that no
         fault hit hold the very same state objects. A pair within a class
-        cannot diverge, so only pairs across classes are looked at, and
-        their divergences are written in participant order, pair by pair."""
+        cannot diverge, so the walk over the reporting participants' pairs,
+        in participant order, looks only at pairs across classes."""
         boundary, reports = ctx.boundary, ctx.reports
         class_of: dict[str, int] = {}
         representatives: list[dict] = []
@@ -551,33 +545,22 @@ class Simulation:
                 representatives.append(states)
         if len(representatives) < 2:
             return  # no pair diverged
-        # each class's reporting participants, as (position, tile) in order
-        classes: list[list[tuple[int, str]]] = [[] for _ in representatives]
-        for i, m in enumerate(ctx.participants):
-            k = class_of.get(m)
-            if k is not None and m in reports:
-                classes[k].append((i, m))
-        agreed = []
-        for k, ours in enumerate(classes):
-            for theirs in classes[k + 1:]:
-                for i, a in ours:
-                    verdicts_a = reports[a].verdicts
-                    for j, b in theirs:
-                        if (verdicts_a.get(b) == lockstep.AGREE
-                                and reports[b].verdicts.get(a) == lockstep.AGREE):
-                            agreed.append((i, j, a, b) if i < j else (j, i, b, a))
-        if not agreed:
-            return
-        agreed.sort()
+        walked = [(m, class_of[m]) for m in ctx.participants
+                  if m in reports and m in class_of]
         now = self.queue.now
-        for _, _, a, b in agreed:
-            sa, sb = boundary[a], boundary[b]
-            for tid in ctx.checked:
-                if sa.get(tid) != sb.get(tid):
-                    self.oracle_divergences += 1
-                    self.trace.emit(now, "oracle", "oracle-divergence",
-                                    group=group.group_id, index=ctx.index,
-                                    thread=tid, tiles=[a, b])
+        for i, (a, ka) in enumerate(walked):
+            verdicts_a, sa = reports[a].verdicts, boundary[a]
+            for b, kb in walked[i + 1:]:
+                if (kb == ka or verdicts_a.get(b) != lockstep.AGREE
+                        or reports[b].verdicts.get(a) != lockstep.AGREE):
+                    continue
+                sb = boundary[b]
+                for tid in ctx.checked:
+                    if sa.get(tid) != sb.get(tid):
+                        self.oracle_divergences += 1
+                        self.trace.emit(now, "oracle", "oracle-divergence",
+                                        group=group.group_id, index=ctx.index,
+                                        thread=tid, tiles=[a, b])
 
     # -- checkpoint outcomes ------------------------------------------------
 
@@ -666,12 +649,10 @@ class Simulation:
 
     def _handle_faulty(self, group: TileGroup, ctx: GroupCheckpoint, verdict: sup.Verdict):
         donor = next((m for m in group.members if m in verdict.clique), None)
-        writers = sorted(
-            {m for m, r in ctx.reports.items() if r.detected_mismatch}
-            | ({donor} if donor else set()),
-            key=ctx.members.index,
-        )
-        self.propagate_state(group, ctx, writers)
+        reports = ctx.reports
+        self.propagate_state(group, ctx, [
+            m for m in ctx.members
+            if m == donor or m in reports and reports[m].detected_mismatch])
         for f in verdict.faulty:
             self._apply_fault_action(group, ctx, f, donor)
         for j in self._joiners(group):
@@ -795,19 +776,17 @@ class Simulation:
     # -- grace period and updates --------------------------------------------
 
     def _on_grace_expiry(self, group_id: str, index: int):
+        """Close the recovery window: run update callbacks on tiles waiting
+        for donor state, then resume the whole group together."""
         # dissolving a group drops its round too
         ctx = self.ctxs.get(group_id)
         if ctx is None or ctx.index != index or ctx.completed:
             return
-        self.apply_update_and_resume(self.groups[group_id], ctx)
-
-    def apply_update_and_resume(self, group: TileGroup, ctx: GroupCheckpoint):
-        """Close the recovery window: run update callbacks on tiles waiting
-        for donor state, then resume the whole group together."""
+        group = self.groups[group_id]
         now = self.queue.now
         for m in list(group.members):
             pending = self.pending_updates.get(m)
-            if pending is None or pending.group_id != group.group_id:
+            if pending is None or pending.group_id != group_id:
                 continue
             tile = self.tiles[m]
             donor_id = pending.donor
@@ -1073,16 +1052,12 @@ class Simulation:
             now + self.watchdog_period, Simulation._on_watchdog_expiry)
 
     def _on_watchdog_expiry(self):
+        """Watchdog fired: full system reset; fault counters are retained."""
         now = self.queue.now
         if self.full_reconfig:
             self.trace.emit(now, "supervisor", "watchdog-suppressed")
             self._arm_watchdog(now)
             return
-        self.watchdog_tick()
-
-    def watchdog_tick(self):
-        """Watchdog fired: full system reset; fault counters are retained."""
-        now = self.queue.now
         self.trace.emit(now, "supervisor", "watchdog-reset")
         self._halt_all_tiles(now)
         self._restart_after_halt(now)
@@ -1134,25 +1109,23 @@ class Simulation:
             if not entry.active:
                 self._deactivate_tg(entry, host)
                 continue
-            same = (host is not None and set(entry.tiles) == set(current)
-                    and set(host.members) == set(entry.tiles))
-            if same and entry.period_factor == host.period_factor:
-                if entry.mode == crit.MODE_DETECT_ONLY and host.correction_enabled:
+            # a host keeping its tiles changes in place; a shared host keeps its period
+            if (host is not None and set(entry.tiles) == set(current)
+                    and set(host.members) == set(entry.tiles)
+                    and (entry.period_factor == host.period_factor
+                         or len(host.thread_groups) == 1)):
+                slowed = entry.period_factor != host.period_factor
+                if slowed:
+                    host.period_factor = entry.period_factor
+                    for m in host.members:
+                        self.trace.emit(now, m, "timer-adjusted",
+                                        tile=m, group=host.group_id, period=host.period)
+                degrades = entry.mode == crit.MODE_DETECT_ONLY and host.correction_enabled
+                if degrades:
                     host.correction_enabled = False
+                if slowed or degrades:
                     self.trace.emit(now, "supervisor", "tg-degraded",
-                                    tg=entry.tg_id, mode=entry.mode,
-                                    levers=list(entry.levers))
-                continue
-            if (same and entry.period_factor != host.period_factor
-                    and len(host.thread_groups) == 1):
-                host.period_factor = entry.period_factor
-                for m in host.members:
-                    self.trace.emit(now, m, "timer-adjusted",
-                                    tile=m, group=host.group_id, period=host.period)
-                if entry.mode == crit.MODE_DETECT_ONLY:
-                    host.correction_enabled = False
-                self.trace.emit(now, "supervisor", "tg-degraded",
-                                tg=entry.tg_id, mode=entry.mode, levers=list(entry.levers))
+                                    tg=entry.tg_id, mode=entry.mode, levers=list(entry.levers))
                 continue
             self.migrate_thread_group(entry, host, requests[entry.tg_id])
 
@@ -1289,8 +1262,9 @@ class Simulation:
 
     def _arm_timer(self, group: TileGroup, at: int):
         self._cancel_timer(group.group_id)
+        # dissolving a group cancels its timer, so the group is still there
         self.timers[group.group_id] = self.queue.schedule(
-            at, Simulation._on_timer_checkpoint, group.group_id)
+            at, Simulation.start_checkpoint, group, "timer")
 
     def _cancel_timer(self, group_id: str):
         self.queue.cancel(self.timers.pop(group_id, None))

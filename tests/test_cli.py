@@ -183,6 +183,20 @@ def test_unreadable_trace_exits_1_naming_the_line(tmp_path, capsys, text, error)
     assert err == f"error: {path}: {error}\n"
 
 
+@pytest.mark.parametrize("text, error", [
+    ('{"at":5,"actor":"injector","kind":"fault"}', "record 2 (fault) has no 'id' field"),
+    ('{"at":5,"actor":"sim","kind":"tg-active","tg":"TG1"}',
+     "record 2 (tg-active) has no 'active' field"),
+], ids=["fault-without-id", "tg-active-without-active"])
+def test_record_without_a_field_metrics_reads_exits_1_naming_it(tmp_path, capsys, text, error):
+    # the blank line is no record: the count is of records, not of file lines
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"at":0,"actor":"sim","kind":"run-start"}\n\n' + text + "\n")
+    assert main(["metrics", "--trace", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {error}\n"
+
+
 def test_trace_not_utf8_exits_1_naming_the_line(tmp_path, capsys):
     good = '{"at":0,"actor":"sim","kind":"run-start"}\n'
     path = tmp_path / "t.jsonl"

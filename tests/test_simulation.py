@@ -346,6 +346,27 @@ def test_forced_checksum_collision_keeps_its_trace(monkeypatch, name):
 def test_until_zero_stops_at_zero():
     sim = Simulation(parse_scenario(make_doc()), until=0)
     assert sim.horizon == 0
+    records = sim.run().records
+    assert records[-1].kind == "run-end" and records[-1].at == 0
+    assert all(r.at == 0 for r in records)
+
+
+def test_negative_until_is_refused():
+    with pytest.raises(ValueError, match="until must be >= 0, not -1"):
+        Simulation(parse_scenario(make_doc()), until=-1)
+
+
+@pytest.mark.parametrize("until", [0, 5000, 40000, 123457])
+def test_until_runs_the_first_until_us_of_the_same_run(until):
+    # generated faults are drawn over the scenario's horizon, so stopping
+    # early reads the fault stream as the full run does
+    scenario = load_scenario("storm")
+    full = Simulation(scenario).run().records
+    cut = Simulation(scenario, until=until).run().records
+    assert scenario.horizon > until
+    assert cut[0].payload == {**full[0].payload, "horizon": until}
+    assert cut[1:-1] == [r for r in full[1:-1] if r.at <= until]
+    assert (cut[-1].at, cut[-1].kind, cut[-1].payload) == (until, "run-end", {"reason": "horizon"})
 
 
 def paused_at_first_checkpoint(doc):

@@ -26,7 +26,7 @@ def at_open_rounds(check):
             group, ctx = sim.groups[gid], sim.ctxs[gid]
             assert (ctx.index, ctx.resolved, ctx.rows) == (0, False, {})
             for m in group.members:
-                sim.write_validation(sim.tiles[m], group, ctx)
+                sim._on_checksums_ready(gid, ctx.index, m)
         check(sim, sim.ctxs["G1"], sim.ctxs["G2"])
         checked.append(True)
 
