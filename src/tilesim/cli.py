@@ -1,8 +1,9 @@
 """Command line interface.
 
 Verbs: run, sweep, metrics, validate, replay-check. Exit codes: 0 success,
-1 validation error or a replay-check mismatch, 2 loss of mission (with
---fail-on-loss), 3 any other error, reported as one line on stderr.
+1 validation error (a malformed command line too) or a replay-check
+mismatch, 2 loss of mission (with --fail-on-loss), 3 any other error,
+reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -26,14 +27,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p, scenario=True):
-        if scenario:
-            p.add_argument("--scenario", required=True,
-                           help="scenario file path or bundled name "
-                                "(fig3, fig6, exhaustion, storm)")
+    def common(p, seed=True):
+        p.add_argument("--scenario", required=True,
+                       help="scenario file path or bundled name "
+                            "(fig3, fig6, exhaustion, storm)")
+        if seed:
             p.add_argument("--seed", type=int, default=None, help="override the seed")
-            p.add_argument("--set", dest="overrides", action="append", default=[],
-                           metavar="KEY=VALUE", help="override a scenario field")
+        p.add_argument("--set", dest="overrides", action="append", default=[],
+                       metavar="KEY=VALUE", help="override a scenario field")
         p.add_argument("--quiet", action="store_true")
 
     p_run = sub.add_parser("run", help="execute one scenario")
@@ -44,8 +45,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--fail-on-loss", action="store_true",
                        help="exit 2 on loss of mission")
 
-    p_sweep = sub.add_parser("sweep", help="run a parameter grid")
-    common(p_sweep)
+    # --seeds sets the seeds, and `--seed` must not pass as its abbreviation
+    p_sweep = sub.add_parser("sweep", help="run a parameter grid", allow_abbrev=False)
+    common(p_sweep, seed=False)
     p_sweep.add_argument("--grid", action="append", default=[], metavar="KEY=V1,V2,...",
                          help="numeric scenario field and its values")
     p_sweep.add_argument("--seeds", default="0", help="comma-separated seeds")
@@ -67,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     overrides = list(args.overrides)
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides.append(f"seed={args.seed}")
     return load_scenario(args.scenario, overrides)
 
@@ -150,7 +152,10 @@ def cmd_replay_check(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # a usage error exits 2, which means loss of mission
+        return 1 if exc.code == 2 else exc.code
     handlers = {
         "run": cmd_run,
         "sweep": cmd_sweep,

@@ -38,12 +38,7 @@ def _numeric(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def sweep(
-    doc: dict,
-    grid: dict[str, list],
-    seeds: list[int],
-    until: Optional[int] = None,
-) -> list[dict]:
+def sweep(doc: dict, grid: dict[str, list], seeds: list[int]) -> list[dict]:
     """One independent run per (grid point, seed); rows sorted by grid key.
 
     Grid keys are scenario override paths; all grid values must be numeric.
@@ -66,7 +61,7 @@ def sweep(
                 apply_override(run_doc, f"{key}={json.dumps(value)}")
             run_doc["seed"] = seed
             scenario = parse_scenario(run_doc, name=run_doc.get("name", "sweep"))
-            _, summary = run_simulation(scenario, until=until)
+            _, summary = run_simulation(scenario)
             row = {key: value for key, value in zip(keys, point)}
             row["seed"] = seed
             for col in SWEEP_COLUMNS:

@@ -24,7 +24,7 @@ from .engine import EventQueue, StreamPool, mix64
 from .scenario import Scenario, TileGroupConfig
 from .tiles import (
     ACTIVE, BOOTING, DEFUNCT, IDLE_SPARE, REBOOTING, SUSPECT, UPDATING,
-    RunWindow, Tile, TileGroup, ThreadGroup,
+    RunWindow, Tile, TileGroup,
 )
 from .trace import Trace
 
@@ -110,14 +110,17 @@ class Simulation:
         # out the same initial state.
         self.initial_states = {tid: workload.init_thread(spec)
                                for tid, spec in scenario.threads.items()}
-        self.thread_groups: dict[str, ThreadGroup] = {}
+        # thread-group id -> its threads, in the order the scenario lists them
+        self.thread_groups: dict[str, list[workload.ThreadSpec]] = {}
         self.thread_group_of: dict[str, str] = {}   # thread id -> the thread group listing it
         for tgc in scenario.thread_groups:
-            specs = [scenario.threads[tid] for tid in tgc.threads]
-            self.thread_groups[tgc.tg_id] = ThreadGroup(tg_id=tgc.tg_id, threads=specs)
+            self.thread_groups[tgc.tg_id] = [scenario.threads[tid] for tid in tgc.threads]
             self.thread_group_of.update(dict.fromkeys(tgc.threads, tgc.tg_id))
 
         self.groups: dict[str, TileGroup] = {}   # in creation order
+        # thread-group id -> the tile group running it. Every thread group
+        # has one host until Stage 3 deactivates it, which removes its entry.
+        self.host_of: dict[str, TileGroup] = {}
         for gc in scenario.tile_groups:
             self._make_group(gc)
 
@@ -145,13 +148,12 @@ class Simulation:
     # ------------------------------------------------------------------
     # construction helpers
 
-    def _make_group(self, gc: TileGroupConfig) -> TileGroup:
+    def _make_group(self, gc: TileGroupConfig):
         group = TileGroup(gc.group_id, list(gc.members), list(gc.thread_groups))
-        group.bind([spec for tg_id in group.thread_groups
-                    for spec in self.thread_groups[tg_id].threads],
+        group.bind([spec for tg_id in group.thread_groups for spec in self.thread_groups[tg_id]],
                    self.scenario.costs.context_switch)
         self.groups[gc.group_id] = group
-        return group
+        self.host_of.update(dict.fromkeys(group.thread_groups, group))
 
     def _join(self, tile: Tile, group: TileGroup, now: Optional[int]):
         """Open a run window on `tile` for each of `group`'s thread groups,
@@ -161,7 +163,7 @@ class Simulation:
             win = tile.windows[tg_id] = RunWindow()
             if now is not None:
                 win.resume(now)
-            for spec in self.thread_groups[tg_id].threads:
+            for spec in self.thread_groups[tg_id]:
                 if spec.thread_id not in tile.threads:
                     tile.threads[spec.thread_id] = self.initial_states[spec.thread_id]
 
@@ -367,7 +369,7 @@ class Simulation:
         memo = {} if ctx is None else ctx.advanced
         ran, done = now - win.epoch, win.advanced_to - win.epoch
         slipped = False
-        for spec in self.thread_groups[tg_id].threads:
+        for spec in self.thread_groups[tg_id]:
             work_per_tick = spec.work_per_tick
             cycles = ran // work_per_tick - done // work_per_tick
             if cycles:
@@ -1065,29 +1067,25 @@ class Simulation:
     # ------------------------------------------------------------------
     # Stage 3: mixed criticality
 
-    def stage3_reallocate(self, reason: str) -> crit.Plan:
+    def stage3_reallocate(self, reason: str):
         now = self.queue.now
         healthy = {
             t.tile_id: Fraction(t.capacity)
             for t in self.scenario.tiles
             if self.tiles[t.tile_id].status in (ACTIVE, SUSPECT, UPDATING, IDLE_SPARE)
         }
-        requests = []
-        for tg_id, tg in self.thread_groups.items():
-            if tg.deactivated:
-                continue
-            host = self._hosting_group(tg_id)
-            current = tuple(m for m in host.members if m in healthy) if host else ()
-            desired = min(s.checkpoint_period for s in tg.threads)
-            requests.append(crit.AllocRequest(
+        requests = {}
+        for tg_id, host in self.host_of.items():
+            threads = self.thread_groups[tg_id]
+            requests[tg_id] = crit.AllocRequest(
                 tg_id=tg_id,
-                criticality=tg.criticality,
-                threads=tuple(tg.threads),
-                period=desired,
-                current_tiles=current,
-                period_factor=host.period_factor if host else 1,
-            ))
-        plan = crit.reallocate(healthy, requests, self.scenario.policy,
+                criticality=max(s.criticality for s in threads),
+                threads=tuple(threads),
+                period=min(s.checkpoint_period for s in threads),
+                current_tiles=tuple(m for m in host.members if m in healthy),
+                period_factor=host.period_factor,
+            )
+        plan = crit.reallocate(healthy, list(requests.values()), self.scenario.policy,
                                context_switch=self.scenario.costs.context_switch)
         self.trace.emit(now, "supervisor", "stage3-plan",
                         reason=reason,
@@ -1095,22 +1093,22 @@ class Simulation:
                             "tg": e.tg_id, "tiles": list(e.tiles), "mode": e.mode,
                             "period_factor": e.period_factor, "levers": list(e.levers),
                         } for e in plan.entries])
-        self._apply_plan(plan, {r.tg_id: r for r in requests})
-        return plan
-
-    def _hosting_group(self, tg_id: str) -> Optional[TileGroup]:
-        return next((g for g in self.groups.values() if tg_id in g.thread_groups), None)
+        self._apply_plan(plan, requests)
 
     def _apply_plan(self, plan: crit.Plan, requests: dict[str, crit.AllocRequest]):
         now = self.queue.now
         for entry in plan.entries:
-            host = self._hosting_group(entry.tg_id)
-            current = requests[entry.tg_id].current_tiles
+            tg_id = entry.tg_id
+            host = self.host_of[tg_id]
             if not entry.active:
-                self._deactivate_tg(entry, host)
+                del self.host_of[tg_id]
+                self._detach_tg(host, tg_id, now)
+                self._mark_active(tg_id, False, now)
+                self.trace.emit(now, "supervisor", "tg-deactivated",
+                                tg=tg_id, loss_of_capability=entry.loss_of_capability)
                 continue
             # a host keeping its tiles changes in place; a shared host keeps its period
-            if (host is not None and set(entry.tiles) == set(current)
+            if (set(entry.tiles) == set(requests[tg_id].current_tiles)
                     and set(host.members) == set(entry.tiles)
                     and (entry.period_factor == host.period_factor
                          or len(host.thread_groups) == 1)):
@@ -1125,57 +1123,50 @@ class Simulation:
                     host.correction_enabled = False
                 if slowed or degrades:
                     self.trace.emit(now, "supervisor", "tg-degraded",
-                                    tg=entry.tg_id, mode=entry.mode, levers=list(entry.levers))
+                                    tg=tg_id, mode=entry.mode, levers=list(entry.levers))
                 continue
-            self.migrate_thread_group(entry, host, requests[entry.tg_id])
-
-    def _deactivate_tg(self, entry: crit.PlanEntry, host: Optional[TileGroup]):
-        now = self.queue.now
-        tg = self.thread_groups[entry.tg_id]
-        tg.deactivated = True
-        if host:
-            self._detach_tg(host, entry.tg_id, now)
-        self._mark_active(entry.tg_id, False, now)
-        self.trace.emit(now, "supervisor", "tg-deactivated",
-                        tg=entry.tg_id, loss_of_capability=entry.loss_of_capability)
+            self.migrate_thread_group(entry, host, requests[tg_id])
 
     def _detach_tg(self, host: TileGroup, tg_id: str, now: int):
-        """Take a thread group off its host group's tiles; a host left with
-        no thread group dissolves, any other is rebased."""
+        """Take a thread group off its host group's tiles. A host left with
+        no thread group dissolves; any other binds the threads it still
+        runs, which works out its timing again."""
         host.thread_groups.remove(tg_id)
         for m in host.members:
             tile = self.tiles[m]
             self._advance_window(tile, tg_id, now)
             tile.windows.pop(tg_id, None)
         if not host.thread_groups:
-            self._dissolve_group(host)
-        else:
-            self._rebase_group(host)
+            self._cancel_timer(host.group_id)
+            self.ctxs.pop(host.group_id, None)
+            del self.groups[host.group_id]
+            return
+        base = host.base_period
+        host.bind([spec for t in host.thread_groups for spec in self.thread_groups[t]],
+                  self.scenario.costs.context_switch)
+        if host.base_period != base:
+            for m in host.members:
+                self.trace.emit(now, m, "timer-adjusted",
+                                tile=m, group=host.group_id, period=host.period)
 
-    def _dissolve_group(self, group: TileGroup):
-        self._cancel_timer(group.group_id)
-        self.ctxs.pop(group.group_id, None)
-        del self.groups[group.group_id]
-
-    def migrate_thread_group(self, entry: crit.PlanEntry, host: Optional[TileGroup],
+    def migrate_thread_group(self, entry: crit.PlanEntry, host: TileGroup,
                              request: crit.AllocRequest):
         """Move one thread group onto its planned tiles as a fresh tile
         group, seeding state from a healthy donor (or restarting from init)."""
         now = self.queue.now
-        tg = self.thread_groups[entry.tg_id]
+        threads = self.thread_groups[entry.tg_id]
         donor_id = next((m for m in request.current_tiles
                          if self.tiles[m].status in (ACTIVE, SUSPECT)), None)
-
-        if host is not None:
-            self._detach_tg(host, entry.tg_id, now)
+        self._detach_tg(host, entry.tg_id, now)
 
         self._stage3_seq += 1
         gid = f"{entry.tg_id}-m{self._stage3_seq}"
         group = TileGroup(gid, list(entry.tiles), [entry.tg_id],
                           period_factor=entry.period_factor,
                           correction_enabled=len(entry.tiles) >= 3)
-        group.bind(tg.threads, self.scenario.costs.context_switch)
+        group.bind(threads, self.scenario.costs.context_switch)
         self.groups[gid] = group
+        self.host_of[entry.tg_id] = group
 
         if donor_id is None:
             self.trace.emit(now, "supervisor", "tg-restarted",
@@ -1195,7 +1186,7 @@ class Simulation:
                 self.ledger.move((flt.PENDING, m), (flt.TILE, m))
                 tile.set_status(ACTIVE)
             self._join(tile, group, now)
-            for spec in tg.threads:
+            for spec in threads:
                 if donor is not None and m != donor_id:
                     tile.threads[spec.thread_id] = workload.update_callback(
                         tile.threads[spec.thread_id], donor.threads[spec.thread_id])
@@ -1209,22 +1200,8 @@ class Simulation:
         if entry.mode == crit.MODE_DETECT_ONLY:
             self.trace.emit(now, "supervisor", "tg-degraded",
                             tg=entry.tg_id, mode=entry.mode, levers=list(entry.levers))
-        if not tg.deactivated:
-            self._mark_active(entry.tg_id, True, now)
+        self._mark_active(entry.tg_id, True, now)
         self._arm_timer(group, now)
-
-    def _rebase_group(self, group: TileGroup):
-        """Rebind a group's threads after its thread set changed, which
-        works out its timing again."""
-        base = group.base_period
-        group.bind([spec for tg_id in group.thread_groups
-                    for spec in self.thread_groups[tg_id].threads],
-                   self.scenario.costs.context_switch)
-        if group.base_period == base:
-            return
-        for m in group.members:
-            self.trace.emit(self.queue.now, m, "timer-adjusted",
-                            tile=m, group=group.group_id, period=group.period)
 
     # ------------------------------------------------------------------
     # spare restoration
@@ -1252,8 +1229,7 @@ class Simulation:
 
     def _set_tg_active(self, group: TileGroup, active: bool, now: int):
         for tg_id in group.thread_groups:
-            if not self.thread_groups[tg_id].deactivated:
-                self._mark_active(tg_id, active, now)
+            self._mark_active(tg_id, active, now)
 
     def _mark_active(self, tg_id: str, active: bool, now: int):
         if self.tg_active.get(tg_id) != active:

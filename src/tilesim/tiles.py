@@ -44,19 +44,6 @@ class InvalidTransition(RuntimeError):
 
 
 @dataclass
-class ThreadGroup:
-    tg_id: str
-    threads: list[ThreadSpec]
-    deactivated: bool = False
-    criticality: int = field(init=False)    # the highest of its threads'
-
-    def __post_init__(self):
-        if not self.threads:
-            raise ValueError(f"thread group {self.tg_id} is empty")
-        self.criticality = max(t.criticality for t in self.threads)
-
-
-@dataclass
 class TileGroup:
     group_id: str
     members: list[str]

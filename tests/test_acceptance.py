@@ -7,12 +7,12 @@ criterion. Tolerances are fixed here, not tuned elsewhere.
 import dataclasses
 import json
 import time
-from fractions import Fraction
 from importlib import resources
 
 import pytest
 
 from tilesim import faults as flt
+from tilesim import simulation
 from tilesim.criticality import reallocate
 from tilesim.engine import RandomStream
 from tilesim.runner import replay_check, run_simulation, sweep
@@ -237,7 +237,7 @@ def test_criterion_5_overhead_law():
 # -- 6: fabric repair liveness and escalation ---------------------------------------
 
 
-def test_criterion_6_stage2_liveness_and_escalation():
+def test_criterion_6_stage2_liveness_and_escalation(monkeypatch):
     # a) the damaged tile is repaired with a non-overlapping variant and
     #    returns to the spare pool
     trace, summary = run_simulation(load_scenario("exhaustion"))
@@ -249,39 +249,27 @@ def test_criterion_6_stage2_liveness_and_escalation():
     assert summary.repaired == 1
 
     # b) with the damage on the anchor cell every variant overlaps:
-    #    escalation to the criticality manager, whose plan honors priority
-    #    dominance
-    scenario = load_scenario("exhaustion", ["faults.explicit[0].cell=0"])
-    sim = Simulation(scenario)
-    trace = sim.run()
+    #    escalation to the criticality manager, whose plan, as the run made
+    #    it, honors priority dominance
+    calls = []
+
+    def recorded(tiles, requests, policy, context_switch=2):
+        plan = reallocate(tiles, requests, policy, context_switch)
+        calls.append((tiles, requests, policy, plan))
+        return plan
+
+    monkeypatch.setattr(simulation.crit, "reallocate", recorded)
+    trace = Simulation(load_scenario("exhaustion", ["faults.explicit[0].cell=0"])).run()
     assert any(r.kind == "repair-exhausted" for r in trace.records)
+    [(tiles, requests, policy, plan)] = calls
+    assert priority_dominance_violations(tiles, requests, plan, policy) == []
     plan_rec = next(r for r in trace.records if r.kind == "stage3-plan")
-
-    healthy = {t.tile_id: Fraction(t.capacity) for t in scenario.tiles
-               if sim.tiles[t.tile_id].status in ("active", "suspect", "idle-spare")}
-    requests = sim_requests(sim, healthy)
-    plan = reallocate(healthy, requests, scenario.policy)
-    assert priority_dominance_violations(healthy, requests, plan,
-                                         scenario.policy) == []
-    entries = {e["tg"]: e for e in plan_rec.payload["entries"]}
-    assert entries["TG-x"]["mode"] == "detect-only"
+    assert plan_rec.payload["entries"] == [
+        {"tg": e.tg_id, "tiles": list(e.tiles), "mode": e.mode,
+         "period_factor": e.period_factor, "levers": list(e.levers)}
+        for e in plan.entries]
+    assert plan.entry("TG-x").mode == "detect-only"
     _ok(6, "stage 2 liveness and stage 3 escalation")
-
-
-def sim_requests(sim, healthy):
-    from tilesim.criticality import AllocRequest
-    reqs = []
-    for tg_id, tg in sim.thread_groups.items():
-        if tg.deactivated:
-            continue
-        host = sim._hosting_group(tg_id)
-        current = tuple(m for m in host.members if m in healthy) if host else ()
-        reqs.append(AllocRequest(
-            tg_id=tg_id, criticality=tg.criticality, threads=tuple(tg.threads),
-            period=min(s.checkpoint_period for s in tg.threads),
-            current_tiles=current,
-            period_factor=host.period_factor if host else 1))
-    return reqs
 
 
 # -- 7: greedy reallocation versus exhaustive oracle -----------------------------------

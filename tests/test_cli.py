@@ -268,6 +268,23 @@ def test_sweep_rejects_bad_seeds(tmp_path, capsys, seeds):
     assert not csv_out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--scenario", "fig3", "--bogus"],
+    ["run", "--scenario", "fig3", "--until", "x"],
+    # --seeds sets a sweep's seeds, and --seed is no abbreviation of it
+    ["sweep", "--scenario", "fig3", "--seed", "5", "--quiet"],
+])
+def test_usage_error_exits_1_not_the_loss_of_mission_code(capsys, argv):
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert main(argv) == 0
+    assert "usage:" in capsys.readouterr().out
+
+
 def test_sweep_rejects_non_numeric_grid():
     rc = main(["sweep", "--scenario", "fig3", "--grid", "name=foo,bar", "--quiet"])
     assert rc == 1

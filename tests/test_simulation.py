@@ -599,6 +599,34 @@ def test_tiles_hold_states_only_for_the_threads_of_their_groups():
 
 # -- Stage 3 plans, applied by hand --------------------------------------------------
 
+def assert_one_host(sim):
+    """Every thread group is in exactly one of two places: `host_of` maps it
+    to the one tile group that lists it, or it is off every tile group and
+    one `tg-deactivated` record names it."""
+    deactivated = [r.payload["tg"] for r in sim.trace.of_kind("tg-deactivated")]
+    for tg_id in sim.thread_groups:
+        listing = [g for g in sim.groups.values() if tg_id in g.thread_groups]
+        if tg_id in sim.host_of:
+            assert len(listing) == 1 and listing[0] is sim.host_of[tg_id], tg_id
+            assert tg_id not in deactivated, tg_id
+        else:
+            assert listing == [] and deactivated.count(tg_id) == 1, tg_id
+
+
+@pytest.mark.parametrize("scenario", [
+    load_scenario("fig6"),
+    load_scenario("exhaustion", ["faults.explicit[0].cell=0"]),
+    # the chaos seeds in 0-299 that write a Stage-3 plan
+    *(parse_scenario(chaos_doc(seed)) for seed in (161, 171, 196)),
+], ids=["fig6", "exhaustion-cell-0", "chaos-161", "chaos-171", "chaos-196"])
+def test_every_thread_group_has_one_host_or_was_deactivated(scenario):
+    sim = Simulation(scenario)
+    sim.run()
+    if scenario.name != "fig6":
+        assert sim.trace.of_kind("stage3-plan")
+    assert_one_host(sim)
+
+
 def apply_by_hand(entry, current, prepare=lambda sim: None, doc=None, until=1500):
     """Run `doc` (the default scenario) to t=1500, `prepare` it, then apply a
     plan of one entry for TG1, whose hosting tiles were `current`, and run on
@@ -608,15 +636,16 @@ def apply_by_hand(entry, current, prepare=lambda sim: None, doc=None, until=1500
 
     def apply(sim):
         prepare(sim)
-        tg = sim.thread_groups["TG1"]
-        request = crit.AllocRequest("TG1", tg.criticality, tuple(tg.threads), 1000,
-                                    tuple(current))
+        threads = sim.thread_groups["TG1"]
+        request = crit.AllocRequest("TG1", max(s.criticality for s in threads),
+                                    tuple(threads), 1000, tuple(current))
         start = len(sim.trace.records)
         sim._apply_plan(crit.Plan([entry]), {"TG1": request})
         added.extend((r.kind, r.payload) for r in sim.trace.records[start:])
 
     sim.queue.schedule(1500, apply)
     sim.run()
+    assert_one_host(sim)
     return sim, added
 
 

@@ -11,12 +11,13 @@ the second each run's `compute_metrics(...).to_json()`, in that run order.
 Each run's JSONL is also read back with `read_jsonl`: the script exits 1,
 naming the run, unless the records read back, re-serialised by the stdlib's
 `json.dumps`, give the same bytes, and unless they give the same metrics.
-A third line hashes the wide-group variant (one 14-tile group) over seeds
+The script prints these as three lines: the run count, then each hash.
+A fourth line hashes the wide-group variant (one 14-tile group) over seeds
 0-59, traces then metrics, so that arbitration of wide groups is covered.
-A fourth hashes the chaos and wide-group documents with report signal loss
+A fifth hashes the chaos and wide-group documents with report signal loss
 at probabilities 0.05, 0.3 and 0.9 over seeds 0-59 (360 runs), so that
-rounds in which some reports are lost are covered. All four lines take
-about 90 s on a 2-vCPU host.
+rounds in which some reports are lost are covered. All five lines take
+about a minute on a 2-vCPU host.
 The script compares each family's run count and hashes with `PINS` and
 exits 1, naming each family that moved, after printing every line. A
 change that alters trace bytes on purpose updates `PINS` with its re-pin.
