@@ -10,9 +10,9 @@ its work rate plus its checkpoint cost amortized over the period.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Collection, Optional
 
 from .workload import ThreadSpec
 
@@ -71,17 +71,6 @@ class PlanEntry:
         return self.mode != MODE_DEACTIVATED
 
 
-@dataclass
-class Plan:
-    entries: list[PlanEntry] = field(default_factory=list)
-
-    def entry(self, tg_id: str) -> PlanEntry:
-        for e in self.entries:
-            if e.tg_id == tg_id:
-                return e
-        raise KeyError(tg_id)
-
-
 def utilization(spec: ThreadSpec, period: int, context_switch: int) -> Fraction:
     return Fraction(spec.work_per_tick) + Fraction(
         spec.checksum_cost + context_switch, period
@@ -98,11 +87,11 @@ def group_utilization(req: AllocRequest, factor: int, context_switch: int) -> Fr
 
 def reallocate(
     tiles: dict[str, Fraction],
-    requests: list[AllocRequest],
+    requests: Collection[AllocRequest],
     policy: CriticalityPolicy,
     context_switch: int = 2,
-) -> Plan:
-    """Produce a Stage 3 assignment plan for the surviving tiles.
+) -> dict[str, PlanEntry]:
+    """Plan Stage 3 on the surviving tiles: thread group id -> its entry.
 
     Thread groups are placed from most to least critical. Each keeps as
     many replicas as it has healthy hosts (never below its class minimum),
@@ -116,7 +105,7 @@ def reallocate(
     order = sorted(requests, key=lambda r: (-r.criticality, r.tg_id))
     load: dict[str, Fraction] = {t: Fraction(0) for t in tiles}
     tile_order = list(tiles)
-    plan = Plan()
+    plan: dict[str, PlanEntry] = {}
 
     # Capacity currently pinned by groups not yet (re)placed: a soft signal
     # so the greedy disturbs existing placements only when it has to.
@@ -165,11 +154,11 @@ def reallocate(
 
         if not placed:
             high = req.criticality >= policy.high_threshold
-            plan.entries.append(PlanEntry(
+            plan[req.tg_id] = PlanEntry(
                 tg_id=req.tg_id, tiles=(), period_factor=factor,
                 mode=MODE_DEACTIVATED, levers=tuple(levers_used),
                 loss_of_capability=high,
-            ))
+            )
             continue
 
         placed_sorted = sorted(placed, key=tile_order.index)
@@ -177,9 +166,9 @@ def reallocate(
         for t in placed_sorted:
             load[t] += util
         mode = MODE_FULL if len(placed_sorted) >= 3 else MODE_DETECT_ONLY
-        plan.entries.append(PlanEntry(
+        plan[req.tg_id] = PlanEntry(
             tg_id=req.tg_id, tiles=tuple(placed_sorted), period_factor=factor,
             mode=mode, levers=tuple(levers_used),
-        ))
+        )
     return plan
 

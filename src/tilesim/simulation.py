@@ -1085,20 +1085,20 @@ class Simulation:
                 current_tiles=tuple(m for m in host.members if m in healthy),
                 period_factor=host.period_factor,
             )
-        plan = crit.reallocate(healthy, list(requests.values()), self.scenario.policy,
+        plan = crit.reallocate(healthy, requests.values(), self.scenario.policy,
                                context_switch=self.scenario.costs.context_switch)
         self.trace.emit(now, "supervisor", "stage3-plan",
                         reason=reason,
                         entries=[{
                             "tg": e.tg_id, "tiles": list(e.tiles), "mode": e.mode,
                             "period_factor": e.period_factor, "levers": list(e.levers),
-                        } for e in plan.entries])
+                        } for e in plan.values()])
         self._apply_plan(plan, requests)
 
-    def _apply_plan(self, plan: crit.Plan, requests: dict[str, crit.AllocRequest]):
+    def _apply_plan(self, plan: dict[str, crit.PlanEntry],
+                    requests: dict[str, crit.AllocRequest]):
         now = self.queue.now
-        for entry in plan.entries:
-            tg_id = entry.tg_id
+        for tg_id, entry in plan.items():
             host = self.host_of[tg_id]
             if not entry.active:
                 del self.host_of[tg_id]

@@ -267,8 +267,8 @@ def test_criterion_6_stage2_liveness_and_escalation(monkeypatch):
     assert plan_rec.payload["entries"] == [
         {"tg": e.tg_id, "tiles": list(e.tiles), "mode": e.mode,
          "period_factor": e.period_factor, "levers": list(e.levers)}
-        for e in plan.entries]
-    assert plan.entry("TG-x").mode == "detect-only"
+        for e in plan.values()]
+    assert plan["TG-x"].mode == "detect-only"
     _ok(6, "stage 2 liveness and stage 3 escalation")
 
 

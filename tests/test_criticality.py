@@ -3,7 +3,7 @@ from itertools import combinations
 
 from tilesim.criticality import (
     DEACTIVATE, FREQUENCY_FACTOR, MAX_PERIOD_FACTOR, MODE_DEACTIVATED, MODE_DETECT_ONLY,
-    MODE_FULL, REDUCE_FREQUENCY, REDUCE_REPLICAS, AllocRequest, CriticalityPolicy, Plan,
+    MODE_FULL, REDUCE_FREQUENCY, REDUCE_REPLICAS, AllocRequest, CriticalityPolicy, PlanEntry,
     group_utilization, reallocate, utilization,
 )
 from tilesim.engine import RandomStream
@@ -38,10 +38,10 @@ def test_identity_plan_when_everything_healthy():
     reqs = [request("TG-a", 8, ("C0", "C1", "C2")),
             request("TG-b", 2, ("C1", "C2", "C3"), work=20)]
     plan = reallocate(tiles, reqs, POLICY)
-    assert set(plan.entry("TG-a").tiles) == {"C0", "C1", "C2"}
-    assert set(plan.entry("TG-b").tiles) == {"C1", "C2", "C3"}
-    assert plan.entry("TG-a").mode == MODE_FULL
-    assert not plan.entry("TG-a").levers
+    assert set(plan["TG-a"].tiles) == {"C0", "C1", "C2"}
+    assert set(plan["TG-b"].tiles) == {"C1", "C2", "C3"}
+    assert plan["TG-a"].mode == MODE_FULL
+    assert not plan["TG-a"].levers
 
 
 def test_reallocate_is_idempotent():
@@ -64,10 +64,10 @@ def test_thread_migration_example():
         request("TG-d", 1, ("C3", "C4"), period=1000, work=55),
     ]
     plan = reallocate(tiles, reqs, POLICY)
-    assert set(plan.entry("TG-c").tiles) == {"C2", "C3", "C4"}
-    assert plan.entry("TG-c").mode == MODE_FULL
-    assert set(plan.entry("TG-e").tiles) == {"C0", "C1", "C2"}
-    d = plan.entry("TG-d")
+    assert set(plan["TG-c"].tiles) == {"C2", "C3", "C4"}
+    assert plan["TG-c"].mode == MODE_FULL
+    assert set(plan["TG-e"].tiles) == {"C0", "C1", "C2"}
+    d = plan["TG-d"]
     assert set(d.tiles) == {"C3", "C4"}
     assert d.mode == MODE_DETECT_ONLY
 
@@ -79,7 +79,7 @@ def assert_degradation_ladder(plan, reqs, policy):
     MAX_PERIOD_FACTOR."""
     by_id = {r.tg_id: r for r in reqs}
     rank = {REDUCE_REPLICAS: 0, REDUCE_FREQUENCY: 1, DEACTIVATE: 2}
-    for e in plan.entries:
+    for e in plan.values():
         req, levers = by_id[e.tg_id], list(e.levers)
         assert [rank[lv] for lv in levers] == sorted(rank[lv] for lv in levers)
         assert levers.count(DEACTIVATE) <= 1
@@ -103,24 +103,24 @@ def test_lever_floors_and_order():
     # a replica fewer is enough: the frequency lever stays unused
     tiles = {"C0": Fraction(100), "C1": Fraction(100), "C2": Fraction(10)}
     reqs = [request("TG-a", 2, ("C0", "C1", "C2"))]
-    entry = reallocate(tiles, reqs, POLICY).entry("TG-a")
+    entry = reallocate(tiles, reqs, POLICY)["TG-a"]
     assert (entry.levers, entry.tiles, entry.period_factor) == ((rr,), ("C0", "C1"), 1)
     # at the replica floor the period doubles up to its cap, then the group goes
     tiles = {"C0": Fraction(100), "C1": Fraction(10)}
     reqs = [request("TG-a", 2, ("C0", "C1"))]
-    entry = reallocate(tiles, reqs, POLICY).entry("TG-a")
+    entry = reallocate(tiles, reqs, POLICY)["TG-a"]
     assert entry.levers == (rf, rf, rf, off)
     assert (entry.period_factor, entry.mode) == (MAX_PERIOD_FACTOR, MODE_DEACTIVATED)
     # already at the period cap: deactivation is the only step left
     reqs = [request("TG-a", 2, ("C0", "C1"), factor=MAX_PERIOD_FACTOR)]
-    entry = reallocate(tiles, reqs, POLICY).entry("TG-a")
+    entry = reallocate(tiles, reqs, POLICY)["TG-a"]
     assert (entry.levers, entry.period_factor) == ((off,), MAX_PERIOD_FACTOR)
     # the whole ladder, in order, for a high group that fits nowhere
     tiles = {f"C{i}": Fraction(10) for i in range(3)}
     reqs = [request("TG-hi", 9, ("C0", "C1", "C2"))]
     plan = reallocate(tiles, reqs, POLICY)
-    assert plan.entry("TG-hi").levers == (rr, rf, rf, rf, off)
-    assert plan.entry("TG-hi").loss_of_capability
+    assert plan["TG-hi"].levers == (rr, rf, rf, rf, off)
+    assert plan["TG-hi"].loss_of_capability
     assert_degradation_ladder(plan, reqs, POLICY)
 
 
@@ -130,7 +130,7 @@ def test_frequency_lever_fires_before_deactivation():
     tiles = {"C0": Fraction(20) + Fraction(7, 1000), "C1": Fraction(20) + Fraction(7, 1000)}
     reqs = [request("TG-a", 2, ("C0", "C1"), period=1000, work=20)]
     plan = reallocate(tiles, reqs, POLICY)
-    entry = plan.entry("TG-a")
+    entry = plan["TG-a"]
     assert entry.active
     assert entry.period_factor == 2
     assert REDUCE_FREQUENCY in entry.levers
@@ -142,18 +142,18 @@ def test_saturation_deactivates_lowest_first():
     reqs = [request("TG-hi", 9, ("C0", "C1"), work=45),
             request("TG-lo", 1, ("C0", "C1"), work=45)]
     plan = reallocate(tiles, reqs, POLICY)
-    assert plan.entry("TG-hi").active
-    assert plan.entry("TG-lo").mode == MODE_DEACTIVATED
-    assert not plan.entry("TG-lo").loss_of_capability
+    assert plan["TG-hi"].active
+    assert plan["TG-lo"].mode == MODE_DEACTIVATED
+    assert not plan["TG-lo"].loss_of_capability
     # the high group was not disturbed by the low one's removal
-    assert set(plan.entry("TG-hi").tiles) == {"C0", "C1"}
+    assert set(plan["TG-hi"].tiles) == {"C0", "C1"}
 
 
 def test_high_group_loss_of_capability():
     tiles = {"C0": Fraction(10)}
     reqs = [request("TG-hi", 9, ("C0",), work=45)]
     plan = reallocate(tiles, reqs, POLICY)
-    entry = plan.entry("TG-hi")
+    entry = plan["TG-hi"]
     assert entry.mode == MODE_DEACTIVATED
     assert entry.loss_of_capability
 
@@ -161,7 +161,7 @@ def test_high_group_loss_of_capability():
 def priority_dominance_violations(
     tiles: dict[str, Fraction],
     requests: list[AllocRequest],
-    plan: Plan,
+    plan: dict[str, PlanEntry],
     policy: CriticalityPolicy,
     context_switch: int = 2,
 ) -> list[str]:
@@ -172,7 +172,7 @@ def priority_dominance_violations(
     by_id = {r.tg_id: r for r in requests}
     load: dict[str, Fraction] = {t: Fraction(0) for t in tiles}
     lower_load: dict[str, dict[str, Fraction]] = {t: {} for t in tiles}
-    for entry in plan.entries:
+    for entry in plan.values():
         if not entry.active:
             continue
         req = by_id[entry.tg_id]
@@ -182,7 +182,7 @@ def priority_dominance_violations(
             lower_load[t][entry.tg_id] = util
 
     violations = []
-    for entry in plan.entries:
+    for entry in plan.values():
         req = by_id[entry.tg_id]
         class_min = policy.class_min(req.criticality)
         have = len(entry.tiles) if entry.active else 0
@@ -206,15 +206,14 @@ def priority_dominance_violations(
 
 
 def test_priority_dominance_checker_flags_bad_plan():
-    from tilesim.criticality import PlanEntry
     tiles = {"C0": Fraction(100), "C1": Fraction(100), "C2": Fraction(100)}
     reqs = [request("TG-hi", 9, ("C0", "C1")), request("TG-lo", 1, ("C2",))]
     # hand-built bad plan: the high group sits at 2 < 3 replicas while the
     # low group occupies C2, which could host it
-    bad = Plan(entries=[
-        PlanEntry("TG-hi", ("C0", "C1"), 1, MODE_DETECT_ONLY),
-        PlanEntry("TG-lo", ("C2",), 1, MODE_DETECT_ONLY),
-    ])
+    bad = {
+        "TG-hi": PlanEntry("TG-hi", ("C0", "C1"), 1, MODE_DETECT_ONLY),
+        "TG-lo": PlanEntry("TG-lo", ("C2",), 1, MODE_DETECT_ONLY),
+    }
     # the checker also flags TG-lo: it sits below minimum with free capacity
     assert "TG-hi" in priority_dominance_violations(tiles, reqs, bad, POLICY)
     good = reallocate(tiles, reqs, POLICY)
@@ -263,7 +262,7 @@ def _assignments(reqs, tile_ids, policy):
 def plan_high_count(plan, reqs, policy):
     by_id = {r.tg_id: r for r in reqs}
     return sum(
-        1 for e in plan.entries
+        1 for e in plan.values()
         if by_id[e.tg_id].criticality >= policy.high_threshold
         and e.active and len(e.tiles) >= policy.min_replicas_high
     )
@@ -340,5 +339,5 @@ def test_greedy_never_beats_brute_force():
         plan = reallocate(tiles, reqs, policy)
         assert plan_high_count(plan, reqs, policy) <= brute_force_high_count(tiles, reqs, policy)
         assert_degradation_ladder(plan, reqs, policy)
-        levers.update(lv for e in plan.entries for lv in e.levers)
+        levers.update(lv for e in plan.values() for lv in e.levers)
     assert levers == {REDUCE_REPLICAS, REDUCE_FREQUENCY, DEACTIVATE}

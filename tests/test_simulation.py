@@ -640,7 +640,7 @@ def apply_by_hand(entry, current, prepare=lambda sim: None, doc=None, until=1500
         request = crit.AllocRequest("TG1", max(s.criticality for s in threads),
                                     tuple(threads), 1000, tuple(current))
         start = len(sim.trace.records)
-        sim._apply_plan(crit.Plan([entry]), {"TG1": request})
+        sim._apply_plan({"TG1": entry}, {"TG1": request})
         added.extend((r.kind, r.payload) for r in sim.trace.records[start:])
 
     sim.queue.schedule(1500, apply)
