@@ -15,6 +15,20 @@ from .trace import TraceRecord, encode_canonical
 
 OUTCOMES = ("corrected", "replaced", "repaired", "degraded")
 
+# The type of each payload field that compute_metrics counts with or keys by,
+# by record kind; a bool is not an int. The items of `tiles` and of
+# `tg_map`'s lists are checked where they are read.
+FIELD_TYPES = {
+    "run-start": (("horizon", int), ("tg_map", dict)),
+    "fault": (("id", int), ("fault_kind", str), ("disposition", str)),
+    "fault-detected": (("id", int), ("latency", int), ("group", str)),
+    "fault-outcome": (("id", int), ("outcome", str)),
+    "verdict": (("group", str),),
+    "checkpoint-end": (("duration", int), ("tiles", list)),
+    "output-vote": (("divergent", list), ("escaped", int)),
+    "tg-active": (("tg", str), ("active", bool)),
+}
+
 
 @dataclass
 class MetricsSummary:
@@ -87,8 +101,9 @@ class MetricsSummary:
 
 def compute_metrics(records: Iterable[TraceRecord]) -> MetricsSummary:
     """Fold a trace, in the time order it was written, into its metrics. A
-    record without a field that its kind needs raises a ValueError naming
-    the record's 1-based number, its kind and the field."""
+    record without a field that its kind needs, or with a field not of its
+    FIELD_TYPES type, raises a ValueError naming the record's 1-based
+    number, its kind and the field."""
     m = MetricsSummary()
 
     horizon = None
@@ -103,13 +118,22 @@ def compute_metrics(records: Iterable[TraceRecord]) -> MetricsSummary:
     busy: dict[str, int] = {}
     tg_events: dict[str, list[tuple[int, bool]]] = {}
 
+    def wrong_type(name: str) -> ValueError:
+        return ValueError(f"record {number} ({kind}): field {name!r} has the wrong type")
+
     try:
         for number, rec in enumerate(records, 1):
             kind = rec.kind
             p = rec.payload
+            for name, type_ in FIELD_TYPES.get(kind, ()):
+                if name in p and type(p[name]) is not type_:
+                    raise wrong_type(name)
             if kind == "run-start":
                 m.horizon = p.get("horizon", 0)
                 tg_map = p.get("tg_map", {})
+                if not all(type(ts) is list and all(type(t) is str for t in ts)
+                           for ts in tg_map.values()):
+                    raise wrong_type("tg_map")
             elif kind == "run-end":
                 horizon = rec.at
                 m.loss_of_mission = p.get("reason") == "loss-of-mission"
@@ -137,6 +161,8 @@ def compute_metrics(records: Iterable[TraceRecord]) -> MetricsSummary:
             elif kind == "checkpoint-end":
                 m.checkpoints += 1
                 for tile in p.get("tiles", []):
+                    if type(tile) is not str:
+                        raise wrong_type("tiles")
                     busy[tile] = busy.get(tile, 0) + p["duration"]
             elif kind == "output-vote":
                 m.propagation_window_count += len(p.get("divergent", []))

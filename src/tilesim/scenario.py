@@ -314,13 +314,18 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         problems.append("tiles: partitions must be distinct")
 
     threads: dict[str, ThreadSpec] = {}
+    thread_ids: set[str] = set()    # every declared thread, a faulty one too
     for i, th in _entries(problems, "threads", doc.get("threads", [])):
         path = f"threads[{i}]"
+        known = len(problems)
         kwargs = _read(problems, path, th, ThreadSpec, thread_id=f"thread{i}", criticality=0)
         tid = kwargs["thread_id"]
-        if tid in threads:
+        if tid in thread_ids:
             problems.append(f"{path}: duplicate thread id {tid!r}")
             continue
+        thread_ids.add(tid)
+        if len(problems) > known:
+            continue    # ThreadSpec would judge the defaults that replaced bad values
         try:
             threads[tid] = ThreadSpec(**kwargs)
         except ValueError as exc:
@@ -338,7 +343,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
         if not tgc.threads:
             problems.append(f"{path}: thread group is empty")
         for tid in tgc.threads:
-            if tid not in threads:
+            if tid not in thread_ids:
                 problems.append(f"{path}: unknown thread {tid!r}")
             elif tid in listed:
                 # a tile holds one state per thread id, so a second listing
@@ -409,7 +414,8 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     if features.signal_loss_prob > 1.0:
         problems.append("features.signal_loss_prob: must be within [0, 1]")
 
-    profile = _parse_faults(doc.get("faults", {}), problems, tiles, threads, top["horizon"])
+    profile = _parse_faults(doc.get("faults", {}), problems, tiles, threads, thread_ids,
+                            top["horizon"])
 
     scenario = Scenario(
         **top,
@@ -447,7 +453,7 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     return scenario
 
 
-def _parse_faults(doc, problems, tiles, threads, horizon) -> faults.FaultProfile:
+def _parse_faults(doc, problems, tiles, threads, thread_ids, horizon) -> faults.FaultProfile:
     kwargs = _read(problems, "faults", doc, faults.FaultProfile)
     for kind in [k for k in kwargs.get("rates", ()) if k not in faults.KINDS]:
         problems.append(f"faults.rates: unknown fault kind {kind!r}")
@@ -455,6 +461,8 @@ def _parse_faults(doc, problems, tiles, threads, horizon) -> faults.FaultProfile
     profile = faults.FaultProfile(**kwargs)
     if profile.multi_word_prob > 1.0:
         problems.append("faults.multi_word_prob: must be within [0, 1]")
+    if profile.sefi_duration == 0:
+        problems.append("faults.sefi_duration: must be positive")
     if type(doc) is not dict:
         return profile
 
@@ -476,9 +484,9 @@ def _parse_faults(doc, problems, tiles, threads, horizon) -> faults.FaultProfile
         if kind in (faults.TRANSIENT_STATE, faults.TRANSIENT_VMEM, faults.MEMORY_WORD):
             if fault.tile not in tile_ids:
                 problems.append(f"{path}: unknown tile {fault.tile!r}")
-            if fault.thread not in threads:
+            if fault.thread not in thread_ids:
                 problems.append(f"{path}: unknown thread {fault.thread!r}")
-            elif fault.word >= threads[fault.thread].state_words:
+            elif fault.thread in threads and fault.word >= threads[fault.thread].state_words:
                 problems.append(f"{path}: word index out of range")
             if any(m == 0 for m in fault.masks):
                 problems.append(f"{path}: masks must be non-zero")

@@ -78,7 +78,8 @@ class Trace:
 
 
 def read_jsonl(lines: Iterable[str]) -> list[TraceRecord]:
-    """The records of a JSONL trace. A line that is not a record raises a
+    """The records of a JSONL trace. A line that is not a record, or whose
+    `at` is not an integer or `actor` or `kind` not a string, raises a
     ValueError naming its 1-based line number."""
     records = []
     for number, line in enumerate(lines, 1):
@@ -98,5 +99,8 @@ def read_jsonl(lines: Iterable[str]) -> list[TraceRecord]:
             raise ValueError(f"line {number}: record has no {exc.args[0]!r} field") from None
         except (AttributeError, TypeError):
             raise ValueError(f"line {number}: a record must be a JSON object") from None
+        if type(at) is not int or type(actor) is not str or type(kind) is not str:
+            raise ValueError(f"line {number}: a record's 'at' must be an integer "
+                             "and its 'actor' and 'kind' strings")
         records.append(tuple.__new__(TraceRecord, (at, actor, kind, doc)))
     return records

@@ -197,6 +197,36 @@ def test_record_without_a_field_metrics_reads_exits_1_naming_it(tmp_path, capsys
     assert err == f"error: {path}: {error}\n"
 
 
+@pytest.mark.parametrize("text, error", [
+    ('{"at":"5","actor":"sim","kind":"run-end"}',
+     "line 3: a record's 'at' must be an integer and its 'actor' and 'kind' strings"),
+    ('{"at":true,"actor":"sim","kind":"run-end"}',
+     "line 3: a record's 'at' must be an integer and its 'actor' and 'kind' strings"),
+    ('{"at":5,"actor":"G1","kind":"checkpoint-end","duration":"3","tiles":["C0"]}',
+     "record 2 (checkpoint-end): field 'duration' has the wrong type"),
+    ('{"at":5,"actor":"injector","kind":"fault","id":[1],"fault_kind":"seu",'
+     '"disposition":"applied"}',
+     "record 2 (fault): field 'id' has the wrong type"),
+    ('{"at":5,"actor":"supervisor","kind":"fault-detected","id":1,"latency":3,'
+     '"group":["G"]}',
+     "record 2 (fault-detected): field 'group' has the wrong type"),
+    ('{"at":0,"actor":"sim","kind":"run-start","tg_map":[]}',
+     "record 2 (run-start): field 'tg_map' has the wrong type"),
+    ('{"at":0,"actor":"sim","kind":"run-start","tg_map":{"TG1":[1]}}',
+     "record 2 (run-start): field 'tg_map' has the wrong type"),
+    ('{"at":5,"actor":"G1","kind":"checkpoint-end","duration":3,"tiles":["C0",1]}',
+     "record 2 (checkpoint-end): field 'tiles' has the wrong type"),
+], ids=["at-a-string", "at-a-bool", "duration-a-string", "id-a-list", "group-a-list",
+        "tg-map-a-list", "thread-an-int", "tile-an-int"])
+def test_field_of_the_wrong_type_exits_1_naming_the_record(tmp_path, capsys, text, error):
+    path = tmp_path / "t.jsonl"
+    path.write_text('{"at":0,"actor":"sim","kind":"run-start","tg_map":{"TG1":["Ta"]}}\n\n'
+                    + text + "\n")
+    assert main(["metrics", "--trace", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {error}\n"
+
+
 def test_trace_not_utf8_exits_1_naming_the_line(tmp_path, capsys):
     good = '{"at":0,"actor":"sim","kind":"run-start"}\n'
     path = tmp_path / "t.jsonl"

@@ -1,13 +1,16 @@
 import io
 import json
+import math
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilesim.metrics import compute_metrics
 from tilesim.runner import run_simulation
 from tilesim.scenario import load_scenario, parse_scenario
-from tilesim.trace import Trace, encode_canonical, read_jsonl
+from tilesim.trace import Trace, TraceRecord, encode_canonical, read_jsonl
 from trace_corpus import BUNDLED, chaos_doc, stdlib_jsonl, wide_doc
 
 
@@ -82,6 +85,65 @@ def test_jsonl_read_back_equals_emitted_records(scenario):
         assert (read.at, read.actor, read.kind, read.payload) == \
             (emitted.at, emitted.actor, emitted.kind, emitted.payload)
     assert stdlib_jsonl(back) == text
+
+
+# -- the JSONL contract: to_jsonl writes json.dumps's bytes, read_jsonl reads them back
+
+# text with characters the encoder escapes or that are not ASCII
+ODD_TEXT = st.one_of(st.text(max_size=5),
+                     st.text('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\u2603\U0001f6f0', max_size=4))
+# a payload key that sorts before "actor", between "actor" and "at", between
+# "at" and "kind", or after "kind": where a writer that lays out the record's
+# own fields apart from its payload could go wrong
+PAYLOAD_KEY = st.one_of(
+    st.tuples(st.sampled_from(["", "!", "A", "Z", "ab", "ac"]), ODD_TEXT),
+    st.tuples(st.sampled_from(["actor", "as"]), ODD_TEXT),
+    st.tuples(st.sampled_from(["at", "b", "id", "group"]), ODD_TEXT),
+    st.tuples(st.sampled_from(["kind", "l", "z", "\u00e9", "\U0001f6f0"]), ODD_TEXT),
+).map("".join).filter(lambda key: key not in ("actor", "at", "kind"))
+JSON_VALUE = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-2 ** 80, 2 ** 80),
+              st.floats(), st.sampled_from([-0.0, math.nan, math.inf, -math.inf]), ODD_TEXT),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(ODD_TEXT, inner, max_size=3),
+    max_leaves=6)
+RECORD = st.tuples(st.integers(0, 2 ** 70), ODD_TEXT, ODD_TEXT,
+                   st.dictionaries(PAYLOAD_KEY, JSON_VALUE, max_size=5))
+
+
+def same(a, b) -> bool:
+    """Equal and of one type, down through lists and dicts, where -0.0 is
+    not 0.0 and NaN equals NaN."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return (a != a and b != b) or (a == b and math.copysign(1, a) == math.copysign(1, b))
+    if type(a) is list:
+        return len(a) == len(b) and all(map(same, a, b))
+    if type(a) is dict:
+        return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+    return a == b
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(st.lists(RECORD, max_size=4))
+def test_jsonl_is_json_dumps_and_reads_back(rows):
+    trace = Trace()
+    trace.records = [TraceRecord(*row) for row in sorted(rows, key=lambda row: row[0])]
+    text = trace.to_jsonl()
+    assert text == stdlib_jsonl(trace.records)
+    back = read_jsonl(io.StringIO(text))
+    assert len(back) == len(trace.records)
+    assert all(same(list(read), list(written)) for read, written in zip(back, trace.records))
+
+
+@pytest.mark.parametrize("field, value", [("at", 7), ("actor", "injector"), ("kind", "fault")])
+def test_payload_key_named_like_a_record_field_wins(field, value):
+    trace = Trace()
+    trace.records = [TraceRecord(5, "sim", "tick", {field: value, "b": 1})]
+    text = trace.to_jsonl()
+    assert text == stdlib_jsonl(trace.records)
+    [back] = read_jsonl(io.StringIO(text))
+    assert back == TraceRecord(5, "sim", "tick", {"b": 1})._replace(**{field: value})
 
 
 def _dumps(doc):

@@ -156,6 +156,21 @@ def test_thread_listed_twice_rejected(make, problem):
     assert err.value.problems == [problem]
 
 
+@pytest.mark.parametrize("override, problem", [
+    ("threads[0].work_per_tick=0", "threads[0]: Ta: work_per_tick must be >= 1"),
+    ("threads[0].state_words=0", "threads[0]: Ta: state_words must be >= 1"),
+    ('threads[0].checkpoint_period="x"',
+     "threads[0].checkpoint_period: must be a non-negative integer"),
+    ('threads[0].state_words="x"', "threads[0].state_words: must be a non-negative integer"),
+], ids=["work-zero", "words-zero", "period-a-string", "words-a-string"])
+def test_bad_thread_is_one_problem(override, problem):
+    # the thread is still declared, so the thread group and the explicit
+    # fault that name it are not told it is unknown
+    with pytest.raises(ScenarioError) as err:
+        load_scenario("fig3", [override])
+    assert err.value.problems == [problem]
+
+
 def test_thread_group_run_by_no_tile_group_rejected():
     # without the check, Tz runs nowhere until the Stage-3 plan at t=5656
     # starts it from its initial state, and TG-d is deactivated for it
@@ -267,6 +282,7 @@ BAD_VALUE_CASES = [
     ("fig3", "costs.boot_time=-1", "costs.boot_time"),
     ("fig3", 'costs.boot_time="abc"', "costs.boot_time"),
     ("storm", "faults.sefi_duration=-10", "faults.sefi_duration"),
+    ("fig3", "faults.sefi_duration=0", "faults.sefi_duration"),
     ("fig3", "faults.explicit[0].masks=[0]", "faults.explicit[0]"),
     ("fig3", 'faults.explicit[0].masks=["a"]', "faults.explicit[0].masks"),
     ("fig3", "costs=3", "costs"),

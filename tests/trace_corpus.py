@@ -17,7 +17,7 @@ A fourth line hashes the wide-group variant (one 14-tile group) over seeds
 A fifth hashes the chaos and wide-group documents with report signal loss
 at probabilities 0.05, 0.3 and 0.9 over seeds 0-59 (360 runs), so that
 rounds in which some reports are lost are covered. All five lines take
-about a minute on a 2-vCPU host.
+about 70 s on a 2-vCPU host.
 The script compares each family's run count and hashes with `PINS` and
 exits 1, naming each family that moved, after printing every line. A
 change that alters trace bytes on purpose updates `PINS` with its re-pin.
