@@ -2,6 +2,11 @@
 values: sibling comparison (with the unanimous round built directly) and
 output voting.
 
+A tile's report of a round is its verdicts, a dict of sibling -> agree,
+disagree or deadline-miss, and the time its comparisons completed. A tile
+that met a mismatch or a miss stops there, so it detected one exactly when
+some verdict is not agree.
+
 The event wiring (when each phase runs) lives in the simulation; everything
 here is deterministic arithmetic over validation-memory contents, which is
 what makes the protocol unit-testable in isolation.
@@ -17,13 +22,6 @@ DISAGREE = "disagree"
 MISS = "deadline-miss"
 
 
-@dataclass
-class CheckpointReport:
-    verdicts: dict[str, str]   # sibling -> agree | disagree | deadline-miss
-    completed_at: int
-    detected_mismatch: bool = False
-
-
 def compare_with_siblings(
     me: str,
     members: list[str],
@@ -31,8 +29,9 @@ def compare_with_siblings(
     deadline_at: int,
     rows: dict[str, tuple],
     reads_blocked: bool = False,
-) -> CheckpointReport:
-    """Compare my validation memory against each sibling's.
+) -> tuple[dict[str, str], int]:
+    """Compare my validation memory against each sibling's: my verdicts
+    and the time my comparisons completed.
 
     `rows` holds each writer's row: a tuple of its checksums of the checked
     threads, in one order, or None where the whole row is missing. Two rows
@@ -72,7 +71,7 @@ def compare_with_siblings(
         verdict = (AGREE if mine_whole and rows[sib] == mine else DISAGREE) if ready else MISS
         verdicts[sib] = verdict
         if verdict != AGREE:
-            return CheckpointReport(verdicts, first, True)
+            return verdicts, first
 
     completed = first if verdicts else my_ready
     later.sort()  # by time, then rotation: the rotations are unique
@@ -80,9 +79,9 @@ def compare_with_siblings(
         verdict = (AGREE if mine_whole and rows[sib] == mine else DISAGREE) if ready else MISS
         verdicts[sib] = verdict
         if verdict != AGREE:
-            return CheckpointReport(verdicts, when, True)
+            return verdicts, when
         completed = when
-    return CheckpointReport(verdicts, completed)
+    return verdicts, completed
 
 
 def unanimous_reports(
@@ -91,8 +90,9 @@ def unanimous_reports(
     deadline_at: int,
     rows: dict[str, tuple],
     reads_blocked: bool = False,
-) -> Optional[dict[str, CheckpointReport]]:
-    """Every member's report of a unanimous round, or None if it is not one.
+) -> Optional[tuple[dict[str, dict[str, str]], int]]:
+    """Every member's verdicts in a unanimous round, and the time the round
+    completes, or None if it is not one.
 
     `rows` are whole rows or None, as `compare_with_siblings` takes them,
     but an entry may also be a thread state, which equals another only
@@ -101,7 +101,7 @@ def unanimous_reports(
     there and equal. Each member's `compare_with_siblings` then affirms
     every sibling and completes when the last member wrote: that is built
     here directly, without walking siblings. `written_at` holds members
-    only. Each report gets its own verdicts dict.
+    only. Each member gets its own verdicts dict.
     """
     if reads_blocked or len(written_at) != len(members):
         return None
@@ -115,10 +115,9 @@ def unanimous_reports(
     agree = dict.fromkeys(members, AGREE)
     reports = {}
     for me in members:
-        verdicts = agree.copy()
+        reports[me] = verdicts = agree.copy()
         del verdicts[me]
-        reports[me] = CheckpointReport(verdicts, completed)
-    return reports
+    return reports, completed
 
 
 @dataclass

@@ -473,8 +473,11 @@ def _parse_faults(doc, problems, tiles, threads, thread_ids, horizon) -> faults.
         if "mask" in ev:     # "mask": m is short for "masks": [m]
             ev = dict(ev)
             ev.setdefault("masks", [ev.pop("mask")])
+        known = len(problems)
         fault = faults.FaultEvent(**_read(problems, path, ev, faults.FaultEvent,
                                           masks=(1,), duration=profile.sefi_duration))
+        if len(problems) > known:
+            continue    # the checks below would judge the defaults that replaced bad values
         kind = fault.kind
         if kind not in faults.KINDS:
             problems.append(f"{path}: unknown kind {kind!r}")

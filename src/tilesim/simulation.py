@@ -10,7 +10,7 @@ which is the contract Monte Carlo sweeps rely on.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -33,40 +33,53 @@ from .trace import Trace
 FULL_RECONFIG_DURATION = 5000
 
 
-@dataclass(slots=True)
 class GroupCheckpoint:
-    index: int
-    t0: int
-    participants: list[str]
-    members: list[str]                       # roster as of checkpoint start
-    checked: list[str]                       # thread ids validated this index
-    written: dict[str, int] = field(default_factory=dict)
-    # Validation memory of this round. A tile writes its row, a tuple of its
-    # states of `checked` in order, and a writer asked to propagate adds its
-    # thread states; siblings only read them. A reboot wipes both. A row
-    # entry stands for the state's checksum, read only when the rows are not
-    # all equal; a validation-memory fault leaves that checksum, flipped, in
-    # the entry it hits, so an entry is a state or an int.
-    rows: dict[str, tuple] = field(default_factory=dict)
-    snapshots: dict[str, dict[str, workload.ThreadState]] = field(default_factory=dict)
-    resolved: bool = False
-    completed: bool = False
-    reports: dict[str, lockstep.CheckpointReport] = field(default_factory=dict)
-    clique: list[str] = field(default_factory=list)
-    # thread states at the pause, held as they are: a ThreadState never changes
-    outputs: dict[str, dict[str, workload.ThreadState]] = field(default_factory=dict)
-    boundary: dict[str, dict[str, workload.ThreadState]] = field(default_factory=dict)
-    deadline_entry: Optional[list] = None    # queue entries, for cancelling
-    resolve_entry: Optional[list] = None
-    # Replicas stay bit-identical until a fault hits one, so the tiles of a
-    # checkpoint mostly repeat each other's work. This memo is keyed by the
-    # advanced state's own thread id, anchor, lag and cycle counter, never
-    # by tile, so a lookup makes no jump, and it dies with the checkpoint.
-    # Equal replicas get one advanced state object, also when a fault split
-    # one's window, and with it one cached checksum; that is safe because a
-    # ThreadState never changes.
-    # (thread id, anchor, lag, cycle_counter) -> the advanced state
-    advanced: dict[tuple, workload.ThreadState] = field(default_factory=dict)
+    """One checkpoint round of a tile group, from its start to its end."""
+
+    __slots__ = ("index", "t0", "participants", "members", "checked", "written", "rows",
+                 "snapshots", "resolved", "completed", "reports", "clique", "outputs",
+                 "boundary", "deadline_entry", "resolve_entry", "advanced", "last_advance")
+
+    def __init__(self, index: int, t0: int, participants: list[str], members: list[str],
+                 checked: list[str]):
+        self.index = index
+        self.t0 = t0
+        self.participants = participants
+        self.members = members               # roster as of checkpoint start
+        self.checked = checked               # thread ids validated this index
+        self.written: dict[str, int] = {}
+        # Validation memory of this round. A tile writes its row, a tuple of
+        # its states of `checked` in order, and a writer asked to propagate
+        # adds its thread states; siblings only read them. A reboot wipes
+        # both. A row entry stands for the state's checksum, read only when
+        # the rows are not all equal; a validation-memory fault leaves that
+        # checksum, flipped, in the entry it hits, so an entry is a state or
+        # an int.
+        self.rows: dict[str, tuple] = {}
+        self.snapshots: dict[str, dict[str, workload.ThreadState]] = {}
+        self.resolved = False
+        self.completed = False
+        self.reports: dict[str, dict[str, str]] = {}   # tile -> its verdicts
+        self.clique: list[str] = []
+        # Thread states at the pause, held as they are: a ThreadState never
+        # changes. Participants whose checked states are the same objects
+        # share one boundary dict.
+        self.outputs: dict[str, dict[str, workload.ThreadState]] = {}
+        self.boundary: dict[str, dict[str, workload.ThreadState]] = {}
+        self.deadline_entry: Optional[list] = None   # queue entries, for cancelling
+        self.resolve_entry: Optional[list] = None
+        # Replicas stay bit-identical until a fault hits one, so the tiles of
+        # a checkpoint mostly repeat each other's work. This memo is keyed by
+        # the advanced state's own thread id, anchor, lag and cycle counter,
+        # never by tile, so a lookup makes no jump, and it dies with the
+        # checkpoint. Equal replicas get one advanced state object, also
+        # when a fault split one's window, and with it one cached checksum;
+        # that is safe because a ThreadState never changes.
+        # (thread id, anchor, lag, cycle_counter) -> the advanced state
+        self.advanced: dict[tuple, workload.ThreadState] = {}
+        # The last advance through the memo: (thread-group id, ticks run,
+        # ticks done, ((thread id, state before, state after), ...)).
+        self.last_advance: Optional[tuple] = None
 
 
 @dataclass
@@ -309,16 +322,12 @@ class Simulation:
     def start_checkpoint(self, group: TileGroup, trigger: str):
         now = self.queue.now
         tiles = self.tiles
-        self._cancel_timer(group.group_id)
+        self.queue.cancel(self.timers.pop(group.group_id, None))
         group.checkpoint_index += 1
         index = group.checkpoint_index
         participants = [m for m in group.members if tiles[m].status in (ACTIVE, SUSPECT)]
         checked, ready = group.plan(index)
-        ctx = GroupCheckpoint(
-            index=index, t0=now,
-            participants=participants, members=list(group.members),
-            checked=checked,
-        )
+        ctx = GroupCheckpoint(index, now, participants, list(group.members), checked)
         self.ctxs[group.group_id] = ctx
         # a copy: the record must not change with the round's roster
         self.trace.emit(now, group.group_id, "checkpoint-start",
@@ -329,6 +338,7 @@ class Simulation:
             self._arm_timer(group, now + group.period)
             return
 
+        boundary = None   # the last active participant's boundary states
         for m in participants:
             tile = tiles[m]
             threads, windows = tile.threads, tile.windows
@@ -339,7 +349,14 @@ class Simulation:
                     self._advance_window(tile, tg_id, now, ctx)
                     win.running = False
             if tile.status == ACTIVE:
-                ctx.boundary[m] = {tid: threads[tid] for tid in ctx.checked}
+                if boundary is not None:
+                    for tid in checked:
+                        if threads[tid] is not boundary[tid]:
+                            boundary = None
+                            break
+                if boundary is None:
+                    boundary = {tid: threads[tid] for tid in checked}
+                ctx.boundary[m] = boundary
                 if not blocked:
                     for tid in group.output_threads:
                         ctx.outputs.setdefault(tid, {})[m] = threads[tid]
@@ -361,13 +378,32 @@ class Simulation:
         A thread runs one work cycle each time another `work_per_tick` ticks
         have passed since the window's epoch, so an advance split at any
         instants runs the same cycles as one whole advance, and reaches the
-        memo entry of the whole advance: the key is the state it makes."""
+        memo entry of the whole advance: the key is the state it makes.
+
+        In a round, a tile whose window ran the same ticks from the very
+        state objects that the round's last advance started from takes that
+        advance's states as they are, the ones its memo lookups would give
+        back. A state that is equal but another object takes the memo."""
         win = tile.windows.get(tg_id)
         if win is None or not win.running or now <= win.advanced_to:
             return
         threads = tile.threads
-        memo = {} if ctx is None else ctx.advanced
         ran, done = now - win.epoch, win.advanced_to - win.epoch
+        if ctx is None:
+            memo = {}
+        else:
+            memo, last = ctx.advanced, ctx.last_advance
+            if (last is not None and last[0] == tg_id and last[1] == ran and last[2] == done
+                    and not tile.persist_corrupt):
+                for tid, before, _ in last[3]:
+                    if threads[tid] is not before:
+                        break
+                else:
+                    for tid, _, after in last[3]:
+                        threads[tid] = after
+                    win.advanced_to = now
+                    return
+        steps = []
         slipped = False
         for spec in self.thread_groups[tg_id]:
             work_per_tick = spec.work_per_tick
@@ -379,28 +415,26 @@ class Simulation:
                 ahead = memo.get(key)
                 if ahead is None:
                     ahead = memo[key] = workload.execute_slice(ts, cycles * work_per_tick)
-                ts = ahead
+                steps.append((tid, ts, ahead))
                 if tile.persist_corrupt:
-                    ts = workload.flip_bits(ts, 0, [mix64(tile.noise_seed ^ ts.cycle_counter) | 1])
+                    ahead = workload.flip_bits(
+                        ahead, 0, [mix64(tile.noise_seed ^ ahead.cycle_counter) | 1])
                     slipped = True
-                threads[tid] = ts
+                threads[tid] = ahead
         win.advanced_to = now
+        if ctx is not None:
+            ctx.last_advance = (tg_id, ran, done, steps)
         if slipped:
             self.trace.emit(now, tile.tile_id, "persistent-corruption", tile=tile.tile_id)
-
-    def _current_ctx(self, group_id: str, index: int) -> Optional[GroupCheckpoint]:
-        ctx = self.ctxs.get(group_id)
-        if ctx is None or ctx.index != index or ctx.resolved:
-            return None
-        return ctx
 
     def _on_checksums_ready(self, group_id: str, index: int, tile_id: str):
         """Store this tile's row: a tuple of its states of the checked
         threads, each standing for its checksum, which a resolve reads only
         when the rows differ. Losing the write silently is exactly how an
         interface SEFI manifests."""
-        ctx = self._current_ctx(group_id, index)
-        if ctx is None or tile_id not in ctx.participants:
+        ctx = self.ctxs.get(group_id)
+        if (ctx is None or ctx.index != index or ctx.resolved
+                or tile_id not in ctx.participants):
             return
         tile = self.tiles[tile_id]
         if not tile.is_member:
@@ -421,8 +455,8 @@ class Simulation:
                 now, Simulation._resolve_checkpoint, group_id, index)
 
     def _resolve_checkpoint(self, group_id: str, index: int):
-        ctx = self._current_ctx(group_id, index)
-        if ctx is None:
+        ctx = self.ctxs.get(group_id)
+        if ctx is None or ctx.index != index or ctx.resolved:
             return
         ctx.resolved = True
         self.queue.cancel(ctx.deadline_entry)
@@ -445,28 +479,33 @@ class Simulation:
         unanimous = lockstep.unanimous_reports(
             ctx.members, ctx.written, deadline_at, rows, reads_blocked)
         if unanimous is None:
+            agreed = None
             rows = {w: None if row is None else tuple(
                         [e.checksum if e.__class__ is workload.ThreadState else e for e in row])
                     for w, row in rows.items()}
+        else:
+            agreed, completed_at = unanimous
         loss = self.scenario.features.signal_loss_prob
         for m in ctx.participants:
             if m not in ctx.written or self.tiles[m].sefi is not None:
                 continue  # never wrote, or its interface is down: stays silent
-            report = unanimous[m] if unanimous else lockstep.compare_with_siblings(
-                m, ctx.members, ctx.written, deadline_at, rows, reads_blocked)
+            if agreed is None:
+                verdicts, completed_at = lockstep.compare_with_siblings(
+                    m, ctx.members, ctx.written, deadline_at, rows, reads_blocked)
+            else:
+                verdicts = agreed[m]
             if loss > 0:
                 roll = (self.streams.get("signal-loss").uniform64() >> 11) * 2.0**-53
                 if roll < loss:
                     self.trace.emit(now, m, "signal-lost",
                                     tile=m, group=group_id, index=index)
                     continue
-            ctx.reports[m] = report
-            # the report is built for this round and never changed, so the
-            # record can hold its verdicts as they are
+            ctx.reports[m] = verdicts
+            # the verdicts are built for this tile and never changed, so the
+            # record can hold them as they are
             self.trace.emit(now, m, "checkpoint-report",
                             tile=m, group=group_id, index=index,
-                            verdicts=report.verdicts,
-                            completed_at=report.completed_at)
+                            verdicts=verdicts, completed_at=completed_at)
 
         if ctx.outputs:
             self._vote_outputs(group, ctx)
@@ -485,7 +524,7 @@ class Simulation:
             self._set_tg_active(group, False, now)
             return
 
-        if unanimous and len(ctx.reports) == len(ctx.participants):
+        if agreed is not None and len(ctx.reports) == len(ctx.participants):
             verdict = sup.Verdict(faulty=[], clique=list(ctx.participants))
         else:  # a lost or blocked report can leave a tie: only arbitration tells
             verdict = sup.arbitrate(ctx.participants, ctx.reports)
@@ -533,8 +572,11 @@ class Simulation:
         comparing against one representative per class; replicas that no
         fault hit hold the very same state objects. A pair within a class
         cannot diverge, so the walk over the reporting participants' pairs,
-        in participant order, looks only at pairs across classes."""
+        in participant order, looks only at pairs across classes. Where every
+        participant holds one boundary dict, there is one class."""
         boundary, reports = ctx.boundary, ctx.reports
+        if len({*map(id, boundary.values())}) < 2:
+            return  # the same state objects cannot diverge
         class_of: dict[str, int] = {}
         representatives: list[dict] = []
         for m, states in boundary.items():
@@ -551,10 +593,10 @@ class Simulation:
                   if m in reports and m in class_of]
         now = self.queue.now
         for i, (a, ka) in enumerate(walked):
-            verdicts_a, sa = reports[a].verdicts, boundary[a]
+            verdicts_a, sa = reports[a], boundary[a]
             for b, kb in walked[i + 1:]:
                 if (kb == ka or verdicts_a.get(b) != lockstep.AGREE
-                        or reports[b].verdicts.get(a) != lockstep.AGREE):
+                        or reports[b].get(a) != lockstep.AGREE):
                     continue
                 sb = boundary[b]
                 for tid in ctx.checked:
@@ -652,9 +694,12 @@ class Simulation:
     def _handle_faulty(self, group: TileGroup, ctx: GroupCheckpoint, verdict: sup.Verdict):
         donor = next((m for m in group.members if m in verdict.clique), None)
         reports = ctx.reports
+        # a tile stops comparing at its first mismatch or miss, so it saw one
+        # exactly when some verdict is not an agreement
+        agree = {lockstep.AGREE}
         self.propagate_state(group, ctx, [
             m for m in ctx.members
-            if m == donor or m in reports and reports[m].detected_mismatch])
+            if m == donor or m in reports and not agree.issuperset(reports[m].values())])
         for f in verdict.faulty:
             self._apply_fault_action(group, ctx, f, donor)
         for j in self._joiners(group):
@@ -1237,7 +1282,7 @@ class Simulation:
             self.trace.emit(now, "sim", "tg-active", tg=tg_id, active=active)
 
     def _arm_timer(self, group: TileGroup, at: int):
-        self._cancel_timer(group.group_id)
+        self.queue.cancel(self.timers.get(group.group_id))
         # dissolving a group cancels its timer, so the group is still there
         self.timers[group.group_id] = self.queue.schedule(
             at, Simulation.start_checkpoint, group, "timer")

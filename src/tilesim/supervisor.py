@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .lockstep import AGREE, DISAGREE, MISS, CheckpointReport
+from .lockstep import AGREE, DISAGREE, MISS
 
 # handle_fault action kinds
 STATE_UPDATE = "state-update"
@@ -37,8 +37,9 @@ class Verdict:
         return not self.faulty and not self.unresolvable
 
 
-def arbitrate(expected: list[str], reports: dict[str, CheckpointReport]) -> Verdict:
+def arbitrate(expected: list[str], reports: dict[str, dict[str, str]]) -> Verdict:
     """Build the agreement graph over the expected members and judge it.
+    `reports` holds each reporting tile's verdicts.
 
     The faulty set is everything outside the largest mutually-agreeing
     clique. Tiles stop comparing at their first mismatch, so reports are
@@ -57,10 +58,9 @@ def arbitrate(expected: list[str], reports: dict[str, CheckpointReport]) -> Verd
     adj = [0] * n
     seen = []  # (index, tile, verdicts) of the members with a report so far
     for j, b in enumerate(expected):
-        rb = reports.get(b)
-        if rb is None:
+        vb = reports.get(b)
+        if vb is None:
             continue
-        vb = rb.verdicts
         for i, a, va in seen:
             vi, vj = va.get(b), vb.get(a)
             if vi in (DISAGREE, MISS) or vj in (DISAGREE, MISS):
@@ -76,7 +76,7 @@ def arbitrate(expected: list[str], reports: dict[str, CheckpointReport]) -> Verd
     # an edge needs an AGREE, so only an edgeless graph can be all misses
     all_miss = False
     if not any(adj):
-        recorded = [v for r in reports.values() for v in r.verdicts.values()]
+        recorded = [v for r in reports.values() for v in r.values()]
         all_miss = bool(recorded) and all(v == MISS for v in recorded)
 
     if len(best) != 2:

@@ -2,19 +2,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilesim.lockstep import (
-    AGREE, DISAGREE, MISS, CheckpointReport, compare_with_siblings, unanimous_reports,
-    vote_outputs,
+    AGREE, DISAGREE, MISS, compare_with_siblings, unanimous_reports, vote_outputs,
 )
 from tilesim.supervisor import arbitrate
 
 
 def test_all_agree():
     rows = {t: (7,) for t in ("C0", "C1", "C2")}
-    rep = compare_with_siblings(
+    verdicts, completed_at = compare_with_siblings(
         "C0", ["C0", "C1", "C2"], {"C0": 24, "C1": 24, "C2": 24}, 100, rows)
-    assert rep.verdicts == {"C1": AGREE, "C2": AGREE}
-    assert not rep.detected_mismatch
-    assert rep.completed_at == 24
+    assert verdicts == {"C1": AGREE, "C2": AGREE}
+    assert completed_at == 24
 
 
 def test_faulty_sibling_detected_and_comparison_stops():
@@ -22,58 +20,56 @@ def test_faulty_sibling_detected_and_comparison_stops():
     # remaining sibling gets no verdict at all
     rows = {"C0": (7,), "C1": (7,), "C2": (9,)}
     written = {"C0": 24, "C1": 24, "C2": 24}
-    healthy = compare_with_siblings("C0", ["C0", "C1", "C2"], written, 100, rows)
-    assert healthy.verdicts == {"C1": AGREE, "C2": DISAGREE}
-    assert healthy.detected_mismatch
-    corrupt = compare_with_siblings("C2", ["C0", "C1", "C2"], written, 100, rows)
-    assert corrupt.verdicts == {"C0": DISAGREE}
+    healthy, _ = compare_with_siblings("C0", ["C0", "C1", "C2"], written, 100, rows)
+    assert healthy == {"C1": AGREE, "C2": DISAGREE}
+    corrupt, _ = compare_with_siblings("C2", ["C0", "C1", "C2"], written, 100, rows)
+    assert corrupt == {"C0": DISAGREE}
 
 
 def test_stop_on_first_mismatch_in_ready_order():
     # C1 becomes ready before C2; the mismatch with C1 halts comparison
     rows = {"C0": (7,), "C1": (8,), "C2": (7,)}
-    rep = compare_with_siblings(
+    verdicts, completed_at = compare_with_siblings(
         "C0", ["C0", "C1", "C2"], {"C0": 20, "C1": 30, "C2": 40}, 100, rows)
-    assert rep.verdicts == {"C1": DISAGREE}
-    assert rep.completed_at == 30
+    assert verdicts == {"C1": DISAGREE}
+    assert completed_at == 30
 
 
 def test_deadline_miss():
     rows = {"C0": (7,), "C1": (7,)}
-    rep = compare_with_siblings(
+    verdicts, completed_at = compare_with_siblings(
         "C0", ["C0", "C1", "C2"], {"C0": 24, "C1": 30}, 100, rows)
-    assert rep.verdicts == {"C1": AGREE, "C2": MISS}
-    assert rep.completed_at == 100
+    assert verdicts == {"C1": AGREE, "C2": MISS}
+    assert completed_at == 100
 
 
 def test_blocked_reads_miss_everyone_but_stop_after_first():
     rows = {t: (7,) for t in ("C0", "C1", "C2")}
-    rep = compare_with_siblings(
+    verdicts, _ = compare_with_siblings(
         "C0", ["C0", "C1", "C2"], {"C0": 24, "C1": 24, "C2": 24}, 100, rows,
         reads_blocked=True)
-    assert rep.verdicts == {"C1": MISS}
+    assert verdicts == {"C1": MISS}
 
 
 def test_multi_thread_agreement_needs_all():
     rows = {"C0": (1, 2), "C1": (1, 99)}
-    rep = compare_with_siblings("C0", ["C0", "C1"], {"C0": 24, "C1": 24}, 100, rows)
-    assert rep.verdicts == {"C1": DISAGREE}
+    verdicts, _ = compare_with_siblings("C0", ["C0", "C1"], {"C0": 24, "C1": 24}, 100, rows)
+    assert verdicts == {"C1": DISAGREE}
 
 
 def test_missing_own_entry_disagrees_even_with_an_equal_row():
     # a row lost from my validation memory cannot vouch for anything, even
     # to a sibling whose row is lost too
     rows = {"C0": None, "C1": None, "C2": (1, 5)}
-    rep = compare_with_siblings(
+    verdicts, _ = compare_with_siblings(
         "C0", ["C0", "C1", "C2"], {"C0": 24, "C1": 24, "C2": 24}, 100, rows)
-    assert rep.verdicts == {"C1": DISAGREE}
-    assert rep.detected_mismatch
+    assert verdicts == {"C1": DISAGREE}
 
 
 def test_no_checked_thread_agrees():
     rows = {"C0": (), "C1": ()}
-    rep = compare_with_siblings("C0", ["C0", "C1"], {"C0": 24, "C1": 24}, 100, rows)
-    assert rep.verdicts == {"C1": AGREE}
+    verdicts, _ = compare_with_siblings("C0", ["C0", "C1"], {"C0": 24, "C1": 24}, 100, rows)
+    assert verdicts == {"C1": AGREE}
 
 
 def reference_compare_with_siblings(me, members, written_at, deadline_at, rows,
@@ -102,21 +98,17 @@ def reference_compare_with_siblings(me, members, written_at, deadline_at, rows,
     mine_whole = mine is not None
     verdicts = {}
     completed = my_ready
-    mismatch = False
     for when, _, sib, ready in order:
         if not ready:
             verdicts[sib] = MISS
             completed = when
-            mismatch = True
             break
         same = mine_whole and rows[sib] == mine
         verdicts[sib] = AGREE if same else DISAGREE
         completed = when
         if not same:
-            mismatch = True
             break
-    return CheckpointReport(verdicts=verdicts, completed_at=completed,
-                            detected_mismatch=mismatch)
+    return verdicts, completed
 
 
 @st.composite
@@ -143,7 +135,7 @@ def test_compare_with_siblings_matches_reference(case):
     got = compare_with_siblings(*case)
     want = reference_compare_with_siblings(*case)
     assert got == want
-    assert list(got.verdicts) == list(want.verdicts)  # same comparison order
+    assert list(got[0]) == list(want[0])  # same comparison order
 
 
 @st.composite
@@ -176,7 +168,7 @@ def test_wide_compare_with_siblings_matches_reference(case):
     got = compare_with_siblings(*case)
     want = reference_compare_with_siblings(*case)
     assert got == want
-    assert list(got.verdicts) == list(want.verdicts)
+    assert list(got[0]) == list(want[0])
 
 
 @st.composite
@@ -195,8 +187,9 @@ def unanimous_rounds(draw):
 @given(unanimous_rounds(), st.data())
 def test_unanimous_reports_equal_the_general_path(case, data):
     members, written_at, deadline_at, rows = case
-    reports = unanimous_reports(*case)
-    assert reports == {me: compare_with_siblings(me, *case) for me in members}
+    reports, completed_at = unanimous_reports(*case)
+    assert ({me: (reports[me], completed_at) for me in members}
+            == {me: compare_with_siblings(me, *case) for me in members})
     verdict = arbitrate(members, reports)
     assert verdict.all_agree and verdict.clique == members
 
@@ -218,24 +211,26 @@ def test_unanimous_reports_equal_the_general_path(case, data):
 def test_unanimous_reports_own_their_verdicts():
     members = ["C0", "C1", "C2", "C3"]
     args = (members, dict.fromkeys(members, 5), 10, dict.fromkeys(members, (1, 2)))
-    fresh = unanimous_reports(*args)
+    fresh, _ = unanimous_reports(*args)
     for me in members:
-        reports = unanimous_reports(*args)
-        reports[me].verdicts.clear()
+        reports, _ = unanimous_reports(*args)
+        reports[me].clear()
         for other in members:
             if other != me:
                 assert reports[other] == fresh[other]
         assert reports[me] != fresh[me]
-    assert len({id(r.verdicts) for r in fresh.values()}) == len(members)
+    assert len({id(r) for r in fresh.values()}) == len(members)
 
 
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(comparisons())
 def test_unanimous_reports_only_where_the_general_path_agrees(case):
     _, members, written_at, deadline_at, rows, blocked = case
-    reports = unanimous_reports(members, written_at, deadline_at, rows, blocked)
-    if reports is not None:
-        assert reports == {me: compare_with_siblings(me, *case[1:]) for me in members}
+    unanimous = unanimous_reports(members, written_at, deadline_at, rows, blocked)
+    if unanimous is not None:
+        reports, completed_at = unanimous
+        assert ({me: (reports[me], completed_at) for me in members}
+                == {me: compare_with_siblings(me, *case[1:]) for me in members})
 
 
 def test_vote_three_identical():

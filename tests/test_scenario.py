@@ -171,6 +171,19 @@ def test_bad_thread_is_one_problem(override, problem):
     assert err.value.problems == [problem]
 
 
+@pytest.mark.parametrize("override, problem", [
+    ("faults.explicit[0].thread=5", "faults.explicit[0].thread: must be a string or null"),
+    ("faults.explicit[0].kind=5", "faults.explicit[0].kind: must be a string"),
+    ("faults.explicit[0].tile=5", "faults.explicit[0].tile: must be a string or null"),
+], ids=["thread-an-int", "kind-an-int", "tile-an-int"])
+def test_bad_fault_field_is_one_problem(override, problem):
+    # the default that replaces the bad value is not judged again as an
+    # unknown thread, kind or tile
+    with pytest.raises(ScenarioError) as err:
+        load_scenario("fig3", [override])
+    assert err.value.problems == [problem]
+
+
 def test_thread_group_run_by_no_tile_group_rejected():
     # without the check, Tz runs nowhere until the Stage-3 plan at t=5656
     # starts it from its initial state, and TG-d is deactivated for it

@@ -4,24 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilesim.lockstep import AGREE, DISAGREE, MISS, CheckpointReport
+from tilesim.lockstep import AGREE, DISAGREE, MISS
 from tilesim.supervisor import (
     DEFUNCT_STAGE2, REPLACE, STAGE2_NO_SPARE, STATE_UPDATE, Supervisor, Verdict,
     arbitrate,
 )
 
 
-def report(verdicts):
-    return CheckpointReport(verdicts=verdicts, completed_at=0,
-                            detected_mismatch=any(v != AGREE for v in verdicts.values()))
-
-
 def test_all_agree_verdict():
     members = ["C0", "C1", "C2"]
     reports = {
-        "C0": report({"C1": AGREE, "C2": AGREE}),
-        "C1": report({"C0": AGREE, "C2": AGREE}),
-        "C2": report({"C0": AGREE, "C1": AGREE}),
+        "C0": {"C1": AGREE, "C2": AGREE},
+        "C1": {"C0": AGREE, "C2": AGREE},
+        "C2": {"C0": AGREE, "C1": AGREE},
     }
     v = arbitrate(members, reports)
     assert v.all_agree
@@ -33,9 +28,9 @@ def test_partial_reports_still_isolate_faulty():
     # the corrupt tile reported only its first comparison before stopping
     members = ["C0", "C1", "C2"]
     reports = {
-        "C0": report({"C1": AGREE, "C2": DISAGREE}),
-        "C1": report({"C0": AGREE, "C2": DISAGREE}),
-        "C2": report({"C0": DISAGREE}),
+        "C0": {"C1": AGREE, "C2": DISAGREE},
+        "C1": {"C0": AGREE, "C2": DISAGREE},
+        "C2": {"C0": DISAGREE},
     }
     v = arbitrate(members, reports)
     assert v.faulty == ["C2"]
@@ -45,8 +40,8 @@ def test_partial_reports_still_isolate_faulty():
 def test_silent_tile_is_faulty():
     members = ["C0", "C1", "C2"]
     reports = {
-        "C0": report({"C1": AGREE, "C2": MISS}),
-        "C1": report({"C0": AGREE, "C2": MISS}),
+        "C0": {"C1": AGREE, "C2": MISS},
+        "C1": {"C0": AGREE, "C2": MISS},
     }
     v = arbitrate(members, reports)
     assert v.faulty == ["C2"]
@@ -55,8 +50,8 @@ def test_silent_tile_is_faulty():
 def test_pair_split_unresolvable():
     members = ["C0", "C1"]
     reports = {
-        "C0": report({"C1": DISAGREE}),
-        "C1": report({"C0": DISAGREE}),
+        "C0": {"C1": DISAGREE},
+        "C1": {"C0": DISAGREE},
     }
     v = arbitrate(members, reports)
     assert v.unresolvable
@@ -65,15 +60,15 @@ def test_pair_split_unresolvable():
 def test_four_member_two_two_split_unresolvable():
     members = ["C0", "C1", "C2", "C3"]
     reports = {
-        "C0": report({"C1": AGREE, "C2": DISAGREE}),
-        "C1": report({"C0": AGREE, "C2": DISAGREE}),
-        "C2": report({"C0": DISAGREE}),
-        "C3": report({"C0": DISAGREE}),
+        "C0": {"C1": AGREE, "C2": DISAGREE},
+        "C1": {"C0": AGREE, "C2": DISAGREE},
+        "C2": {"C0": DISAGREE},
+        "C3": {"C0": DISAGREE},
     }
     # C2~C3 also mutually agree: two cliques of size two tie
-    reports["C2"].verdicts["C3"] = AGREE
-    reports["C3"].verdicts["C2"] = AGREE
-    reports["C3"].verdicts["C0"] = DISAGREE
+    reports["C2"]["C3"] = AGREE
+    reports["C3"]["C2"] = AGREE
+    reports["C3"]["C0"] = DISAGREE
     v = arbitrate(members, reports)
     assert v.unresolvable
 
@@ -81,9 +76,9 @@ def test_four_member_two_two_split_unresolvable():
 def test_all_miss_flag():
     members = ["C0", "C1", "C2"]
     reports = {
-        "C0": report({"C1": MISS}),
-        "C1": report({"C0": MISS}),
-        "C2": report({"C0": MISS}),
+        "C0": {"C1": MISS},
+        "C1": {"C0": MISS},
+        "C2": {"C0": MISS},
     }
     v = arbitrate(members, reports)
     assert v.unresolvable
@@ -98,7 +93,7 @@ def brute_force_arbitrate(expected, reports):
         ri, rj = reports.get(i), reports.get(j)
         if ri is None or rj is None:
             continue
-        vi, vj = ri.verdicts.get(j), rj.verdicts.get(i)
+        vi, vj = ri.get(j), rj.get(i)
         if vi in (DISAGREE, MISS) or vj in (DISAGREE, MISS):
             continue
         if vi == AGREE or vj == AGREE:
@@ -115,7 +110,7 @@ def brute_force_arbitrate(expected, reports):
         if best:
             break
 
-    recorded = [v for r in reports.values() for v in r.verdicts.values()]
+    recorded = [v for r in reports.values() for v in r.values()]
     all_miss = bool(recorded) and all(v == MISS for v in recorded)
 
     if len(best) != 1:
@@ -153,7 +148,7 @@ def report_sets(draw):
                 verdicts[other] = draw(st.sampled_from(VERDICTS))
             else:
                 verdicts[other] = AGREE if state[tile] == state[other] else DISAGREE
-        reports[tile] = report(verdicts)
+        reports[tile] = verdicts
     return expected, reports
 
 
@@ -166,8 +161,7 @@ def test_arbitrate_matches_brute_force(case):
 
 def full_reports(members, agree):
     """Every member reports on every other; agree(a, b) says whether they match."""
-    return {a: report({b: AGREE if agree(a, b) else DISAGREE
-                       for b in members if b != a})
+    return {a: {b: AGREE if agree(a, b) else DISAGREE for b in members if b != a}
             for a in members}
 
 

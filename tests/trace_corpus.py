@@ -21,12 +21,22 @@ about 70 s on a 2-vCPU host.
 The script compares each family's run count and hashes with `PINS` and
 exits 1, naming each family that moved, after printing every line. A
 change that alters trace bytes on purpose updates `PINS` with its re-pin.
+
+    python3 tests/trace_corpus.py --manifest PATH
+
+also writes a manifest to PATH: one tab-separated line per run of the
+three families, in run order, giving the family, the run's index within
+it, the scenario name, the seed, the record count and the SHA-256 of the
+run's JSONL trace and of its metrics JSON. It depends on nothing but the
+runs, so two trees whose manifests differ show which runs moved.
+
 It needs only the standard library; pytest does not collect it, and the
 soak and digest tests take their scenario documents from here.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -171,7 +181,9 @@ def stdlib_jsonl(records):
                    for rec in records)
 
 
-def hashes(scenarios):
+def hashes(scenarios, family="", manifest=None):
+    """The run count and the two hashes of a family of runs. Each run adds
+    its line to the `manifest` list, if one is given."""
     traces, metrics = hashlib.sha256(), hashlib.sha256()
     runs = 0
     for scenario in scenarios:
@@ -183,22 +195,37 @@ def hashes(scenarios):
                 or compute_metrics(back).to_json() != summary):
             sys.exit(f"run {runs} ({scenario.name}, seed {scenario.seed}): "
                      "the JSONL read back differs from the emitted trace")
-        traces.update(text.encode())
-        metrics.update(summary.encode())
+        trace_bytes, metrics_bytes = text.encode(), summary.encode()
+        traces.update(trace_bytes)
+        metrics.update(metrics_bytes)
+        if manifest is not None:
+            manifest.append("\t".join([
+                family, str(runs), scenario.name, str(scenario.seed), str(len(trace.records)),
+                hashlib.sha256(trace_bytes).hexdigest(),
+                hashlib.sha256(metrics_bytes).hexdigest()]))
         runs += 1
     return runs, traces.hexdigest(), metrics.hexdigest()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--manifest", metavar="PATH",
+                        help="also write one tab-separated line per run to PATH")
+    args = parser.parse_args(argv)
+    manifest = None if args.manifest is None else []
+
     got = {}
-    got["corpus"] = runs, traces, metrics = hashes(corpus())
+    got["corpus"] = runs, traces, metrics = hashes(corpus(), "corpus", manifest)
     print(f"runs    {runs}")
     print(f"traces  {traces}")
     print(f"metrics {metrics}")
-    got["wide"] = runs, traces, metrics = hashes(wide_corpus())
+    got["wide"] = runs, traces, metrics = hashes(wide_corpus(), "wide", manifest)
     print(f"wide    {runs} runs, traces {traces}, metrics {metrics}")
-    got["lossy"] = runs, traces, metrics = hashes(lossy_corpus())
+    got["lossy"] = runs, traces, metrics = hashes(lossy_corpus(), "lossy", manifest)
     print(f"lossy   {runs} runs, traces {traces}, metrics {metrics}")
+    if manifest is not None:
+        with open(args.manifest, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(line + "\n" for line in manifest)
     moved = [family for family, pin in PINS.items() if got[family] != pin]
     if moved:
         print(f"moved from the pins: {', '.join(moved)}", file=sys.stderr)
