@@ -831,6 +831,42 @@ def test_vmem_fault_misses_the_entry_of_a_group_migrated_away():
     assert summary.undetected == 0 and summary.identity_holds()
 
 
+def two_group_doc(**over):
+    """C2 serves G1, which runs TG1 (Ta, Tb) every 1000 us, and G2, which
+    runs TG2 (Tc) every 1500 us."""
+    tc = {**make_doc()["threads"][0], "id": "Tc", "checkpoint_period": 1500}
+    return make_doc(
+        tiles=[{"id": f"C{i}"} for i in range(5)] + [{"id": "C5", "spare": True}],
+        threads=[*make_doc()["threads"], tc],
+        thread_groups=[{"id": "TG1", "threads": ["Ta", "Tb"]},
+                       {"id": "TG2", "threads": ["Tc"]}],
+        tile_groups=[{"id": "G1", "members": ["C0", "C1", "C2"], "thread_groups": ["TG1"]},
+                     {"id": "G2", "members": ["C2", "C3", "C4"], "thread_groups": ["TG2"]}],
+        **over)
+
+
+@pytest.mark.parametrize("deactivate", [False, True], ids=["host-has-no-round", "deactivated"])
+def test_vmem_fault_reads_only_the_round_of_its_threads_host(deactivate):
+    # G2's round 2 stays open from C2's write at t=3036 to its deadline at
+    # t=3174, since a SEFI blocks C4, while G1's round 3 ends at t=3096. At
+    # t=3100 a flip of C2's Tc entry lands in G2's round; a flip of its Ta
+    # entry is stale, for Ta's host G1 has no open round, or, once Stage 3
+    # has deactivated TG1, Ta has no host at all.
+    vmem = {"kind": "transient-validation-memory", "at": 3100, "tile": "C2", "mask": 1}
+    doc = two_group_doc(horizon=4000, faults={"explicit": [
+        {"at": 2900, "kind": "sefi-tile", "tile": "C4", "duration": 300},
+        {**vmem, "thread": "Ta"}, {**vmem, "thread": "Tc"}]})
+    sim = Simulation(parse_scenario(doc))
+    if deactivate:
+        entry = crit.PlanEntry("TG1", (), 1, crit.MODE_DEACTIVATED)
+        sim.queue.schedule(2000, lambda sim: sim._apply_plan({"TG1": entry}, {}))
+    trace = sim.run()
+    assert ("G1" in sim.groups) != deactivate
+    assert [(r.payload["disposition"], r.payload.get("reason", r.payload.get("index")))
+            for r in trace.of_kind("fault")[1:]] == [("absorbed", "stale-entry"),
+                                                    ("applied", 2)]
+
+
 # -- output voting ---------------------------------------------------------------
 
 def output_doc(voting):
