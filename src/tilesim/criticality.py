@@ -130,13 +130,12 @@ def reallocate(
         placed: Optional[list[str]] = None
         while True:
             util = group_utilization(req, factor, context_switch)
-            candidates = sorted(
+            candidates = sorted(   # stable, so ties stay in tile order
                 (t for t in tile_order if load[t] + util <= tiles[t]),
                 key=lambda t: (
                     t not in req.current_tiles,                      # retain hosts
                     load[t] + unplaced[t] + util > tiles[t],         # avoid displacing
                     tiles[t] - load[t] - unplaced[t],                # best fit
-                    tile_order.index(t),
                 ),
             )
             if len(candidates) >= replicas:
@@ -162,7 +161,6 @@ def reallocate(
             continue
 
         placed_sorted = sorted(placed, key=tile_order.index)
-        util = group_utilization(req, factor, context_switch)
         for t in placed_sorted:
             load[t] += util
         mode = MODE_FULL if len(placed_sorted) >= 3 else MODE_DETECT_ONLY

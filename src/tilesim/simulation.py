@@ -272,8 +272,12 @@ class Simulation:
             self.trace.emit(now, tile.tile_id, "boot",
                             assigned=[g.group_id for g in member_of])
             if not initial:
+                # after a reboot a group checkpoints at once, when every
+                # member is back up
                 for group in member_of:
-                    self._maybe_start_boot_checkpoint(group)
+                    if all(self.tiles[m].status == ACTIVE for m in group.members):
+                        self._set_tg_active(group, True, now)
+                        self.start_checkpoint(group, trigger="boot")
         else:
             self.trace.emit(now, tile.tile_id, "boot", assigned=[])
             self.trace.emit(now, tile.tile_id, "tile-boot-checkpoint", tile=tile.tile_id)
@@ -283,13 +287,6 @@ class Simulation:
             if not initial:
                 self.ledger.settle((flt.TILE, tile.tile_id), "corrected")
                 self._restore_groups()
-
-    def _maybe_start_boot_checkpoint(self, group: TileGroup):
-        """After a reboot the group checkpoints immediately, once every
-        member is back up."""
-        if all(self.tiles[m].status == ACTIVE for m in group.members):
-            self._set_tg_active(group, True, self.queue.now)
-            self.start_checkpoint(group, trigger="boot")
 
     def _reboot_tile(self, tile: Tile, schedule: bool = True):
         now = self.queue.now
@@ -725,17 +722,16 @@ class Simulation:
                 # outcome settles when the update actually lands; a command
                 # lost on a blocked interface leaves the faults open here
                 self.ledger.move(here, (flt.PENDING, faulty_id))
-        elif action.kind == sup.REPLACE:
-            self._replace_member(group, faulty_id, action.spare)
-            self._detach_everywhere(faulty_id)
+            return
+        # a spare, if there is one, takes the tile's slot; then the tile leaves every roster
+        if action.spare:
+            group.members[group.members.index(faulty_id)] = action.spare
             self._activate_spare(action.spare, group, donor)
+        self._detach_everywhere(faulty_id)
+        if action.kind == sup.REPLACE:
             self.command_tile(faulty_id, "reboot")
             self.ledger.settle(here, "replaced")
         elif action.kind == sup.DEFUNCT_STAGE2:
-            if action.spare:
-                self._replace_member(group, faulty_id, action.spare)
-                self._activate_spare(action.spare, group, donor)
-            self._detach_everywhere(faulty_id)
             self.trace.emit(now, "supervisor", "command", tile=faulty_id, command="halt")
             tile.set_status(DEFUNCT)
             self.ledger.move(here, (flt.PARTITION, tile.partition))
@@ -743,14 +739,14 @@ class Simulation:
         else:  # STAGE2_NO_SPARE
             self.trace.emit(now, "supervisor", "stage2-escalation",
                             tile=faulty_id, reason="no-spare")
-            self._detach_everywhere(faulty_id)
             self.command_tile(faulty_id, "reboot")
 
     def _detach_everywhere(self, tile_id: str):
         """A rebooted or halted tile takes all of its replicas with it: pull
         it from every group roster (replacement fills only one slot)."""
         for group in self.groups.values():
-            self._drop_member(group, tile_id)
+            if tile_id in group.members:
+                group.members.remove(tile_id)
 
     def command_tile(self, tile_id: str, command: str, donor: Optional[str] = None,
                      group: Optional[TileGroup] = None):
@@ -770,11 +766,9 @@ class Simulation:
             self.trace.emit(now, "supervisor", "command",
                             tile=tile_id, command=command, donor=donor)
             self.pending_updates[tile_id] = PendingUpdate(group_id=group.group_id, donor=donor)
-        elif command in ("reboot", "repair-reboot"):
+        else:  # "reboot" or "repair-reboot"
             self.trace.emit(now, "supervisor", "command", tile=tile_id, command="reboot")
             self._reboot_tile(tile)
-        else:
-            raise ValueError(f"unknown command {command!r}")
 
     def _activate_spare(self, spare_id: str, group: TileGroup, donor: Optional[str]):
         now = self.queue.now
@@ -785,13 +779,6 @@ class Simulation:
         spare.set_status(UPDATING)
         self._join(spare, group, None)
         self.pending_updates[spare_id] = PendingUpdate(group_id=group.group_id, donor=donor)
-
-    def _replace_member(self, group: TileGroup, old: str, new: str):
-        group.members[group.members.index(old)] = new
-
-    def _drop_member(self, group: TileGroup, tile_id: str):
-        if tile_id in group.members:
-            group.members.remove(tile_id)
 
     def _handle_unresolvable(self, group: TileGroup, ctx: GroupCheckpoint,
                              verdict: sup.Verdict):
@@ -827,7 +814,7 @@ class Simulation:
         for donor state, then resume the whole group together."""
         # dissolving a group drops its round too
         ctx = self.ctxs.get(group_id)
-        if ctx is None or ctx.index != index or ctx.completed:
+        if ctx is None or ctx.index != index:
             return
         group = self.groups[group_id]
         now = self.queue.now
@@ -861,7 +848,7 @@ class Simulation:
                 self.ledger.move((flt.PENDING, m), (flt.TILE, m))
                 if tile.status == UPDATING:
                     # a joining spare that cannot sync goes back through reboot
-                    self._drop_member(group, m)
+                    group.members.remove(m)
                     self.command_tile(m, "reboot")
                 # a suspect member just stays suspect and will miss again
         self._finish_checkpoint(group, ctx, "recovered")
@@ -896,15 +883,13 @@ class Simulation:
             if tile is None or not tile.is_member:
                 arrive(ev, reason="no-target")
                 return
-            # only an open round that validates the thread, and that the
-            # tile has written its row to, reads the checksum again; any
-            # other entry is stale
-            for gid, group in self.groups.items():
-                ctx = self.ctxs.get(gid)
-                if (ev.tile in group.members and ctx and not ctx.resolved
-                        and ev.thread in ctx.checked and ev.tile in ctx.rows):
-                    break
-            else:
+            # only the open round of the thread's host, if it validates the
+            # thread and the tile has written its row to it, reads the
+            # checksum again; any other entry is stale
+            host = self.host_of.get(self.thread_group_of.get(ev.thread))
+            ctx = self.ctxs.get(host.group_id) if host else None
+            if (ctx is None or ctx.resolved or ev.thread not in ctx.checked
+                    or ev.tile not in ctx.rows):
                 arrive(ev, reason="stale-entry")
                 return
             row = list(ctx.rows[ev.tile])
@@ -1016,13 +1001,12 @@ class Simulation:
         # handler ends or relocates the job
         job = self.repair_jobs[tile_id]
         now = self.queue.now
+        # a rewrite that succeeds leaves no damage under the variant
         ok = self.fabric.partial_reconfigure(partition, variant)
-        passed, evidence = (self.fabric.validate_partition(partition) if ok
-                            else (False, self.fabric.footprint_overlap(partition, variant)))
         self.trace.emit(now, "fabric", "reconfiguration",
-                        partition=partition, variant=variant, ok=passed,
-                        evidence=sorted(evidence))
-        if not passed:
+                        partition=partition, variant=variant, ok=ok,
+                        evidence=sorted(self.fabric.footprint_overlap(partition, variant)))
+        if not ok:
             self._repair_step(job)
             return
         self.trace.emit(now, "supervisor", "repair-success",
@@ -1048,7 +1032,7 @@ class Simulation:
 
     def _halt_all_tiles(self, now: int):
         for gid, group in self.groups.items():
-            self._cancel_timer(gid)
+            self.queue.cancel(self.timers.pop(gid, None))
             ctx = self.ctxs.get(gid)
             if ctx and not ctx.resolved:
                 ctx.resolved = ctx.completed = True
@@ -1119,18 +1103,18 @@ class Simulation:
             for t in self.scenario.tiles
             if self.tiles[t.tile_id].status in (ACTIVE, SUSPECT, UPDATING, IDLE_SPARE)
         }
-        requests = {}
+        requests = []
         for tg_id, host in self.host_of.items():
             threads = self.thread_groups[tg_id]
-            requests[tg_id] = crit.AllocRequest(
+            requests.append(crit.AllocRequest(
                 tg_id=tg_id,
                 criticality=max(s.criticality for s in threads),
                 threads=tuple(threads),
                 period=min(s.checkpoint_period for s in threads),
                 current_tiles=tuple(m for m in host.members if m in healthy),
                 period_factor=host.period_factor,
-            )
-        plan = crit.reallocate(healthy, requests.values(), self.scenario.policy,
+            ))
+        plan = crit.reallocate(healthy, requests, self.scenario.policy,
                                context_switch=self.scenario.costs.context_switch)
         self.trace.emit(now, "supervisor", "stage3-plan",
                         reason=reason,
@@ -1138,10 +1122,9 @@ class Simulation:
                             "tg": e.tg_id, "tiles": list(e.tiles), "mode": e.mode,
                             "period_factor": e.period_factor, "levers": list(e.levers),
                         } for e in plan.values()])
-        self._apply_plan(plan, requests)
+        self._apply_plan(plan)
 
-    def _apply_plan(self, plan: dict[str, crit.PlanEntry],
-                    requests: dict[str, crit.AllocRequest]):
+    def _apply_plan(self, plan: dict[str, crit.PlanEntry]):
         now = self.queue.now
         for tg_id, entry in plan.items():
             host = self.host_of[tg_id]
@@ -1152,9 +1135,9 @@ class Simulation:
                 self.trace.emit(now, "supervisor", "tg-deactivated",
                                 tg=tg_id, loss_of_capability=entry.loss_of_capability)
                 continue
-            # a host keeping its tiles changes in place; a shared host keeps its period
-            if (set(entry.tiles) == set(requests[tg_id].current_tiles)
-                    and set(host.members) == set(entry.tiles)
+            # a host keeping its tiles (the plan places only healthy ones)
+            # changes in place; a shared host keeps its period
+            if (set(host.members) == set(entry.tiles)
                     and (entry.period_factor == host.period_factor
                          or len(host.thread_groups) == 1)):
                 slowed = entry.period_factor != host.period_factor
@@ -1170,7 +1153,7 @@ class Simulation:
                     self.trace.emit(now, "supervisor", "tg-degraded",
                                     tg=tg_id, mode=entry.mode, levers=list(entry.levers))
                 continue
-            self.migrate_thread_group(entry, host, requests[tg_id])
+            self.migrate_thread_group(entry, host)
 
     def _detach_tg(self, host: TileGroup, tg_id: str, now: int):
         """Take a thread group off its host group's tiles. A host left with
@@ -1182,7 +1165,7 @@ class Simulation:
             self._advance_window(tile, tg_id, now)
             tile.windows.pop(tg_id, None)
         if not host.thread_groups:
-            self._cancel_timer(host.group_id)
+            self.queue.cancel(self.timers.pop(host.group_id, None))
             self.ctxs.pop(host.group_id, None)
             del self.groups[host.group_id]
             return
@@ -1194,13 +1177,12 @@ class Simulation:
                 self.trace.emit(now, m, "timer-adjusted",
                                 tile=m, group=host.group_id, period=host.period)
 
-    def migrate_thread_group(self, entry: crit.PlanEntry, host: TileGroup,
-                             request: crit.AllocRequest):
+    def migrate_thread_group(self, entry: crit.PlanEntry, host: TileGroup):
         """Move one thread group onto its planned tiles as a fresh tile
         group, seeding state from a healthy donor (or restarting from init)."""
         now = self.queue.now
         threads = self.thread_groups[entry.tg_id]
-        donor_id = next((m for m in request.current_tiles
+        donor_id = next((m for m in host.members
                          if self.tiles[m].status in (ACTIVE, SUSPECT)), None)
         self._detach_tg(host, entry.tg_id, now)
 
@@ -1220,8 +1202,7 @@ class Simulation:
         for m in entry.tiles:
             tile = self.tiles[m]
             if tile.status == IDLE_SPARE:
-                if m in self.supervisor.spare_pool:
-                    self.supervisor.spare_pool.remove(m)
+                self.supervisor.spare_pool.remove(m)
                 tile.set_status(UPDATING)
                 tile.set_status(ACTIVE)
             elif tile.status in (SUSPECT, UPDATING):
@@ -1256,9 +1237,7 @@ class Simulation:
         caller has just returned a spare to the pool, so there is one to take."""
         now = self.queue.now
         for gid, group in self.groups.items():
-            if not group.correction_enabled:
-                continue
-            if group.target_size - len(group.members) <= 0:
+            if not group.correction_enabled or len(group.members) >= group.target_size:
                 continue
             spare_id = self.supervisor.take_spare()
             self.trace.emit(now, "supervisor", "group-restored", group=gid, tile=spare_id)
@@ -1286,6 +1265,3 @@ class Simulation:
         # dissolving a group cancels its timer, so the group is still there
         self.timers[group.group_id] = self.queue.schedule(
             at, Simulation.start_checkpoint, group, "timer")
-
-    def _cancel_timer(self, group_id: str):
-        self.queue.cancel(self.timers.pop(group_id, None))

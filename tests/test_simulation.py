@@ -665,20 +665,17 @@ def test_every_thread_group_has_one_host_or_was_deactivated(scenario):
     assert_one_host(sim)
 
 
-def apply_by_hand(entry, current, prepare=lambda sim: None, doc=None, until=1500):
+def apply_by_hand(entry, prepare=lambda sim: None, doc=None, until=1500):
     """Run `doc` (the default scenario) to t=1500, `prepare` it, then apply a
-    plan of one entry for TG1, whose hosting tiles were `current`, and run on
-    to `until`. Returns the simulation and the records the plan added."""
+    plan of one entry for TG1 and run on to `until`. Returns the simulation
+    and the records the plan added."""
     sim = Simulation(parse_scenario(doc or make_doc()), until=until)
     added = []
 
     def apply(sim):
         prepare(sim)
-        threads = sim.thread_groups["TG1"]
-        request = crit.AllocRequest("TG1", max(s.criticality for s in threads),
-                                    tuple(threads), 1000, tuple(current))
         start = len(sim.trace.records)
-        sim._apply_plan({"TG1": entry}, {"TG1": request})
+        sim._apply_plan({"TG1": entry})
         added.extend((r.kind, r.payload) for r in sim.trace.records[start:])
 
     sim.queue.schedule(1500, apply)
@@ -718,12 +715,50 @@ def slowed(period):
 def test_plan_slows_a_host_in_place(factor, mode, levers, prepare, expected):
     members = ("C0", "C1", "C2")
     entry = crit.PlanEntry("TG1", members, factor, mode, levers=levers)
-    sim, records = apply_by_hand(entry, members, prepare)
+    sim, records = apply_by_hand(entry, prepare)
     group = sim.groups["G1"]
     assert group.members == list(members)
     assert group.period == 1000 * factor
     assert group.correction_enabled == (mode == crit.MODE_FULL and prepare is not detect_only)
     assert records == expected
+
+
+def test_plan_keeps_a_shared_host_that_keeps_its_tiles_and_period():
+    # G1 runs TG1 and TG2: a plan that leaves TG1 on G1's tiles at G1's
+    # period leaves G1 as it was and writes nothing
+    doc = make_doc(thread_groups=[{"id": "TG1", "threads": ["Ta"]},
+                                  {"id": "TG2", "threads": ["Tb"]}])
+    doc["tile_groups"][0]["thread_groups"] = ["TG1", "TG2"]
+    entry = crit.PlanEntry("TG1", ("C0", "C1", "C2"), 1, crit.MODE_FULL)
+    sim, records = apply_by_hand(entry, doc=doc)
+    assert records == []
+    assert sim.host_of["TG1"] is sim.host_of["TG2"] is sim.groups["G1"]
+    assert sim.groups["G1"].thread_groups == ["TG1", "TG2"]
+
+
+def deactivate_tg1(sim):
+    sim._apply_plan({"TG1": crit.PlanEntry("TG1", (), 1, crit.MODE_DEACTIVATED)})
+
+
+def reboot_c2(sim):
+    sim.command_tile("C2", "reboot")
+
+
+@pytest.mark.parametrize("during_grace", [deactivate_tg1, reboot_c2],
+                         ids=["stage3-dissolves-the-group", "a-later-round-starts"])
+def test_grace_expiry_of_a_stale_round_writes_nothing(during_grace):
+    # round 2 finds C2 faulty at t=2072, and its grace period runs to
+    # t=2132. At t=2100 Stage 3 deactivates TG1, which dissolves G1 and its
+    # round, or C2 reboots, is back at t=2105 and starts round 3. Either
+    # way the expiry at t=2132 finds no round 2 to end.
+    doc = make_doc(horizon=3000, costs={"context_switch": 2, "boot_time": 5},
+                   faults={"explicit": [transient(1500, "C2")]})
+    sim = Simulation(parse_scenario(doc))
+    sim.queue.schedule(2100, during_grace)
+    trace = sim.run()
+    assert [r.payload["index"] for r in trace.of_kind("verdict")][2] == 2
+    assert 2 not in [r.payload["index"] for r in trace.of_kind("checkpoint-end")]
+    assert [r for r in trace.records if r.at == 2132] == []
 
 
 def test_plan_migrates_onto_a_spare_and_a_suspect_tile():
@@ -735,7 +770,7 @@ def test_plan_migrates_onto_a_spare_and_a_suspect_tile():
         assert (sim.tiles["C1"].status, sim.tiles["C3"].status) == (SUSPECT, IDLE_SPARE)
         assert "C1" in sim.pending_updates and "C3" in sim.supervisor.spare_pool
 
-    sim, records = apply_by_hand(entry, ("C0", "C1", "C2"), command_update)
+    sim, records = apply_by_hand(entry, command_update)
     assert "G1" not in sim.groups
     assert sim.groups["TG1-m1"].members == ["C0", "C1", "C3"]
     assert "C3" not in sim.supervisor.spare_pool
@@ -750,21 +785,36 @@ def test_plan_migrates_onto_a_spare_and_a_suspect_tile():
                               "mode": "full", "period_factor": 1}
 
 
-def test_plan_restarts_a_group_with_no_donor_and_degrades_it():
-    entry = crit.PlanEntry("TG1", ("C0", "C3"), 1, crit.MODE_DETECT_ONLY,
+def reboot_g1(sim):
+    for m in sim.groups["G1"].members:
+        sim.command_tile(m, "reboot")
+
+
+def restart_by_hand():
+    """Every member of G1 reboots at t=1500, and the plan puts TG1 on the
+    two idle spares, C3 and C4, as `crit.reallocate` would: G1 has no tile
+    left to donate a state. Returns what `apply_by_hand` does."""
+    doc = make_doc(tiles=[{"id": "C0"}, {"id": "C1"}, {"id": "C2"},
+                          {"id": "C3", "spare": True}, {"id": "C4", "spare": True}])
+    entry = crit.PlanEntry("TG1", ("C3", "C4"), 1, crit.MODE_DETECT_ONLY,
                            levers=(crit.REDUCE_REPLICAS,))
-    sim, records = apply_by_hand(entry, ())
+    return apply_by_hand(entry, reboot_g1, doc)
+
+
+def test_plan_restarts_a_group_with_no_donor_and_degrades_it():
+    sim, records = restart_by_hand()
     group = sim.groups["TG1-m1"]
     assert not group.correction_enabled
-    for m in ("C0", "C3"):
+    assert sim.supervisor.spare_pool == []
+    for m in ("C3", "C4"):
         for spec in group.threads:
             ts = sim.tiles[m].threads[spec.thread_id]
             assert (ts.state, ts.cycle_counter) == (workload.init_thread(spec).state, 0)
     assert records == [
         ("tg-restarted", {"tg": "TG1", "reason": "no-donor"}),
         *[("timer-adjusted", {"tile": m, "group": "TG1-m1", "period": 1000})
-          for m in ("C0", "C3")],
-        ("tg-migrated", {"tg": "TG1", "group": "TG1-m1", "tiles": ["C0", "C3"],
+          for m in ("C3", "C4")],
+        ("tg-migrated", {"tg": "TG1", "group": "TG1-m1", "tiles": ["C3", "C4"],
                          "mode": "detect-only", "period_factor": 1}),
         ("tg-degraded", {"tg": "TG1", "mode": "detect-only",
                          "levers": ["reduce-replicas"]}),
@@ -809,11 +859,9 @@ def test_replicas_share_one_initial_state_until_a_fault_hits_one(monkeypatch):
     assert ("C3", "Ta", True) in joined and ("C3", "Tb", True) in joined
     assert all(same for _, _, same in joined)
 
-    entry = crit.PlanEntry("TG1", ("C0", "C3"), 1, crit.MODE_DETECT_ONLY,
-                           levers=(crit.REDUCE_REPLICAS,))
-    sim, _ = apply_by_hand(entry, ())
+    sim, _ = restart_by_hand()
     assert all(sim.tiles[m].threads[tid] is sim.initial_states[tid]
-               for m in ("C0", "C3") for tid in ("Ta", "Tb"))
+               for m in ("C3", "C4") for tid in ("Ta", "Tb"))
 
 
 def test_vmem_fault_misses_the_entry_of_a_group_migrated_away():
@@ -824,7 +872,7 @@ def test_vmem_fault_misses_the_entry_of_a_group_migrated_away():
     doc = make_doc(horizon=4000, faults={"explicit": [
         {"at": 1510, "kind": "transient-validation-memory", "tile": "C0",
          "thread": "Ta", "mask": 1}]})
-    sim, records = apply_by_hand(entry, ("C0", "C1", "C2"), doc=doc, until=4000)
+    sim, records = apply_by_hand(entry, doc=doc, until=4000)
     fault = sim.trace.of_kind("fault")[0].payload
     assert (fault["disposition"], fault.get("reason")) == ("absorbed", "stale-entry")
     summary = compute_metrics(sim.trace.records)
@@ -858,8 +906,7 @@ def test_vmem_fault_reads_only_the_round_of_its_threads_host(deactivate):
         {**vmem, "thread": "Ta"}, {**vmem, "thread": "Tc"}]})
     sim = Simulation(parse_scenario(doc))
     if deactivate:
-        entry = crit.PlanEntry("TG1", (), 1, crit.MODE_DEACTIVATED)
-        sim.queue.schedule(2000, lambda sim: sim._apply_plan({"TG1": entry}, {}))
+        sim.queue.schedule(2000, deactivate_tg1)
     trace = sim.run()
     assert ("G1" in sim.groups) != deactivate
     assert [(r.payload["disposition"], r.payload.get("reason", r.payload.get("index")))

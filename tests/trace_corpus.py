@@ -30,6 +30,16 @@ it, the scenario name, the seed, the record count and the SHA-256 of the
 run's JSONL trace and of its metrics JSON. It depends on nothing but the
 runs, so two trees whose manifests differ show which runs moved.
 
+    python3 tests/trace_corpus.py --against DIR
+
+also runs this corpus in a child interpreter that imports `tilesim` from
+`DIR/src`, say a checkout of the parent commit, side by side with its own
+runs. It prints one line per run whose trace or metrics differ between
+the two trees (family, index, scenario, seed, and the record count on each
+side, theirs first), then the count of runs that did not move, and it exits
+1 if any run moved. Finding a moved run's first differing record is left
+to a diff of the two traces.
+
 It needs only the standard library; pytest does not collect it, and the
 soak and digest tests take their scenario documents from here.
 """
@@ -40,7 +50,9 @@ import argparse
 import hashlib
 import io
 import json
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 if __name__ == "__main__":
@@ -207,13 +219,8 @@ def hashes(scenarios, family="", manifest=None):
     return runs, traces.hexdigest(), metrics.hexdigest()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--manifest", metavar="PATH",
-                        help="also write one tab-separated line per run to PATH")
-    args = parser.parse_args(argv)
-    manifest = None if args.manifest is None else []
-
+def hash_families(manifest):
+    """Print the five lines and return each family's run count and hashes."""
     got = {}
     got["corpus"] = runs, traces, metrics = hashes(corpus(), "corpus", manifest)
     print(f"runs    {runs}")
@@ -223,14 +230,63 @@ def main(argv=None) -> int:
     print(f"wide    {runs} runs, traces {traces}, metrics {metrics}")
     got["lossy"] = runs, traces, metrics = hashes(lossy_corpus(), "lossy", manifest)
     print(f"lossy   {runs} runs, traces {traces}, metrics {metrics}")
-    if manifest is not None:
+    return got
+
+
+def start_against(tree, tmp):
+    """Start writing this corpus's manifest, run on `tree`'s `tilesim`, to
+    `tmp`/manifest.tsv in a child interpreter. Its output goes to
+    `tmp`/output.txt."""
+    code = ("import sys; sys.path[:0] = sys.argv[1:3]; import trace_corpus; "
+            "trace_corpus.main(['--manifest', sys.argv[3]])")
+    with open(Path(tmp) / "output.txt", "w", encoding="utf-8") as out:
+        return subprocess.Popen(
+            [sys.executable, "-c", code, str(Path(tree).resolve() / "src"),
+             str(Path(__file__).resolve().parent), str(Path(tmp) / "manifest.tsv")],
+            stdout=out, stderr=subprocess.STDOUT)
+
+
+def report_against(child, tree, tmp, ours):
+    """Wait for `child` and print each run of its manifest that differs
+    from `ours`, then the count of runs that did not. Returns the number of
+    runs that moved."""
+    child.wait()
+    path = Path(tmp) / "manifest.tsv"
+    theirs = path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+    if len(theirs) != len(ours):
+        print((Path(tmp) / "output.txt").read_text(encoding="utf-8"), end="", file=sys.stderr)
+        sys.exit(f"--against {tree}: the child wrote {len(theirs)} runs, not {len(ours)}")
+    moved = 0
+    for their_line, our_line in zip(theirs, ours):
+        theirs_run, ours_run = their_line.split("\t"), our_line.split("\t")
+        if theirs_run != ours_run:
+            family, index, scenario, seed, count = theirs_run[:5]
+            print(f"moved   {family} {index} {scenario} seed {seed}: "
+                  f"{count} -> {ours_run[4]} records")
+            moved += 1
+    print(f"against {tree}: {len(ours) - moved} of {len(ours)} runs did not move")
+    return moved
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--manifest", metavar="PATH",
+                        help="also write one tab-separated line per run to PATH")
+    parser.add_argument("--against", metavar="DIR",
+                        help="also run the corpus on DIR/src and list the runs that differ")
+    args = parser.parse_args(argv)
+    manifest = None if args.manifest is None and args.against is None else []
+    with tempfile.TemporaryDirectory() as tmp:
+        child = None if args.against is None else start_against(args.against, tmp)
+        got = hash_families(manifest)
+        moved = 0 if child is None else report_against(child, args.against, tmp, manifest)
+    if args.manifest is not None:
         with open(args.manifest, "w", encoding="utf-8", newline="\n") as fh:
             fh.writelines(line + "\n" for line in manifest)
-    moved = [family for family, pin in PINS.items() if got[family] != pin]
-    if moved:
-        print(f"moved from the pins: {', '.join(moved)}", file=sys.stderr)
-        return 1
-    return 0
+    pins_moved = [family for family, pin in PINS.items() if got[family] != pin]
+    if pins_moved:
+        print(f"moved from the pins: {', '.join(pins_moved)}", file=sys.stderr)
+    return 1 if pins_moved or moved else 0
 
 
 if __name__ == "__main__":
