@@ -883,13 +883,14 @@ class Simulation:
             if tile is None or not tile.is_member:
                 arrive(ev, reason="no-target")
                 return
-            # only the open round of the thread's host, if it validates the
-            # thread and the tile has written its row to it, reads the
-            # checksum again; any other entry is stale
-            host = self.host_of.get(self.thread_group_of.get(ev.thread))
-            ctx = self.ctxs.get(host.group_id) if host else None
-            if (ctx is None or ctx.resolved or ev.thread not in ctx.checked
-                    or ev.tile not in ctx.rows):
+            # only an open round that validates the thread and holds the tile's row
+            # reads the checksum again, a former host's too: Stage 3 leaves it open
+            for gid, group in self.groups.items():
+                ctx = self.ctxs.get(gid)
+                if (ev.tile in group.members and ctx and not ctx.resolved
+                        and ev.thread in ctx.checked and ev.tile in ctx.rows):
+                    break
+            else:
                 arrive(ev, reason="stale-entry")
                 return
             row = list(ctx.rows[ev.tile])

@@ -864,6 +864,35 @@ def test_replicas_share_one_initial_state_until_a_fault_hits_one(monkeypatch):
                for m in ("C3", "C4") for tid in ("Ta", "Tb"))
 
 
+def test_a_no_donor_restart_drops_the_states_a_tile_kept():
+    # G1 runs TG1 (Ta, Tb) and TG2 (Tc). At t=1500 TG1 moves to the spares
+    # C3 and C4, which then reboot, and a plan puts TG1 back on G1's tiles.
+    # They still hold the states TG1 ran there, but restart from the run's
+    # initial states, for no tile is left to donate one.
+    tc = {**make_doc()["threads"][0], "id": "Tc"}
+    doc = make_doc(tiles=[{"id": "C0"}, {"id": "C1"}, {"id": "C2"},
+                          {"id": "C3", "spare": True}, {"id": "C4", "spare": True}],
+                   threads=[*make_doc()["threads"], tc],
+                   thread_groups=[{"id": "TG1", "threads": ["Ta", "Tb"]},
+                                  {"id": "TG2", "threads": ["Tc"]}])
+    doc["tile_groups"][0]["thread_groups"] = ["TG1", "TG2"]
+    g1 = ("C0", "C1", "C2")
+
+    def move_tg1_away_and_reboot_its_tiles(sim):
+        sim._apply_plan({"TG1": crit.PlanEntry("TG1", ("C3", "C4"), 1, crit.MODE_FULL)})
+        for m in ("C3", "C4"):
+            sim.command_tile(m, "reboot")
+        assert not any(sim.tiles[m].threads[tid] is sim.initial_states[tid]
+                       for m in g1 for tid in ("Ta", "Tb"))
+
+    sim, records = apply_by_hand(crit.PlanEntry("TG1", g1, 1, crit.MODE_FULL),
+                                 move_tg1_away_and_reboot_its_tiles, doc)
+    assert records[0] == ("tg-restarted", {"tg": "TG1", "reason": "no-donor"})
+    assert sim.host_of["TG1"].members == list(g1)
+    assert all(sim.tiles[m].threads[tid] is sim.initial_states[tid]
+               for m in g1 for tid in ("Ta", "Tb"))
+
+
 def test_vmem_fault_misses_the_entry_of_a_group_migrated_away():
     # TG1-m1 starts round 0 at t=1500, and C0 writes its checksums at
     # t=1524. The entry (Ta, 0) that C0 wrote for G1's round 0 at t=24 is
@@ -912,6 +941,33 @@ def test_vmem_fault_reads_only_the_round_of_its_threads_host(deactivate):
     assert [(r.payload["disposition"], r.payload.get("reason", r.payload.get("index")))
             for r in trace.of_kind("fault")[1:]] == [("absorbed", "stale-entry"),
                                                     ("applied", 2)]
+
+
+def test_vmem_fault_lands_in_the_open_round_of_a_host_its_thread_left(monkeypatch):
+    # G1 runs TG1 (Ta) and TG2 (Tb). A SEFI on C2 keeps G1's round 3 open
+    # from t=3072 to its deadline at t=3172, and C0 writes its Ta and Tb
+    # entries at t=3096. At t=3100 Stage 3 moves TG1 to the spares; the open
+    # round still compares Ta, so a flip of C0's Ta entry at t=3110 lands in it.
+    doc = make_doc(horizon=4000,
+                   tiles=[{"id": "C0"}, {"id": "C1"}, {"id": "C2"},
+                          *[{"id": f"C{i}", "spare": True} for i in (3, 4, 5)]],
+                   thread_groups=[{"id": "TG1", "threads": ["Ta"]},
+                                  {"id": "TG2", "threads": ["Tb"]}],
+                   faults={"explicit": [
+                       {"at": 2900, "kind": "sefi-tile", "tile": "C2", "duration": 300},
+                       {"at": 3110, "kind": "transient-validation-memory", "tile": "C0",
+                        "thread": "Ta", "mask": 1}]})
+    doc["tile_groups"][0]["thread_groups"] = ["TG1", "TG2"]
+    entry = crit.PlanEntry("TG1", ("C3", "C4", "C5"), 1, crit.MODE_FULL)
+    monkeypatch.setattr(crit, "reallocate", lambda *args, **kwargs: {"TG1": entry})
+    sim = Simulation(parse_scenario(doc))
+    sim.queue.schedule(3100, lambda sim: sim.stage3_reallocate("by-hand"))
+    trace = sim.run()
+    assert [r.payload["group"] for r in trace.of_kind("tg-migrated")] == ["TG1-m1"]
+    fault = trace.of_kind("fault")[1].payload
+    assert (fault["disposition"], fault.get("index")) == ("applied", 3)
+    assert [r.payload["group"] for r in trace.of_kind("fault-detected")
+            if r.payload["id"] == 1] == ["G1"]
 
 
 # -- output voting ---------------------------------------------------------------
