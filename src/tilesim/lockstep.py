@@ -25,7 +25,7 @@ MISS = "deadline-miss"
 def compare_with_siblings(
     me: str,
     members: list[str],
-    written_at: dict[str, int],
+    written_at: int,
     deadline_at: int,
     rows: dict[str, tuple],
     reads_blocked: bool = False,
@@ -35,59 +35,45 @@ def compare_with_siblings(
 
     `rows` holds each writer's row: a tuple of its checksums of the checked
     threads, in one order, or None where the whole row is missing. Two rows
-    agree when they are equal and mine is not missing.
+    agree when they are equal and mine is not missing. The writers, me among
+    them, all wrote at `written_at`, no later than `deadline_at`.
 
-    Comparisons happen as siblings become ready, walked in chronological
-    order with ties broken by rotated member order (each tile starts at the
+    Siblings are walked in rotated member order (each tile starts at the
     slot after its own, so the group does not hammer one segment and the
     supervisor still sees healthy pairs affirm each other when one member
-    is bad). A sibling that never wrote by the deadline scores a miss. On
-    the first mismatch or miss the tile stops comparing and reports what it
-    has, so later siblings get no verdict at all.
-
-    No sibling is ready before `first`, the earlier of my write and the
-    deadline. Replicas of one round write together, so most siblings are
-    ready at `first` exactly: those are judged in rotation order as the walk
-    meets them, and only the others are sorted, once the walk gets past.
+    is bad), and a writer is judged where the walk meets it. A sibling that
+    never wrote, or any sibling while reads are blocked, is ready only at
+    the deadline and scores a miss: inline where the deadline is the write
+    instant, else after every writer, the first such sibling in rotation
+    order. On the first mismatch or miss the tile stops comparing and
+    reports what it has, so later siblings get no verdict at all.
     """
-    my_ready = written_at[me]
-    first = my_ready if my_ready < deadline_at else deadline_at
     my_pos = members.index(me)
     mine = rows[me]
     mine_whole = mine is not None
     verdicts: dict[str, str] = {}
-    later = []
-    for rotation, sib in enumerate(members[my_pos + 1:] + members[:my_pos]):
-        when, ready = deadline_at, False
-        if not reads_blocked and sib in written_at:
-            written = written_at[sib]
-            if written < my_ready:
-                written = my_ready
-            if written <= deadline_at:
-                when, ready = written, True
-        if when != first:
-            later.append((when, rotation, sib, ready))
-            continue
-        verdict = (AGREE if mine_whole and rows[sib] == mine else DISAGREE) if ready else MISS
-        verdicts[sib] = verdict
-        if verdict != AGREE:
-            return verdicts, first
-
-    completed = first if verdicts else my_ready
-    later.sort()  # by time, then rotation: the rotations are unique
-    for when, _, sib, ready in later:
-        verdict = (AGREE if mine_whole and rows[sib] == mine else DISAGREE) if ready else MISS
-        verdicts[sib] = verdict
-        if verdict != AGREE:
-            return verdicts, when
-        completed = when
-    return verdicts, completed
+    missed = None
+    for sib in members[my_pos + 1:] + members[:my_pos]:
+        if reads_blocked or sib not in rows:
+            if written_at == deadline_at:
+                verdicts[sib] = MISS
+                return verdicts, deadline_at
+            if missed is None:
+                missed = sib
+        elif mine_whole and rows[sib] == mine:
+            verdicts[sib] = AGREE
+        else:
+            verdicts[sib] = DISAGREE
+            return verdicts, written_at
+    if missed is None:
+        return verdicts, written_at
+    verdicts[missed] = MISS
+    return verdicts, deadline_at
 
 
 def unanimous_reports(
     members: list[str],
-    written_at: dict[str, int],
-    deadline_at: int,
+    written_at: int,
     rows: dict[str, tuple],
     reads_blocked: bool = False,
 ) -> Optional[tuple[dict[str, dict[str, str]], int]]:
@@ -97,17 +83,16 @@ def unanimous_reports(
     `rows` are whole rows or None, as `compare_with_siblings` takes them,
     but an entry may also be a thread state, which equals another only
     where their checksums are equal too. A round is unanimous when reads
-    are not blocked, every member wrote by the deadline, and every row is
-    there and equal. Each member's `compare_with_siblings` then affirms
-    every sibling and completes when the last member wrote: that is built
-    here directly, without walking siblings. `written_at` holds members
-    only. Each member gets its own verdicts dict.
+    are not blocked, every member wrote, and every row is there and equal.
+    Each member's `compare_with_siblings` then affirms every sibling and
+    completes at the write: that is built here directly, without walking
+    siblings. `rows` holds members only. Each member gets its own verdicts
+    dict.
     """
-    if reads_blocked or len(written_at) != len(members):
+    if reads_blocked or len(rows) != len(members):
         return None
-    completed = max(written_at.values())
     first = rows[members[0]]
-    if completed > deadline_at or first is None:
+    if first is None:
         return None
     for m in members:
         if rows[m] != first:
@@ -117,7 +102,7 @@ def unanimous_reports(
     for me in members:
         reports[me] = verdicts = agree.copy()
         del verdicts[me]
-    return reports, completed
+    return reports, written_at
 
 
 @dataclass

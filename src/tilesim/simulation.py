@@ -36,26 +36,28 @@ FULL_RECONFIG_DURATION = 5000
 class GroupCheckpoint:
     """One checkpoint round of a tile group, from its start to its end."""
 
-    __slots__ = ("index", "t0", "participants", "members", "checked", "written", "rows",
-                 "snapshots", "resolved", "completed", "reports", "clique", "outputs",
-                 "boundary", "deadline_entry", "resolve_entry", "advanced", "last_advance")
+    __slots__ = ("index", "t0", "participants", "members", "checked", "written_at",
+                 "deadline_at", "rows", "snapshots", "resolved", "completed", "reports",
+                 "clique", "outputs", "boundary", "deadline_entry", "resolve_entry",
+                 "advanced", "last_advance")
 
     def __init__(self, index: int, t0: int, participants: list[str], members: list[str],
-                 checked: list[str]):
+                 checked: list[str], written_at: int, deadline_at: int):
         self.index = index
         self.t0 = t0
         self.participants = participants
         self.members = members               # roster as of checkpoint start
         self.checked = checked               # thread ids validated this index
-        self.written: dict[str, int] = {}
-        # Validation memory of this round. A tile writes its row, a tuple of
-        # its states of `checked` in order, and a writer asked to propagate
-        # adds its thread states; siblings only read them. A reboot wipes
-        # both. A row entry stands for the state's checksum, read only when
-        # the rows are not all equal; a validation-memory fault leaves that
-        # checksum, flipped, in the entry it hits, so an entry is a state or
-        # an int.
-        self.rows: dict[str, tuple] = {}
+        self.written_at = written_at         # every participant writes then
+        self.deadline_at = deadline_at
+        # Validation memory of this round, keyed by the tiles that wrote. A
+        # tile writes its row, a tuple of its states of `checked` in order,
+        # and a writer asked to propagate adds its thread states; siblings
+        # only read them. A reboot wipes both, and a wiped row reads None. A
+        # row entry stands for the state's checksum, read only when the rows
+        # are not all equal; a validation-memory fault leaves that checksum,
+        # flipped, in the entry it hits, so an entry is a state or an int.
+        self.rows: dict[str, Optional[tuple]] = {}
         self.snapshots: dict[str, dict[str, workload.ThreadState]] = {}
         self.resolved = False
         self.completed = False
@@ -292,7 +294,8 @@ class Simulation:
         now = self.queue.now
         tile.set_status(REBOOTING)
         for ctx in self.ctxs.values():
-            ctx.rows.pop(tile.tile_id, None)
+            if tile.tile_id in ctx.rows:
+                ctx.rows[tile.tile_id] = None
             ctx.snapshots.pop(tile.tile_id, None)
         tile.threads.clear()
         if tile.tile_id in self.supervisor.spare_pool:
@@ -324,7 +327,8 @@ class Simulation:
         index = group.checkpoint_index
         participants = [m for m in group.members if tiles[m].status in (ACTIVE, SUSPECT)]
         checked, ready = group.plan(index)
-        ctx = GroupCheckpoint(index, now, participants, list(group.members), checked)
+        ctx = GroupCheckpoint(index, now, participants, list(group.members), checked,
+                              now + ready, now + group.comparison_deadline)
         self.ctxs[group.group_id] = ctx
         # a copy: the record must not change with the round's roster
         self.trace.emit(now, group.group_id, "checkpoint-start",
@@ -361,11 +365,10 @@ class Simulation:
                 self.trace.emit(now, m, "checkpoint-blocked",
                                 tile=m, group=group.group_id, index=index)
                 continue
-            self.queue.schedule(now + ready, Simulation._on_checksums_ready,
+            self.queue.schedule(ctx.written_at, Simulation._on_checksums_ready,
                                 group.group_id, index, m)
         ctx.deadline_entry = self.queue.schedule(
-            now + group.comparison_deadline, Simulation._resolve_checkpoint,
-            group.group_id, index)
+            ctx.deadline_at, Simulation._resolve_checkpoint, group.group_id, index)
 
     def _advance_window(self, tile: Tile, tg_id: str, now: int,
                         ctx: Optional[GroupCheckpoint] = None):
@@ -430,8 +433,7 @@ class Simulation:
         when the rows differ. Losing the write silently is exactly how an
         interface SEFI manifests."""
         ctx = self.ctxs.get(group_id)
-        if (ctx is None or ctx.index != index or ctx.resolved
-                or tile_id not in ctx.participants):
+        if ctx is None or ctx.index != index or ctx.resolved:
             return
         tile = self.tiles[tile_id]
         if not tile.is_member:
@@ -443,11 +445,10 @@ class Simulation:
             return
         threads = tile.threads
         ctx.rows[tile_id] = tuple([threads[tid] for tid in ctx.checked])
-        ctx.written[tile_id] = now
         self.trace.emit(now, tile_id, "validation-write", tile=tile_id, group=group_id,
                         index=index, threads=len(ctx.checked))
         # only participants write, each once
-        if len(ctx.written) == len(ctx.participants) and ctx.resolve_entry is None:
+        if len(ctx.rows) == len(ctx.participants) and ctx.resolve_entry is None:
             ctx.resolve_entry = self.queue.schedule(
                 now, Simulation._resolve_checkpoint, group_id, index)
 
@@ -460,21 +461,17 @@ class Simulation:
         self.queue.cancel(ctx.resolve_entry)
         group = self.groups[group_id]
         now = self.queue.now
-        deadline_at = ctx.t0 + group.comparison_deadline
 
         # read at resolve time: a transient vmem fault or a reboot since the
-        # write shows up here, and a wiped row reads as None. Rows are a
-        # subset of the writers, so equal counts mean no row was wiped.
+        # write shows up here
         rows = ctx.rows
-        if len(rows) != len(ctx.written):
-            rows = {w: rows.get(w) for w in ctx.written}
         reads_blocked = self.shared_sefi is not None
         # Equal states have equal checksums, so rows of equal states settle a
         # unanimous round. Other rows are compared by their checksums, where
         # a collision still counts as agreement: `compare_with_siblings`
         # reports such rows as it would a unanimous round.
         unanimous = lockstep.unanimous_reports(
-            ctx.members, ctx.written, deadline_at, rows, reads_blocked)
+            ctx.members, ctx.written_at, rows, reads_blocked)
         if unanimous is None:
             agreed = None
             rows = {w: None if row is None else tuple(
@@ -484,11 +481,11 @@ class Simulation:
             agreed, completed_at = unanimous
         loss = self.scenario.features.signal_loss_prob
         for m in ctx.participants:
-            if m not in ctx.written or self.tiles[m].sefi is not None:
+            if m not in rows or self.tiles[m].sefi is not None:
                 continue  # never wrote, or its interface is down: stays silent
             if agreed is None:
                 verdicts, completed_at = lockstep.compare_with_siblings(
-                    m, ctx.members, ctx.written, deadline_at, rows, reads_blocked)
+                    m, ctx.members, ctx.written_at, ctx.deadline_at, rows, reads_blocked)
             else:
                 verdicts = agreed[m]
             if loss > 0:
@@ -565,37 +562,21 @@ class Simulation:
         """Compare full boundary states behind the protocol's back: a pair
         that diverged yet mutually agreed is an undetected divergence.
 
-        Participants with equal boundary states form one class, found by
-        comparing against one representative per class; replicas that no
-        fault hit hold the very same state objects. A pair within a class
-        cannot diverge, so the walk over the reporting participants' pairs,
-        in participant order, looks only at pairs across classes. Where every
-        participant holds one boundary dict, there is one class."""
+        The walk goes over the reporting participants' pairs in participant
+        order. Replicas that no fault hit share one boundary dict, and such a
+        pair cannot diverge."""
         boundary, reports = ctx.boundary, ctx.reports
         if len({*map(id, boundary.values())}) < 2:
             return  # the same state objects cannot diverge
-        class_of: dict[str, int] = {}
-        representatives: list[dict] = []
-        for m, states in boundary.items():
-            for k, rep in enumerate(representatives):
-                if states == rep:
-                    class_of[m] = k
-                    break
-            else:
-                class_of[m] = len(representatives)
-                representatives.append(states)
-        if len(representatives) < 2:
-            return  # no pair diverged
-        walked = [(m, class_of[m]) for m in ctx.participants
-                  if m in reports and m in class_of]
+        walked = [m for m in ctx.participants if m in reports and m in boundary]
         now = self.queue.now
-        for i, (a, ka) in enumerate(walked):
+        for i, a in enumerate(walked):
             verdicts_a, sa = reports[a], boundary[a]
-            for b, kb in walked[i + 1:]:
-                if (kb == ka or verdicts_a.get(b) != lockstep.AGREE
+            for b in walked[i + 1:]:
+                sb = boundary[b]
+                if (sb is sa or verdicts_a.get(b) != lockstep.AGREE
                         or reports[b].get(a) != lockstep.AGREE):
                     continue
-                sb = boundary[b]
                 for tid in ctx.checked:
                     if sa.get(tid) != sb.get(tid):
                         self.oracle_divergences += 1
@@ -888,7 +869,7 @@ class Simulation:
             for gid, group in self.groups.items():
                 ctx = self.ctxs.get(gid)
                 if (ev.tile in group.members and ctx and not ctx.resolved
-                        and ev.thread in ctx.checked and ev.tile in ctx.rows):
+                        and ev.thread in ctx.checked and ctx.rows.get(ev.tile) is not None):
                     break
             else:
                 arrive(ev, reason="stale-entry")

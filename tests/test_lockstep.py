@@ -9,8 +9,7 @@ from tilesim.supervisor import arbitrate
 
 def test_all_agree():
     rows = {t: (7,) for t in ("C0", "C1", "C2")}
-    verdicts, completed_at = compare_with_siblings(
-        "C0", ["C0", "C1", "C2"], {"C0": 24, "C1": 24, "C2": 24}, 100, rows)
+    verdicts, completed_at = compare_with_siblings("C0", ["C0", "C1", "C2"], 24, 100, rows)
     assert verdicts == {"C1": AGREE, "C2": AGREE}
     assert completed_at == 24
 
@@ -19,41 +18,56 @@ def test_faulty_sibling_detected_and_comparison_stops():
     # the corrupt member disagrees with its first sibling and stops, so the
     # remaining sibling gets no verdict at all
     rows = {"C0": (7,), "C1": (7,), "C2": (9,)}
-    written = {"C0": 24, "C1": 24, "C2": 24}
-    healthy, _ = compare_with_siblings("C0", ["C0", "C1", "C2"], written, 100, rows)
+    healthy, _ = compare_with_siblings("C0", ["C0", "C1", "C2"], 24, 100, rows)
     assert healthy == {"C1": AGREE, "C2": DISAGREE}
-    corrupt, _ = compare_with_siblings("C2", ["C0", "C1", "C2"], written, 100, rows)
+    corrupt, completed_at = compare_with_siblings("C2", ["C0", "C1", "C2"], 24, 100, rows)
     assert corrupt == {"C0": DISAGREE}
-
-
-def test_stop_on_first_mismatch_in_ready_order():
-    # C1 becomes ready before C2; the mismatch with C1 halts comparison
-    rows = {"C0": (7,), "C1": (8,), "C2": (7,)}
-    verdicts, completed_at = compare_with_siblings(
-        "C0", ["C0", "C1", "C2"], {"C0": 20, "C1": 30, "C2": 40}, 100, rows)
-    assert verdicts == {"C1": DISAGREE}
-    assert completed_at == 30
+    assert completed_at == 24
 
 
 def test_deadline_miss():
     rows = {"C0": (7,), "C1": (7,)}
-    verdicts, completed_at = compare_with_siblings(
-        "C0", ["C0", "C1", "C2"], {"C0": 24, "C1": 30}, 100, rows)
+    verdicts, completed_at = compare_with_siblings("C0", ["C0", "C1", "C2"], 24, 100, rows)
     assert verdicts == {"C1": AGREE, "C2": MISS}
+    assert completed_at == 100
+
+
+def test_a_miss_before_the_deadline_waits_for_every_writer():
+    # C2 never wrote: it is ready only at the deadline, after the writers
+    # that follow it in rotation order, so they are judged first
+    members = ["C0", "C1", "C2", "C3", "C4"]
+    rows = {m: (7,) for m in ("C0", "C1", "C3", "C4")}
+    verdicts, completed_at = compare_with_siblings("C0", members, 24, 100, rows)
+    assert list(verdicts.items()) == [
+        ("C1", AGREE), ("C3", AGREE), ("C4", AGREE), ("C2", MISS)]
+    assert completed_at == 100
+    rows["C4"] = (9,)
+    verdicts, completed_at = compare_with_siblings("C0", members, 24, 100, rows)
+    assert list(verdicts.items()) == [("C1", AGREE), ("C3", AGREE), ("C4", DISAGREE)]
+    assert completed_at == 24
+
+
+def test_a_miss_at_the_write_instant_stops_the_walk_there():
+    # with the deadline at the write, C2 is ready as early as the writers
+    # and is met in rotation order
+    members = ["C0", "C1", "C2", "C3", "C4"]
+    rows = {m: (7,) for m in ("C0", "C1", "C3", "C4")}
+    verdicts, completed_at = compare_with_siblings("C0", members, 100, 100, rows)
+    assert list(verdicts.items()) == [("C1", AGREE), ("C2", MISS)]
     assert completed_at == 100
 
 
 def test_blocked_reads_miss_everyone_but_stop_after_first():
     rows = {t: (7,) for t in ("C0", "C1", "C2")}
-    verdicts, _ = compare_with_siblings(
-        "C0", ["C0", "C1", "C2"], {"C0": 24, "C1": 24, "C2": 24}, 100, rows,
-        reads_blocked=True)
+    verdicts, completed_at = compare_with_siblings(
+        "C0", ["C0", "C1", "C2"], 24, 100, rows, reads_blocked=True)
     assert verdicts == {"C1": MISS}
+    assert completed_at == 100
 
 
 def test_multi_thread_agreement_needs_all():
     rows = {"C0": (1, 2), "C1": (1, 99)}
-    verdicts, _ = compare_with_siblings("C0", ["C0", "C1"], {"C0": 24, "C1": 24}, 100, rows)
+    verdicts, _ = compare_with_siblings("C0", ["C0", "C1"], 24, 100, rows)
     assert verdicts == {"C1": DISAGREE}
 
 
@@ -61,43 +75,37 @@ def test_missing_own_entry_disagrees_even_with_an_equal_row():
     # a row lost from my validation memory cannot vouch for anything, even
     # to a sibling whose row is lost too
     rows = {"C0": None, "C1": None, "C2": (1, 5)}
-    verdicts, _ = compare_with_siblings(
-        "C0", ["C0", "C1", "C2"], {"C0": 24, "C1": 24, "C2": 24}, 100, rows)
+    verdicts, _ = compare_with_siblings("C0", ["C0", "C1", "C2"], 24, 100, rows)
     assert verdicts == {"C1": DISAGREE}
 
 
 def test_no_checked_thread_agrees():
     rows = {"C0": (), "C1": ()}
-    verdicts, _ = compare_with_siblings("C0", ["C0", "C1"], {"C0": 24, "C1": 24}, 100, rows)
+    verdicts, _ = compare_with_siblings("C0", ["C0", "C1"], 24, 100, rows)
     assert verdicts == {"C1": AGREE}
 
 
 def reference_compare_with_siblings(me, members, written_at, deadline_at, rows,
                                     reads_blocked=False):
-    """The reference comparison, kept as it was before the sort went plain:
-    a per-sibling max() and a sort keyed on (time, rotation) alone."""
-    my_ready = written_at[me]
+    """The reference comparison: every writer ready at the write, every
+    other sibling (or every sibling, with reads blocked) at the deadline,
+    taken in order of (time, rotation) until the first verdict that is not
+    agree."""
     my_pos = members.index(me)
     n = len(members)
     order = []
     for pos, sib in enumerate(members):
         if sib == me:
             continue
-        if not reads_blocked and sib in written_at:
-            when = max(my_ready, written_at[sib])
-            ready = when <= deadline_at
-            if not ready:
-                when = deadline_at
-        else:
-            ready = False
-            when = deadline_at
+        ready = not reads_blocked and sib in rows
+        when = written_at if ready else deadline_at
         order.append((when, (pos - my_pos) % n, sib, ready))
     order.sort(key=lambda item: (item[0], item[1]))
 
     mine = rows[me]
     mine_whole = mine is not None
     verdicts = {}
-    completed = my_ready
+    completed = written_at
     for when, _, sib, ready in order:
         if not ready:
             verdicts[sib] = MISS
@@ -114,19 +122,19 @@ def reference_compare_with_siblings(me, members, written_at, deadline_at, rows,
 @st.composite
 def comparisons(draw):
     """Up to 8 members in any order; any subset of them (always including
-    me) has written, at times drawn from a narrow range so that ties are
-    common; rows of up to 3 entries from a small alphabet, some rows
-    missing (None); reads blocked or not."""
+    me) has written, all at one time, with a deadline at or after it that
+    is often the write itself; rows of up to 3 entries from a small
+    alphabet, some rows missing (None); reads blocked or not."""
     tiles = [f"C{i}" for i in range(8)]
     members = draw(st.permutations(tiles))[:draw(st.integers(1, 8))]
     me = draw(st.sampled_from(members))
-    times = st.integers(0, 40)
-    written_at = {m: draw(times) for m in members if m == me or draw(st.booleans())}
+    written_at = draw(st.integers(0, 40))
+    deadline_at = draw(st.sampled_from([written_at, written_at + draw(st.integers(0, 40))]))
     width = draw(st.integers(0, 3))
     entry = st.integers(0, 2)
     row = st.one_of(st.none(), st.tuples(*[entry] * width))
-    rows = {w: draw(row) for w in written_at}
-    return me, members, written_at, draw(times), rows, draw(st.booleans())
+    rows = {m: draw(row) for m in members if m == me or draw(st.booleans())}
+    return me, members, written_at, deadline_at, rows, draw(st.booleans())
 
 
 @settings(max_examples=500, deadline=None, database=None, derandomize=True)
@@ -140,23 +148,18 @@ def test_compare_with_siblings_matches_reference(case):
 
 @st.composite
 def wide_comparisons(draw):
-    """9-24 members in any order, who write together at one time, but for
-    up to three that never write and up to two that write later, some past
-    the deadline; a deadline at or after the common write; one row that
+    """9-24 members in any order, who all write at one time but for up to
+    three that never write; a deadline at or after the write; one row that
     every writer holds, but for one or two odd rows, changed or missing."""
     tiles = [f"C{i}" for i in range(24)]
     members = draw(st.permutations(tiles))[:draw(st.integers(9, 24))]
     me = draw(st.sampled_from(members))
-    at = draw(st.integers(0, 40))
-    deadline_at = draw(st.integers(at, at + 10))
+    written_at = draw(st.integers(0, 40))
+    deadline_at = draw(st.integers(written_at, written_at + 10))
     silent = draw(st.lists(st.sampled_from(members), max_size=3))
-    written_at = {m: at for m in members if m == me or m not in silent}
-    for m in draw(st.lists(st.sampled_from(members), max_size=2)):
-        if m in written_at:
-            written_at[m] = draw(st.integers(at + 1, deadline_at + 5))
     row = tuple(draw(st.lists(st.integers(0, 2), min_size=1, max_size=3)))
-    rows = dict.fromkeys(written_at, row)
-    for m in draw(st.lists(st.sampled_from(sorted(written_at)), max_size=2)):
+    rows = {m: row for m in members if m == me or m not in silent}
+    for m in draw(st.lists(st.sampled_from(sorted(rows)), max_size=2)):
         k = draw(st.integers(0, len(row) - 1))
         rows[m] = draw(st.sampled_from([None, row[:k] + (3,) + row[k + 1:]]))
     return me, members, written_at, deadline_at, rows, draw(st.booleans())
@@ -173,12 +176,12 @@ def test_wide_compare_with_siblings_matches_reference(case):
 
 @st.composite
 def unanimous_rounds(draw):
-    """1-24 members in any order, each written at or before the deadline,
-    and one row of up to 3 entries that every member holds."""
+    """1-24 members in any order, all written at one time, a deadline at
+    or after it, and one row of up to 3 entries that every member holds."""
     tiles = [f"C{i}" for i in range(24)]
     members = draw(st.permutations(tiles))[:draw(st.integers(1, 24))]
-    deadline_at = draw(st.integers(0, 40))
-    written_at = {m: draw(st.integers(0, deadline_at)) for m in members}
+    written_at = draw(st.integers(0, 40))
+    deadline_at = draw(st.integers(written_at, 50))
     row = tuple(draw(st.lists(st.integers(0, 2), max_size=3)))
     return members, written_at, deadline_at, {m: row for m in members}
 
@@ -187,7 +190,7 @@ def unanimous_rounds(draw):
 @given(unanimous_rounds(), st.data())
 def test_unanimous_reports_equal_the_general_path(case, data):
     members, written_at, deadline_at, rows = case
-    reports, completed_at = unanimous_reports(*case)
+    reports, completed_at = unanimous_reports(members, written_at, rows)
     assert ({me: (reports[me], completed_at) for me in members}
             == {me: compare_with_siblings(me, *case) for me in members})
     verdict = arbitrate(members, reports)
@@ -197,20 +200,17 @@ def test_unanimous_reports_equal_the_general_path(case, data):
     me = data.draw(st.sampled_from(members))
     row = rows[me]
     wiped = dict.fromkeys(members)
-    assert unanimous_reports(members, written_at, deadline_at, wiped) is None
+    assert unanimous_reports(members, written_at, wiped) is None
     if len(members) > 1:
-        assert unanimous_reports(members, written_at, deadline_at,
-                                 {**rows, me: row + (0,)}) is None
-    missing = {m: t for m, t in written_at.items() if m != me}
-    assert unanimous_reports(members, missing, deadline_at, rows) is None
-    late = {**written_at, me: deadline_at + 1}
-    assert unanimous_reports(members, late, deadline_at, rows) is None
-    assert unanimous_reports(*case, reads_blocked=True) is None
+        assert unanimous_reports(members, written_at, {**rows, me: row + (0,)}) is None
+    missing = {m: r for m, r in rows.items() if m != me}
+    assert unanimous_reports(members, written_at, missing) is None
+    assert unanimous_reports(members, written_at, rows, reads_blocked=True) is None
 
 
 def test_unanimous_reports_own_their_verdicts():
     members = ["C0", "C1", "C2", "C3"]
-    args = (members, dict.fromkeys(members, 5), 10, dict.fromkeys(members, (1, 2)))
+    args = (members, 5, dict.fromkeys(members, (1, 2)))
     fresh, _ = unanimous_reports(*args)
     for me in members:
         reports, _ = unanimous_reports(*args)
@@ -226,7 +226,7 @@ def test_unanimous_reports_own_their_verdicts():
 @given(comparisons())
 def test_unanimous_reports_only_where_the_general_path_agrees(case):
     _, members, written_at, deadline_at, rows, blocked = case
-    unanimous = unanimous_reports(members, written_at, deadline_at, rows, blocked)
+    unanimous = unanimous_reports(members, written_at, rows, blocked)
     if unanimous is not None:
         reports, completed_at = unanimous
         assert ({me: (reports[me], completed_at) for me in members}

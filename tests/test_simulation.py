@@ -128,6 +128,23 @@ def test_detection_completeness_every_word():
 
 # -- validation memory and SEFI ------------------------------------------------
 
+@pytest.mark.parametrize("family, key", [
+    *[("bundled", name) for name in ("exhaustion", "fig3", "fig6", "storm")],
+    *[("chaos", seed) for seed in (0, 1, 2, 3, 4, 196)],
+    *[("wide-group", seed) for seed in range(4)],
+])
+def test_the_writes_of_a_round_share_one_instant(family, key):
+    # a round's deadline and its comparisons rely on every participant
+    # writing its row at the same time
+    sc = (load_scenario(key) if family == "bundled"
+          else parse_scenario((chaos_doc if family == "chaos" else wide_doc)(key)))
+    instants: dict[tuple, set] = {}
+    for r in Simulation(sc).run().of_kind("validation-write"):
+        instants.setdefault((r.payload["group"], r.payload["index"]), set()).add(r.at)
+    assert instants
+    assert all(len(at) == 1 for at in instants.values())
+
+
 def test_validation_memory_corruption_detected():
     # a fourth member, C3, is SEFI-blocked when round 2 starts at t=2048, so
     # the round stays open from the writes at t=2072 to its deadline at
@@ -276,7 +293,8 @@ def test_checkpoint_memo_hit_survives_a_flip_of_an_earlier_result():
     sim = Simulation(parse_scenario(make_doc()))
     c0, c1, c2 = (sim.tiles[m] for m in ("C0", "C1", "C2"))
     ctx = GroupCheckpoint(index=1, t0=350, participants=["C0", "C1", "C2"],
-                          members=["C0", "C1", "C2"], checked=["Ta", "Tb"])
+                          members=["C0", "C1", "C2"], checked=["Ta", "Tb"],
+                          written_at=374, deadline_at=450)
     for tile in (c0, c1, c2):
         sim._join(tile, sim.groups["G1"], 0)
     sim._advance_window(c0, "TG1", 350, ctx)
@@ -968,6 +986,31 @@ def test_vmem_fault_lands_in_the_open_round_of_a_host_its_thread_left(monkeypatc
     assert (fault["disposition"], fault.get("index")) == ("applied", 3)
     assert [r.payload["group"] for r in trace.of_kind("fault-detected")
             if r.payload["id"] == 1] == ["G1"]
+
+
+def test_a_miss_completes_at_the_deadline_its_round_started_with():
+    # G1 runs TG1 (Ta, every 1400 us) and TG2 (Tb, every 2800 us), so its
+    # deadline is 140 us. Round 1 starts at t=1424, and a SEFI on C2 loses
+    # its write at t=1436. At t=1500 a plan moves TG1 to the spares, which
+    # raises G1's deadline to 280 us; the round still ends at t=1564.
+    ta, tb = make_doc()["threads"]
+    doc = make_doc(horizon=2000,
+                   tiles=[{"id": "C0"}, {"id": "C1"}, {"id": "C2"},
+                          *[{"id": f"C{i}", "spare": True} for i in (3, 4, 5)]],
+                   threads=[{**ta, "checkpoint_period": 1400},
+                            {**tb, "checkpoint_period": 2800}],
+                   thread_groups=[{"id": "TG1", "threads": ["Ta"]},
+                                  {"id": "TG2", "threads": ["Tb"]}],
+                   faults={"explicit": [
+                       {"at": 1430, "kind": "sefi-tile", "tile": "C2", "duration": 300}]})
+    doc["tile_groups"][0]["thread_groups"] = ["TG1", "TG2"]
+    entry = crit.PlanEntry("TG1", ("C3", "C4", "C5"), 1, crit.MODE_FULL)
+    sim, _ = apply_by_hand(entry, doc=doc, until=2000)
+    assert sim.groups["G1"].comparison_deadline == 280
+    reports = [(r.at, r.payload["verdicts"], r.payload["completed_at"])
+               for r in sim.trace.of_kind("checkpoint-report") if r.payload["group"] == "G1"]
+    assert reports[-2:] == [(1564, {"C1": "agree", "C2": "deadline-miss"}, 1564),
+                            (1564, {"C0": "agree", "C2": "deadline-miss"}, 1564)]
 
 
 # -- output voting ---------------------------------------------------------------

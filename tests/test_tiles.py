@@ -62,10 +62,10 @@ def test_reboot_of_a_shared_tile_drops_its_row_from_every_open_round():
             sim._on_sync_written(gid, 0, "C2")
         assert "C2" in g1.snapshots and "C2" in g2.snapshots
         sim.command_tile("C2", "reboot")
-        assert sorted(g1.rows) == ["C0", "C1"] and sorted(g2.rows) == ["C3", "C4"]
-        assert not g1.snapshots and not g2.snapshots
         # C2 still counts as a writer, whose wiped row reads as missing
-        assert "C2" in g1.written and "C2" in g2.written
+        assert sorted(g1.rows) == ["C0", "C1", "C2"] and sorted(g2.rows) == ["C2", "C3", "C4"]
+        assert g1.rows["C2"] is None and g2.rows["C2"] is None
+        assert not g1.snapshots and not g2.snapshots
 
     at_open_rounds(check)
 
