@@ -81,8 +81,8 @@ class FaultLedger:
         fault is applied and opens at each of them; with none it is
         absorbed, and `detail` holds the `reason`."""
         self.trace.emit(self.queue.now, "injector", "fault",
-                        id=ev.fault_id, fault_kind=ev.kind, target=ev.target_label(),
-                        disposition="applied" if locations else "absorbed", **detail)
+                        {"id": ev.fault_id, "fault_kind": ev.kind, "target": ev.target_label(),
+                         "disposition": "applied" if locations else "absorbed", **detail})
         for loc in locations:
             self.held.setdefault(loc, []).append(ev.fault_id)
 
@@ -121,13 +121,13 @@ class FaultLedger:
         now = self.queue.now
         self.detected_at[fault_id] = now
         self.trace.emit(now, "supervisor", "fault-detected",
-                        id=fault_id, tile=tile, group=group, index=index,
-                        latency=now - self.events[fault_id].at)
+                        {"id": fault_id, "tile": tile, "group": group, "index": index,
+                         "latency": now - self.events[fault_id].at})
 
     def _settle(self, fault_id: int, outcome: str):
         self.outcome[fault_id] = outcome
         self.trace.emit(self.queue.now, "supervisor", "fault-outcome",
-                        id=fault_id, outcome=outcome)
+                        {"id": fault_id, "outcome": outcome})
 
 
 @dataclass

@@ -187,13 +187,13 @@ class Simulation:
 
     def run(self) -> Trace:
         self.trace.emit(0, "sim", "run-start",
-                        scenario=self.scenario.name, seed=self.scenario.seed,
-                        horizon=self.horizon,
-                        tg_map={tgc.tg_id: list(tgc.threads)
-                                for tgc in self.scenario.thread_groups},
-                        config=hashlib.blake2b(
-                            self.scenario.canonical_json().encode(), digest_size=8
-                        ).hexdigest())
+                        {"scenario": self.scenario.name, "seed": self.scenario.seed,
+                         "horizon": self.horizon,
+                         "tg_map": {tgc.tg_id: list(tgc.threads)
+                                    for tgc in self.scenario.thread_groups},
+                         "config": hashlib.blake2b(
+                             self.scenario.canonical_json().encode(), digest_size=8
+                         ).hexdigest()})
         self._initial_boot()
         self._schedule_faults()
         self._arm_watchdog(0)
@@ -207,7 +207,7 @@ class Simulation:
 
         end = queue.now if self.loss_of_mission else horizon
         reason = "loss-of-mission" if self.loss_of_mission else "horizon"
-        self.trace.emit(end, "sim", "run-end", reason=reason)
+        self.trace.emit(end, "sim", "run-end", {"reason": reason})
         return self.trace
 
     def dispatch(self, ev: list):
@@ -259,7 +259,7 @@ class Simulation:
         passed, evidence = self.fabric.validate_partition(tile.partition)
         if not passed:
             self.trace.emit(now, tile.tile_id, "boot-failed",
-                            tile=tile.tile_id, evidence=sorted(evidence))
+                            {"tile": tile.tile_id, "evidence": sorted(evidence)})
             tile.set_status(DEFUNCT)
             self.ledger.move((flt.TILE, tile.tile_id), (flt.PARTITION, tile.partition))
             self._start_repair(tile.tile_id)
@@ -272,7 +272,7 @@ class Simulation:
             for group in member_of:
                 self._join(tile, group, now)
             self.trace.emit(now, tile.tile_id, "boot",
-                            assigned=[g.group_id for g in member_of])
+                            {"assigned": [g.group_id for g in member_of]})
             if not initial:
                 # after a reboot a group checkpoints at once, when every
                 # member is back up
@@ -281,11 +281,11 @@ class Simulation:
                         self._set_tg_active(group, True, now)
                         self.start_checkpoint(group, trigger="boot")
         else:
-            self.trace.emit(now, tile.tile_id, "boot", assigned=[])
-            self.trace.emit(now, tile.tile_id, "tile-boot-checkpoint", tile=tile.tile_id)
+            self.trace.emit(now, tile.tile_id, "boot", {"assigned": []})
+            self.trace.emit(now, tile.tile_id, "tile-boot-checkpoint", {"tile": tile.tile_id})
             tile.set_status(IDLE_SPARE)
             self.supervisor.return_spare(tile.tile_id)
-            self.trace.emit(now, tile.tile_id, "spare-pool-enter", tile=tile.tile_id)
+            self.trace.emit(now, tile.tile_id, "spare-pool-enter", {"tile": tile.tile_id})
             if not initial:
                 self.ledger.settle((flt.TILE, tile.tile_id), "corrected")
                 self._restore_groups()
@@ -332,8 +332,8 @@ class Simulation:
         self.ctxs[group.group_id] = ctx
         # a copy: the record must not change with the round's roster
         self.trace.emit(now, group.group_id, "checkpoint-start",
-                        group=group.group_id, index=index, trigger=trigger,
-                        participants=list(participants))
+                        {"group": group.group_id, "index": index, "trigger": trigger,
+                         "participants": list(participants)})
         if not participants:
             ctx.resolved = ctx.completed = True
             self._arm_timer(group, now + group.period)
@@ -363,7 +363,7 @@ class Simulation:
                         ctx.outputs.setdefault(tid, {})[m] = threads[tid]
             if blocked:
                 self.trace.emit(now, m, "checkpoint-blocked",
-                                tile=m, group=group.group_id, index=index)
+                                {"tile": m, "group": group.group_id, "index": index})
                 continue
             self.queue.schedule(ctx.written_at, Simulation._on_checksums_ready,
                                 group.group_id, index, m)
@@ -425,7 +425,7 @@ class Simulation:
         if ctx is not None:
             ctx.last_advance = (tg_id, ran, done, steps)
         if slipped:
-            self.trace.emit(now, tile.tile_id, "persistent-corruption", tile=tile.tile_id)
+            self.trace.emit(now, tile.tile_id, "persistent-corruption", {"tile": tile.tile_id})
 
     def _on_checksums_ready(self, group_id: str, index: int, tile_id: str):
         """Store this tile's row: a tuple of its states of the checked
@@ -441,12 +441,13 @@ class Simulation:
         now = self.queue.now
         if tile.sefi is not None:
             self.trace.emit(now, tile_id, "validation-write-lost",
-                            tile=tile_id, group=group_id, index=index)
+                            {"tile": tile_id, "group": group_id, "index": index})
             return
         threads = tile.threads
         ctx.rows[tile_id] = tuple([threads[tid] for tid in ctx.checked])
-        self.trace.emit(now, tile_id, "validation-write", tile=tile_id, group=group_id,
-                        index=index, threads=len(ctx.checked))
+        self.trace.emit(now, tile_id, "validation-write",
+                        {"tile": tile_id, "group": group_id, "index": index,
+                         "threads": len(ctx.checked)})
         # only participants write, each once
         if len(ctx.rows) == len(ctx.participants) and ctx.resolve_entry is None:
             ctx.resolve_entry = self.queue.schedule(
@@ -492,14 +493,14 @@ class Simulation:
                 roll = (self.streams.get("signal-loss").uniform64() >> 11) * 2.0**-53
                 if roll < loss:
                     self.trace.emit(now, m, "signal-lost",
-                                    tile=m, group=group_id, index=index)
+                                    {"tile": m, "group": group_id, "index": index})
                     continue
             ctx.reports[m] = verdicts
             # the verdicts are built for this tile and never changed, so the
             # record can hold them as they are
             self.trace.emit(now, m, "checkpoint-report",
-                            tile=m, group=group_id, index=index,
-                            verdicts=verdicts, completed_at=completed_at)
+                            {"tile": m, "group": group_id, "index": index,
+                             "verdicts": verdicts, "completed_at": completed_at})
 
         if ctx.outputs:
             self._vote_outputs(group, ctx)
@@ -510,10 +511,10 @@ class Simulation:
             # happened, so it stays passive; the group stalls until the
             # watchdog resets the system
             self.trace.emit(now, "supervisor", "verdict",
-                            group=group_id, index=index, result="silent",
-                            faulty=[], clique=[],
-                            participants=len(ctx.participants),
-                            target_size=group.target_size)
+                            {"group": group_id, "index": index, "result": "silent",
+                             "faulty": [], "clique": [],
+                             "participants": len(ctx.participants),
+                             "target_size": group.target_size})
             ctx.completed = True
             self._set_tg_active(group, False, now)
             return
@@ -527,9 +528,9 @@ class Simulation:
         result = ("all-agree" if verdict.all_agree
                   else "unresolvable" if verdict.unresolvable else "faulty")
         self.trace.emit(now, "supervisor", "verdict",
-                        group=group_id, index=index, result=result,
-                        faulty=verdict.faulty, clique=verdict.clique,
-                        participants=len(ctx.participants), target_size=group.target_size)
+                        {"group": group_id, "index": index, "result": result,
+                         "faulty": verdict.faulty, "clique": verdict.clique,
+                         "participants": len(ctx.participants), "target_size": group.target_size})
 
         if verdict.all_agree:
             self._finish_agreeing_checkpoint(group, ctx, verdict)
@@ -551,12 +552,12 @@ class Simulation:
             result = lockstep.vote_outputs({m: ts.checksum for m, ts in states.items()})
             if result.divergent or result.no_majority:
                 self.trace.emit(now, group.group_id, "output-vote",
-                                group=group.group_id, index=ctx.index, thread=tid,
-                                cycle=first.cycle_counter,
-                                divergent=result.divergent,
-                                suppressed=bool(voting),
-                                no_majority=result.no_majority,
-                                escaped=0 if voting else len(result.divergent))
+                                {"group": group.group_id, "index": ctx.index, "thread": tid,
+                                 "cycle": first.cycle_counter,
+                                 "divergent": result.divergent,
+                                 "suppressed": bool(voting),
+                                 "no_majority": result.no_majority,
+                                 "escaped": 0 if voting else len(result.divergent)})
 
     def _oracle_check(self, group: TileGroup, ctx: GroupCheckpoint):
         """Compare full boundary states behind the protocol's back: a pair
@@ -581,8 +582,8 @@ class Simulation:
                     if sa.get(tid) != sb.get(tid):
                         self.oracle_divergences += 1
                         self.trace.emit(now, "oracle", "oracle-divergence",
-                                        group=group.group_id, index=ctx.index,
-                                        thread=tid, tiles=[a, b])
+                                        {"group": group.group_id, "index": ctx.index,
+                                         "thread": tid, "tiles": [a, b]})
 
     # -- checkpoint outcomes ------------------------------------------------
 
@@ -621,8 +622,8 @@ class Simulation:
                         if win:
                             win.resume(now)
         self.trace.emit(now, group.group_id, "checkpoint-end",
-                        group=group.group_id, index=ctx.index,
-                        duration=now - ctx.t0, result=result, tiles=members)
+                        {"group": group.group_id, "index": ctx.index,
+                         "duration": now - ctx.t0, "result": result, "tiles": members})
         self._arm_timer(group, now + group.period)
 
     def _enter_grace(self, group: TileGroup, ctx: GroupCheckpoint):
@@ -647,23 +648,25 @@ class Simulation:
             return
         if tile.sefi is not None:
             self.trace.emit(now, tile_id, "state-propagation-lost",
-                            tile=tile_id, group=group_id, index=index)
+                            {"tile": tile_id, "group": group_id, "index": index})
             return
         # once the group has started a later round, nothing reads this one's states
         ctx = self.ctxs[group_id]
         if ctx.index == index:
             ctx.snapshots[tile_id] = {spec.thread_id: tile.threads[spec.thread_id]
                                       for spec in group.threads}
-        self.trace.emit(now, tile_id, "state-propagation", tile=tile_id, group=group_id,
-                        index=index, threads=len(group.threads))
+        self.trace.emit(now, tile_id, "state-propagation",
+                        {"tile": tile_id, "group": group_id, "index": index,
+                         "threads": len(group.threads)})
 
     def _detect_only(self, group: TileGroup, ctx: GroupCheckpoint, verdict: sup.Verdict):
         """A group with correction off records what it detected and carries
         on. An unresolvable verdict blames every participant."""
         blamed = ctx.participants if verdict.unresolvable else verdict.faulty
-        extra = {"unresolvable": True} if verdict.unresolvable else {}
-        self.trace.emit(self.queue.now, "supervisor", "detection-only",
-                        group=group.group_id, index=ctx.index, faulty=verdict.faulty, **extra)
+        payload = {"group": group.group_id, "index": ctx.index, "faulty": verdict.faulty}
+        if verdict.unresolvable:
+            payload["unresolvable"] = True
+        self.trace.emit(self.queue.now, "supervisor", "detection-only", payload)
         for m in blamed:
             self.ledger.settle((flt.TILE, m), "degraded",
                                detected_by=(m, group.group_id, ctx.index))
@@ -713,13 +716,13 @@ class Simulation:
             self.command_tile(faulty_id, "reboot")
             self.ledger.settle(here, "replaced")
         elif action.kind == sup.DEFUNCT_STAGE2:
-            self.trace.emit(now, "supervisor", "command", tile=faulty_id, command="halt")
+            self.trace.emit(now, "supervisor", "command", {"tile": faulty_id, "command": "halt"})
             tile.set_status(DEFUNCT)
             self.ledger.move(here, (flt.PARTITION, tile.partition))
             self._start_repair(faulty_id)
         else:  # STAGE2_NO_SPARE
             self.trace.emit(now, "supervisor", "stage2-escalation",
-                            tile=faulty_id, reason="no-spare")
+                            {"tile": faulty_id, "reason": "no-spare"})
             self.command_tile(faulty_id, "reboot")
 
     def _detach_everywhere(self, tile_id: str):
@@ -736,27 +739,27 @@ class Simulation:
         tile = self.tiles[tile_id]
         if tile.status == DEFUNCT and command != "repair-reboot":
             self.trace.emit(now, "supervisor", "command-rejected",
-                            tile=tile_id, command=command, reason="defunct")
+                            {"tile": tile_id, "command": command, "reason": "defunct"})
             return
         if command == "state-update":
             tile.set_status(SUSPECT)
             if tile.sefi is not None:
                 self.trace.emit(now, "supervisor", "command-lost",
-                                tile=tile_id, command=command)
+                                {"tile": tile_id, "command": command})
                 return
             self.trace.emit(now, "supervisor", "command",
-                            tile=tile_id, command=command, donor=donor)
+                            {"tile": tile_id, "command": command, "donor": donor})
             self.pending_updates[tile_id] = PendingUpdate(group_id=group.group_id, donor=donor)
         else:  # "reboot" or "repair-reboot"
-            self.trace.emit(now, "supervisor", "command", tile=tile_id, command="reboot")
+            self.trace.emit(now, "supervisor", "command", {"tile": tile_id, "command": "reboot"})
             self._reboot_tile(tile)
 
     def _activate_spare(self, spare_id: str, group: TileGroup, donor: Optional[str]):
         now = self.queue.now
         spare = self.tiles[spare_id]
         self.trace.emit(now, "supervisor", "command",
-                        tile=spare_id, command="activate-with-mapping",
-                        group=group.group_id, thread_groups=list(group.thread_groups))
+                        {"tile": spare_id, "command": "activate-with-mapping",
+                         "group": group.group_id, "thread_groups": list(group.thread_groups)})
         spare.set_status(UPDATING)
         self._join(spare, group, None)
         self.pending_updates[spare_id] = PendingUpdate(group_id=group.group_id, donor=donor)
@@ -768,17 +771,17 @@ class Simulation:
             # every member is alive yet nobody could read a sibling: the
             # shared interconnect itself is suspect
             self.trace.emit(now, "supervisor", "shared-fault-suspected",
-                            group=group.group_id, index=ctx.index)
+                            {"group": group.group_id, "index": ctx.index})
             self.ledger.detect((flt.PARTITION, fab.SHARED), "shared",
                                group.group_id, ctx.index)
             self.full_reconfigure()
             return
         self.trace.emit(now, "supervisor", "group-reboot",
-                        group=group.group_id, index=ctx.index)
+                        {"group": group.group_id, "index": ctx.index})
         self.trace.emit(now, group.group_id, "checkpoint-end",
-                        group=group.group_id, index=ctx.index,
-                        duration=now - ctx.t0, result="unresolvable",
-                        tiles=list(ctx.participants))
+                        {"group": group.group_id, "index": ctx.index,
+                         "duration": now - ctx.t0, "result": "unresolvable",
+                         "tiles": list(ctx.participants)})
         ctx.completed = True
         self._set_tg_active(group, False, now)
         for m in list(group.members):
@@ -819,13 +822,13 @@ class Simulation:
                     tile.threads[tid] = workload.update_callback(tile.threads[tid], held[tid])
                 tile.set_status(ACTIVE)
                 self.trace.emit(now, m, "update-success",
-                                tile=m, group=group.group_id, donor=donor_id,
-                                threads=len(group.threads))
+                                {"tile": m, "group": group.group_id, "donor": donor_id,
+                                 "threads": len(group.threads)})
                 self.ledger.settle((flt.PENDING, m), "corrected")
             else:
                 reason = "no-donor" if donor is None else "donor-snapshots-missing"
                 self.trace.emit(now, m, "update-failed",
-                                tile=m, group=group.group_id, reason=reason)
+                                {"tile": m, "group": group.group_id, "reason": reason})
                 self.ledger.move((flt.PENDING, m), (flt.TILE, m))
                 if tile.status == UPDATING:
                     # a joining spare that cannot sync goes back through reboot
@@ -927,7 +930,7 @@ class Simulation:
             self.shared_sefi = None
         else:
             self.tiles[target].sefi = None
-        self.trace.emit(self.queue.now, actor, "sefi-cleared", target=target)
+        self.trace.emit(self.queue.now, actor, "sefi-cleared", {"target": target})
 
     # ------------------------------------------------------------------
     # Stage 2: repair
@@ -946,7 +949,7 @@ class Simulation:
         )
         self.repair_jobs[tile_id] = job
         self.trace.emit(now, "supervisor", "repair-start",
-                        tile=tile_id, partition=tile.partition)
+                        {"tile": tile_id, "partition": tile.partition})
         self._repair_step(job)
 
     def _repair_step(self, job: RepairJob):
@@ -963,7 +966,7 @@ class Simulation:
                 viable = self.fabric.viable_variants(free)
                 if viable:
                     self.trace.emit(now, "supervisor", "repair-relocate",
-                                    tile=job.tile_id, source=job.partition, target=free)
+                                    {"tile": job.tile_id, "source": job.partition, "target": free})
                     self.fabric.rebind(job.tile_id, free)
                     self.tiles[job.tile_id].partition = free
                     self.ledger.move((flt.PARTITION, job.partition), (flt.PARTITION, free))
@@ -973,7 +976,7 @@ class Simulation:
                     return
         evidence = sorted(self.fabric.damaged_cells(job.partition))
         self.trace.emit(now, "supervisor", "repair-exhausted",
-                        tile=job.tile_id, partition=job.partition, evidence=evidence)
+                        {"tile": job.tile_id, "partition": job.partition, "evidence": evidence})
         del self.repair_jobs[job.tile_id]
         self.ledger.settle((flt.PARTITION, job.partition), "degraded")
         self.stage3_reallocate(reason=f"repair-exhausted:{job.tile_id}")
@@ -986,13 +989,13 @@ class Simulation:
         # a rewrite that succeeds leaves no damage under the variant
         ok = self.fabric.partial_reconfigure(partition, variant)
         self.trace.emit(now, "fabric", "reconfiguration",
-                        partition=partition, variant=variant, ok=ok,
-                        evidence=sorted(self.fabric.footprint_overlap(partition, variant)))
+                        {"partition": partition, "variant": variant, "ok": ok,
+                         "evidence": sorted(self.fabric.footprint_overlap(partition, variant))})
         if not ok:
             self._repair_step(job)
             return
         self.trace.emit(now, "supervisor", "repair-success",
-                        tile=tile_id, partition=partition, variant=variant)
+                        {"tile": tile_id, "partition": partition, "variant": variant})
         del self.repair_jobs[tile_id]
         tile = self.tiles[tile_id]
         tile.persist_corrupt = False
@@ -1007,7 +1010,7 @@ class Simulation:
             return
         now = self.queue.now
         self.full_reconfig = True
-        self.trace.emit(now, "supervisor", "full-reconfig-start")
+        self.trace.emit(now, "supervisor", "full-reconfig-start", {})
         self._halt_all_tiles(now)
         self.queue.schedule(now + FULL_RECONFIG_DURATION,
                             Simulation._on_full_reconfig_done)
@@ -1018,7 +1021,7 @@ class Simulation:
             ctx = self.ctxs.get(gid)
             if ctx and not ctx.resolved:
                 ctx.resolved = ctx.completed = True
-                self.trace.emit(now, gid, "checkpoint-aborted", group=gid, index=ctx.index)
+                self.trace.emit(now, gid, "checkpoint-aborted", {"group": gid, "index": ctx.index})
             self._set_tg_active(group, False, now)
         for tile in self.tiles.values():
             if tile.status in (DEFUNCT, REBOOTING):
@@ -1032,14 +1035,14 @@ class Simulation:
         viable = self.fabric.viable_variants(fab.SHARED)
         if not viable:
             self.trace.emit(now, "supervisor", "unrecoverable-system",
-                            evidence=sorted(self.fabric.damaged_cells(fab.SHARED)))
+                            {"evidence": sorted(self.fabric.damaged_cells(fab.SHARED))})
             self.ledger.settle((flt.PARTITION, fab.SHARED), "degraded")
             self.loss_of_mission = True
             return
         current = self.fabric.shared.active_variant
         nxt = next((i for i in viable if i > current), viable[0])
         self.fabric.partial_reconfigure(fab.SHARED, nxt)
-        self.trace.emit(now, "fabric", "full-reconfig-done", variant=nxt)
+        self.trace.emit(now, "fabric", "full-reconfig-done", {"variant": nxt})
         if self.shared_sefi is not None:
             self._lift_sefi(fab.SHARED, "injector")
         self.ledger.settle((flt.PARTITION, fab.SHARED), "repaired")
@@ -1068,10 +1071,10 @@ class Simulation:
         """Watchdog fired: full system reset; fault counters are retained."""
         now = self.queue.now
         if self.full_reconfig:
-            self.trace.emit(now, "supervisor", "watchdog-suppressed")
+            self.trace.emit(now, "supervisor", "watchdog-suppressed", {})
             self._arm_watchdog(now)
             return
-        self.trace.emit(now, "supervisor", "watchdog-reset")
+        self.trace.emit(now, "supervisor", "watchdog-reset", {})
         self._halt_all_tiles(now)
         self._restart_after_halt(now)
 
@@ -1099,11 +1102,11 @@ class Simulation:
         plan = crit.reallocate(healthy, requests, self.scenario.policy,
                                context_switch=self.scenario.costs.context_switch)
         self.trace.emit(now, "supervisor", "stage3-plan",
-                        reason=reason,
-                        entries=[{
-                            "tg": e.tg_id, "tiles": list(e.tiles), "mode": e.mode,
-                            "period_factor": e.period_factor, "levers": list(e.levers),
-                        } for e in plan.values()])
+                        {"reason": reason,
+                         "entries": [{
+                             "tg": e.tg_id, "tiles": list(e.tiles), "mode": e.mode,
+                             "period_factor": e.period_factor, "levers": list(e.levers),
+                         } for e in plan.values()]})
         self._apply_plan(plan)
 
     def _apply_plan(self, plan: dict[str, crit.PlanEntry]):
@@ -1115,7 +1118,7 @@ class Simulation:
                 self._detach_tg(host, tg_id, now)
                 self._mark_active(tg_id, False, now)
                 self.trace.emit(now, "supervisor", "tg-deactivated",
-                                tg=tg_id, loss_of_capability=entry.loss_of_capability)
+                                {"tg": tg_id, "loss_of_capability": entry.loss_of_capability})
                 continue
             # a host keeping its tiles (the plan places only healthy ones)
             # changes in place; a shared host keeps its period
@@ -1127,13 +1130,14 @@ class Simulation:
                     host.period_factor = entry.period_factor
                     for m in host.members:
                         self.trace.emit(now, m, "timer-adjusted",
-                                        tile=m, group=host.group_id, period=host.period)
+                                        {"tile": m, "group": host.group_id, "period": host.period})
                 degrades = entry.mode == crit.MODE_DETECT_ONLY and host.correction_enabled
                 if degrades:
                     host.correction_enabled = False
                 if slowed or degrades:
                     self.trace.emit(now, "supervisor", "tg-degraded",
-                                    tg=tg_id, mode=entry.mode, levers=list(entry.levers))
+                                    {"tg": tg_id, "mode": entry.mode,
+                                     "levers": list(entry.levers)})
                 continue
             self.migrate_thread_group(entry, host)
 
@@ -1157,7 +1161,7 @@ class Simulation:
         if host.base_period != base:
             for m in host.members:
                 self.trace.emit(now, m, "timer-adjusted",
-                                tile=m, group=host.group_id, period=host.period)
+                                {"tile": m, "group": host.group_id, "period": host.period})
 
     def migrate_thread_group(self, entry: crit.PlanEntry, host: TileGroup):
         """Move one thread group onto its planned tiles as a fresh tile
@@ -1179,7 +1183,7 @@ class Simulation:
 
         if donor_id is None:
             self.trace.emit(now, "supervisor", "tg-restarted",
-                            tg=entry.tg_id, reason="no-donor")
+                            {"tg": entry.tg_id, "reason": "no-donor"})
         donor = self.tiles[donor_id] if donor_id else None
         for m in entry.tiles:
             tile = self.tiles[m]
@@ -1201,13 +1205,13 @@ class Simulation:
                 elif donor is None:
                     tile.threads[spec.thread_id] = self.initial_states[spec.thread_id]
             self.trace.emit(now, m, "timer-adjusted",
-                            tile=m, group=gid, period=group.period)
+                            {"tile": m, "group": gid, "period": group.period})
         self.trace.emit(now, "supervisor", "tg-migrated",
-                        tg=entry.tg_id, group=gid, tiles=list(entry.tiles),
-                        mode=entry.mode, period_factor=entry.period_factor)
+                        {"tg": entry.tg_id, "group": gid, "tiles": list(entry.tiles),
+                         "mode": entry.mode, "period_factor": entry.period_factor})
         if entry.mode == crit.MODE_DETECT_ONLY:
             self.trace.emit(now, "supervisor", "tg-degraded",
-                            tg=entry.tg_id, mode=entry.mode, levers=list(entry.levers))
+                            {"tg": entry.tg_id, "mode": entry.mode, "levers": list(entry.levers)})
         self._mark_active(entry.tg_id, True, now)
         self._arm_timer(group, now)
 
@@ -1222,7 +1226,7 @@ class Simulation:
             if not group.correction_enabled or len(group.members) >= group.target_size:
                 continue
             spare_id = self.supervisor.take_spare()
-            self.trace.emit(now, "supervisor", "group-restored", group=gid, tile=spare_id)
+            self.trace.emit(now, "supervisor", "group-restored", {"group": gid, "tile": spare_id})
             self._activate_spare(spare_id, group, donor=None)
             group.members.append(spare_id)
             ctx = self.ctxs.get(gid)
@@ -1240,7 +1244,7 @@ class Simulation:
     def _mark_active(self, tg_id: str, active: bool, now: int):
         if self.tg_active.get(tg_id) != active:
             self.tg_active[tg_id] = active
-            self.trace.emit(now, "sim", "tg-active", tg=tg_id, active=active)
+            self.trace.emit(now, "sim", "tg-active", {"tg": tg_id, "active": active})
 
     def _arm_timer(self, group: TileGroup, at: int):
         self.queue.cancel(self.timers.get(group.group_id))

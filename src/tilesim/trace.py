@@ -62,7 +62,11 @@ class Trace:
         self.records: list[TraceRecord] = []
         self._last_at = 0
 
-    def emit(self, at: int, actor: str, kind: str, **payload):
+    def emit(self, at: int, actor: str, kind: str, payload: dict):
+        # The payload is one dict, which the record keeps: a call passing a
+        # dict display skips the keyword-argument path, 0.2 us of a 0.7 us
+        # call. Each call site builds its own, and no key may be at, actor
+        # or kind, which to_jsonl writes beside the payload's keys.
         if at < self._last_at:
             raise ValueError(f"trace time went backwards: {at} after {self._last_at}")
         self._last_at = at

@@ -11,9 +11,11 @@ the first 200 `mc-trial` trials and the `wide-group` pool (chaos faults x4
 on one 14-tile group). It parses each document outside the profiler, then
 counts with `cProfile` the calls of building the `Simulation` and running
 it, and prints the calls per run of each workload and the calls per
-checkpoint round (the calls over the `checkpoint-start` records). A
-fault-free `mission-long` run is nearly all unanimous rounds, so its calls
-per round is the cost of one such round. A second, unprofiled
+checkpoint round (the calls over the `checkpoint-start` records), and
+beside them the trace records per run and per round, so the share of a
+round's calls that goes to writing records can be read off. A fault-free
+`mission-long` run is nearly all unanimous rounds, so its calls per round
+is the cost of one such round. A second, unprofiled
 pass counts the calls of the workload kernels, `execute_slice` and the two
 that a state's words and checksum cost, `checksum_callback` and
 `_jump_words`, by wrapping them on the `workload` module. Every count
@@ -36,22 +38,24 @@ ROOT = Path(__file__).resolve().parent.parent
 MC_TRIALS = 200
 
 
-def count_calls(scenarios: list) -> tuple[int, int]:
-    """The Python calls made building and running each scenario, and the
-    checkpoint rounds the runs started, each summed."""
+def count_calls(scenarios: list) -> tuple[int, int, int]:
+    """The Python calls made building and running each scenario, the
+    checkpoint rounds the runs started and the trace records they wrote,
+    each summed."""
     from tilesim.simulation import Simulation
 
     profile = cProfile.Profile()
-    rounds = 0
+    rounds = records = 0
     for sc in scenarios:
         profile.enable()
         trace = Simulation(sc).run()
         profile.disable()
         rounds += len(trace.of_kind("checkpoint-start"))
+        records += len(trace.records)
     # One entry per code object. `pstats` keys functions by file, line and
     # name, and so keeps one of the `__init__`s that `dataclasses` generates
     # alike at "<string>", line 2, dropping the others' calls.
-    return sum(entry.callcount for entry in profile.getstats()), rounds
+    return sum(entry.callcount for entry in profile.getstats()), rounds, records
 
 
 KERNELS = ("execute_slice", "checksum_callback", "_jump_words")
@@ -97,10 +101,11 @@ def main(argv=None) -> int:
                        ("mc-trial", workloads.mc_docs(args.seed)[:MC_TRIALS]),
                        ("wide-group", workloads.wide_docs(args.seed))):
         scenarios = [workloads.parse(doc) for doc in docs]
-        total, rounds = count_calls(scenarios)
+        total, rounds, records = count_calls(scenarios)
         kernels = count_kernel_calls(scenarios)
         print(f"{name:<13} runs {len(docs):>4}  calls {total:>9}  "
               f"calls/run {round(total / len(docs)):>7}  calls/round {total / rounds:6.1f}  "
+              f"records/run {records / len(docs):.1f}  records/round {records / rounds:.1f}  "
               + "  ".join(f"{k}/run {v / len(docs):.2f}" for k, v in kernels.items()))
     return 0
 

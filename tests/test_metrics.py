@@ -59,10 +59,10 @@ def test_detection_within_one_cycle():
 
 def test_availability_reflects_deactivation():
     trace = Trace()
-    trace.emit(0, "sim", "run-start", horizon=1000, tg_map={"TG1": ["Ta"]})
-    trace.emit(0, "sim", "tg-active", tg="TG1", active=True)
-    trace.emit(600, "sim", "tg-active", tg="TG1", active=False)
-    trace.emit(1000, "sim", "run-end", reason="horizon")
+    trace.emit(0, "sim", "run-start", {"horizon": 1000, "tg_map": {"TG1": ["Ta"]}})
+    trace.emit(0, "sim", "tg-active", {"tg": "TG1", "active": True})
+    trace.emit(600, "sim", "tg-active", {"tg": "TG1", "active": False})
+    trace.emit(1000, "sim", "run-end", {"reason": "horizon"})
     summary = compute_metrics(trace.records)
     assert summary.availability == {"Ta": 0.6}
 
@@ -194,10 +194,10 @@ def test_empty_trace_serialises_to_nothing():
 
 def test_emit_rejects_time_going_backwards():
     trace = Trace()
-    trace.emit(5, "sim", "tick")
-    trace.emit(5, "sim", "tick")
+    trace.emit(5, "sim", "tick", {})
+    trace.emit(5, "sim", "tick", {})
     with pytest.raises(ValueError, match="backwards"):
-        trace.emit(4, "sim", "tick")
+        trace.emit(4, "sim", "tick", {})
     assert [r.at for r in trace.records] == [5, 5]
 
 

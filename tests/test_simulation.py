@@ -265,8 +265,8 @@ def reference_oracle_check(self, group, ctx):
                 if sa.get(tid) != sb.get(tid):
                     self.oracle_divergences += 1
                     self.trace.emit(now, "oracle", "oracle-divergence",
-                                    group=group.group_id, index=ctx.index,
-                                    thread=tid, tiles=[a, b])
+                                    {"group": group.group_id, "index": ctx.index,
+                                     "thread": tid, "tiles": [a, b]})
 
 
 @pytest.mark.parametrize("make, seed", [(chaos_doc, s) for s in range(6)]

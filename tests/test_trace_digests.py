@@ -187,3 +187,21 @@ def test_signal_loss_trace_digest(pinned_run, doc, seed):
     digest, events = pinned_run(parse_scenario(raw, name=raw["name"]))
     assert digest == SIGNAL_LOSS_DIGESTS[doc, seed]
     assert events == EVENT_COUNTS["signal-loss", doc, seed]
+
+
+OWNERSHIP_RUNS = ([("bundled", name) for name in sorted(BUNDLED_DIGESTS)]
+                  + [("chaos", seed) for seed in sorted(CHAOS_DIGESTS)]
+                  + [("wide-group", seed) for seed in sorted(WIDE_DIGESTS)])
+
+
+@pytest.mark.parametrize("family,key", OWNERSHIP_RUNS)
+def test_each_record_owns_its_payload(family, key):
+    # a payload shared by two records would change both when one is edited,
+    # and a payload key named like a record field overrides it in to_jsonl
+    if family == "bundled":
+        sc = load_scenario(key)
+    else:
+        sc = parse_scenario((chaos_doc if family == "chaos" else wide_doc)(key), name=family)
+    records = Simulation(sc).run().records
+    assert len({id(r.payload) for r in records}) == len(records)
+    assert [r for r in records if r.payload.keys() & {"at", "actor", "kind"}] == []
