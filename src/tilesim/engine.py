@@ -7,6 +7,8 @@ only orders entries by time and then by ``seq``, the insertion count, so
 simultaneous events dispatch in insertion order and replays are bit-exact.
 The caller that pops an entry runs its handler. Cancelling an entry blanks
 its handler, and the queue drops it when it reaches the top of the heap.
+A queue may hold a horizon, `until`: it never hands out an entry later
+than that, so a run loop pops with one call per event.
 """
 
 from __future__ import annotations
@@ -26,8 +28,9 @@ class PastTimeError(ValueError):
 class EventQueue:
     """Min-heap of entries ``[fire_at, seq, handler, args]``."""
 
-    def __init__(self):
+    def __init__(self, until: Optional[int] = None):
         self.now = 0
+        self.until = math.inf if until is None else until
         self._heap: list[list] = []
         self._seq = 0
 
@@ -51,22 +54,21 @@ class EventQueue:
     def advance(self) -> Optional[list]:
         """Pop the next live entry and move the clock to it.
 
-        Returns None at end of simulation (empty queue); the clock is left
-        unchanged in that case. Cancelled entries are skipped silently.
+        Returns None when no live entry is left, or when the next one fires
+        after `until`; that entry stays queued, and the clock is left
+        unchanged in both cases. Cancelled entries are skipped silently.
         """
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
             if entry[2] is not None:
+                if entry[0] > self.until:
+                    # put back as it was: the same key takes the same place
+                    heapq.heappush(heap, entry)
+                    return None
                 self.now = entry[0]
                 return entry
         return None
-
-    def peek_time(self) -> Optional[int]:
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            heapq.heappop(heap)
-        return heap[0][0] if heap else None
 
 
 def mix64(z: int) -> int:

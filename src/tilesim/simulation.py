@@ -9,6 +9,7 @@ which is the contract Monte Carlo sweeps rely on.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +39,7 @@ class GroupCheckpoint:
 
     __slots__ = ("index", "t0", "participants", "members", "checked", "written_at",
                  "deadline_at", "rows", "snapshots", "resolved", "completed", "reports",
-                 "clique", "outputs", "boundary", "deadline_entry", "resolve_entry",
+                 "clique", "outputs", "boundary", "split", "deadline_entry", "resolve_entry",
                  "advanced", "last_advance")
 
     def __init__(self, index: int, t0: int, participants: list[str], members: list[str],
@@ -65,9 +66,11 @@ class GroupCheckpoint:
         self.clique: list[str] = []
         # Thread states at the pause, held as they are: a ThreadState never
         # changes. Participants whose checked states are the same objects
-        # share one boundary dict.
+        # share one boundary dict, and `split` tells that they hold more
+        # than one.
         self.outputs: dict[str, dict[str, workload.ThreadState]] = {}
         self.boundary: dict[str, dict[str, workload.ThreadState]] = {}
+        self.split = False
         self.deadline_entry: Optional[list] = None   # queue entries, for cancelling
         self.resolve_entry: Optional[list] = None
         # Replicas stay bit-identical until a fault hits one, so the tiles of
@@ -106,7 +109,7 @@ class Simulation:
             raise ValueError(f"until must be >= 0, not {until}")
         self.scenario = scenario
         self.horizon = scenario.horizon if until is None else min(until, scenario.horizon)
-        self.queue = EventQueue()
+        self.queue = EventQueue(self.horizon)
         self.streams = StreamPool(scenario.seed)
         self.trace = Trace()
 
@@ -194,18 +197,23 @@ class Simulation:
                          "config": hashlib.blake2b(
                              self.scenario.canonical_json().encode(), digest_size=8
                          ).hexdigest()})
-        self._initial_boot()
-        self._schedule_faults()
-        self._arm_watchdog(0)
+        # a finished run frees itself without the cyclic collector, whose
+        # passes over the growing trace would find nothing: it is paused
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            self._initial_boot()
+            self._schedule_faults()
+            self._arm_watchdog(0)
+            # the queue returns None at the first event after the horizon
+            advance, dispatch = self.queue.advance, self.dispatch
+            while not self.loss_of_mission and (ev := advance()) is not None:
+                dispatch(ev)
+        finally:
+            if collecting:
+                gc.enable()
 
-        queue, horizon = self.queue, self.horizon
-        while not self.loss_of_mission:
-            nxt = queue.peek_time()
-            if nxt is None or nxt > horizon:
-                break
-            self.dispatch(queue.advance())
-
-        end = queue.now if self.loss_of_mission else horizon
+        end = self.queue.now if self.loss_of_mission else self.horizon
         reason = "loss-of-mission" if self.loss_of_mission else "horizon"
         self.trace.emit(end, "sim", "run-end", {"reason": reason})
         return self.trace
@@ -354,6 +362,7 @@ class Simulation:
                     for tid in checked:
                         if threads[tid] is not boundary[tid]:
                             boundary = None
+                            ctx.split = True
                             break
                 if boundary is None:
                     boundary = {tid: threads[tid] for tid in checked}
@@ -504,7 +513,8 @@ class Simulation:
 
         if ctx.outputs:
             self._vote_outputs(group, ctx)
-        self._oracle_check(group, ctx)
+        if ctx.split:   # the same state objects cannot diverge
+            self._oracle_check(group, ctx)
 
         if not ctx.reports:
             # total silence: the supervisor cannot even tell a checkpoint
@@ -520,20 +530,22 @@ class Simulation:
             return
 
         if agreed is not None and len(ctx.reports) == len(ctx.participants):
-            verdict = sup.Verdict(faulty=[], clique=list(ctx.participants))
+            result, faulty, clique = "all-agree", [], list(ctx.participants)
         else:  # a lost or blocked report can leave a tie: only arbitration tells
             verdict = sup.arbitrate(ctx.participants, ctx.reports)
-        ctx.clique = list(verdict.clique)
+            result = ("all-agree" if verdict.all_agree
+                      else "unresolvable" if verdict.unresolvable else "faulty")
+            faulty, clique = verdict.faulty, verdict.clique
+        # nothing changes a verdict's lists, so the round and its record share one
+        ctx.clique = clique
         self._arm_watchdog(now)
-        result = ("all-agree" if verdict.all_agree
-                  else "unresolvable" if verdict.unresolvable else "faulty")
         self.trace.emit(now, "supervisor", "verdict",
                         {"group": group_id, "index": index, "result": result,
-                         "faulty": verdict.faulty, "clique": verdict.clique,
+                         "faulty": faulty, "clique": clique,
                          "participants": len(ctx.participants), "target_size": group.target_size})
 
-        if verdict.all_agree:
-            self._finish_agreeing_checkpoint(group, ctx, verdict)
+        if result == "all-agree":
+            self._finish_agreeing_checkpoint(group, ctx)
         elif not group.correction_enabled:
             self._detect_only(group, ctx, verdict)
         elif verdict.unresolvable:
@@ -563,12 +575,11 @@ class Simulation:
         """Compare full boundary states behind the protocol's back: a pair
         that diverged yet mutually agreed is an undetected divergence.
 
-        The walk goes over the reporting participants' pairs in participant
-        order. Replicas that no fault hit share one boundary dict, and such a
-        pair cannot diverge."""
+        Only a `split` round comes here: one whose participants hold more
+        than one boundary dict. The walk goes over the reporting
+        participants' pairs in participant order. Replicas that no fault hit
+        share one boundary dict, and such a pair cannot diverge."""
         boundary, reports = ctx.boundary, ctx.reports
-        if len({*map(id, boundary.values())}) < 2:
-            return  # the same state objects cannot diverge
         walked = [m for m in ctx.participants if m in reports and m in boundary]
         now = self.queue.now
         for i, a in enumerate(walked):
@@ -593,11 +604,10 @@ class Simulation:
                 and self.pending_updates[m].group_id == group.group_id
                 and self.tiles[m].status == UPDATING]
 
-    def _finish_agreeing_checkpoint(self, group: TileGroup, ctx: GroupCheckpoint,
-                                    verdict: sup.Verdict):
+    def _finish_agreeing_checkpoint(self, group: TileGroup, ctx: GroupCheckpoint):
         joiners = self._joiners(group) if self.pending_updates else None
         if joiners:
-            donor = next((m for m in group.members if m in verdict.clique), None)
+            donor = next((m for m in group.members if m in ctx.clique), None)
             for j in joiners:
                 self.pending_updates[j].donor = donor
             if donor is not None:

@@ -86,8 +86,8 @@ def read_jsonl(lines: Iterable[str]) -> list[TraceRecord]:
     `at` is not an integer or `actor` or `kind` not a string, raises a
     ValueError naming its 1-based line number."""
     records = []
-    for number, line in enumerate(lines, 1):
-        line = line.strip()
+    for number, raw in enumerate(lines, 1):
+        line = raw.strip()
         if not line:
             continue
         try:
@@ -98,7 +98,9 @@ def read_jsonl(lines: Iterable[str]) -> list[TraceRecord]:
             actor = doc.pop("actor")
             kind = doc.pop("kind")
         except json.JSONDecodeError as exc:
-            raise ValueError(f"line {number}, column {exc.colno}: {exc.msg}") from None
+            # the column counts in the line as read, blanks before the record included
+            column = exc.colno + len(raw) - len(raw.lstrip())
+            raise ValueError(f"line {number}, column {column}: {exc.msg}") from None
         except KeyError as exc:
             raise ValueError(f"line {number}: record has no {exc.args[0]!r} field") from None
         except (AttributeError, TypeError):

@@ -15,13 +15,15 @@ checkpoint round (the calls over the `checkpoint-start` records), and
 beside them the trace records per run and per round, so the share of a
 round's calls that goes to writing records can be read off. A fault-free
 `mission-long` run is nearly all unanimous rounds, so its calls per round
-is the cost of one such round. A second, unprofiled
-pass counts the calls of the workload kernels, `execute_slice` and the two
-that a state's words and checksum cost, `checksum_callback` and
-`_jump_words`, by wrapping them on the `workload` module. Every count
-repeats exactly from run to run, so a change in an advance memo's sharing
-shows as a changed `execute_slice` count. The counts are the same at every
-seed of a fault-free `mission-long`.
+is the cost of one such round. Next to these it prints the passes of the
+cyclic garbage collector per run in each generation (gen0/1/2, counted
+through `gc.callbacks` while the profiled runs are built and run). A
+second, unprofiled pass counts the calls of the workload kernels,
+`execute_slice` and the two that a state's words and checksum cost,
+`checksum_callback` and `_jump_words`, by wrapping them on the `workload`
+module. Every count repeats exactly from run to run, so a change in an
+advance memo's sharing shows as a changed `execute_slice` count. The
+counts are the same at every seed of a fault-free `mission-long`.
 
 It needs only the standard library, and pytest does not collect it.
 """
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import gc
 import sys
 from pathlib import Path
 
@@ -38,24 +41,38 @@ ROOT = Path(__file__).resolve().parent.parent
 MC_TRIALS = 200
 
 
-def count_calls(scenarios: list) -> tuple[int, int, int]:
+def count_calls(scenarios: list) -> tuple[int, int, int, list[int]]:
     """The Python calls made building and running each scenario, the
-    checkpoint rounds the runs started and the trace records they wrote,
-    each summed."""
+    checkpoint rounds the runs started, the trace records they wrote and
+    the cyclic collector's passes over each generation meanwhile, each
+    summed."""
     from tilesim.simulation import Simulation
 
     profile = cProfile.Profile()
     rounds = records = 0
-    for sc in scenarios:
-        profile.enable()
-        trace = Simulation(sc).run()
-        profile.disable()
-        rounds += len(trace.of_kind("checkpoint-start"))
-        records += len(trace.records)
+    passes = [0, 0, 0]
+
+    def count_pass(phase, info):
+        if phase == "start":
+            passes[info["generation"]] += 1
+
+    # a full collection first, so that no garbage of the parse is left to
+    # trigger a pass inside the runs
+    gc.collect()
+    gc.callbacks.append(count_pass)
+    try:
+        for sc in scenarios:
+            profile.enable()
+            trace = Simulation(sc).run()
+            profile.disable()
+            rounds += len(trace.of_kind("checkpoint-start"))
+            records += len(trace.records)
+    finally:
+        gc.callbacks.remove(count_pass)
     # One entry per code object. `pstats` keys functions by file, line and
     # name, and so keeps one of the `__init__`s that `dataclasses` generates
     # alike at "<string>", line 2, dropping the others' calls.
-    return sum(entry.callcount for entry in profile.getstats()), rounds, records
+    return sum(entry.callcount for entry in profile.getstats()), rounds, records, passes
 
 
 KERNELS = ("execute_slice", "checksum_callback", "_jump_words")
@@ -101,10 +118,11 @@ def main(argv=None) -> int:
                        ("mc-trial", workloads.mc_docs(args.seed)[:MC_TRIALS]),
                        ("wide-group", workloads.wide_docs(args.seed))):
         scenarios = [workloads.parse(doc) for doc in docs]
-        total, rounds, records = count_calls(scenarios)
+        total, rounds, records, passes = count_calls(scenarios)
         kernels = count_kernel_calls(scenarios)
         print(f"{name:<13} runs {len(docs):>4}  calls {total:>9}  "
               f"calls/run {round(total / len(docs)):>7}  calls/round {total / rounds:6.1f}  "
+              "gc passes/run " + "/".join(f"{n / len(docs):.2f}" for n in passes) + "  "
               f"records/run {records / len(docs):.1f}  records/round {records / rounds:.1f}  "
               + "  ".join(f"{k}/run {v / len(docs):.2f}" for k, v in kernels.items()))
     return 0

@@ -171,13 +171,14 @@ def test_until_below_one_exits_1_naming_until(capsys, verb, until):
     ('[0]', "line 3: a record must be a JSON object"),
     ('{"at":0,"actor":"sim","kind":"x"} {"at":1}', "line 3, column 35: Extra data"),
     ('{"at":0,"actor":"sim","kind":"x"}}', "line 3, column 34: Extra data"),
+    ('   {"at": 1, x}', "line 3, column 14: Expecting property name enclosed in double quotes"),
     ('"run-start"', "line 3: a record must be a JSON object"),
     ('{"at":"5","actor":"sim","kind":"run-end"}',
      "line 3: a record's 'at' must be an integer and its 'actor' and 'kind' strings"),
     ('{"at":true,"actor":"sim","kind":"run-end"}',
      "line 3: a record's 'at' must be an integer and its 'actor' and 'kind' strings"),
 ], ids=["cut-short", "missing-field", "not-an-object", "two-records", "stray-brace",
-        "a-string", "at-a-string", "at-a-bool"])
+        "indented", "a-string", "at-a-string", "at-a-bool"])
 def test_unreadable_trace_exits_1_naming_the_line(tmp_path, capsys, text, error):
     # a good record and a blank line come first: the count is of file lines
     path = tmp_path / "t.jsonl"

@@ -52,14 +52,48 @@ def test_earliest_first():
 
 
 def test_cancelled_entry_skipped():
-    q = EventQueue()
+    q = EventQueue(until=9)
     entry = q.schedule(4, timer, "cancelled")
     q.schedule(9, timer, "live")
     q.cancel(entry)
     q.cancel(None)
-    assert q.peek_time() == 9
-    assert q.advance()[3] == ("live",)
+    assert entry[2] is None
+    assert q.advance()[3] == ("live",)  # an entry at the bound is handed out
     assert q.now == 9
+    assert q.advance() is None
+
+
+def test_live_entry_past_until_stays_queued():
+    q = EventQueue(until=10)
+    q.schedule(3, timer, "early")
+    entry = q.schedule(11, late, "past")
+    assert q.advance()[3] == ("early",)
+    assert q.advance() is None
+    assert q.now == 3  # the clock stays where the last live entry put it
+    assert entry[:3] == [11, 1, late]
+    assert q.advance() is None  # and asking again changes nothing
+    q.until = 11
+    assert q.advance() is entry
+    assert q.now == 11
+
+
+def test_cancelled_entries_on_both_sides_of_until():
+    q = EventQueue(until=10)
+    before = q.schedule(5, timer, "cancelled-before")
+    q.schedule(8, timer, "live")
+    after = q.schedule(12, timer, "cancelled-after")
+    beyond = q.schedule(15, late, "past")
+    q.cancel(before)
+    q.cancel(after)
+    assert q.advance()[3] == ("live",)
+    # the cancelled entry past the bound is dropped, the live one kept
+    assert q.advance() is None
+    assert q.now == 8
+    assert beyond[2] is late
+    q.until = 20
+    assert q.advance() is beyond
+    assert q.advance() is None
+    assert q.now == 15
 
 
 def test_clock_monotone_over_many_events():

@@ -14,7 +14,7 @@ from tilesim.runner import run_simulation
 from tilesim.scenario import BUNDLED, load_scenario, parse_scenario
 from tilesim.simulation import GroupCheckpoint, Simulation
 from tilesim.tiles import ACTIVE, DEFUNCT, IDLE_SPARE, REBOOTING, SUSPECT
-from trace_corpus import chaos_doc, shared_tile_doc, wide_doc
+from trace_corpus import chaos_doc, lossy_doc, reordered_doc, shared_tile_doc, wide_doc
 
 
 def make_doc(**over):
@@ -1117,6 +1117,13 @@ def test_different_seeds_differ_under_random_faults():
     # SEFIs, fabric repair, and a tile shared by two groups
     pytest.param(chaos_doc(0), id="chaos-0"),
     pytest.param(shared_tile_doc(100, 2), id="shared-tile-100-2"),
+    # arbitration over 14 tiles, lost reports, a group's threads checked in
+    # another order than the scenario lists them, and Stage 3 deactivating
+    # a thread group
+    pytest.param(wide_doc(0), id="wide-0"),
+    pytest.param(lossy_doc(wide_doc(1), 0.3), id="lossy-wide-1-0.3"),
+    pytest.param(reordered_doc(0), id="reordered-0"),
+    pytest.param(chaos_doc(196), id="chaos-196"),
 ])
 def test_finished_run_freed_without_cyclic_gc(source):
     # a run in a reference cycle (say, a queue entry or a table holding a
@@ -1134,3 +1141,27 @@ def test_finished_run_freed_without_cyclic_gc(source):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def raise_in_handler(sim):
+    raise RuntimeError("handler failed")
+
+
+@pytest.mark.parametrize("enabled, failing", [(True, False), (False, False), (True, True)],
+                         ids=["enabled", "disabled", "handler-raises"])
+def test_run_leaves_the_collector_as_it_found_it(enabled, failing):
+    # a run pauses the cyclic collector, and only for the run
+    sim = Simulation(load_scenario("fig3", ["horizon=20000", "faults={}"]))
+    if failing:
+        sim.queue.schedule(3000, raise_in_handler)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if failing:
+            with pytest.raises(RuntimeError, match="handler failed"):
+                sim.run()
+        else:
+            sim.run()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
