@@ -12,6 +12,7 @@ import argparse
 import io
 import json
 import sys
+from pathlib import Path
 
 from . import runner
 from .metrics import compute_metrics
@@ -83,7 +84,10 @@ def _until(args):
 def cmd_run(args) -> int:
     scenario = _load(args)
     trace, summary = runner.run_simulation(scenario, until=_until(args))
-    runner.write_outputs(trace, summary, args.trace_out, args.metrics_out)
+    if args.trace_out:
+        Path(args.trace_out).write_text(trace.to_jsonl(), encoding="utf-8")
+    if args.metrics_out:
+        Path(args.metrics_out).write_text(summary.to_json(), encoding="utf-8")
     if not args.quiet:
         print(json.dumps(summary.to_dict(), sort_keys=True, indent=2))
     if args.fail_on_loss and summary.loss_of_mission:

@@ -116,16 +116,3 @@ class RandomStream:
         if not items:
             raise ValueError("choice from empty list")
         return items[self.uniform64() % len(items)]
-
-
-class StreamPool:
-    """Lazily builds one RandomStream per label from the run's master seed."""
-
-    def __init__(self, seed: int):
-        self.seed = seed
-        self._streams: dict[str, RandomStream] = {}
-
-    def get(self, label: str) -> RandomStream:
-        if label not in self._streams:
-            self._streams[label] = RandomStream(self.seed, label)
-        return self._streams[label]

@@ -73,21 +73,19 @@ def compare_with_siblings(
 
 def unanimous_reports(
     members: list[str],
-    written_at: int,
     rows: dict[str, tuple],
     reads_blocked: bool = False,
-) -> Optional[tuple[dict[str, dict[str, str]], int]]:
-    """Every member's verdicts in a unanimous round, and the time the round
-    completes, or None if it is not one.
+) -> Optional[dict[str, dict[str, str]]]:
+    """Every member's verdicts in a unanimous round, or None if it is not one.
 
     `rows` are whole rows or None, as `compare_with_siblings` takes them,
     but an entry may also be a thread state, which equals another only
     where their checksums are equal too. A round is unanimous when reads
     are not blocked, every member wrote, and every row is there and equal.
     Each member's `compare_with_siblings` then affirms every sibling and
-    completes at the write: that is built here directly, without walking
-    siblings. `rows` holds members only. Each member gets its own verdicts
-    dict.
+    completes at the write instant: the verdicts are built here directly,
+    without walking siblings. `rows` holds members only. Each member gets
+    its own verdicts dict.
     """
     if reads_blocked or len(rows) != len(members):
         return None
@@ -102,7 +100,7 @@ def unanimous_reports(
     for me in members:
         reports[me] = verdicts = agree.copy()
         del verdicts[me]
-    return reports, written_at
+    return reports
 
 
 @dataclass

@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import csv
 import json
-from pathlib import Path
 from typing import Optional
 
 from .metrics import MetricsSummary, compute_metrics
@@ -18,14 +17,6 @@ def run_simulation(scenario: Scenario, until: Optional[int] = None) -> tuple[Tra
     sim = Simulation(scenario, until=until)
     trace = sim.run()
     return trace, compute_metrics(trace.records)
-
-
-def write_outputs(trace: Trace, summary: MetricsSummary,
-                  trace_out: Optional[str], metrics_out: Optional[str]):
-    if trace_out:
-        Path(trace_out).write_text(trace.to_jsonl(), encoding="utf-8")
-    if metrics_out:
-        Path(metrics_out).write_text(summary.to_json(), encoding="utf-8")
 
 
 SWEEP_COLUMNS = (

@@ -433,20 +433,15 @@ def parse_scenario(doc: dict, name: str = "scenario") -> Scenario:
     )
 
     if not problems:
-        # checkpoints must be able to finish before the comparison deadline
+        # bind refuses a group whose rounds cannot finish by the comparison deadline
         tg_threads = {tgc.tg_id: tgc.threads for tgc in thread_groups}
         for path, g in zip(group_paths, tile_groups):
-            group = TileGroup(g.group_id, g.members, g.thread_groups)
-            group.bind([threads[t] for tg in g.thread_groups for t in tg_threads[tg]],
-                       costs.context_switch)
-            # the uncapped viable delay, not group.delay: bind caps that at the deadline
-            worst = (max(s.viable_delay for s in group.threads)
-                     + sum(checksum_time for _, _, checksum_time in group.schedule))
-            if worst > group.comparison_deadline:
-                problems.append(
-                    f"{path}: checkpoint cost {worst} exceeds "
-                    f"comparison deadline {group.comparison_deadline}"
-                )
+            try:
+                TileGroup(g.group_id, g.members, g.thread_groups).bind(
+                    [threads[t] for tg in g.thread_groups for t in tg_threads[tg]],
+                    costs.context_switch)
+            except ValueError as exc:
+                problems.append(f"{path}: {exc}")
 
     if problems:
         raise ScenarioError(problems)

@@ -21,8 +21,8 @@ from . import faults as flt
 from . import lockstep
 from . import supervisor as sup
 from . import workload
-from .engine import EventQueue, StreamPool, mix64
-from .scenario import Scenario, TileGroupConfig
+from .engine import EventQueue, RandomStream, mix64
+from .scenario import Scenario
 from .tiles import (
     ACTIVE, BOOTING, DEFUNCT, IDLE_SPARE, REBOOTING, SUSPECT, UPDATING,
     RunWindow, Tile, TileGroup,
@@ -97,8 +97,6 @@ class PendingUpdate:
 
 @dataclass
 class RepairJob:
-    tile_id: str
-    partition: str
     variants: list[int]
     tried_relocation: bool = False
 
@@ -110,8 +108,10 @@ class Simulation:
         self.scenario = scenario
         self.horizon = scenario.horizon if until is None else min(until, scenario.horizon)
         self.queue = EventQueue(self.horizon)
-        self.streams = StreamPool(scenario.seed)
         self.trace = Trace()
+        # report losses draw from a stream of their own, only where there are any
+        self.signal_loss = (RandomStream(scenario.seed, "signal-loss")
+                            if scenario.features.signal_loss_prob > 0 else None)
 
         partitions = [fab.Partition(t.partition, hosted_tile=t.tile_id)
                       for t in scenario.tiles]
@@ -140,7 +140,7 @@ class Simulation:
         # has one host until Stage 3 deactivates it, which removes its entry.
         self.host_of: dict[str, TileGroup] = {}
         for gc in scenario.tile_groups:
-            self._make_group(gc)
+            self._make_group(gc.group_id, gc.members, gc.thread_groups)
 
         self.supervisor = sup.Supervisor(
             transient_threshold=scenario.supervisor.transient_threshold,
@@ -166,12 +166,14 @@ class Simulation:
     # ------------------------------------------------------------------
     # construction helpers
 
-    def _make_group(self, gc: TileGroupConfig):
-        group = TileGroup(gc.group_id, list(gc.members), list(gc.thread_groups))
-        group.bind([spec for tg_id in group.thread_groups for spec in self.thread_groups[tg_id]],
+    def _make_group(self, group_id: str, members: list, thread_groups: list, **options):
+        """Build and bind a tile group, and make it its thread groups' host."""
+        group = TileGroup(group_id, list(members), list(thread_groups), **options)
+        group.bind([spec for tg_id in thread_groups for spec in self.thread_groups[tg_id]],
                    self.scenario.costs.context_switch)
-        self.groups[gc.group_id] = group
-        self.host_of.update(dict.fromkeys(group.thread_groups, group))
+        self.groups[group_id] = group
+        self.host_of.update(dict.fromkeys(thread_groups, group))
+        return group
 
     def _join(self, tile: Tile, group: TileGroup, now: Optional[int]):
         """Open a run window on `tile` for each of `group`'s thread groups,
@@ -254,7 +256,8 @@ class Simulation:
                 partitions=[t.partition for t in self.scenario.tiles] + [fab.SHARED],
             )
         # drawn over the whole horizon, so a run to `until` is a prefix of the run
-        events = flt.generate(profile, self.scenario.horizon, self.streams.get("faults"), space)
+        events = flt.generate(profile, self.scenario.horizon,
+                              RandomStream(self.scenario.seed, "faults"), space)
         for ev in events:
             self.ledger.events[ev.fault_id] = ev
             self.queue.schedule(ev.at, Simulation.apply_fault, ev)
@@ -457,8 +460,8 @@ class Simulation:
         self.trace.emit(now, tile_id, "validation-write",
                         {"tile": tile_id, "group": group_id, "index": index,
                          "threads": len(ctx.checked)})
-        # only participants write, each once
-        if len(ctx.rows) == len(ctx.participants) and ctx.resolve_entry is None:
+        # only participants write, each once, so this holds at one write
+        if len(ctx.rows) == len(ctx.participants):
             ctx.resolve_entry = self.queue.schedule(
                 now, Simulation._resolve_checkpoint, group_id, index)
 
@@ -480,15 +483,13 @@ class Simulation:
         # unanimous round. Other rows are compared by their checksums, where
         # a collision still counts as agreement: `compare_with_siblings`
         # reports such rows as it would a unanimous round.
-        unanimous = lockstep.unanimous_reports(
-            ctx.members, ctx.written_at, rows, reads_blocked)
-        if unanimous is None:
-            agreed = None
+        agreed = lockstep.unanimous_reports(ctx.members, rows, reads_blocked)
+        if agreed is None:
             rows = {w: None if row is None else tuple(
                         [e.checksum if e.__class__ is workload.ThreadState else e for e in row])
                     for w, row in rows.items()}
         else:
-            agreed, completed_at = unanimous
+            completed_at = ctx.written_at   # a unanimous round completes at its write
         loss = self.scenario.features.signal_loss_prob
         for m in ctx.participants:
             if m not in rows or self.tiles[m].sefi is not None:
@@ -499,7 +500,7 @@ class Simulation:
             else:
                 verdicts = agreed[m]
             if loss > 0:
-                roll = (self.streams.get("signal-loss").uniform64() >> 11) * 2.0**-53
+                roll = (self.signal_loss.uniform64() >> 11) * 2.0**-53
                 if roll < loss:
                     self.trace.emit(now, m, "signal-lost",
                                     {"tile": m, "group": group_id, "index": index})
@@ -721,7 +722,11 @@ class Simulation:
         if action.spare:
             group.members[group.members.index(faulty_id)] = action.spare
             self._activate_spare(action.spare, group, donor)
-        self._detach_everywhere(faulty_id)
+        # a rebooted or halted tile takes all of its replicas with it: it
+        # leaves every group roster (replacement fills only one slot)
+        for other in self.groups.values():
+            if faulty_id in other.members:
+                other.members.remove(faulty_id)
         if action.kind == sup.REPLACE:
             self.command_tile(faulty_id, "reboot")
             self.ledger.settle(here, "replaced")
@@ -734,13 +739,6 @@ class Simulation:
             self.trace.emit(now, "supervisor", "stage2-escalation",
                             {"tile": faulty_id, "reason": "no-spare"})
             self.command_tile(faulty_id, "reboot")
-
-    def _detach_everywhere(self, tile_id: str):
-        """A rebooted or halted tile takes all of its replicas with it: pull
-        it from every group roster (replacement fills only one slot)."""
-        for group in self.groups.values():
-            if tile_id in group.members:
-                group.members.remove(tile_id)
 
     def command_tile(self, tile_id: str, command: str, donor: Optional[str] = None,
                      group: Optional[TileGroup] = None):
@@ -951,24 +949,18 @@ class Simulation:
         now = self.queue.now
         if tile_id in self.repair_jobs:
             return
-        tile = self.tiles[tile_id]
-        job = RepairJob(
-            tile_id=tile_id,
-            partition=tile.partition,
-            variants=list(range(len(fab.VARIANTS))),
-        )
-        self.repair_jobs[tile_id] = job
+        self.repair_jobs[tile_id] = RepairJob(list(range(len(fab.VARIANTS))))
         self.trace.emit(now, "supervisor", "repair-start",
-                        {"tile": tile_id, "partition": tile.partition})
-        self._repair_step(job)
+                        {"tile": tile_id, "partition": self.tiles[tile_id].partition})
+        self._repair_step(tile_id)
 
-    def _repair_step(self, job: RepairJob):
+    def _repair_step(self, tile_id: str):
         now = self.queue.now
+        job, tile = self.repair_jobs[tile_id], self.tiles[tile_id]
         if job.variants:
             variant = job.variants.pop(0)
             self.queue.schedule(now + self.scenario.costs.reconfig_duration,
-                                Simulation._on_reconfiguration_done,
-                                job.tile_id, job.partition, variant)
+                                Simulation._on_reconfiguration_done, tile_id, variant)
             return
         if not job.tried_relocation:
             job.tried_relocation = True
@@ -976,25 +968,26 @@ class Simulation:
                 viable = self.fabric.viable_variants(free)
                 if viable:
                     self.trace.emit(now, "supervisor", "repair-relocate",
-                                    {"tile": job.tile_id, "source": job.partition, "target": free})
-                    self.fabric.rebind(job.tile_id, free)
-                    self.tiles[job.tile_id].partition = free
-                    self.ledger.move((flt.PARTITION, job.partition), (flt.PARTITION, free))
-                    job.partition = free
+                                    {"tile": tile_id, "source": tile.partition, "target": free})
+                    self.fabric.rebind(tile_id, free)
+                    self.ledger.move((flt.PARTITION, tile.partition), (flt.PARTITION, free))
+                    tile.partition = free
                     job.variants = viable
-                    self._repair_step(job)
+                    self._repair_step(tile_id)
                     return
-        evidence = sorted(self.fabric.damaged_cells(job.partition))
+        evidence = sorted(self.fabric.damaged_cells(tile.partition))
         self.trace.emit(now, "supervisor", "repair-exhausted",
-                        {"tile": job.tile_id, "partition": job.partition, "evidence": evidence})
-        del self.repair_jobs[job.tile_id]
-        self.ledger.settle((flt.PARTITION, job.partition), "degraded")
-        self.stage3_reallocate(reason=f"repair-exhausted:{job.tile_id}")
+                        {"tile": tile_id, "partition": tile.partition, "evidence": evidence})
+        del self.repair_jobs[tile_id]
+        self.ledger.settle((flt.PARTITION, tile.partition), "degraded")
+        self.stage3_reallocate(reason=f"repair-exhausted:{tile_id}")
 
-    def _on_reconfiguration_done(self, tile_id: str, partition: str, variant: int):
+    def _on_reconfiguration_done(self, tile_id: str, variant: int):
         # a repair job has one reconfiguration in flight, and only this
-        # handler ends or relocates the job
-        job = self.repair_jobs[tile_id]
+        # handler ends or relocates the job, so the tile is still on the
+        # partition that the rewrite was scheduled for
+        tile = self.tiles[tile_id]
+        partition = tile.partition
         now = self.queue.now
         # a rewrite that succeeds leaves no damage under the variant
         ok = self.fabric.partial_reconfigure(partition, variant)
@@ -1002,12 +995,11 @@ class Simulation:
                         {"partition": partition, "variant": variant, "ok": ok,
                          "evidence": sorted(self.fabric.footprint_overlap(partition, variant))})
         if not ok:
-            self._repair_step(job)
+            self._repair_step(tile_id)
             return
         self.trace.emit(now, "supervisor", "repair-success",
                         {"tile": tile_id, "partition": partition, "variant": variant})
         del self.repair_jobs[tile_id]
-        tile = self.tiles[tile_id]
         tile.persist_corrupt = False
         self.ledger.settle((flt.PARTITION, partition), "repaired")
         self.supervisor.reset_counter(tile_id)
@@ -1184,12 +1176,9 @@ class Simulation:
 
         self._stage3_seq += 1
         gid = f"{entry.tg_id}-m{self._stage3_seq}"
-        group = TileGroup(gid, list(entry.tiles), [entry.tg_id],
-                          period_factor=entry.period_factor,
-                          correction_enabled=len(entry.tiles) >= 3)
-        group.bind(threads, self.scenario.costs.context_switch)
-        self.groups[gid] = group
-        self.host_of[entry.tg_id] = group
+        group = self._make_group(gid, entry.tiles, [entry.tg_id],
+                                 period_factor=entry.period_factor,
+                                 correction_enabled=len(entry.tiles) >= 3)
 
         if donor_id is None:
             self.trace.emit(now, "supervisor", "tg-restarted",
@@ -1257,7 +1246,7 @@ class Simulation:
             self.trace.emit(now, "sim", "tg-active", {"tg": tg_id, "active": active})
 
     def _arm_timer(self, group: TileGroup, at: int):
-        self.queue.cancel(self.timers.get(group.group_id))
-        # dissolving a group cancels its timer, so the group is still there
+        # armed only with none pending: at boot, when made, and as a round ends,
+        # whose start took the last one; a dissolved group's timer is cancelled
         self.timers[group.group_id] = self.queue.schedule(
             at, Simulation.start_checkpoint, group, "timer")

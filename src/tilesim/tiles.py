@@ -71,20 +71,25 @@ class TileGroup:
         from them. The base period is the shortest checkpoint period, the
         comparison deadline 10% of it (at least 1), the grace period twice
         the summed update cost, and the checksum deferral the longest
-        viable delay, capped at the deadline. The output threads are the
-        ids of the threads that emit output, in order. A thread's checksum
-        and its state write each cost one context switch on top."""
+        viable delay. The output threads are the ids of the threads that
+        emit output, in order. A thread's checksum and its state write each
+        cost one context switch on top. A ValueError refuses threads whose
+        first round, which checks them all, cannot finish by the deadline."""
         if not threads:
             raise ValueError(f"group {self.group_id}: no threads to run")
         self.threads = list(threads)
         self.base_period = min(s.checkpoint_period for s in threads)
         self.comparison_deadline = max(1, self.base_period // 10)
         self.grace_period = 2 * sum(s.update_cost for s in threads)
-        self.delay = min(max(s.viable_delay for s in threads), self.comparison_deadline)
+        self.delay = max(s.viable_delay for s in threads)
         self.output_threads = [s.thread_id for s in threads if s.emits_output]
         self.schedule = [(s.thread_id, max(1, s.checkpoint_period // self.base_period),
                           s.checksum_cost + context_switch) for s in threads]
         self.sync_time = sum(s.sync_cost + context_switch for s in threads)
+        ready = self.plan(0)[1]
+        if ready > self.comparison_deadline:
+            raise ValueError(f"checkpoint cost {ready} exceeds "
+                             f"comparison deadline {self.comparison_deadline}")
 
     @property
     def period(self) -> int:

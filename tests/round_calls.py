@@ -11,19 +11,22 @@ the first 200 `mc-trial` trials and the `wide-group` pool (chaos faults x4
 on one 14-tile group). It parses each document outside the profiler, then
 counts with `cProfile` the calls of building the `Simulation` and running
 it, and prints the calls per run of each workload and the calls per
-checkpoint round (the calls over the `checkpoint-start` records), and
-beside them the trace records per run and per round, so the share of a
-round's calls that goes to writing records can be read off. A fault-free
+checkpoint round (the calls over the `checkpoint-start` records). Beside
+them it prints the events the runs scheduled and dispatched, and the trace
+records, each per run and per round, so the share of a round's calls that
+goes to events or to writing records can be read off. A fault-free
 `mission-long` run is nearly all unanimous rounds, so its calls per round
 is the cost of one such round. Next to these it prints the passes of the
 cyclic garbage collector per run in each generation (gen0/1/2, counted
 through `gc.callbacks` while the profiled runs are built and run). A
-second, unprofiled pass counts the calls of the workload kernels,
-`execute_slice` and the two that a state's words and checksum cost,
-`checksum_callback` and `_jump_words`, by wrapping them on the `workload`
-module. Every count repeats exactly from run to run, so a change in an
-advance memo's sharing shows as a changed `execute_slice` count. The
-counts are the same at every seed of a fault-free `mission-long`.
+second, unprofiled pass counts the events, scheduled by the queue's
+insertion count and dispatched by wrapping `Simulation.dispatch`, and the
+calls of the workload kernels, `execute_slice` and the two that a state's
+words and checksum cost, `checksum_callback` and `_jump_words`, by
+wrapping them on the `workload` module. Every count repeats exactly from
+run to run, so a change in an advance memo's sharing shows as a changed
+`execute_slice` count. The counts are the same at every seed of a
+fault-free `mission-long`.
 
 It needs only the standard library, and pytest does not collect it.
 """
@@ -78,13 +81,21 @@ def count_calls(scenarios: list) -> tuple[int, int, int, list[int]]:
 KERNELS = ("execute_slice", "checksum_callback", "_jump_words")
 
 
-def count_kernel_calls(scenarios: list) -> dict[str, int]:
-    """The calls of each of `KERNELS` made running each scenario, summed."""
+def count_unprofiled(scenarios: list) -> tuple[dict[str, int], int, int]:
+    """The calls of each of `KERNELS` made running each scenario, and the
+    events the runs scheduled and dispatched, each summed."""
     from tilesim import workload
     from tilesim.simulation import Simulation
 
     calls = dict.fromkeys(KERNELS, 0)
     originals = {name: getattr(workload, name) for name in KERNELS}
+    dispatch = Simulation.dispatch
+    scheduled = dispatched = 0
+
+    def counted_dispatch(sim, ev):
+        nonlocal dispatched
+        dispatched += 1
+        dispatch(sim, ev)
 
     def counted(name):
         fn = originals[name]
@@ -97,12 +108,16 @@ def count_kernel_calls(scenarios: list) -> dict[str, int]:
     try:
         for name in KERNELS:
             setattr(workload, name, counted(name))
+        Simulation.dispatch = counted_dispatch
         for sc in scenarios:
-            Simulation(sc).run()
+            sim = Simulation(sc)
+            sim.run()
+            scheduled += sim.queue._seq   # one insertion per scheduled event
     finally:
         for name, fn in originals.items():
             setattr(workload, name, fn)
-    return calls
+        Simulation.dispatch = dispatch
+    return calls, scheduled, dispatched
 
 
 def main(argv=None) -> int:
@@ -119,9 +134,13 @@ def main(argv=None) -> int:
                        ("wide-group", workloads.wide_docs(args.seed))):
         scenarios = [workloads.parse(doc) for doc in docs]
         total, rounds, records, passes = count_calls(scenarios)
-        kernels = count_kernel_calls(scenarios)
+        kernels, scheduled, dispatched = count_unprofiled(scenarios)
         print(f"{name:<13} runs {len(docs):>4}  calls {total:>9}  "
               f"calls/run {round(total / len(docs)):>7}  calls/round {total / rounds:6.1f}  "
+              f"scheduled/run {scheduled / len(docs):.1f}  "
+              f"dispatched/run {dispatched / len(docs):.1f}  "
+              f"scheduled/round {scheduled / rounds:.1f}  "
+              f"dispatched/round {dispatched / rounds:.1f}  "
               "gc passes/run " + "/".join(f"{n / len(docs):.2f}" for n in passes) + "  "
               f"records/run {records / len(docs):.1f}  records/round {records / rounds:.1f}  "
               + "  ".join(f"{k}/run {v / len(docs):.2f}" for k, v in kernels.items()))

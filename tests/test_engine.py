@@ -1,6 +1,6 @@
 import pytest
 
-from tilesim.engine import EventQueue, PastTimeError, RandomStream, StreamPool
+from tilesim.engine import EventQueue, PastTimeError, RandomStream
 
 
 def timer():
@@ -120,14 +120,12 @@ def test_different_labels_differ():
 
 
 def test_stream_independence():
-    pool1 = StreamPool(9)
-    pool2 = StreamPool(9)
+    a1, b1 = RandomStream(9, "a"), RandomStream(9, "b")
+    b2 = RandomStream(9, "b")
     # extra draws on stream A must not perturb stream B
     for _ in range(137):
-        pool1.get("a").uniform64()
-    b1 = [pool1.get("b").uniform64() for _ in range(50)]
-    b2 = [pool2.get("b").uniform64() for _ in range(50)]
-    assert b1 == b2
+        a1.uniform64()
+    assert [b1.uniform64() for _ in range(50)] == [b2.uniform64() for _ in range(50)]
 
 
 def test_exponential_mean_matches_rate():

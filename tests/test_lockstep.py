@@ -190,8 +190,8 @@ def unanimous_rounds(draw):
 @given(unanimous_rounds(), st.data())
 def test_unanimous_reports_equal_the_general_path(case, data):
     members, written_at, deadline_at, rows = case
-    reports, completed_at = unanimous_reports(members, written_at, rows)
-    assert ({me: (reports[me], completed_at) for me in members}
+    reports = unanimous_reports(members, rows)
+    assert ({me: (reports[me], written_at) for me in members}
             == {me: compare_with_siblings(me, *case) for me in members})
     verdict = arbitrate(members, reports)
     assert verdict.all_agree and verdict.clique == members
@@ -200,20 +200,20 @@ def test_unanimous_reports_equal_the_general_path(case, data):
     me = data.draw(st.sampled_from(members))
     row = rows[me]
     wiped = dict.fromkeys(members)
-    assert unanimous_reports(members, written_at, wiped) is None
+    assert unanimous_reports(members, wiped) is None
     if len(members) > 1:
-        assert unanimous_reports(members, written_at, {**rows, me: row + (0,)}) is None
+        assert unanimous_reports(members, {**rows, me: row + (0,)}) is None
     missing = {m: r for m, r in rows.items() if m != me}
-    assert unanimous_reports(members, written_at, missing) is None
-    assert unanimous_reports(members, written_at, rows, reads_blocked=True) is None
+    assert unanimous_reports(members, missing) is None
+    assert unanimous_reports(members, rows, reads_blocked=True) is None
 
 
 def test_unanimous_reports_own_their_verdicts():
     members = ["C0", "C1", "C2", "C3"]
-    args = (members, 5, dict.fromkeys(members, (1, 2)))
-    fresh, _ = unanimous_reports(*args)
+    args = (members, dict.fromkeys(members, (1, 2)))
+    fresh = unanimous_reports(*args)
     for me in members:
-        reports, _ = unanimous_reports(*args)
+        reports = unanimous_reports(*args)
         reports[me].clear()
         for other in members:
             if other != me:
@@ -226,10 +226,9 @@ def test_unanimous_reports_own_their_verdicts():
 @given(comparisons())
 def test_unanimous_reports_only_where_the_general_path_agrees(case):
     _, members, written_at, deadline_at, rows, blocked = case
-    unanimous = unanimous_reports(members, written_at, rows, blocked)
-    if unanimous is not None:
-        reports, completed_at = unanimous
-        assert ({me: (reports[me], completed_at) for me in members}
+    reports = unanimous_reports(members, rows, blocked)
+    if reports is not None:
+        assert ({me: (reports[me], written_at) for me in members}
                 == {me: compare_with_siblings(me, *case[1:]) for me in members})
 
 

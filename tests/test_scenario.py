@@ -207,7 +207,7 @@ def test_checkpoint_cost_must_fit_deadline():
         parse_scenario(doc)
     assert err.value.problems == [
         "tile_groups[0]: checkpoint cost 502 exceeds comparison deadline 100"]
-    # the viable delay counts uncapped, though the round defers by at most 100
+    # the viable delay counts in full
     doc = minimal_doc()
     doc["threads"][0]["viable_delay"] = 150
     with pytest.raises(ScenarioError) as err:

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -244,8 +245,9 @@ def test_oracle_sees_a_divergence_the_checksums_hide(monkeypatch):
 
 
 def reference_oracle_check(self, group, ctx):
-    """The oracle as it compared every pair of participants, kept as the
-    reference for `Simulation._oracle_check`, which compares classes."""
+    """The oracle as it compared every pair of participants in every round,
+    kept as the reference for `Simulation._oracle_check`, which runs only
+    on split rounds and skips a pair that shares one boundary dict."""
     boundaries = list(ctx.boundary.values())
     if all(b == boundaries[0] for b in boundaries[1:]):
         return  # no pair diverged
@@ -1165,3 +1167,66 @@ def test_run_leaves_the_collector_as_it_found_it(enabled, failing):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
+
+
+# -- the cost of a fault-free run -------------------------------------------------
+
+class Counted(Simulation):
+    """A run that counts the events it dispatches."""
+    dispatched = 0
+
+    def dispatch(self, ev):
+        self.dispatched += 1
+        super().dispatch(ev)
+
+
+def without_faults(make):
+    def scenario():
+        doc = make(0)
+        doc["faults"] = {}
+        return parse_scenario(doc)
+    return scenario
+
+
+def rounds_by(group, horizon):
+    """The rounds a fault-free group starts by `horizon`: the first at 0, and
+    each later one a period after the last one's checksums were ready."""
+    at = index = 0
+    while at <= horizon:
+        at += group.plan(index)[1] + group.period
+        index += 1
+    return index
+
+
+@pytest.mark.parametrize("scenario", [
+    lambda: load_scenario("fig3", ["horizon=100000", "faults={}"]),
+    without_faults(chaos_doc),
+    without_faults(wide_doc),
+    without_faults(lambda seed: shared_tile_doc(seed, 3)),
+    without_faults(reordered_doc),
+], ids=["fig3", "chaos", "wide", "shared-tile", "reordered"])
+def test_fault_free_counts_follow_from_the_scenario(scenario):
+    # A fault-free round writes a checkpoint-start, a verdict and a
+    # checkpoint-end, and a validation-write and a checkpoint-report per
+    # participant. It schedules each participant's write, its deadline, its
+    # resolve, the watchdog's re-arming and the next round's timer, and
+    # dispatches all but the cancelled deadline and watchdog.
+    sim = Counted(scenario())
+    groups = list(sim.groups.values())
+    idle = len(sim.tiles) - len({m for g in groups for m in g.members})
+    expected = Counter({"run-start": 1, "run-end": 1, "boot": len(sim.tiles),
+                        "tile-boot-checkpoint": idle, "spare-pool-enter": idle,
+                        "tg-active": len(sim.thread_groups)})
+    rounds = writes = 0
+    for g in groups:
+        n = rounds_by(g, sim.horizon)
+        expected.update({"checkpoint-start": n, "verdict": n, "checkpoint-end": n})
+        rounds += n
+        writes += n * len(g.members)   # every member is a participant
+    expected.update({"validation-write": writes, "checkpoint-report": writes})
+    trace = sim.run()
+    assert Counter(r.kind for r in trace.records) == +expected
+    assert sim.dispatched == writes + 2 * rounds
+    # the queue's insertion count: one per scheduled event, a timer per
+    # group and the watchdog at boot besides the rounds'
+    assert sim.queue._seq == writes + 4 * rounds + len(groups) + 1

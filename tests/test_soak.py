@@ -6,7 +6,7 @@ import pytest
 from tilesim.metrics import compute_metrics
 from tilesim.scenario import parse_scenario
 from tilesim.simulation import Simulation
-from tilesim.tiles import ACTIVE, SUSPECT, UPDATING
+from tilesim.tiles import ACTIVE, DEFUNCT, SUSPECT, UPDATING
 from trace_corpus import chaos_doc, shared_tile_doc
 
 
@@ -33,6 +33,22 @@ class Checked(Simulation):
                 assert any(tg_id in g.thread_groups and tid in g.members
                            for g in self.groups.values()), \
                     f"{tid} runs {tg_id} for no group that lists it"
+        # a group arms its timer only once its round is over
+        for gid, entry in self.timers.items():
+            ctx = self.ctxs.get(gid)
+            assert entry[2] is None or ctx is None or ctx.completed, \
+                f"{gid} has a live timer and an open round"
+        # participants write once each, and the last write schedules the resolve
+        for gid, ctx in self.ctxs.items():
+            if not ctx.resolved:
+                assert set(ctx.rows) <= set(ctx.participants), \
+                    f"{gid} holds a row of a tile that is no participant"
+                assert (ctx.resolve_entry is not None) == (
+                    len(ctx.rows) == len(ctx.participants)), \
+                    f"{gid} scheduled its resolve before every participant wrote, or not after"
+        # a repair job's tile stays defunct, so nothing moves it off its partition
+        for tid in self.repair_jobs:
+            assert self.tiles[tid].status == DEFUNCT, f"{tid} is under repair but not defunct"
         # permanent damage never shrinks
         dd = {k for k, fl in self.fabric.damage.items() if fl == "dd"}
         assert dd >= self._last_dd

@@ -123,10 +123,13 @@ def test_bind_works_out_the_round_plan_again():
     assert (g.delay, g.output_threads) == (30, ["Ta"])
     g.bind([quiet], 2)
     assert (g.delay, g.output_threads) == (0, [])
-    # the deferral is capped at the comparison deadline, 100 here
-    g.bind([ThreadSpec("Tc", 1, 1000, emits_output=True, viable_delay=300), quiet,
+    g.bind([ThreadSpec("Tc", 1, 1000, emits_output=True, viable_delay=60), quiet,
             ThreadSpec("Td", 1, 1000, emits_output=True)], 2)
-    assert (g.delay, g.output_threads) == (100, ["Tc", "Td"])
+    assert (g.delay, g.output_threads) == (60, ["Tc", "Td"])
+    # a first round that cannot finish by the comparison deadline, 100 here,
+    # is refused: a deferral of 300 is not capped
+    with pytest.raises(ValueError, match="checkpoint cost 312 exceeds comparison deadline 100"):
+        g.bind([ThreadSpec("Tc", 1, 1000, viable_delay=300)], 2)
 
 
 def test_checked_threads_modular_schedule():
