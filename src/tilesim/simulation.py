@@ -37,13 +37,13 @@ FULL_RECONFIG_DURATION = 5000
 class GroupCheckpoint:
     """One checkpoint round of a tile group, from its start to its end."""
 
-    __slots__ = ("index", "t0", "participants", "members", "checked", "written_at",
+    __slots__ = ("group", "index", "t0", "participants", "members", "checked", "written_at",
                  "deadline_at", "rows", "snapshots", "resolved", "completed", "reports",
-                 "clique", "outputs", "boundary", "split", "deadline_entry", "resolve_entry",
-                 "advanced", "last_advance")
+                 "clique", "outputs", "boundary", "split", "advanced", "last_advance")
 
-    def __init__(self, index: int, t0: int, participants: list[str], members: list[str],
-                 checked: list[str], written_at: int, deadline_at: int):
+    def __init__(self, group: TileGroup, index: int, t0: int, participants: list[str],
+                 members: list[str], checked: list[str], written_at: int, deadline_at: int):
+        self.group = group
         self.index = index
         self.t0 = t0
         self.participants = participants
@@ -71,8 +71,6 @@ class GroupCheckpoint:
         self.outputs: dict[str, dict[str, workload.ThreadState]] = {}
         self.boundary: dict[str, dict[str, workload.ThreadState]] = {}
         self.split = False
-        self.deadline_entry: Optional[list] = None   # queue entries, for cancelling
-        self.resolve_entry: Optional[list] = None
         # Replicas stay bit-identical until a fault hits one, so the tiles of
         # a checkpoint mostly repeat each other's work. This memo is keyed by
         # the advanced state's own thread id, anchor, lag and cycle counter,
@@ -150,7 +148,7 @@ class Simulation:
         # the system resets when no verdict arrives for this long
         self.watchdog_period = 4 * max(g.base_period for g in self.groups.values())
 
-        self.timers: dict[str, list] = {}
+        self.timers: dict[str, list] = {}   # group id -> its one pending queue entry
         self.ctxs: dict[str, GroupCheckpoint] = {}
         self.pending_updates: dict[str, PendingUpdate] = {}
         self.repair_jobs: dict[str, RepairJob] = {}
@@ -338,7 +336,7 @@ class Simulation:
         index = group.checkpoint_index
         participants = [m for m in group.members if tiles[m].status in (ACTIVE, SUSPECT)]
         checked, ready = group.plan(index)
-        ctx = GroupCheckpoint(index, now, participants, list(group.members), checked,
+        ctx = GroupCheckpoint(group, index, now, participants, list(group.members), checked,
                               now + ready, now + group.comparison_deadline)
         self.ctxs[group.group_id] = ctx
         # a copy: the record must not change with the round's roster
@@ -377,10 +375,9 @@ class Simulation:
                 self.trace.emit(now, m, "checkpoint-blocked",
                                 {"tile": m, "group": group.group_id, "index": index})
                 continue
-            self.queue.schedule(ctx.written_at, Simulation._on_checksums_ready,
-                                group.group_id, index, m)
-        ctx.deadline_entry = self.queue.schedule(
-            ctx.deadline_at, Simulation._resolve_checkpoint, group.group_id, index)
+            self.queue.schedule(ctx.written_at, Simulation._on_checksums_ready, ctx, m)
+        self.timers[group.group_id] = self.queue.schedule(
+            ctx.deadline_at, Simulation._resolve_checkpoint, ctx)
 
     def _advance_window(self, tile: Tile, tg_id: str, now: int,
                         ctx: Optional[GroupCheckpoint] = None):
@@ -439,13 +436,13 @@ class Simulation:
         if slipped:
             self.trace.emit(now, tile.tile_id, "persistent-corruption", {"tile": tile.tile_id})
 
-    def _on_checksums_ready(self, group_id: str, index: int, tile_id: str):
+    def _on_checksums_ready(self, ctx: GroupCheckpoint, tile_id: str):
         """Store this tile's row: a tuple of its states of the checked
         threads, each standing for its checksum, which a resolve reads only
         when the rows differ. Losing the write silently is exactly how an
         interface SEFI manifests."""
-        ctx = self.ctxs.get(group_id)
-        if ctx is None or ctx.index != index or ctx.resolved:
+        group_id, index = ctx.group.group_id, ctx.index
+        if ctx.resolved or self.ctxs.get(group_id) is not ctx:
             return
         tile = self.tiles[tile_id]
         if not tile.is_member:
@@ -460,19 +457,18 @@ class Simulation:
         self.trace.emit(now, tile_id, "validation-write",
                         {"tile": tile_id, "group": group_id, "index": index,
                          "threads": len(ctx.checked)})
-        # only participants write, each once, so this holds at one write
-        if len(ctx.rows) == len(ctx.participants):
-            ctx.resolve_entry = self.queue.schedule(
-                now, Simulation._resolve_checkpoint, group_id, index)
+        # only participants write, each once, so this holds at one write;
+        # the resolve takes the place of a deadline still to come
+        if len(ctx.rows) == len(ctx.participants) and now < ctx.deadline_at:
+            self.queue.cancel(self.timers[group_id])
+            self.timers[group_id] = self.queue.schedule(now, Simulation._resolve_checkpoint, ctx)
 
-    def _resolve_checkpoint(self, group_id: str, index: int):
-        ctx = self.ctxs.get(group_id)
-        if ctx is None or ctx.index != index or ctx.resolved:
-            return
+    def _resolve_checkpoint(self, ctx: GroupCheckpoint):
+        # whatever ends a round early cancels this entry, the group's timer
+        group = ctx.group
+        group_id, index = group.group_id, ctx.index
+        del self.timers[group_id]
         ctx.resolved = True
-        self.queue.cancel(ctx.deadline_entry)
-        self.queue.cancel(ctx.resolve_entry)
-        group = self.groups[group_id]
         now = self.queue.now
 
         # read at resolve time: a transient vmem fault or a reboot since the
@@ -638,19 +634,20 @@ class Simulation:
         self._arm_timer(group, now + group.period)
 
     def _enter_grace(self, group: TileGroup, ctx: GroupCheckpoint):
-        self.queue.schedule(self.queue.now + group.grace_period,
-                            Simulation._on_grace_expiry, group.group_id, ctx.index)
+        self.queue.schedule(self.queue.now + group.grace_period, Simulation._on_grace_expiry, ctx)
 
     def propagate_state(self, group: TileGroup, ctx: GroupCheckpoint, writers: list[str]):
         """Schedule the synchronization callbacks of every healthy writer
         that saw the mismatch (or was asked to donate)."""
         for w in writers:
             self.queue.schedule(self.queue.now + group.sync_time, Simulation._on_sync_written,
-                                group.group_id, ctx.index, w)
+                                ctx, w)
 
-    def _on_sync_written(self, group_id: str, index: int, tile_id: str):
-        group = self.groups.get(group_id)
-        if group is None:
+    def _on_sync_written(self, ctx: GroupCheckpoint, tile_id: str):
+        group = ctx.group
+        group_id, index = group.group_id, ctx.index
+        current = self.ctxs.get(group_id)
+        if current is None:   # dissolved with its group
             return
         tile = self.tiles[tile_id]
         now = self.queue.now
@@ -662,8 +659,7 @@ class Simulation:
                             {"tile": tile_id, "group": group_id, "index": index})
             return
         # once the group has started a later round, nothing reads this one's states
-        ctx = self.ctxs[group_id]
-        if ctx.index == index:
+        if current is ctx:
             ctx.snapshots[tile_id] = {spec.thread_id: tile.threads[spec.thread_id]
                                       for spec in group.threads}
         self.trace.emit(now, tile_id, "state-propagation",
@@ -801,18 +797,17 @@ class Simulation:
 
     # -- grace period and updates --------------------------------------------
 
-    def _on_grace_expiry(self, group_id: str, index: int):
+    def _on_grace_expiry(self, ctx: GroupCheckpoint):
         """Close the recovery window: run update callbacks on tiles waiting
         for donor state, then resume the whole group together."""
+        group = ctx.group
         # dissolving a group drops its round too
-        ctx = self.ctxs.get(group_id)
-        if ctx is None or ctx.index != index:
+        if self.ctxs.get(group.group_id) is not ctx:
             return
-        group = self.groups[group_id]
         now = self.queue.now
         for m in list(group.members):
             pending = self.pending_updates.get(m)
-            if pending is None or pending.group_id != group_id:
+            if pending is None or pending.group_id != group.group_id:
                 continue
             tile = self.tiles[m]
             donor_id = pending.donor
@@ -1246,7 +1241,7 @@ class Simulation:
             self.trace.emit(now, "sim", "tg-active", {"tg": tg_id, "active": active})
 
     def _arm_timer(self, group: TileGroup, at: int):
-        # armed only with none pending: at boot, when made, and as a round ends,
-        # whose start took the last one; a dissolved group's timer is cancelled
+        # armed only with no entry pending: at boot, when made, and as a round
+        # ends, whose resolve was the last one; a dissolved group's is cancelled
         self.timers[group.group_id] = self.queue.schedule(
             at, Simulation.start_checkpoint, group, "timer")

@@ -6,6 +6,8 @@ import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tilesim import criticality as crit
 from tilesim import faults as flt
@@ -294,9 +296,9 @@ def test_checkpoint_memo_hit_survives_a_flip_of_an_earlier_result():
     # three replicas run from t=0 to the round's pause at t=350, 7 cycles
     sim = Simulation(parse_scenario(make_doc()))
     c0, c1, c2 = (sim.tiles[m] for m in ("C0", "C1", "C2"))
-    ctx = GroupCheckpoint(index=1, t0=350, participants=["C0", "C1", "C2"],
-                          members=["C0", "C1", "C2"], checked=["Ta", "Tb"],
-                          written_at=374, deadline_at=450)
+    ctx = GroupCheckpoint(group=sim.groups["G1"], index=1, t0=350,
+                          participants=["C0", "C1", "C2"], members=["C0", "C1", "C2"],
+                          checked=["Ta", "Tb"], written_at=374, deadline_at=450)
     for tile in (c0, c1, c2):
         sim._join(tile, sim.groups["G1"], 0)
     sim._advance_window(c0, "TG1", 350, ctx)
@@ -1172,11 +1174,16 @@ def test_run_leaves_the_collector_as_it_found_it(enabled, failing):
 # -- the cost of a fault-free run -------------------------------------------------
 
 class Counted(Simulation):
-    """A run that counts the events it dispatches."""
-    dispatched = 0
+    """A run that counts the events it dispatches, in all and by handler."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.dispatched = 0
+        self.handled = Counter()
 
     def dispatch(self, ev):
         self.dispatched += 1
+        self.handled[ev[2]] += 1
         super().dispatch(ev)
 
 
@@ -1188,14 +1195,53 @@ def without_faults(make):
     return scenario
 
 
-def rounds_by(group, horizon):
-    """The rounds a fault-free group starts by `horizon`: the first at 0, and
-    each later one a period after the last one's checksums were ready."""
-    at = index = 0
-    while at <= horizon:
-        at += group.plan(index)[1] + group.period
-        index += 1
-    return index
+def expected_fault_free_counts(sim):
+    """The records per kind and the dispatched and scheduled events of a
+    fault-free run of `sim`, worked out from its groups' plans, and whether
+    some round's checksums are due after the horizon.
+
+    A group starts its first round at 0, and each later one a period after
+    the last one's checksums were ready. A round writes a
+    checkpoint-start, a verdict and a checkpoint-end, and a
+    validation-write and a checkpoint-report per participant. It schedules
+    each participant's write, its deadline, a resolve at the write instant
+    when that comes before the deadline, the watchdog's re-arming and the
+    next round's timer. It dispatches its timer, the writes and its
+    resolve, or the deadline when the writes fall on it."""
+    groups = list(sim.groups.values())
+    idle = len(sim.tiles) - len({m for g in groups for m in g.members})
+    records = Counter({"run-start": 1, "run-end": 1, "boot": len(sim.tiles),
+                       "tile-boot-checkpoint": idle, "spare-pool-enter": idle,
+                       "tg-active": len(sim.thread_groups)})
+    dispatched, scheduled = 0, len(groups) + 1   # a timer per group, and the watchdog
+    cut = False
+    for g in groups:
+        at = index = 0
+        while at <= sim.horizon:
+            ready = g.plan(index)[1]
+            cut |= at + ready > sim.horizon
+            n = len(g.members)   # every member is a participant
+            records.update({"checkpoint-start": 1, "verdict": 1, "checkpoint-end": 1,
+                            "validation-write": n, "checkpoint-report": n})
+            dispatched += n + 2
+            scheduled += n + 3 + (ready < g.comparison_deadline)
+            at += ready + g.period
+            index += 1
+    return +records, dispatched, scheduled, cut
+
+
+def check_fault_free_counts(scenario):
+    """Run `scenario` and check its counts, unless the horizon cuts a
+    round: then return None without running it."""
+    sim = Counted(scenario)
+    records, dispatched, scheduled, cut = expected_fault_free_counts(sim)
+    if cut:
+        return None
+    trace = sim.run()
+    assert Counter(r.kind for r in trace.records) == records
+    assert sim.dispatched == dispatched
+    assert sim.queue._seq == scheduled   # the queue's insertion count
+    return sim
 
 
 @pytest.mark.parametrize("scenario", [
@@ -1206,27 +1252,107 @@ def rounds_by(group, horizon):
     without_faults(reordered_doc),
 ], ids=["fig3", "chaos", "wide", "shared-tile", "reordered"])
 def test_fault_free_counts_follow_from_the_scenario(scenario):
-    # A fault-free round writes a checkpoint-start, a verdict and a
-    # checkpoint-end, and a validation-write and a checkpoint-report per
-    # participant. It schedules each participant's write, its deadline, its
-    # resolve, the watchdog's re-arming and the next round's timer, and
-    # dispatches all but the cancelled deadline and watchdog.
-    sim = Counted(scenario())
-    groups = list(sim.groups.values())
-    idle = len(sim.tiles) - len({m for g in groups for m in g.members})
-    expected = Counter({"run-start": 1, "run-end": 1, "boot": len(sim.tiles),
-                        "tile-boot-checkpoint": idle, "spare-pool-enter": idle,
-                        "tg-active": len(sim.thread_groups)})
-    rounds = writes = 0
-    for g in groups:
-        n = rounds_by(g, sim.horizon)
-        expected.update({"checkpoint-start": n, "verdict": n, "checkpoint-end": n})
-        rounds += n
-        writes += n * len(g.members)   # every member is a participant
-    expected.update({"validation-write": writes, "checkpoint-report": writes})
+    assert check_fault_free_counts(scenario()) is not None
+
+
+@st.composite
+def fault_free_docs(draw):
+    """Fault-free documents of one to three tile groups over a common pool
+    of tiles, so that some tiles serve two groups. Each group runs one or
+    two thread groups of one or two threads; its first thread sets the base
+    period, and the others' periods are at most four times that. The
+    checksum costs and the deferral fit the comparison deadline, and some
+    groups' checksums are ready exactly at it."""
+    tiles = [f"C{i}" for i in range(draw(st.integers(2, 6)))]
+    context_switch = draw(st.integers(0, 2))
+    threads, thread_groups, tile_groups = [], [], []
+    for g in range(draw(st.integers(1, 3))):
+        base = draw(st.sampled_from([400, 500, 1000, 1200]))
+        listed, own = [], []   # the group's thread groups and threads
+        for _ in range(draw(st.integers(1, 2))):
+            tg = {"id": f"TG{len(thread_groups)}", "threads": []}
+            for _ in range(draw(st.integers(1, 2))):
+                thread = {"id": f"T{len(threads)}", "criticality": draw(st.integers(1, 9)),
+                          "checkpoint_period": draw(st.integers(base, 4 * base)) if own else base,
+                          "state_words": draw(st.integers(1, 6)),
+                          "work_per_tick": draw(st.integers(1, 120)),
+                          "emits_output": draw(st.booleans()),
+                          "checksum_cost": draw(st.integers(1, 8))}
+                tg["threads"].append(thread["id"])
+                threads.append(thread)
+                own.append(thread)
+            thread_groups.append(tg)
+            listed.append(tg["id"])
+        spare_time = base // 10 - sum(t["checksum_cost"] + context_switch for t in own)
+        own[0]["viable_delay"] = draw(st.one_of(st.just(spare_time),
+                                                st.integers(0, spare_time)))
+        tile_groups.append({"id": f"G{g}", "thread_groups": listed,
+                            "members": draw(st.lists(st.sampled_from(tiles), min_size=2,
+                                                     max_size=4, unique=True))})
+    return {"name": "count-law", "seed": 0, "horizon": draw(st.integers(1000, 6000)),
+            "tiles": [{"id": t} for t in tiles] + [{"id": "S0", "spare": True}],
+            "threads": threads, "thread_groups": thread_groups, "tile_groups": tile_groups,
+            "costs": {"context_switch": context_switch}}
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(fault_free_docs())
+def test_fault_free_count_law_over_generated_topologies(doc):
+    assume(check_fault_free_counts(parse_scenario(doc)) is not None)
+
+
+def test_checksums_ready_at_the_deadline_schedule_no_resolve():
+    # make_doc's checksums wait for a 76 us deferral and take two 10 us
+    # checksums, each with a 2 us context switch: ready at the comparison
+    # deadline of 100 us, which then resolves each round itself
+    doc = make_doc(horizon=5000)
+    doc["threads"][0]["viable_delay"] = 76
+    sim = check_fault_free_counts(parse_scenario(doc))
+    group = sim.groups["G1"]
+    assert group.plan(0)[1] == group.plan(1)[1] == group.comparison_deadline == 100
+
+
+# -- every dispatched resolve ends an open round -------------------------------------
+
+RESOLVE_RUNS = {
+    "bundled": lambda: [load_scenario(name) for name in ("exhaustion", "fig3", "fig6", "storm")],
+    "chaos": lambda: [parse_scenario(chaos_doc(seed)) for seed in [*range(80), 196]],
+    "shared-tile": lambda: [parse_scenario(shared_tile_doc(seed, threshold))
+                            for threshold, seed in [(3, 63), (3, 22), (3, 107), (3, 152),
+                                                    (2, 221), (2, 322), (2, 100), (2, 38)]],
+    "wide-group": lambda: [parse_scenario(wide_doc(seed)) for seed in range(4)],
+    "reordered": lambda: [parse_scenario(reordered_doc(seed)) for seed in range(2)],
+    "signal-loss": lambda: [parse_scenario(lossy_doc(make(seed), 0.3))
+                            for make, seeds in ((chaos_doc, range(4)), (wide_doc, range(2)))
+                            for seed in seeds],
+}
+
+
+@pytest.mark.parametrize("family", sorted(RESOLVE_RUNS))
+def test_every_resolve_dispatch_writes_a_verdict(family):
+    # whatever ends a round early cancels its pending resolve, so none
+    # fires for a round that is over. The runs are the chaos soak's and
+    # the pinned ones. In shared-tile (3, 63) a boot restarts a round
+    # before its deadline, and in chaos seed 32 halts abort two rounds.
+    for scenario in RESOLVE_RUNS[family]():
+        sim = Counted(scenario)
+        trace = sim.run()
+        assert sim.handled[Simulation._resolve_checkpoint] == len(trace.of_kind("verdict"))
+
+
+def test_a_boot_restart_during_an_open_round_cancels_its_deadline():
+    # C2 reboots at t=530 and is back at t=1030, inside round 1, which
+    # started at t=1024 without it and would resolve at t=1048. The boot
+    # starts round 2 at once, and round 1's deadline at t=1124 never fires.
+    sim = Counted(parse_scenario(make_doc(horizon=3000)))
+    pending = []
+    sim.queue.schedule(530, reboot_c2)
+    sim.queue.schedule(1029, lambda sim: pending.append((sim.ctxs["G1"], sim.timers["G1"])))
     trace = sim.run()
-    assert Counter(r.kind for r in trace.records) == +expected
-    assert sim.dispatched == writes + 2 * rounds
-    # the queue's insertion count: one per scheduled event, a timer per
-    # group and the watchdog at boot besides the rounds'
-    assert sim.queue._seq == writes + 4 * rounds + len(groups) + 1
+    (ctx, deadline), = pending
+    assert (ctx.index, ctx.resolved, deadline[0]) == (1, False, 1124)
+    assert deadline[2] is None
+    start = trace.of_kind("checkpoint-start")[2]
+    assert (start.at, start.payload["index"], start.payload["trigger"]) == (1030, 2, "boot")
+    assert 1 not in [r.payload["index"] for r in trace.of_kind("verdict")]
+    assert sim.handled[Simulation._resolve_checkpoint] == len(trace.of_kind("verdict"))

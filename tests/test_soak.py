@@ -33,19 +33,26 @@ class Checked(Simulation):
                 assert any(tg_id in g.thread_groups and tid in g.members
                            for g in self.groups.values()), \
                     f"{tid} runs {tg_id} for no group that lists it"
-        # a group arms its timer only once its round is over
-        for gid, entry in self.timers.items():
-            ctx = self.ctxs.get(gid)
-            assert entry[2] is None or ctx is None or ctx.completed, \
-                f"{gid} has a live timer and an open round"
-        # participants write once each, and the last write schedules the resolve
-        for gid, ctx in self.ctxs.items():
-            if not ctx.resolved:
+        # A group's one pending entry is its open round's resolve, due at the
+        # write instant once every participant has written before the
+        # deadline and at the deadline until then; with no open round, it is
+        # the group's timer. Participants write once each.
+        assert set(self.timers) <= set(self.groups), "a dissolved group keeps an entry"
+        for gid, group in self.groups.items():
+            entry, ctx = self.timers.get(gid), self.ctxs.get(gid)
+            if ctx is not None and not ctx.resolved:
                 assert set(ctx.rows) <= set(ctx.participants), \
                     f"{gid} holds a row of a tile that is no participant"
-                assert (ctx.resolve_entry is not None) == (
-                    len(ctx.rows) == len(ctx.participants)), \
-                    f"{gid} scheduled its resolve before every participant wrote, or not after"
+                written = (len(ctx.rows) == len(ctx.participants)
+                           and ctx.written_at < ctx.deadline_at)
+                due = ctx.written_at if written else ctx.deadline_at
+                assert entry is not None and entry[0] == due and entry[2:] == [
+                    Simulation._resolve_checkpoint, (ctx,)], \
+                    f"{gid}'s pending entry is not its open round's resolve at t={due}"
+            else:
+                assert entry is None or entry[2:] == [Simulation.start_checkpoint,
+                                                      (group, "timer")], \
+                    f"{gid} has no open round, and its pending entry is not its timer"
         # a repair job's tile stays defunct, so nothing moves it off its partition
         for tid in self.repair_jobs:
             assert self.tiles[tid].status == DEFUNCT, f"{tid} is under repair but not defunct"

@@ -26,7 +26,7 @@ def at_open_rounds(check):
             group, ctx = sim.groups[gid], sim.ctxs[gid]
             assert (ctx.index, ctx.resolved, ctx.rows) == (0, False, {})
             for m in group.members:
-                sim._on_checksums_ready(gid, ctx.index, m)
+                sim._on_checksums_ready(ctx, m)
         check(sim, sim.ctxs["G1"], sim.ctxs["G2"])
         checked.append(True)
 
@@ -58,8 +58,8 @@ def test_vmem_fault_flips_only_its_threads_checksum_in_the_open_round():
 
 def test_reboot_of_a_shared_tile_drops_its_row_from_every_open_round():
     def check(sim, g1, g2):
-        for gid in ("G1", "G2"):
-            sim._on_sync_written(gid, 0, "C2")
+        for ctx in (g1, g2):
+            sim._on_sync_written(ctx, "C2")
         assert "C2" in g1.snapshots and "C2" in g2.snapshots
         sim.command_tile("C2", "reboot")
         # C2 still counts as a writer, whose wiped row reads as missing

@@ -102,7 +102,7 @@ EVENT_COUNTS = {
     ("shared-tile", 2, 221): (830, 611),
     ("shared-tile", 2, 322): (790, 581),
     ("shared-tile", 3, 22): (864, 647),
-    ("shared-tile", 3, 63): (842, 622),
+    ("shared-tile", 3, 63): (842, 621),
     ("shared-tile", 3, 107): (772, 573),
     ("wide-group", 0): (1750, 1636),
     ("wide-group", 1): (1701, 1563),
