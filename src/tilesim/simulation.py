@@ -38,7 +38,7 @@ class GroupCheckpoint:
     """One checkpoint round of a tile group, from its start to its end."""
 
     __slots__ = ("group", "index", "t0", "participants", "members", "checked", "written_at",
-                 "deadline_at", "rows", "snapshots", "resolved", "completed", "reports",
+                 "deadline_at", "rows", "snapshots", "resolved", "reports",
                  "clique", "outputs", "boundary", "split", "advanced", "last_advance")
 
     def __init__(self, group: TileGroup, index: int, t0: int, participants: list[str],
@@ -61,7 +61,6 @@ class GroupCheckpoint:
         self.rows: dict[str, Optional[tuple]] = {}
         self.snapshots: dict[str, dict[str, workload.ThreadState]] = {}
         self.resolved = False
-        self.completed = False
         self.reports: dict[str, dict[str, str]] = {}   # tile -> its verdicts
         self.clique: list[str] = []
         # Thread states at the pause, held as they are: a ThreadState never
@@ -149,7 +148,7 @@ class Simulation:
         self.watchdog_period = 4 * max(g.base_period for g in self.groups.values())
 
         self.timers: dict[str, list] = {}   # group id -> its one pending queue entry
-        self.ctxs: dict[str, GroupCheckpoint] = {}
+        self.ctxs: dict[str, GroupCheckpoint] = {}   # group id -> its round, until it ends
         self.pending_updates: dict[str, PendingUpdate] = {}
         self.repair_jobs: dict[str, RepairJob] = {}
         self.shared_sefi: Optional[int] = None   # id of the SEFI fault blocking the shared region
@@ -343,8 +342,8 @@ class Simulation:
         self.trace.emit(now, group.group_id, "checkpoint-start",
                         {"group": group.group_id, "index": index, "trigger": trigger,
                          "participants": list(participants)})
-        if not participants:
-            ctx.resolved = ctx.completed = True
+        if not participants:   # the round ends as it starts
+            del self.ctxs[group.group_id]
             self._arm_timer(group, now + group.period)
             return
 
@@ -442,7 +441,7 @@ class Simulation:
         when the rows differ. Losing the write silently is exactly how an
         interface SEFI manifests."""
         group_id, index = ctx.group.group_id, ctx.index
-        if ctx.resolved or self.ctxs.get(group_id) is not ctx:
+        if self.ctxs.get(group_id) is not ctx:
             return
         tile = self.tiles[tile_id]
         if not tile.is_member:
@@ -522,7 +521,7 @@ class Simulation:
                              "faulty": [], "clique": [],
                              "participants": len(ctx.participants),
                              "target_size": group.target_size})
-            ctx.completed = True
+            del self.ctxs[group_id]
             self._set_tg_active(group, False, now)
             return
 
@@ -615,7 +614,7 @@ class Simulation:
 
     def _finish_checkpoint(self, group: TileGroup, ctx: GroupCheckpoint, result: str):
         now = self.queue.now
-        ctx.completed = True
+        del self.ctxs[group.group_id]
         # list the members and resume the running ones' windows in one pass
         members = []
         for m in group.members:
@@ -634,7 +633,8 @@ class Simulation:
         self._arm_timer(group, now + group.period)
 
     def _enter_grace(self, group: TileGroup, ctx: GroupCheckpoint):
-        self.queue.schedule(self.queue.now + group.grace_period, Simulation._on_grace_expiry, ctx)
+        self.timers[group.group_id] = self.queue.schedule(
+            self.queue.now + group.grace_period, Simulation._on_grace_expiry, ctx)
 
     def propagate_state(self, group: TileGroup, ctx: GroupCheckpoint, writers: list[str]):
         """Schedule the synchronization callbacks of every healthy writer
@@ -646,8 +646,7 @@ class Simulation:
     def _on_sync_written(self, ctx: GroupCheckpoint, tile_id: str):
         group = ctx.group
         group_id, index = group.group_id, ctx.index
-        current = self.ctxs.get(group_id)
-        if current is None:   # dissolved with its group
+        if self.groups.get(group_id) is not group:   # dissolved
             return
         tile = self.tiles[tile_id]
         now = self.queue.now
@@ -658,10 +657,9 @@ class Simulation:
             self.trace.emit(now, tile_id, "state-propagation-lost",
                             {"tile": tile_id, "group": group_id, "index": index})
             return
-        # once the group has started a later round, nothing reads this one's states
-        if current is ctx:
-            ctx.snapshots[tile_id] = {spec.thread_id: tile.threads[spec.thread_id]
-                                      for spec in group.threads}
+        # only the round's own grace expiry reads them
+        ctx.snapshots[tile_id] = {spec.thread_id: tile.threads[spec.thread_id]
+                                  for spec in group.threads}
         self.trace.emit(now, tile_id, "state-propagation",
                         {"tile": tile_id, "group": group_id, "index": index,
                          "threads": len(group.threads)})
@@ -786,7 +784,7 @@ class Simulation:
                         {"group": group.group_id, "index": ctx.index,
                          "duration": now - ctx.t0, "result": "unresolvable",
                          "tiles": list(ctx.participants)})
-        ctx.completed = True
+        del self.ctxs[group.group_id]
         self._set_tg_active(group, False, now)
         for m in list(group.members):
             tile = self.tiles[m]
@@ -801,9 +799,8 @@ class Simulation:
         """Close the recovery window: run update callbacks on tiles waiting
         for donor state, then resume the whole group together."""
         group = ctx.group
-        # dissolving a group drops its round too
-        if self.ctxs.get(group.group_id) is not ctx:
-            return
+        # whatever ends the round early cancels this entry, the group's timer
+        del self.timers[group.group_id]
         now = self.queue.now
         for m in list(group.members):
             pending = self.pending_updates.get(m)
@@ -1015,9 +1012,10 @@ class Simulation:
     def _halt_all_tiles(self, now: int):
         for gid, group in self.groups.items():
             self.queue.cancel(self.timers.pop(gid, None))
+            # a resolved round outlasts the halt, which cancelled its grace expiry
             ctx = self.ctxs.get(gid)
             if ctx and not ctx.resolved:
-                ctx.resolved = ctx.completed = True
+                del self.ctxs[gid]
                 self.trace.emit(now, gid, "checkpoint-aborted", {"group": gid, "index": ctx.index})
             self._set_tg_active(group, False, now)
         for tile in self.tiles.values():
@@ -1223,8 +1221,7 @@ class Simulation:
             self.trace.emit(now, "supervisor", "group-restored", {"group": gid, "tile": spare_id})
             self._activate_spare(spare_id, group, donor=None)
             group.members.append(spare_id)
-            ctx = self.ctxs.get(gid)
-            if ctx is None or ctx.completed:
+            if gid not in self.ctxs:
                 self.start_checkpoint(group, trigger="supervisor")
             return
 
@@ -1241,7 +1238,7 @@ class Simulation:
             self.trace.emit(now, "sim", "tg-active", {"tg": tg_id, "active": active})
 
     def _arm_timer(self, group: TileGroup, at: int):
-        # armed only with no entry pending: at boot, when made, and as a round
-        # ends, whose resolve was the last one; a dissolved group's is cancelled
+        # armed only with no entry pending: at boot, when made, and as a
+        # round ends; a dissolved group's is cancelled
         self.timers[group.group_id] = self.queue.schedule(
             at, Simulation.start_checkpoint, group, "timer")

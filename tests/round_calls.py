@@ -4,11 +4,12 @@
 
 Wall time on a shared host drifts by up to 50% between runs, but the number
 of Python-level calls a run makes does not, so it is a cost figure that two
-trees can be compared by. This script builds the documents of three
+trees can be compared by. This script builds the documents of the four
 benchmark workloads with `bench/workloads.py` (read as they are, never
 edited): the one `mission-long` run (`fig3` without faults at horizon 1e6),
-the first 200 `mc-trial` trials and the `wide-group` pool (chaos faults x4
-on one 14-tile group). It parses each document outside the profiler, then
+the first 200 `mc-trial` trials, the `wide-group` pool (chaos faults x4
+on one 14-tile group) and the `soak` pool (the bundled scenarios and a
+batch of chaos seeds). It parses each document outside the profiler, then
 counts with `cProfile` the calls of building the `Simulation` and running
 it, and prints the calls per run of each workload and the calls per
 checkpoint round (the calls over the `checkpoint-start` records). Beside
@@ -28,6 +29,12 @@ run to run, so a change in an advance memo's sharing shows as a changed
 `execute_slice` count. The counts are the same at every seed of a
 fault-free `mission-long`.
 
+Under each workload's line it prints the events that the pool dispatched
+to each handler, by the handler's `__qualname__`, most first. The
+benchmark's `events_per_s` counts dispatched events, so this tells how
+much of that figure each handler makes up, and how far a change that
+merges or drops a handler's events moves it.
+
 It needs only the standard library, and pytest does not collect it.
 """
 
@@ -37,6 +44,7 @@ import argparse
 import cProfile
 import gc
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -81,20 +89,21 @@ def count_calls(scenarios: list) -> tuple[int, int, int, list[int]]:
 KERNELS = ("execute_slice", "checksum_callback", "_jump_words")
 
 
-def count_unprofiled(scenarios: list) -> tuple[dict[str, int], int, int]:
-    """The calls of each of `KERNELS` made running each scenario, and the
-    events the runs scheduled and dispatched, each summed."""
+def count_unprofiled(scenarios: list) -> tuple[dict[str, int], int, Counter]:
+    """The calls of each of `KERNELS` made running each scenario, the
+    events the runs scheduled, and the events they dispatched by handler
+    `__qualname__`, each summed."""
     from tilesim import workload
     from tilesim.simulation import Simulation
 
     calls = dict.fromkeys(KERNELS, 0)
     originals = {name: getattr(workload, name) for name in KERNELS}
     dispatch = Simulation.dispatch
-    scheduled = dispatched = 0
+    scheduled = 0
+    dispatched = Counter()
 
     def counted_dispatch(sim, ev):
-        nonlocal dispatched
-        dispatched += 1
+        dispatched[ev[2].__qualname__] += 1
         dispatch(sim, ev)
 
     def counted(name):
@@ -131,10 +140,12 @@ def main(argv=None) -> int:
 
     for name, docs in (("mission-long", workloads.mission_docs(args.seed)),
                        ("mc-trial", workloads.mc_docs(args.seed)[:MC_TRIALS]),
-                       ("wide-group", workloads.wide_docs(args.seed))):
+                       ("wide-group", workloads.wide_docs(args.seed)),
+                       ("soak", workloads.soak_docs(args.seed))):
         scenarios = [workloads.parse(doc) for doc in docs]
         total, rounds, records, passes = count_calls(scenarios)
-        kernels, scheduled, dispatched = count_unprofiled(scenarios)
+        kernels, scheduled, handled = count_unprofiled(scenarios)
+        dispatched = sum(handled.values())
         print(f"{name:<13} runs {len(docs):>4}  calls {total:>9}  "
               f"calls/run {round(total / len(docs)):>7}  calls/round {total / rounds:6.1f}  "
               f"scheduled/run {scheduled / len(docs):.1f}  "
@@ -144,6 +155,8 @@ def main(argv=None) -> int:
               "gc passes/run " + "/".join(f"{n / len(docs):.2f}" for n in passes) + "  "
               f"records/run {records / len(docs):.1f}  records/round {records / rounds:.1f}  "
               + "  ".join(f"{k}/run {v / len(docs):.2f}" for k, v in kernels.items()))
+        print("    dispatched by handler: "
+              + "  ".join(f"{handler} {n}" for handler, n in handled.most_common()))
     return 0
 
 

@@ -275,9 +275,9 @@ def reference_oracle_check(self, group, ctx):
 
 @pytest.mark.parametrize("make, seed", [(chaos_doc, s) for s in range(6)]
                          + [(wide_doc, s) for s in range(4)])
-def test_oracle_by_class_matches_all_pairs(monkeypatch, make, seed):
+def test_oracle_walk_matches_reference_oracle_check(monkeypatch, make, seed):
     # colliding checksums hide every divergence from the protocol, so the
-    # oracle writes many records, over several classes in the wide group
+    # oracle writes many records, over many pairs in the wide group
     monkeypatch.setattr(workload, "checksum_callback", lambda ts: 0)
     runs = []
     for oracle in (Simulation._oracle_check, reference_oracle_check):
@@ -1328,16 +1328,59 @@ RESOLVE_RUNS = {
 }
 
 
+class GraceEnds(Counted):
+    """A counted run that keeps, for each grace expiry it dispatches, the
+    expiring round and the `checkpoint-end` records that the expiry wrote."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.grace_ends = []
+
+    def dispatch(self, ev):
+        written = len(self.trace.records)
+        super().dispatch(ev)
+        if ev[2] is Simulation._on_grace_expiry:
+            ctx, = ev[3]
+            self.grace_ends.append((
+                (ctx.group.group_id, ctx.index, "recovered"),
+                [(r.payload["group"], r.payload["index"], r.payload["result"])
+                 for r in self.trace.records[written:] if r.kind == "checkpoint-end"]))
+
+
 @pytest.mark.parametrize("family", sorted(RESOLVE_RUNS))
 def test_every_resolve_dispatch_writes_a_verdict(family):
-    # whatever ends a round early cancels its pending resolve, so none
-    # fires for a round that is over. The runs are the chaos soak's and
-    # the pinned ones. In shared-tile (3, 63) a boot restarts a round
-    # before its deadline, and in chaos seed 32 halts abort two rounds.
+    # whatever ends a round early cancels its pending resolve or grace
+    # expiry, so neither fires for a round that is over. The runs are the
+    # chaos soak's and the pinned ones. In shared-tile (3, 63) a boot
+    # restarts a round before its deadline, and in chaos seed 32 halts
+    # abort two rounds.
+    graced = 0
     for scenario in RESOLVE_RUNS[family]():
-        sim = Counted(scenario)
+        sim = GraceEnds(scenario)
         trace = sim.run()
         assert sim.handled[Simulation._resolve_checkpoint] == len(trace.of_kind("verdict"))
+        for own, ends in sim.grace_ends:
+            assert ends == [own]
+        graced += len(sim.grace_ends)
+    assert graced > 0
+
+
+@pytest.mark.parametrize("halt, restart_at", [
+    (Simulation.full_reconfigure, 7600), (Simulation._on_watchdog_expiry, 2600),
+], ids=["full-reconfigure", "watchdog-reset"])
+def test_a_halt_in_grace_cancels_the_grace_expiry(halt, restart_at):
+    # C2's flip makes round 2 faulty at t=2072, and its grace period would
+    # end at t=2132. The halt at t=2100 cancels the expiry, the group's one
+    # pending entry, so round 2 never ends and no round starts while the
+    # tiles are down. The boot after the halt starts round 3.
+    sim = Simulation(parse_scenario(make_doc(faults={"explicit": [transient(1500, "C2")]})))
+    sim.queue.schedule(2100, halt)
+    trace = sim.run()
+    verdict = trace.of_kind("verdict")[2]
+    assert (verdict.at, verdict.payload["index"], verdict.payload["result"]) == (2072, 2, "faulty")
+    assert 2 not in [r.payload["index"] for r in trace.of_kind("checkpoint-end")]
+    start = next(r for r in trace.of_kind("checkpoint-start") if r.at >= 2100)
+    assert (start.at, start.payload["index"], start.payload["trigger"]) == (restart_at, 3, "boot")
 
 
 def test_a_boot_restart_during_an_open_round_cancels_its_deadline():

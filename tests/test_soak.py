@@ -35,8 +35,10 @@ class Checked(Simulation):
                     f"{tid} runs {tg_id} for no group that lists it"
         # A group's one pending entry is its open round's resolve, due at the
         # write instant once every participant has written before the
-        # deadline and at the deadline until then; with no open round, it is
-        # the group's timer. Participants write once each.
+        # deadline and at the deadline until then. A resolved round stays in
+        # `ctxs` until it ends, and its entry is its own grace expiry, or
+        # none while a halt holds the round. With no round, it is the
+        # group's timer. Participants write once each.
         assert set(self.timers) <= set(self.groups), "a dissolved group keeps an entry"
         for gid, group in self.groups.items():
             entry, ctx = self.timers.get(gid), self.ctxs.get(gid)
@@ -49,6 +51,9 @@ class Checked(Simulation):
                 assert entry is not None and entry[0] == due and entry[2:] == [
                     Simulation._resolve_checkpoint, (ctx,)], \
                     f"{gid}'s pending entry is not its open round's resolve at t={due}"
+            elif ctx is not None:
+                assert entry is None or entry[2:] == [Simulation._on_grace_expiry, (ctx,)], \
+                    f"{gid}'s round is resolved, and its pending entry is not its grace expiry"
             else:
                 assert entry is None or entry[2:] == [Simulation.start_checkpoint,
                                                       (group, "timer")], \
