@@ -85,14 +85,6 @@ class GroupCheckpoint:
 
 
 @dataclass
-class PendingUpdate:
-    """A donor state update awaited by an UPDATING spare joining the group,
-    or by a SUSPECT member the group commanded to update."""
-    group_id: str
-    donor: Optional[str]
-
-
-@dataclass
 class RepairJob:
     variants: list[int]
     tried_relocation: bool = False
@@ -149,7 +141,7 @@ class Simulation:
 
         self.timers: dict[str, list] = {}   # group id -> its one pending queue entry
         self.ctxs: dict[str, GroupCheckpoint] = {}   # group id -> its round, until it ends
-        self.pending_updates: dict[str, PendingUpdate] = {}
+        self.pending_updates: dict[str, str] = {}   # tile -> the group that will update it
         self.repair_jobs: dict[str, RepairJob] = {}
         self.shared_sefi: Optional[int] = None   # id of the SEFI fault blocking the shared region
         self.full_reconfig = False
@@ -594,18 +586,20 @@ class Simulation:
 
     # -- checkpoint outcomes ------------------------------------------------
 
-    def _joiners(self, group: TileGroup) -> list[str]:
-        return [m for m in group.members
-                if m in self.pending_updates
-                and self.pending_updates[m].group_id == group.group_id
-                and self.tiles[m].status == UPDATING]
+    def _donor(self, group: TileGroup, ctx: GroupCheckpoint) -> Optional[str]:
+        """The round's donor: the first tile on the group's roster that is in
+        the round's clique, or None."""
+        for m in group.members:
+            if m in ctx.clique:
+                return m
+        return None
 
     def _finish_agreeing_checkpoint(self, group: TileGroup, ctx: GroupCheckpoint):
-        joiners = self._joiners(group) if self.pending_updates else None
-        if joiners:
-            donor = next((m for m in group.members if m in ctx.clique), None)
-            for j in joiners:
-                self.pending_updates[j].donor = donor
+        pending, gid = self.pending_updates, group.group_id
+        # a spare joining the group waits for the grace expiry
+        if pending and [m for m in group.members
+                        if pending.get(m) == gid and self.tiles[m].status == UPDATING]:
+            donor = self._donor(group, ctx)
             if donor is not None:
                 self.propagate_state(group, ctx, [donor])
             self._enter_grace(group, ctx)
@@ -637,8 +631,9 @@ class Simulation:
             self.queue.now + group.grace_period, Simulation._on_grace_expiry, ctx)
 
     def propagate_state(self, group: TileGroup, ctx: GroupCheckpoint, writers: list[str]):
-        """Schedule the synchronization callbacks of every healthy writer
-        that saw the mismatch (or was asked to donate)."""
+        """Schedule the synchronization callback of each of `writers`: the
+        round's donor and, after a faulty verdict, every member that reported
+        a mismatch or a miss, the blamed tiles among them."""
         for w in writers:
             self.queue.schedule(self.queue.now + group.sync_time, Simulation._on_sync_written,
                                 ctx, w)
@@ -678,7 +673,7 @@ class Simulation:
         self._finish_checkpoint(group, ctx, "detect-only")
 
     def _handle_faulty(self, group: TileGroup, ctx: GroupCheckpoint, verdict: sup.Verdict):
-        donor = next((m for m in group.members if m in verdict.clique), None)
+        donor = self._donor(group, ctx)
         reports = ctx.reports
         # a tile stops comparing at its first mismatch or miss, so it saw one
         # exactly when some verdict is not an agreement
@@ -688,9 +683,6 @@ class Simulation:
             if m == donor or m in reports and not agree.issuperset(reports[m].values())])
         for f in verdict.faulty:
             self._apply_fault_action(group, ctx, f, donor)
-        for j in self._joiners(group):
-            if self.pending_updates[j].donor is None:
-                self.pending_updates[j].donor = donor
         self._enter_grace(group, ctx)
 
     def _apply_fault_action(self, group: TileGroup, ctx: GroupCheckpoint,
@@ -715,7 +707,7 @@ class Simulation:
         # a spare, if there is one, takes the tile's slot; then the tile leaves every roster
         if action.spare:
             group.members[group.members.index(faulty_id)] = action.spare
-            self._activate_spare(action.spare, group, donor)
+            self._activate_spare(action.spare, group)
         # a rebooted or halted tile takes all of its replicas with it: it
         # leaves every group roster (replacement fills only one slot)
         for other in self.groups.values():
@@ -751,12 +743,12 @@ class Simulation:
                 return
             self.trace.emit(now, "supervisor", "command",
                             {"tile": tile_id, "command": command, "donor": donor})
-            self.pending_updates[tile_id] = PendingUpdate(group_id=group.group_id, donor=donor)
+            self.pending_updates[tile_id] = group.group_id
         else:  # "reboot" or "repair-reboot"
             self.trace.emit(now, "supervisor", "command", {"tile": tile_id, "command": "reboot"})
             self._reboot_tile(tile)
 
-    def _activate_spare(self, spare_id: str, group: TileGroup, donor: Optional[str]):
+    def _activate_spare(self, spare_id: str, group: TileGroup):
         now = self.queue.now
         spare = self.tiles[spare_id]
         self.trace.emit(now, "supervisor", "command",
@@ -764,7 +756,7 @@ class Simulation:
                          "group": group.group_id, "thread_groups": list(group.thread_groups)})
         spare.set_status(UPDATING)
         self._join(spare, group, None)
-        self.pending_updates[spare_id] = PendingUpdate(group_id=group.group_id, donor=donor)
+        self.pending_updates[spare_id] = group.group_id
 
     def _handle_unresolvable(self, group: TileGroup, ctx: GroupCheckpoint,
                              verdict: sup.Verdict):
@@ -796,39 +788,37 @@ class Simulation:
     # -- grace period and updates --------------------------------------------
 
     def _on_grace_expiry(self, ctx: GroupCheckpoint):
-        """Close the recovery window: run update callbacks on tiles waiting
-        for donor state, then resume the whole group together."""
+        """Close the recovery window: every update the group awaits copies
+        the round's one donor, then the whole group resumes together."""
         group = ctx.group
+        group_id = group.group_id
         # whatever ends the round early cancels this entry, the group's timer
-        del self.timers[group.group_id]
+        del self.timers[group_id]
         now = self.queue.now
+        donor_id = self._donor(group, ctx)
+        # the donor's states of every thread the group still runs: a rebase
+        # may have dropped some since the donor propagated
+        held = ctx.snapshots.get(donor_id)
+        ready = (held is not None and self.tiles[donor_id].is_member
+                 and self.shared_sefi is None)
         for m in list(group.members):
-            pending = self.pending_updates.get(m)
-            if pending is None or pending.group_id != group.group_id:
+            if self.pending_updates.get(m) != group_id:
                 continue
             tile = self.tiles[m]
-            donor_id = pending.donor
-            if donor_id is None and ctx.clique:
-                donor_id = next((x for x in group.members if x in ctx.clique), None)
-            donor = self.tiles[donor_id] if donor_id else None
-            # the donor's states of every thread the group still runs: a
-            # rebase may have dropped some since the donor propagated
-            held = ctx.snapshots.get(donor_id)
             del self.pending_updates[m]
-            if (donor is not None and donor.is_member and held is not None
-                    and tile.sefi is None and self.shared_sefi is None):
+            if ready and tile.sefi is None:
                 for spec in group.threads:
                     tid = spec.thread_id
                     tile.threads[tid] = workload.update_callback(tile.threads[tid], held[tid])
                 tile.set_status(ACTIVE)
                 self.trace.emit(now, m, "update-success",
-                                {"tile": m, "group": group.group_id, "donor": donor_id,
+                                {"tile": m, "group": group_id, "donor": donor_id,
                                  "threads": len(group.threads)})
                 self.ledger.settle((flt.PENDING, m), "corrected")
             else:
-                reason = "no-donor" if donor is None else "donor-snapshots-missing"
+                reason = "no-donor" if donor_id is None else "donor-snapshots-missing"
                 self.trace.emit(now, m, "update-failed",
-                                {"tile": m, "group": group.group_id, "reason": reason})
+                                {"tile": m, "group": group_id, "reason": reason})
                 self.ledger.move((flt.PENDING, m), (flt.TILE, m))
                 if tile.status == UPDATING:
                     # a joining spare that cannot sync goes back through reboot
@@ -1219,7 +1209,7 @@ class Simulation:
                 continue
             spare_id = self.supervisor.take_spare()
             self.trace.emit(now, "supervisor", "group-restored", {"group": gid, "tile": spare_id})
-            self._activate_spare(spare_id, group, donor=None)
+            self._activate_spare(spare_id, group)
             group.members.append(spare_id)
             if gid not in self.ctxs:
                 self.start_checkpoint(group, trigger="supervisor")

@@ -783,6 +783,37 @@ def test_grace_expiry_of_a_stale_round_writes_nothing(during_grace):
     assert [r for r in trace.records if r.at == 2132] == []
 
 
+def test_every_update_of_a_round_copies_from_one_donor():
+    # Round 2 blames C2 at t=2072 and commands its update with donor C0.
+    # C0, C1 and C2 propagate at t=2106, and the grace period runs to
+    # t=2132. At t=2110, as if another group replaced a tile they shared, C0
+    # leaves G1 and reboots, and spare C3 joins G1. At the expiry the first
+    # roster member in the clique is C1, and both updates copy from it.
+    doc = make_doc(horizon=3000, faults={"explicit": [transient(1500, "C2")]})
+    sim = Simulation(parse_scenario(doc))
+
+    def replace_c0(sim):
+        sim.groups["G1"].members.remove("C0")
+        sim.command_tile("C0", "reboot")
+        sim._restore_groups()
+
+    sim.queue.schedule(2110, replace_c0)
+    trace = sim.run()
+    command = trace.of_kind("command")[0]
+    assert (command.at, command.payload) == (
+        2072, {"tile": "C2", "command": "state-update", "donor": "C0"})
+    assert [r.payload["tile"] for r in trace.of_kind("state-propagation")
+            if r.at == 2106] == ["C0", "C1", "C2"]
+    assert [(r.kind, r.payload) for r in trace.records
+            if r.at == 2132 and r.kind in ("update-success", "update-failed",
+                                           "fault-outcome")] == [
+        ("update-success", {"tile": "C2", "group": "G1", "donor": "C1", "threads": 2}),
+        ("fault-outcome", {"id": 0, "outcome": "corrected"}),
+        ("update-success", {"tile": "C3", "group": "G1", "donor": "C1", "threads": 2}),
+    ]
+    assert sim.pending_updates == {}
+
+
 def test_plan_migrates_onto_a_spare_and_a_suspect_tile():
     # C1 awaits a commanded update, and C3 is the idle spare
     entry = crit.PlanEntry("TG1", ("C0", "C1", "C3"), 1, crit.MODE_FULL)

@@ -58,6 +58,13 @@ class Checked(Simulation):
                 assert entry is None or entry[2:] == [Simulation.start_checkpoint,
                                                       (group, "timer")], \
                     f"{gid} has no open round, and its pending entry is not its timer"
+        # a pending update waits on a live group that lists its tile
+        for tid, gid in self.pending_updates.items():
+            group = self.groups.get(gid)
+            assert group is not None and tid in group.members, \
+                f"{tid} awaits an update from {gid}, which does not list it"
+            assert self.tiles[tid].status in (UPDATING, SUSPECT), \
+                f"{tid} awaits an update but is {self.tiles[tid].status}"
         # a repair job's tile stays defunct, so nothing moves it off its partition
         for tid in self.repair_jobs:
             assert self.tiles[tid].status == DEFUNCT, f"{tid} is under repair but not defunct"
